@@ -24,8 +24,10 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -33,6 +35,7 @@ from scipy.integrate import quad
 from . import conformal, fdcheck
 from .curves import DiscreteCurve, fornberg_weights
 from .estimates import (
+    SCAN_CSV_HEADER,
     EstimateConfig,
     decay_scan,
     elementary_inequalities,
@@ -55,8 +58,6 @@ from .spaceform import RadialField, SpaceForm, gram_schmidt_frame
 from .variation import TestFunction, crucial_bounds_scan, index_form_trace, phi_calculus
 
 SUITES = ("conformal", "lemmas", "examples", "geodesic", "estimates", "scan", "all")
-
-_SCAN_CSV_HEADER = "R,inf_h1,inf_h2,sum,envelope,slack\n"
 
 
 class ConfigError(ValueError):
@@ -112,7 +113,7 @@ _ENV_KEYS = {
 class RunConfig:
     """Validated settings for one harness invocation."""
 
-    def __init__(self, suite="all", out="out", seed=1, workers=4,
+    def __init__(self, suite="all", out="out", seed=1, workers=1,
                  tolerances=None, grids=None, fixture=None):
         self.suite = suite
         self.out = out
@@ -272,7 +273,7 @@ class CheckContext:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_report(check, parts, *, inputs=None, grid=None, started=None, probe=False):
+def _ratio_report(check, parts, *, inputs=None, grid=None):
     """Report over named (observed, allowed) error pairs.
 
     lhs is the worst observed/allowed ratio, rhs is 1; the check passes when
@@ -295,8 +296,6 @@ def _ratio_report(check, parts, *, inputs=None, grid=None, started=None, probe=F
         tolerance=1e-9,
         inputs=inputs,
         grid=meta,
-        probe=probe,
-        started=started,
     )
 
 
@@ -330,90 +329,73 @@ def _random_factor(rng, dim, scale=0.25):
 # ---------------------------------------------------------------------------
 
 
-def _check_connection_law(ctx):
-    started = time.perf_counter()
-    cid = "connection-law-fd"
+def _fd_law_check(ctx, cid, spaces, sample_error, **inputs):
+    """Worst relative error of a transformation law against its fdcheck
+    oracle, per space over ``samples`` random draws of sample_error(rng, space)."""
     rng = ctx.rng(cid)
     samples = ctx.grid("samples")
     per = {}
-    for label, space in _law_spaces():
-        flat_metric = conformal.coordinate_metric(space, ConstantField(1.0))
+    for label, space in spaces:
         worst = 0.0
         for _ in range(samples):
-            u = _random_factor(rng, space.dim)
-            metric = conformal.coordinate_metric(space, u)
-            x = rng.uniform(-0.3, 0.3, size=space.dim)
-            X = rng.normal(size=space.dim)
-            Y = rng.normal(size=space.dim)
-            gap = fdcheck.christoffels_fd(metric, x) - fdcheck.christoffels_fd(flat_metric, x)
-            ref = np.einsum("kij,i,j->k", gap, X, Y)
-            got = conformal.connection_difference(space, u, x, X, Y)
-            err = float(np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1.0))
-            worst = max(worst, err)
+            worst = max(worst, sample_error(rng, space))
         per[label] = worst
     return _ratio_report(
         cid,
         {"fd_relative_error": (max(per.values()), ctx.tol("fd_rel"))},
-        inputs={"samples": samples, "seed": ctx.cfg.seed},
+        inputs={"samples": samples, "seed": ctx.cfg.seed, **inputs},
         grid={"per_space": per},
-        started=started,
     )
+
+
+def _connection_error(rng, space):
+    flat_metric = conformal.coordinate_metric(space, ConstantField(1.0))
+    u = _random_factor(rng, space.dim)
+    metric = conformal.coordinate_metric(space, u)
+    x = rng.uniform(-0.3, 0.3, size=space.dim)
+    X = rng.normal(size=space.dim)
+    Y = rng.normal(size=space.dim)
+    gap = fdcheck.christoffels_fd(metric, x) - fdcheck.christoffels_fd(flat_metric, x)
+    ref = np.einsum("kij,i,j->k", gap, X, Y)
+    got = conformal.connection_difference(space, u, x, X, Y)
+    return float(np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1.0))
+
+
+def _sectional_error(rng, space):
+    u = _random_factor(rng, space.dim)
+    metric = conformal.coordinate_metric(space, u)
+    x = rng.uniform(-0.3, 0.3, size=space.dim)
+    F = gram_schmidt_frame(space, x, seed=rng.normal(size=(space.dim, space.dim)))
+    got = conformal.sectional_numerator(space, u, x, F[0], F[1])
+    uv = float(u.value(x))
+    ref = fdcheck.sectional_fd(metric, x, uv * F[0], uv * F[1])
+    return abs(got - ref) / max(abs(ref), 1.0)
+
+
+def _ricci_error(rng, space):
+    u = _random_factor(rng, space.dim)
+    metric = conformal.coordinate_metric(space, u)
+    x = rng.uniform(-0.3, 0.3, size=space.dim)
+    F = gram_schmidt_frame(space, x, seed=rng.normal(size=(space.dim, space.dim)))
+    got = conformal.ricci_formula(space, u, x, F[0])
+    uv = float(u.value(x))
+    ref = fdcheck.ricci_quadratic_fd(metric, x, uv * F[0])
+    return abs(got - ref) / max(abs(ref), 1.0)
+
+
+def _check_connection_law(ctx):
+    return _fd_law_check(ctx, "connection-law-fd", _law_spaces(), _connection_error)
 
 
 def _check_sectional_law(ctx):
-    started = time.perf_counter()
-    cid = "sectional-law-fd"
-    rng = ctx.rng(cid)
-    samples = ctx.grid("samples")
-    per = {}
-    for label, space in _law_spaces():
-        worst = 0.0
-        for _ in range(samples):
-            u = _random_factor(rng, space.dim)
-            metric = conformal.coordinate_metric(space, u)
-            x = rng.uniform(-0.3, 0.3, size=space.dim)
-            F = gram_schmidt_frame(space, x, seed=rng.normal(size=(space.dim, space.dim)))
-            got = conformal.sectional_numerator(space, u, x, F[0], F[1])
-            uv = float(u.value(x))
-            ref = fdcheck.sectional_fd(metric, x, uv * F[0], uv * F[1])
-            err = abs(got - ref) / max(abs(ref), 1.0)
-            worst = max(worst, err)
-        per[label] = worst
-    return _ratio_report(
-        cid,
-        {"fd_relative_error": (max(per.values()), ctx.tol("fd_rel"))},
-        inputs={"samples": samples, "seed": ctx.cfg.seed},
-        grid={"per_space": per},
-        started=started,
-    )
+    return _fd_law_check(ctx, "sectional-law-fd", _law_spaces(), _sectional_error)
 
 
 def _check_ricci_law(ctx):
-    started = time.perf_counter()
-    cid = "ricci-law-fd"
-    rng = ctx.rng(cid)
-    samples = ctx.grid("samples")
-    per = {}
-    for label, space in _law_spaces():
-        worst = 0.0
-        for _ in range(samples):
-            u = _random_factor(rng, space.dim)
-            metric = conformal.coordinate_metric(space, u)
-            x = rng.uniform(-0.3, 0.3, size=space.dim)
-            F = gram_schmidt_frame(space, x, seed=rng.normal(size=(space.dim, space.dim)))
-            got = conformal.ricci_formula(space, u, x, F[0])
-            uv = float(u.value(x))
-            ref = fdcheck.ricci_quadratic_fd(metric, x, uv * F[0])
-            err = abs(got - ref) / max(abs(ref), 1.0)
-            worst = max(worst, err)
-        per[label] = worst
-    return _ratio_report(
-        cid,
-        {"fd_relative_error": (max(per.values()), ctx.tol("fd_rel"))},
-        inputs={"samples": samples, "seed": ctx.cfg.seed},
-        grid={"per_space": per},
-        started=started,
-    )
+    return _fd_law_check(ctx, "ricci-law-fd", _law_spaces(), _ricci_error)
+
+
+_SPHERE_RADIUS = 0.35
 
 
 def _sphere_chart(s):
@@ -441,50 +423,38 @@ def _sphere_chart(s):
     return chart, dchart, d2chart
 
 
+def _mean_curvature_error(rng, space):
+    s = _SPHERE_RADIUS
+    chart, dchart, d2chart = _sphere_chart(s)
+    if space.hyperbolic:
+        H_g = 2.0 / np.tanh(2.0 * np.arctanh(s))
+    else:
+        H_g = 2.0 / s
+    u = _random_factor(rng, 3, scale=0.2)
+    metric = conformal.coordinate_metric(space, u)
+    th = np.array([rng.uniform(0.4, 2.7), rng.uniform(0.0, 2.0 * np.pi)])
+    x = chart(th)
+    w = float(space.ambient_factor(x))
+    nu_g = -x / s * w
+    got = conformal.mean_curvature_formula(space, u, x, H_g=H_g, nu=nu_g)
+    ref, _ = fdcheck.parametric_mean_curvature(
+        metric, chart, dchart, d2chart, th, inward_ref=-x
+    )
+    return abs(got - ref) / max(abs(ref), 1.0)
+
+
 def _check_mean_curvature_law(ctx):
     """Random factor over flat and hyperbolic backgrounds: the pointwise
     mean-curvature law against a second-fundamental-form computation in
     the rescaled coordinate metric, on a fixed coordinate sphere."""
-    started = time.perf_counter()
-    cid = "mean-curvature-law-fd"
-    rng = ctx.rng(cid)
-    samples = ctx.grid("samples")
-    s = 0.35
-    chart, dchart, d2chart = _sphere_chart(s)
-    per = {}
-    for label, space in (("flat3", SpaceForm(3, 0.0)), ("ball3", SpaceForm(3, 1.0))):
-        if space.hyperbolic:
-            H_g = 2.0 / np.tanh(2.0 * np.arctanh(s))
-        else:
-            H_g = 2.0 / s
-        worst = 0.0
-        for _ in range(samples):
-            u = _random_factor(rng, 3, scale=0.2)
-            metric = conformal.coordinate_metric(space, u)
-            th = np.array([rng.uniform(0.4, 2.7), rng.uniform(0.0, 2.0 * np.pi)])
-            x = chart(th)
-            w = float(space.ambient_factor(x))
-            nu_g = -x / s * w
-            got = conformal.mean_curvature_formula(space, u, x, H_g=H_g, nu=nu_g)
-            ref, _ = fdcheck.parametric_mean_curvature(
-                metric, chart, dchart, d2chart, th, inward_ref=-x
-            )
-            worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
-        per[label] = worst
-    return _ratio_report(
-        cid,
-        {"fd_relative_error": (max(per.values()), ctx.tol("fd_rel"))},
-        inputs={"samples": samples, "seed": ctx.cfg.seed, "sphere_radius": s},
-        grid={"per_space": per},
-        started=started,
-    )
+    return _fd_law_check(ctx, "mean-curvature-law-fd", _law_spaces()[:2],
+                         _mean_curvature_error, sphere_radius=_SPHERE_RADIUS)
 
 
 def _check_poincare_recovery(ctx):
     """The ball factor over a flat background must reproduce the constant
     curvature model: Ricci -(dim-1) everywhere, and the geodesic spheres of
     the hyperbolic ambient have mean curvature n + 2n/(e^{2R}-1)."""
-    started = time.perf_counter()
     cid = "poincare-recovery"
     rng = ctx.rng(cid)
     worst_ric = 0.0
@@ -517,14 +487,12 @@ def _check_poincare_recovery(ctx):
             "sphere_mean_curvature_error": (worst_sph, 1e-10),
         },
         inputs={"seed": ctx.cfg.seed},
-        started=started,
     )
 
 
 def _check_diameter_geodesic(ctx):
     """Diameters through the center of the ball factor are unit-speed
     geodesics of the rescaled metric; parallel offset lines are not."""
-    started = time.perf_counter()
     cid = "diameter-geodesic"
     rng = ctx.rng(cid)
     space = SpaceForm(2, 0.0)
@@ -550,7 +518,6 @@ def _check_diameter_geodesic(ctx):
         cid, parts,
         inputs={"seed": ctx.cfg.seed},
         grid={"smallest_offset_residual": min_off},
-        started=started,
     )
 
 
@@ -562,7 +529,6 @@ def _check_diameter_geodesic(ctx):
 def _check_curve_shortness(ctx):
     """Minimize through a radial bump between two parallel lines, then check
     the length ordering and the 5/2 mu0 budget on the factor's deviation."""
-    started = time.perf_counter()
     cid = "curve-shortness"
     space = SpaceForm(2, 0.0)
     R_profile = 2.0
@@ -593,11 +559,10 @@ def _check_curve_shortness(ctx):
         "iterations": res.iterations,
     }
     return _ratio_report(cid, parts, inputs={"n_segments": ctx.grid("n_segments")},
-                         grid=grid, started=started)
+                         grid=grid)
 
 
 def _crucial_bounds(ctx, cid, model):
-    started = time.perf_counter()
     n_r = ctx.grid("r_points")
     n_t = ctx.grid("t_points")
     worst = np.inf
@@ -613,7 +578,6 @@ def _crucial_bounds(ctx, cid, model):
         cid, parts,
         inputs={"n_r": n_r, "n_t": n_t, "model": model},
         grid={"min_slack": worst, "per_case": per},
-        started=started,
     )
 
 
@@ -626,16 +590,12 @@ def _check_crucial_bounds_hyperbolic(ctx):
 
 
 def _check_elementary(ctx):
-    started = time.perf_counter()
-    rep = elementary_inequalities(tolerance=1e-12)
-    rep.wall_time_s = time.perf_counter() - started
-    return rep
+    return elementary_inequalities(tolerance=1e-12)
 
 
 def _check_phi_calculus(ctx):
     """Endpoint values, derivative identity, the 6/5 integral bound over a
     wide range of lengths, and the closed form against direct quadrature."""
-    started = time.perf_counter()
     cid = "phi-calculus"
     rep = phi_calculus(2.0, n_grid=ctx.grid("phi_points"))
     Ls = np.geomspace(1e-2, 50.0, 80)
@@ -656,7 +616,7 @@ def _check_phi_calculus(ctx):
         "argmax_L": float(Ls[int(np.argmax(closed))]),
     }
     return _ratio_report(cid, parts, inputs={"phi_points": ctx.grid("phi_points")},
-                         grid=grid, started=started)
+                         grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +649,6 @@ def _check_sharp_lens(ctx):
     The connecting minimizer is degenerate (any perpendicular geodesic
     works), so the distance is measured between the solver's own endpoints,
     which is second-order accurate in the optimization error."""
-    started = time.perf_counter()
     cid = "sharp-lens"
     worst = {"mean_curvature_error": 0.0, "distance_error": 0.0,
              "tanh_identity_error": 0.0, "bound_gap": 0.0}
@@ -718,7 +677,7 @@ def _check_sharp_lens(ctx):
         "bound_gap": (worst["bound_gap"], 1e-10),
     }
     return _ratio_report(cid, parts, inputs={"n_segments": 256},
-                         grid={"per_a": per}, started=started)
+                         grid={"per_a": per})
 
 
 def _fd_profile_derivatives(height, ts, steps, npts=9):
@@ -738,7 +697,6 @@ def _fd_profile_derivatives(height, ts, steps, npts=9):
 def _check_log_graph_curvature(ctx):
     """The displayed curvature of the logarithmic graph against the implicit
     computation and against stencil derivatives of the height function."""
-    started = time.perf_counter()
     cid = "log-graph-curvature"
     fx = example_fixture("log-graph", **ctx.fixture_kwargs("log-graph"))
     graph = fx.pieces[0]
@@ -756,15 +714,13 @@ def _check_log_graph_curvature(ctx):
         "fd_vs_displayed": (_rel_err(H_fd, H_disp), 1e-7),
     }
     grid = {"x_range": [float(xs[0]), float(xs[-1])], "n_points": int(xs.size)}
-    return _ratio_report(cid, parts, inputs={"samples": int(xs.size)}, grid=grid,
-                         started=started)
+    return _ratio_report(cid, parts, inputs={"samples": int(xs.size)}, grid=grid)
 
 
 def _check_revolution_curvature(ctx):
     """The displayed curvature of the exponential trumpet against the
     principal-curvature formula with exact profile derivatives, the implicit
     computation, and stencil derivatives of the profile."""
-    started = time.perf_counter()
     cid = "revolution-curvature"
     fx = example_fixture("revolution-r4", **ctx.fixture_kwargs("revolution-r4"))
     piece = fx.pieces[0]
@@ -794,8 +750,7 @@ def _check_revolution_curvature(ctx):
         "fd_vs_displayed": (_rel_err(H_fd, H_disp), 1e-7),
     }
     grid = {"t_range": [float(ts[0]), float(ts[-1])], "n_points": int(ts.size)}
-    return _ratio_report(cid, parts, inputs={"samples": int(ts.size)}, grid=grid,
-                         started=started)
+    return _ratio_report(cid, parts, inputs={"samples": int(ts.size)}, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +762,6 @@ def _check_slab_perpendicular(ctx):
     """With a trivial factor the minimizer between parallel planes is the
     perpendicular segment: length equal to the gap, right angles at both
     feet."""
-    started = time.perf_counter()
     cid = "slab-perpendicular"
     fx = example_fixture("euclid-slab", d=1.0, dim=3)
     problem = GeodesicProblem(
@@ -824,14 +778,12 @@ def _check_slab_perpendicular(ctx):
         "orthogonality_error": (max(abs(o - 1.0) for o in orth), 1e-6),
     }
     grid = {"tilde_length": res.tilde_length, "orthogonality": list(map(float, orth))}
-    return _ratio_report(cid, parts, inputs={"n_segments": 128}, grid=grid,
-                         started=started)
+    return _ratio_report(cid, parts, inputs={"n_segments": 128}, grid=grid)
 
 
 def _check_lens_distance(ctx):
     """Free-boundary solve between the equidistant circles: the minimizer
     family is degenerate, so check the invariants every member satisfies."""
-    started = time.perf_counter()
     cid = "lens-distance"
     fx, problem, res = _solve_lens(1.0, 256)
     if not res.converged:
@@ -852,15 +804,13 @@ def _check_lens_distance(ctx):
         "axis_distance": fx.distance,
         "endpoints": [list(map(float, p)), list(map(float, q))],
     }
-    return _ratio_report(cid, parts, inputs={"n_segments": 256, "a": 1.0}, grid=grid,
-                         started=started)
+    return _ratio_report(cid, parts, inputs={"n_segments": 256, "a": 1.0}, grid=grid)
 
 
 def _check_planar_curvature_law(ctx):
     """A fixed-endpoint minimizer bent by an off-path radial bump: its
     discrete curvature must match the normal logarithmic derivative of the
     factor at every vertex where the curvature is resolvable."""
-    started = time.perf_counter()
     cid = "planar-curvature-law"
     space = SpaceForm(2, 0.0)
     u = RadialField(space, np.zeros(2), quartic_cutoff_profile(2.0))
@@ -888,8 +838,7 @@ def _check_planar_curvature_law(ctx):
         "vertices_checked": int(np.sum(mask)),
         "iterations": res.iterations,
     }
-    return _ratio_report(cid, parts, inputs={"n_segments": n_segments}, grid=grid,
-                         started=started)
+    return _ratio_report(cid, parts, inputs={"n_segments": n_segments}, grid=grid)
 
 
 def _fd_second_variation(curve, u, phi, directions, eps=1e-3):
@@ -921,7 +870,6 @@ def _check_index_form_flat_slab(ctx):
     """Traced second variation on the slab axis through a radial bump,
     against the closed form and against the brute-force displacement
     oracle."""
-    started = time.perf_counter()
     cid = "index-form-flat-slab"
     fx = example_fixture("euclid-slab", d=1.2, dim=3)
     u = RadialField(fx.space, np.zeros(3), quartic_cutoff_profile(2.0))
@@ -944,15 +892,13 @@ def _check_index_form_flat_slab(ctx):
         "terms_sum_to_total": (abs(rep.total - term_sum), 1e-12),
     }
     grid = {"total": rep.total, "total_cosh": rep_w.total, "fd": fd, "fd_cosh": fd_w}
-    return _ratio_report(cid, parts, inputs={"n_segments": 2048}, grid=grid,
-                         started=started)
+    return _ratio_report(cid, parts, inputs={"n_segments": 2048}, grid=grid)
 
 
 def _check_index_form_nonnegative(ctx):
     """Stability of the known minimizers: the traced second variation with
     the admissible weight is nonnegative, and vanishes on the borderline
     equidistant configuration."""
-    started = time.perf_counter()
     cid = "index-form-nonnegative"
     fx_s = example_fixture("euclid-slab", d=1.2, dim=3)
     u_s = RadialField(fx_s.space, np.zeros(3), quartic_cutoff_profile(2.0))
@@ -973,8 +919,7 @@ def _check_index_form_nonnegative(ctx):
     }
     grid = {"slab_total": total_s, "lens_total": rep_l.total,
             "lens_boundary_term": rep_l.boundary_start}
-    return _ratio_report(cid, parts, inputs={"n_segments": [2048, 8192]}, grid=grid,
-                         started=started)
+    return _ratio_report(cid, parts, inputs={"n_segments": [2048, 8192]}, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -993,26 +938,20 @@ def _measured_flat_config(ctx):
 
 
 def _check_curvature_sum_flat(ctx):
-    started = time.perf_counter()
     cfg = _measured_flat_config(ctx)
-    rep = main_estimate_euclid(cfg, tolerance=ctx.tol("default"))
-    rep.wall_time_s = time.perf_counter() - started
-    return rep
+    return main_estimate_euclid(cfg, tolerance=ctx.tol("default"))
 
 
 def _check_curvature_sum_flat_probe(ctx):
     """Deliberately violating inputs: the inequality machinery must flag
     them, proving the harness can actually fail."""
-    started = time.perf_counter()
     cfg = EstimateConfig(c1=1.0, c2=1.0, R=100.0, L0=1.0, n=2)
     rep = main_estimate_euclid(cfg, tolerance=ctx.tol("default"), probe=True)
     rep.check = "curvature-sum-flat-probe"
-    rep.wall_time_s = time.perf_counter() - started
     return rep
 
 
 def _check_curvature_sum_hyperbolic(ctx):
-    started = time.perf_counter()
     kwargs = ctx.fixture_kwargs("poincare-circles")
     fx = example_fixture("poincare-circles", **kwargs)
     H_meas = [float(p.mean_curvature(q)) for p, q in zip(fx.pieces, fx.endpoints)]
@@ -1020,18 +959,15 @@ def _check_curvature_sum_hyperbolic(ctx):
     cfg = EstimateConfig(
         c1=H_meas[0], c2=H_meas[1], R=16.0, L0=d, n=1, kappa=1.0, fixture=fx
     )
-    rep = main_estimate_hyperbolic(
+    return main_estimate_hyperbolic(
         cfg, tolerance=ctx.tol("default"),
         R_grid=np.array([16.0, 32.0, 64.0, 128.0]), d=d,
     )
-    rep.wall_time_s = time.perf_counter() - started
-    return rep
 
 
 def _check_saturating_bound(ctx):
     """Closed-form anchor, monotonicity in the distance, saturation level
     2n, and exact vanishing in the flat limit."""
-    started = time.perf_counter()
     cid = "saturating-bound"
     d_star = 4.0 * np.arctanh(np.sqrt(2.0) - 1.0)
     anchor_err = abs(theorem_bound(1.0, 1, d_star) - np.sqrt(2.0))
@@ -1047,13 +983,12 @@ def _check_saturating_bound(ctx):
         "flat_limit_exact": _flag(flat_exact),
     }
     grid = {"anchor_distance": d_star, "saturation_value": float(vals[-1])}
-    return _ratio_report(cid, parts, started=started)
+    return _ratio_report(cid, parts)
 
 
 def _check_sharpness_rate(ctx):
     """The equidistant configurations attain the saturating bound, and the
     estimate's upper bound closes onto it at a first-order rate in 1/R."""
-    started = time.perf_counter()
     cid = "sharpness-rate"
     R_grid = np.array([16.0, 32.0, 64.0, 128.0])
     worst_gap = 0.0
@@ -1076,7 +1011,7 @@ def _check_sharpness_rate(ctx):
         "upper_bound_consistent": (worst_consistency, 1e-12),
     }
     return _ratio_report(cid, parts, inputs={"R_grid": R_grid.tolist()},
-                         grid={"per_a": per}, started=started)
+                         grid={"per_a": per})
 
 
 # ---------------------------------------------------------------------------
@@ -1085,7 +1020,6 @@ def _check_sharpness_rate(ctx):
 
 
 def _scan_check(ctx, cid, fixture_name, kind, R_grid):
-    started = time.perf_counter()
     fx = example_fixture(fixture_name, **ctx.fixture_kwargs(fixture_name))
     scan = decay_scan(fx, R_grid, kind)
     parts = {
@@ -1102,7 +1036,7 @@ def _scan_check(ctx, cid, fixture_name, kind, R_grid):
     if scan.normalized is not None:
         grid["normalized"] = scan.normalized.tolist()
     rep = _ratio_report(cid, parts, inputs={"R_grid": np.asarray(R_grid).tolist()},
-                        grid=grid, started=started)
+                        grid=grid)
     return rep, scan
 
 
@@ -1136,13 +1070,11 @@ def _check_scan_slab(ctx):
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class CheckSpec:
-    __slots__ = ("suites", "fn", "probe")
-
-    def __init__(self, suites, fn, probe=False):
-        self.suites = suites
-        self.fn = fn
-        self.probe = probe
+    suites: tuple
+    fn: Callable
+    probe: bool = False
 
 
 CHECKS = {
@@ -1187,7 +1119,7 @@ def suite_checks(suite):
 def emit_scan_csv(scan, path):
     """Write a decay scan table; a missing scan leaves a header-only file."""
     if scan is None:
-        Path(path).write_text(_SCAN_CSV_HEADER, encoding="utf-8")
+        Path(path).write_text(SCAN_CSV_HEADER, encoding="utf-8")
         warnings.warn(f"no scan data, wrote header only: {path}")
         return
     scan.to_csv(path)

@@ -18,8 +18,6 @@ consume it.  Reports always record which family was used so the two
 cannot be mixed up silently.
 """
 
-import time
-
 import numpy as np
 
 from .hypersurface import Fixture, infimum_over_annulus
@@ -111,7 +109,6 @@ def main_estimate_euclid(
     probe: bool = False,
 ) -> VerificationReport:
     """Flat-space branch: c1 + c2 <= A L0/R |c_j| + B n L0/R^2."""
-    started = time.perf_counter()
     if cfg.kappa != 0.0:
         raise ValueError("flat branch requires kappa = 0")
     A, B, _ = CONSTANT_FAMILIES[constants]
@@ -125,7 +122,6 @@ def main_estimate_euclid(
         inputs=cfg.inputs(),
         grid={"constants": constants},
         probe=probe,
-        started=started,
     )
 
 
@@ -150,7 +146,6 @@ def main_estimate_hyperbolic(
     saturating limit 2 n tanh(d/2), where d defaults to the fixture
     distance and then to L0.
     """
-    started = time.perf_counter()
     if cfg.kappa <= 0.0:
         raise ValueError("hyperbolic branch requires kappa > 0")
     A, B, C = CONSTANT_FAMILIES[constants]
@@ -201,7 +196,6 @@ def main_estimate_hyperbolic(
         inputs=cfg.inputs(),
         grid=grid,
         probe=probe,
-        started=started,
     )
 
 
@@ -210,6 +204,8 @@ def main_estimate_hyperbolic(
 # ---------------------------------------------------------------------------
 
 ENVELOPE_KINDS = ("sum-inverse-R", "fitted-inverse-R2", "hyperbolic-saturation")
+
+SCAN_CSV_HEADER = "R,inf_h1,inf_h2,sum,envelope,slack\n"
 
 
 def annulus_infima(fixture: Fixture, r_lo: float, r_hi: float, **kw) -> np.ndarray:
@@ -295,7 +291,7 @@ class DecayScan:
     def to_csv(self, path) -> None:
         cols = (self.R, self.inf1, self.inf2, self.total, self.envelope, self.slack)
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("R,inf_h1,inf_h2,sum,envelope,slack\n")
+            f.write(SCAN_CSV_HEADER)
             for row in zip(*cols):
                 f.write(",".join("%.17g" % v for v in row) + "\n")
 
@@ -358,8 +354,6 @@ def elementary_inequalities(
     third one's value at r = 1.  The second has equality at x = 0, so
     the overall minimum slack is exactly zero.
     """
-    started = time.perf_counter()
-
     m = np.linspace(0.25 / n_grid, 0.25, n_grid)
     s1 = (1.0 + (5.0 / 9.0) * m) - (1.0 - m * m) ** -2
     k1 = int(np.argmin(s1))
@@ -397,7 +391,6 @@ def elementary_inequalities(
         tolerance=tolerance,
         inputs={"n_grid": n_grid, "r_max": r_max},
         grid=mins,
-        started=started,
     )
 
 

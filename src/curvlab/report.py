@@ -10,8 +10,7 @@ status while still writing them out.
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 def _jsonable(x):
@@ -41,22 +40,8 @@ class VerificationReport:
     grid: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "probe": self.probe,
-            "inputs_digest": self.inputs_digest,
-            "grid": self.grid,
-            "wall_time_s": self.wall_time_s,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, default=_jsonable)
+        return json.dumps(asdict(self), sort_keys=True, default=_jsonable)
 
 
 def build_report(
@@ -68,7 +53,6 @@ def build_report(
     inputs: dict = None,
     grid: dict = None,
     probe: bool = False,
-    started: float = None,
 ) -> VerificationReport:
     """Assemble a report; slack = rhs - lhs, pass iff slack >= -tolerance."""
     if tolerance <= 0:
@@ -76,7 +60,6 @@ def build_report(
     lhs = float(lhs)
     rhs = float(rhs)
     slack = rhs - lhs
-    wall = 0.0 if started is None else time.perf_counter() - started
     return VerificationReport(
         check=check,
         lhs=lhs,
@@ -87,5 +70,4 @@ def build_report(
         probe=probe,
         inputs_digest=digest_inputs(inputs or {}),
         grid=dict(grid or {}),
-        wall_time_s=wall,
     )

@@ -156,19 +156,6 @@ class PhiCalculusReport:
     phi_range: Tuple[float, float]
     ok: bool
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "L": self.L,
-            "psi_left": self.psi_left,
-            "psi_right": self.psi_right,
-            "endpoint_error": self.endpoint_error,
-            "derivative_identity_error": self.derivative_identity_error,
-            "phi_sq_closed": self.phi_sq_closed,
-            "phi_sq_bound": self.phi_sq_bound,
-            "phi_range": list(self.phi_range),
-            "ok": self.ok,
-        }
-
 
 def phi_calculus(L: float, n_grid: int = 2001) -> PhiCalculusReport:
     """Certify the cosh weight's calculus at length L.
@@ -284,16 +271,6 @@ class BoundCheck:
     bound: float
     value: float
 
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "name": self.name,
-            "min_slack": self.min_slack,
-            "at_r": self.at_r,
-            "at_r_T": self.at_r_T,
-            "bound": self.bound,
-            "value": self.value,
-        }
-
 
 @dataclass
 class BoundsScan:
@@ -305,18 +282,6 @@ class BoundsScan:
     checks: Dict[str, BoundCheck] = field(default_factory=dict)
     j2_max: float = 0.0
     passed: bool = False
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "R": self.R,
-            "n_r": self.n_r,
-            "n_t": self.n_t,
-            "checks": {k: v.to_dict() for k, v in self.checks.items()},
-            "j2_max": self.j2_max,
-            "passed": self.passed,
-        }
 
 
 def crucial_bounds_scan(
@@ -411,22 +376,6 @@ class IndexFormReport:
     g_length: float
     tilde_length: float
     max_residual: float
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "boundary_start": self.boundary_start,
-            "boundary_end": self.boundary_end,
-            "ricci_integral": self.ricci_integral,
-            "cross_term": self.cross_term,
-            "j1_integral": self.j1_integral,
-            "j2_integral": self.j2_integral,
-            "total": self.total,
-            "f_identity_lhs": self.f_identity_lhs,
-            "f_identity_rhs": self.f_identity_rhs,
-            "g_length": self.g_length,
-            "tilde_length": self.tilde_length,
-            "max_residual": self.max_residual,
-        }
 
 
 def _signed_mean_curvature(piece: Hypersurface, x: np.ndarray, direction: np.ndarray) -> float:

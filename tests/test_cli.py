@@ -206,6 +206,7 @@ def test_scan_suite_emits_deterministic_tables(tmp_path):
         assert csv1.startswith(b"R,inf_h1,inf_h2,sum,envelope,slack\n")
         r1 = json.loads((out1 / f"{cid}.json").read_text())
         r2 = json.loads((out2 / f"{cid}.json").read_text())
+        assert r1["wall_time_s"] > 0 and r2["wall_time_s"] > 0
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         assert r1 == r2
 

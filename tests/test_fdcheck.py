@@ -6,6 +6,9 @@ ball model of curvature -kappa^2. Everything else in the suite compares
 formulas to fdcheck, so the conventions locked here are load-bearing.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,17 @@ def test_sphere_mean_curvature_hyperbolic():
             metric, chart, dchart, d2chart, th, inward_ref=-chart(th)
         )
         assert np.isclose(H, expected, rtol=1e-5)
+
+
+def test_fdcheck_imports_no_curvlab_module():
+    """The oracle must stay independent of the formulas it audits."""
+    tree = ast.parse(Path(fdcheck.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported, "no imports found; is this the fdcheck source?"
+    offending = [m for m in imported if m.startswith(".") or m.split(".")[0] == "curvlab"]
+    assert not offending, f"fdcheck imports {offending}"

@@ -8,6 +8,7 @@ direct evaluation of the defining field expressions, and the test-function
 calculus against closed forms and quadrature.
 """
 
+import dataclasses
 import json
 import math
 
@@ -267,7 +268,7 @@ def test_hyperbolic_j2_bound_reduces_where_u_prime_vanishes():
 
 def test_scan_serialization_round_trip():
     scan = crucial_bounds_scan(n=1, R=4.0, model="hyperbolic", n_r=50, n_t=11)
-    blob = json.dumps(scan.to_dict(), sort_keys=True)
+    blob = json.dumps(dataclasses.asdict(scan), sort_keys=True)
     back = json.loads(blob)
     assert back["model"] == "hyperbolic"
     assert set(back["checks"]) == {"j1_lower", "j2_upper"}
@@ -454,5 +455,5 @@ def test_index_form_report_serializes():
     fx = example_fixture("euclid-slab", d=1.0, dim=3)
     curve = _slab_axis_curve(fx.space, 0.5, 256)
     rep = index_form_trace(curve, ConstantField(1.0), fx.pieces[1], fx.pieces[0])
-    blob = json.dumps(rep.to_dict(), sort_keys=True)
+    blob = json.dumps(dataclasses.asdict(rep), sort_keys=True)
     assert "\"total\"" in blob
