@@ -25,7 +25,6 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -277,16 +276,23 @@ def _ratio_report(check, parts, *, inputs=None, grid=None):
     """Report over named (observed, allowed) error pairs.
 
     lhs is the worst observed/allowed ratio, rhs is 1; the check passes when
-    every observed error stays within its allowance.
+    every observed error stays within its allowance. A non-finite observed
+    error fails the check (lhs = inf) and is named under ``non_finite_parts``.
     """
     worst = 0.0
     detail = {}
+    non_finite = []
     for name, (observed, allowed) in parts.items():
         if not allowed > 0.0:
             raise ValueError(f"part {name!r} needs a positive allowance")
+        if not np.isfinite(observed):
+            non_finite.append(name)
         worst = max(worst, float(observed) / float(allowed))
         detail[name] = {"observed": float(observed), "allowed": float(allowed)}
     meta = {"parts": detail}
+    if non_finite:
+        worst = np.inf
+        meta["non_finite_parts"] = non_finite
     if grid:
         meta.update(grid)
     return build_report(
@@ -308,6 +314,28 @@ def _rel_err(got, ref):
     got = np.asarray(got, dtype=float)
     ref = np.asarray(ref, dtype=float)
     return float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)))
+
+
+def _require_converged(cid, res, where=""):
+    """Raise NonConvergence naming the first solver level that missed gtol."""
+    if res.converged:
+        return
+    i = next(i for i, stop in enumerate(res.level_stops) if stop != "gtol")
+    raise NonConvergence(
+        cid,
+        f"{where}level {i} ({res.level_sizes[i]} segments) stopped on "
+        f"{res.level_stops[i]} after {res.level_iterations[i]} iterations; "
+        f"final gradient {res.grad_norm:.2e}",
+    )
+
+
+def _solver_grid(res):
+    """Deterministic solver facts for a report grid."""
+    return {
+        "iterations": res.iterations,
+        "level_iterations": res.level_iterations,
+        "level_stops": res.level_stops,
+    }
 
 
 def _law_spaces():
@@ -336,13 +364,11 @@ def _fd_law_check(ctx, cid, spaces, sample_error, **inputs):
     samples = ctx.grid("samples")
     per = {}
     for label, space in spaces:
-        worst = 0.0
-        for _ in range(samples):
-            worst = max(worst, sample_error(rng, space))
-        per[label] = worst
+        # np.max, unlike max(), propagates a NaN sample error
+        per[label] = float(np.max([sample_error(rng, space) for _ in range(samples)]))
     return _ratio_report(
         cid,
-        {"fd_relative_error": (max(per.values()), ctx.tol("fd_rel"))},
+        {"fd_relative_error": (float(np.max(list(per.values()))), ctx.tol("fd_rel"))},
         inputs={"samples": samples, "seed": ctx.cfg.seed, **inputs},
         grid={"per_space": per},
     )
@@ -540,8 +566,7 @@ def _check_curve_shortness(ctx):
         endpoints=np.array([[-0.6, 0.2], [0.6, -0.1]]),
     )
     res = minimize_free_boundary(problem, n_segments=ctx.grid("n_segments"), gtol=1e-8)
-    if not res.converged:
-        raise NonConvergence(cid, f"gradient {res.grad_norm:.2e} after {res.iterations} iterations")
+    _require_converged(cid, res)
     comp = length_comparison(problem, res)
     mu0 = res.g_length / R_profile
     short = shortness_check(problem, res.curve, mu0)
@@ -556,7 +581,7 @@ def _check_curve_shortness(ctx):
         "mu0": mu0,
         "sup_deviation": short.sup_deviation,
         "budget": short.bound,
-        "iterations": res.iterations,
+        **_solver_grid(res),
     }
     return _ratio_report(cid, parts, inputs={"n_segments": ctx.grid("n_segments")},
                          grid=grid)
@@ -624,7 +649,6 @@ def _check_phi_calculus(ctx):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
 def _solve_lens(a, n_segments):
     fx = example_fixture("poincare-circles", a=a)
     seeds = np.stack(
@@ -655,8 +679,7 @@ def _check_sharp_lens(ctx):
     per = {}
     for a in (0.5, 1.0, 2.0):
         fx, problem, res = _solve_lens(a, 256)
-        if not res.converged:
-            raise NonConvergence(cid, f"a={a}: gradient {res.grad_norm:.2e}")
+        _require_converged(cid, res, where=f"a={a:g}: ")
         H_expect = 1.0 / np.sqrt(1.0 + a * a)
         H_meas = [float(p.mean_curvature(q)) for p, q in zip(fx.pieces, fx.endpoints)]
         p, q = res.curve.points[0], res.curve.points[-1]
@@ -667,7 +690,7 @@ def _check_sharp_lens(ctx):
             "tanh_identity_error": abs(np.tanh(d_meas / 2.0) - H_expect),
             "bound_gap": abs(sum(H_meas) - theorem_bound(1.0, 1, fx.distance)),
         }
-        per[f"a={a:g}"] = dict(errs, distance=d_meas)
+        per[f"a={a:g}"] = dict(errs, distance=d_meas, **_solver_grid(res))
         for k, v in errs.items():
             worst[k] = max(worst[k], v)
     parts = {
@@ -770,14 +793,14 @@ def _check_slab_perpendicular(ctx):
         endpoints=np.array([[-0.5, 0.3, 0.1], [0.5, -0.2, 0.25]]),
     )
     res = minimize_free_boundary(problem, n_segments=128, gtol=1e-10)
-    if not res.converged:
-        raise NonConvergence(cid, f"gradient {res.grad_norm:.2e} after {res.iterations} iterations")
+    _require_converged(cid, res)
     orth = endpoint_orthogonality(problem, res.curve)
     parts = {
         "length_error": (abs(res.tilde_length - fx.params["d"]), 1e-8),
         "orthogonality_error": (max(abs(o - 1.0) for o in orth), 1e-6),
     }
-    grid = {"tilde_length": res.tilde_length, "orthogonality": list(map(float, orth))}
+    grid = {"tilde_length": res.tilde_length, "orthogonality": list(map(float, orth)),
+            **_solver_grid(res)}
     return _ratio_report(cid, parts, inputs={"n_segments": 128}, grid=grid)
 
 
@@ -786,8 +809,7 @@ def _check_lens_distance(ctx):
     family is degenerate, so check the invariants every member satisfies."""
     cid = "lens-distance"
     fx, problem, res = _solve_lens(1.0, 256)
-    if not res.converged:
-        raise NonConvergence(cid, f"gradient {res.grad_norm:.2e}")
+    _require_converged(cid, res)
     p, q = res.curve.points[0], res.curve.points[-1]
     orth = endpoint_orthogonality(problem, res.curve)
     comp = length_comparison(problem, res)
@@ -803,6 +825,7 @@ def _check_lens_distance(ctx):
         "tilde_length": res.tilde_length,
         "axis_distance": fx.distance,
         "endpoints": [list(map(float, p)), list(map(float, q))],
+        **_solver_grid(res),
     }
     return _ratio_report(cid, parts, inputs={"n_segments": 256, "a": 1.0}, grid=grid)
 
@@ -817,8 +840,7 @@ def _check_planar_curvature_law(ctx):
     problem = GeodesicProblem(space, u, endpoints=np.array([[-0.5, 0.05], [0.5, 0.35]]))
     n_segments = ctx.grid("n_segments")
     res = minimize_free_boundary(problem, n_segments=n_segments, gtol=1e-8)
-    if not res.converged:
-        raise NonConvergence(cid, f"gradient {res.grad_norm:.2e} after {res.iterations} iterations")
+    _require_converged(cid, res)
     curve = res.curve
     acc = curve.vertex_acceleration()
     pts = curve.points[1:-1]
@@ -836,7 +858,7 @@ def _check_planar_curvature_law(ctx):
     grid = {
         "max_curvature": float(kg.max()),
         "vertices_checked": int(np.sum(mask)),
-        "iterations": res.iterations,
+        **_solver_grid(res),
     }
     return _ratio_report(cid, parts, inputs={"n_segments": n_segments}, grid=grid)
 
@@ -983,7 +1005,7 @@ def _check_saturating_bound(ctx):
         "flat_limit_exact": _flag(flat_exact),
     }
     grid = {"anchor_distance": d_star, "saturation_value": float(vals[-1])}
-    return _ratio_report(cid, parts)
+    return _ratio_report(cid, parts, grid=grid)
 
 
 def _check_sharpness_rate(ctx):

@@ -311,10 +311,9 @@ def crucial_bounds_scan(
     prof = quartic_cutoff_profile(R)
     r = np.linspace(0.0, R, n_r)
     rt = np.linspace(-1.0, 1.0, n_t)
-    rr, tt = np.meshgrid(r, rt, indexing="ij")
-    J1, J2 = j_values(JInputs(space, prof, rr.ravel(), tt.ravel()))
-    J1 = J1.reshape(rr.shape)
-    J2 = J2.reshape(rr.shape)
+    # j_values is pointwise, so broadcasting a column of radii against a row
+    # of r_T fills the (n_r, n_t) grid without materializing coordinate grids
+    J1, J2 = j_values(JInputs(space, prof, r[:, None], rt[None, :]))
 
     scan = BoundsScan(model=model, n=n, R=R, n_r=n_r, n_t=n_t)
     scan.j2_max = float(J2.max())
@@ -324,9 +323,9 @@ def crucial_bounds_scan(
         scan.checks[name] = BoundCheck(
             name=name,
             min_slack=float(slack[i, j]),
-            at_r=float(rr[i, j]),
-            at_r_T=float(tt[i, j]),
-            bound=float(np.asarray(bound)[i, j] if np.ndim(bound) else bound),
+            at_r=float(r[i]),
+            at_r_T=float(rt[j]),
+            bound=float(np.broadcast_to(bound, slack.shape)[i, j]),
             value=float(value[i, j]),
         )
 
@@ -336,7 +335,7 @@ def crucial_bounds_scan(
     else:
         low = -8.0 * n / R**2
         record("j1_lower", J1 - low, low, J1)
-        bound2 = base - n * prof.d1(rr)
+        bound2 = base - n * prof.d1(r[:, None])
         record("j2_upper", bound2 - J2, bound2, J2)
     scan.passed = all(c.min_slack >= slack_floor for c in scan.checks.values())
     return scan

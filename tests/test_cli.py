@@ -4,6 +4,7 @@ report emission, and determinism."""
 import argparse
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from curvlab.cli import (
     suite_checks,
 )
 from curvlab.report import build_report
+from curvlab.spaceform import SpaceForm
 
 
 def _args(**kw):
@@ -291,6 +293,46 @@ def test_report_id_mismatch_is_flagged(tmp_path, monkeypatch):
     stderr = io.StringIO()
     assert cli.run(cfg, stdout=io.StringIO(), stderr=stderr) == 1
     assert "does not match" in stderr.getvalue()
+
+
+def test_ratio_report_fails_on_nan_error():
+    rep = cli._ratio_report("x", {"a": (float("nan"), 1.0), "b": (0.5, 1.0)})
+    assert not rep.passed
+    assert rep.grid["non_finite_parts"] == ["a"]
+    finite = cli._ratio_report("x", {"b": (0.5, 1.0)})
+    assert finite.passed
+    assert "non_finite_parts" not in finite.grid
+
+
+def test_fd_law_check_fails_on_nan_sample():
+    # the NaN is neither the first sample nor in the first space, where a
+    # plain max() would drop it
+    errors = iter([1e-6, 2e-6, 1e-6, float("nan"), 3e-6, 1e-6])
+
+    def sample_error(rng, space):
+        return next(errors)
+
+    ctx = cli.CheckContext(RunConfig(grids={"samples": 3}))
+    spaces = [("first", SpaceForm(2, 0.0)), ("second", SpaceForm(2, 1.0))]
+    rep = cli._fd_law_check(ctx, "fake-law", spaces, sample_error)
+    assert not rep.passed
+    assert rep.grid["non_finite_parts"] == ["fd_relative_error"]
+    assert rep.grid["per_space"]["first"] == 2e-6
+    assert np.isnan(rep.grid["per_space"]["second"])
+
+
+def test_nonconvergence_names_level_and_stop_reason():
+    res = SimpleNamespace(converged=False, level_sizes=[32, 64], level_iterations=[5, 200],
+                          level_stops=["gtol", "max-iter"], grad_norm=1e-3)
+    with pytest.raises(NonConvergence, match=r"a=1: level 1 \(64 segments\) stopped on max-iter"):
+        cli._require_converged("fake-check", res, where="a=1: ")
+
+
+def test_saturating_bound_report_carries_grid():
+    rep = cli._check_saturating_bound(cli.CheckContext(RunConfig()))
+    assert rep.passed
+    assert np.isclose(rep.grid["anchor_distance"], 4.0 * np.arctanh(np.sqrt(2.0) - 1.0))
+    assert abs(rep.grid["saturation_value"] - 4.0) < 1e-3
 
 
 def test_emit_scan_csv_without_data_writes_header(tmp_path):
