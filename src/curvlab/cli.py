@@ -495,7 +495,7 @@ def _check_poincare_recovery(ctx):
             F = gram_schmidt_frame(space, x, seed=rng.normal(size=(dim, dim)))
             for k in range(dim):
                 ric = conformal.ricci_formula(space, u, x, F[k])
-                worst_ric = max(worst_ric, abs(ric + (dim - 1)))
+                worst_ric = np.maximum(worst_ric, abs(ric + (dim - 1)))
     worst_sph = 0.0
     for dim in (2, 3):
         space = SpaceForm(dim, 1.0)
@@ -505,7 +505,7 @@ def _check_poincare_recovery(ctx):
             H = np.asarray(sph.mean_curvature(sph.chart_points(ts)), dtype=float)
             n = dim - 1
             exact = n + 2.0 * n / np.expm1(2.0 * R)
-            worst_sph = max(worst_sph, float(np.max(np.abs(H - exact))))
+            worst_sph = np.maximum(worst_sph, np.max(np.abs(H - exact)))
     return _ratio_report(
         cid,
         {
@@ -531,11 +531,11 @@ def _check_diameter_geodesic(ctx):
         perp = np.array([-e[1], e[0]])
         for t in np.linspace(-0.8, 0.8, 9):
             res = conformal.geodesic_residual(space, u, t * e, T=e, nabla_T_T=np.zeros(2))
-            worst = max(worst, float(np.max(np.abs(res))))
+            worst = np.maximum(worst, np.max(np.abs(res)))
             off = conformal.geodesic_residual(
                 space, u, t * e + 0.3 * perp, T=e, nabla_T_T=np.zeros(2)
             )
-            min_off = min(min_off, float(np.linalg.norm(off)))
+            min_off = np.minimum(min_off, np.linalg.norm(off))
     parts = {
         "diameter_residual": (worst, 1e-12),
         "offset_line_detected": _flag(min_off > 1e-3),
@@ -595,10 +595,10 @@ def _crucial_bounds(ctx, cid, model):
     for n in (1, 2, 3):
         for R in (10.0, 100.0):
             scan = crucial_bounds_scan(n, R, model=model, n_r=n_r, n_t=n_t)
-            m = min(c.min_slack for c in scan.checks.values())
+            m = float(np.min([c.min_slack for c in scan.checks.values()]))
             per[f"n={n},R={R:g}"] = m
-            worst = min(worst, m)
-    parts = {"negative_slack": (max(0.0, -worst), 1e-12)}
+            worst = np.minimum(worst, m)
+    parts = {"negative_slack": (np.maximum(0.0, -worst), 1e-12)}
     return _ratio_report(
         cid, parts,
         inputs={"n_r": n_r, "n_t": n_t, "model": model},
@@ -632,7 +632,7 @@ def _check_phi_calculus(ctx):
         "derivative_identity_error": (rep.derivative_identity_error, 1e-6),
         "integral_bound": (float(closed.max()), 1.2),
         "closed_form_vs_quadrature": (abs(tf.phi_sq_integral() - val) + quad_err, 1e-8),
-        "phi_above_one": (max(0.0, rep.phi_range[1] - 1.0), 1e-14),
+        "phi_above_one": (np.maximum(0.0, rep.phi_range[1] - 1.0), 1e-14),
         "phi_positive": _flag(rep.phi_range[0] > 0.0),
     }
     grid = {
@@ -685,14 +685,14 @@ def _check_sharp_lens(ctx):
         p, q = res.curve.points[0], res.curve.points[-1]
         d_meas = float(fx.space.distance(p, q))
         errs = {
-            "mean_curvature_error": max(abs(h - H_expect) for h in H_meas),
+            "mean_curvature_error": np.max(np.abs(np.subtract(H_meas, H_expect))),
             "distance_error": abs(d_meas - fx.distance),
             "tanh_identity_error": abs(np.tanh(d_meas / 2.0) - H_expect),
             "bound_gap": abs(sum(H_meas) - theorem_bound(1.0, 1, fx.distance)),
         }
         per[f"a={a:g}"] = dict(errs, distance=d_meas, **_solver_grid(res))
         for k, v in errs.items():
-            worst[k] = max(worst[k], v)
+            worst[k] = np.maximum(worst[k], v)
     parts = {
         "mean_curvature_error": (worst["mean_curvature_error"], 1e-12),
         "distance_error": (worst["distance_error"], ctx.tol("sharp")),
@@ -797,7 +797,7 @@ def _check_slab_perpendicular(ctx):
     orth = endpoint_orthogonality(problem, res.curve)
     parts = {
         "length_error": (abs(res.tilde_length - fx.params["d"]), 1e-8),
-        "orthogonality_error": (max(abs(o - 1.0) for o in orth), 1e-6),
+        "orthogonality_error": (np.max(np.abs(np.subtract(orth, 1.0))), 1e-6),
     }
     grid = {"tilde_length": res.tilde_length, "orthogonality": list(map(float, orth)),
             **_solver_grid(res)}
@@ -817,8 +817,8 @@ def _check_lens_distance(ctx):
         "length_vs_distance": (abs(res.tilde_length - fx.distance) / fx.distance, 1e-4),
         "realizes_endpoint_distance": (
             abs(res.tilde_length - float(fx.space.distance(p, q))) / fx.distance, 1e-4),
-        "mirror_symmetry": (max(abs(p[0] + q[0]), abs(p[1] - q[1])), 1e-2),
-        "orthogonality_error": (max(abs(o - 1.0) for o in orth), 1e-4),
+        "mirror_symmetry": (np.maximum(abs(p[0] + q[0]), abs(p[1] - q[1])), 1e-2),
+        "orthogonality_error": (np.max(np.abs(np.subtract(orth, 1.0))), 1e-4),
         "length_ordering": _flag(comp.ordered),
     }
     grid = {
@@ -850,7 +850,7 @@ def _check_planar_curvature_law(ctx):
     worst = 0.0
     for x, a, k in zip(pts[mask], acc[mask], kg[mask]):
         N = a / k
-        worst = max(worst, abs(conformal.geodesic_curvature_residual(space, u, x, N, k)))
+        worst = np.maximum(worst, abs(conformal.geodesic_curvature_residual(space, u, x, N, k)))
     parts = {
         "curvature_law_residual": (worst, ctx.tol("geodesic")),
         "curved_arc_present": _flag(int(np.sum(mask)) > 50),
@@ -935,8 +935,8 @@ def _check_index_form_nonnegative(ctx):
     rep_l = index_form_trace(curve_l, ConstantField(1.0), fx_l.pieces[0], fx_l.pieces[1], phi_l)
 
     parts = {
-        "slab_negative_part": (max(0.0, -total_s), 1e-9),
-        "lens_negative_part": (max(0.0, -rep_l.total), 1e-6),
+        "slab_negative_part": (np.maximum(0.0, -total_s), 1e-9),
+        "lens_negative_part": (np.maximum(0.0, -rep_l.total), 1e-6),
         "lens_borderline": (abs(rep_l.total), 1e-5),
     }
     grid = {"slab_total": total_s, "lens_total": rep_l.total,
@@ -1022,9 +1022,9 @@ def _check_sharpness_rate(ctx):
         gb = np.asarray(out["gap_bound"], dtype=float)
         ratio = float(gb[-2] / gb[-1])
         consistency = float(np.min(np.asarray(out["upper_bound"]) - (out["c1"] + out["c2"])))
-        worst_gap = max(worst_gap, abs(out["gap_measured"]))
-        worst_ratio = max(worst_ratio, abs(ratio - 2.0))
-        worst_consistency = max(worst_consistency, max(0.0, -consistency))
+        worst_gap = np.maximum(worst_gap, abs(out["gap_measured"]))
+        worst_ratio = np.maximum(worst_ratio, abs(ratio - 2.0))
+        worst_consistency = np.maximum(worst_consistency, np.maximum(0.0, -consistency))
         per[f"a={a:g}"] = {"gap_measured": out["gap_measured"], "halving_ratio": ratio,
                            "distance": out["d"]}
     parts = {
@@ -1045,7 +1045,7 @@ def _scan_check(ctx, cid, fixture_name, kind, R_grid):
     fx = example_fixture(fixture_name, **ctx.fixture_kwargs(fixture_name))
     scan = decay_scan(fx, R_grid, kind)
     parts = {
-        "envelope_excess": (max(0.0, float(np.max(scan.total - scan.envelope))), 1e-12),
+        "envelope_excess": (np.maximum(0.0, np.max(scan.total - scan.envelope)), 1e-12),
     }
     if kind == "fitted-inverse-R2":
         parts["fit_drift"] = (scan.fit_drift, 0.05)

@@ -40,14 +40,6 @@ def coordinate_metric(space: SpaceForm, u: ScalarField):
     return metric
 
 
-def tilde_inner(space: SpaceForm, u: ScalarField, x, v, w) -> float:
-    return float(space.inner(x, v, w)) / float(u.value(x)) ** 2
-
-
-def tilde_norm(space: SpaceForm, u: ScalarField, x, v) -> float:
-    return float(np.sqrt(max(tilde_inner(space, u, x, v, v), 0.0)))
-
-
 def directional(space: SpaceForm, u: ScalarField, x, X) -> float:
     """X u = du(X), the coordinate pairing (no metric involved)."""
     return float(np.sum(u.gradient(x) * np.asarray(X, dtype=float), axis=-1))
@@ -127,14 +119,15 @@ def ricci_formula(space: SpaceForm, u: ScalarField, x, e) -> float:
     )
 
 
-def mean_curvature_formula(space: SpaceForm, u: ScalarField, x, H_g: float, nu) -> float:
+def mean_curvature_formula(space: SpaceForm, u: ScalarField, x, H_g, nu) -> np.ndarray:
     """H-tilde with respect to the tilde-unit normal u nu.
 
     H-tilde = u H_g + (m - 1) <grad u, nu>_g for the g-unit normal nu with
-    the same orientation.
+    the same orientation. Points x (..., m) may be batched, with H_g (...)
+    and nu (..., m) matching.
     """
-    uv = float(u.value(x))
-    grad_nu = float(space.inner(x, grad_g(space, u, x), nu))
+    uv = u.value(x)
+    grad_nu = space.inner(x, grad_g(space, u, x), nu)
     return uv * H_g + (space.dim - 1) * grad_nu
 
 

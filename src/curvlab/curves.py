@@ -221,12 +221,6 @@ class DiscreteCurve:
         acc = self.vertex_acceleration()
         return self.space.inner(self.points, acc, N)
 
-    def normals_2d(self):
-        if self.space.dim != 2:
-            raise ValueError("normals_2d needs a two dimensional model")
-        T, _ = self.vertex_tangents()
-        return np.stack([-T[:, 1], T[:, 0]], axis=1)
-
     # -- reparameterization -------------------------------------------------
 
     def resample(self, n_segments, u=None):

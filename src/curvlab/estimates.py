@@ -30,10 +30,27 @@ CONSTANT_FAMILIES = {
 }
 
 
+def _alpha_min(L0, R):
+    """Lower endpoint tanh((1 + 5 L0 / 9 R) L0 / 2) of the admissible alpha
+    range; R may be a grid."""
+    return np.tanh(0.5 * (1.0 + (5.0 / 9.0) * L0 / R) * L0)
+
+
 def alpha_interval(L0: float, R: float):
     """Admissible range for the hyperbolic branch parameter alpha."""
-    lo = np.tanh(0.5 * (1.0 + (5.0 / 9.0) * L0 / R) * L0)
-    return float(lo), 1.0
+    return float(_alpha_min(L0, R)), 1.0
+
+
+def _hyperbolic_rhs(lead, c, n, alpha, L0, R, constants):
+    """lead + A L0/R |c - n alpha| + B n L0/R^2 + C n sqrt(L0)/R, summed left
+    to right; alpha and R may be matching grids."""
+    A, B, C = CONSTANT_FAMILIES[constants]
+    return (
+        lead
+        + A * L0 / R * np.abs(c - n * alpha)
+        + B * n * L0 / R**2
+        + C * n * np.sqrt(L0) / R
+    )
 
 
 class EstimateConfig:
@@ -148,7 +165,6 @@ def main_estimate_hyperbolic(
     """
     if cfg.kappa <= 0.0:
         raise ValueError("hyperbolic branch requires kappa > 0")
-    A, B, C = CONSTANT_FAMILIES[constants]
     a_lo, a_hi = alpha_interval(cfg.L0, cfg.R)
     alpha = a_lo if cfg.alpha is None else cfg.alpha
     if not (a_lo - 1e-12 <= alpha <= a_hi + 1e-12):
@@ -157,11 +173,7 @@ def main_estimate_hyperbolic(
         )
     n = cfg.n
     lhs = cfg.c1 + cfg.c2 - 2.0 * n * alpha
-    rhs = (
-        A * cfg.L0 / cfg.R * abs(cfg.c_side - n * alpha)
-        + B * n * cfg.L0 / cfg.R**2
-        + C * n * np.sqrt(cfg.L0) / cfg.R
-    )
+    rhs = _hyperbolic_rhs(0.0, cfg.c_side, n, alpha, cfg.L0, cfg.R, constants)
     grid = {"constants": constants, "alpha": alpha, "alpha_min": a_lo}
     if R_grid is not None:
         Rs = np.asarray(R_grid, dtype=float)
@@ -172,13 +184,8 @@ def main_estimate_hyperbolic(
             d_ref = cfg.fixture.distance
         if d_ref is None:
             d_ref = cfg.L0
-        a_min = np.tanh(0.5 * (1.0 + (5.0 / 9.0) * cfg.L0 / Rs) * cfg.L0)
-        ub = (
-            2.0 * n * a_min
-            + A * cfg.L0 / Rs * np.abs(cfg.c_side - n * a_min)
-            + B * n * cfg.L0 / Rs**2
-            + C * n * np.sqrt(cfg.L0) / Rs
-        )
+        a_min = _alpha_min(cfg.L0, Rs)
+        ub = _hyperbolic_rhs(2.0 * n * a_min, cfg.c_side, n, a_min, cfg.L0, Rs, constants)
         limit = theorem_bound(1.0, n, d_ref)
         grid.update(
             {
@@ -383,7 +390,7 @@ def elementary_inequalities(
         "n_grid": n_grid,
         "r_max": r_max,
     }
-    worst = min(float(s1[k1]), float(s2[k2]), float(s3[k3]))
+    worst = float(np.min([s1[k1], s2[k2], s3[k3]]))
     return build_report(
         "elementary-inequalities",
         0.0,
@@ -420,14 +427,8 @@ def sharpness_gap(a: float, R_grid, dim: int = 2, constants: str = "statement") 
     Rs = np.asarray(R_grid, dtype=float)
     if np.any(Rs < 4.0 * d):
         raise ValueError("grid radii must satisfy L0 <= R/4 with L0 = d")
-    A, B, C = CONSTANT_FAMILIES[constants]
-    a_min = np.tanh(0.5 * (1.0 + (5.0 / 9.0) * d / Rs) * d)
-    ub = (
-        2.0 * n * a_min
-        + A * d / Rs * np.abs(c2 - n * a_min)
-        + B * n * d / Rs**2
-        + C * n * np.sqrt(d) / Rs
-    )
+    a_min = _alpha_min(d, Rs)
+    ub = _hyperbolic_rhs(2.0 * n * a_min, c2, n, a_min, d, Rs, constants)
     return {
         "a": a,
         "n": n,

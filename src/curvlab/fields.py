@@ -140,9 +140,8 @@ class ProductField:
 class RadialProfile:
     """Profile u(r) given through q-form callables u = qv(r^2).
 
-    kind is one of "quartic-cutoff" (the (1 - r^2 R^-2)^2 profile), "constant",
-    "gaussian", or "custom". R is the support radius when meaningful; mu0
-    holds the ratio L0/R once a run attaches one.
+    kind is one of "quartic-cutoff" (the (1 - r^2 R^-2)^2 profile),
+    "constant" or "gaussian". R is the support radius when meaningful.
     """
 
     kind: str
@@ -150,7 +149,6 @@ class RadialProfile:
     q_d1: Callable[[np.ndarray], np.ndarray]
     q_d2: Callable[[np.ndarray], np.ndarray]
     R: Optional[float] = None
-    mu0: Optional[float] = None
 
     # r-form accessors ------------------------------------------------------
 
@@ -187,7 +185,7 @@ class RadialProfile:
         return (2.0 * r * self.q_d1(q)) ** 2 / v
 
 
-def quartic_cutoff_profile(R: float, mu0: Optional[float] = None) -> RadialProfile:
+def quartic_cutoff_profile(R: float) -> RadialProfile:
     """The quartic cutoff u(r) = (1 - r^2 R^-2)^2, extended by zero past r = R."""
     if R <= 0:
         raise ValueError("R must be positive")
@@ -205,7 +203,7 @@ def quartic_cutoff_profile(R: float, mu0: Optional[float] = None) -> RadialProfi
         q = np.asarray(q, dtype=float)
         return np.where(q < R2, 2.0 / (R2 * R2), 0.0)
 
-    return RadialProfile("quartic-cutoff", qv, qd1, qd2, R=R, mu0=mu0)
+    return RadialProfile("quartic-cutoff", qv, qd1, qd2, R=R)
 
 
 def constant_profile(c: float = 1.0) -> RadialProfile:

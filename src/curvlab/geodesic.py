@@ -25,7 +25,6 @@ continuum problem forbids).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -45,7 +44,8 @@ LAM_MIN = 1e-12
 
 @dataclass
 class GeodesicProblem:
-    """Conformal factor plus the two boundary surfaces (or fixed endpoints)."""
+    """Conformal factor and endpoints; with two boundary surfaces the
+    endpoints seed the sliding ends, without them they stay fixed."""
 
     space: SpaceForm
     u: ScalarField
@@ -54,29 +54,13 @@ class GeodesicProblem:
     endpoints: Optional[np.ndarray] = None  # seeds when pieces exist, else fixed
 
     def __post_init__(self):
-        if self.endpoints is not None:
-            self.endpoints = np.asarray(self.endpoints, dtype=float)
-        if self.endpoints is None and (self.piece_start is None or self.piece_end is None):
-            raise ValueError("need either endpoints or two boundary pieces")
-
-    def seed_endpoints(self) -> np.ndarray:
-        """Initial endpoint pair: given, or the nearest chart-sampled pair."""
-        if self.endpoints is not None:
-            return self.endpoints.copy()
-        pts = []
-        for piece in (self.piece_start, self.piece_end):
-            if piece.chart is None or piece.chart_box is None:
-                raise ValueError("pieces without charts need explicit endpoints")
-            a, b = piece.chart_box
-            ts = np.linspace(a, b, 256)
-            pts.append(piece.chart_points(ts))
-        d = self.space.distance(pts[0][:, None, :], pts[1][None, :, :])
-        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-        return np.stack([pts[0][i], pts[1][j]])
+        if self.endpoints is None:
+            raise ValueError("need endpoints: fixed, or seeds for the two pieces")
+        self.endpoints = np.asarray(self.endpoints, dtype=float)
 
     def initial_curve(self, n_segments: int) -> DiscreteCurve:
-        """Ambient geodesic between the seed endpoints, uniformly sampled."""
-        p, q = self.seed_endpoints()
+        """Ambient geodesic between the endpoints, uniformly sampled."""
+        p, q = self.endpoints
         ts = np.linspace(0.0, 1.0, n_segments + 1)
         if self.space.hyperbolic:
             q0 = mobius_center(self.space, p, q)
@@ -369,18 +353,3 @@ def endpoint_orthogonality(problem: GeodesicProblem, curve: DiscreteCurve):
         nu = piece.normal(curve.points[idx])
         out.append(abs(float(problem.space.inner(curve.points[idx], T[idx], nu))))
     return out
-
-
-def write_curve_csv(path, curve: DiscreteCurve, u: ScalarField) -> None:
-    """Vertex table: index, coordinates, g arclength, tilde arclength, u."""
-    s = curve.vertex_s()
-    st = curve.vertex_s(u=u)
-    uv = np.asarray(u.value(curve.points), dtype=float)
-    dim = curve.points.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index"] + [f"x{j}" for j in range(dim)] + ["s", "s_tilde", "u"])
-        for i in range(curve.points.shape[0]):
-            row = [i] + [f"{v:.17g}" for v in curve.points[i]]
-            row += [f"{s[i]:.17g}", f"{st[i]:.17g}", f"{uv[i]:.17g}"]
-            writer.writerow(row)

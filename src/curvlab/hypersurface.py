@@ -77,17 +77,10 @@ class Hypersurface:
         He = self.euclid_mean_curvature(x)
         if not self.space.hyperbolic:
             return He
-        x = np.asarray(x, dtype=float)
-        flat = SpaceForm(self.space.dim, 0.0)
-        w_field = BallFactorField(self.space.kappa)
-        if x.ndim == 1:
-            return mean_curvature_formula(
-                flat, w_field, x, float(He), self.euclid_unit_normal(x)
-            )
-        nu = self.euclid_unit_normal(x)
-        w = w_field.value(x)
-        grad_nu = np.sum(w_field.gradient(x) * nu, axis=-1)
-        return w * He + (self.space.dim - 1) * grad_nu
+        return mean_curvature_formula(
+            SpaceForm(self.space.dim, 0.0), BallFactorField(self.space.kappa),
+            x, He, self.euclid_unit_normal(x),
+        )
 
     def project(self, x, tol=1e-13, max_iter=60) -> np.ndarray:
         """Newton projection x -> x - F gradF / |gradF|^2 onto the surface."""
@@ -128,58 +121,14 @@ def geodesic_sphere(space: SpaceForm, R: float, label="sphere") -> Hypersurface:
         s = np.tanh(0.5 * space.kappa * R)
     else:
         s = R
-    m = space.dim
-
-    def F(x):
-        return np.sum(np.asarray(x) ** 2, axis=-1) - s * s
-
-    def gradF(x):
-        return 2.0 * np.asarray(x, dtype=float)
-
-    def hessF(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * np.broadcast_to(np.eye(m), x.shape + (m,)).copy()
-
-    def chart(ts):
-        ts = np.asarray(ts, dtype=float)
-        pts = np.zeros(ts.shape + (m,))
-        pts[..., 0] = s * np.cos(ts)
-        pts[..., 1] = s * np.sin(ts)
-        return pts
-
     H = sphere_mean_curvature(space, R)
-    return Hypersurface(
-        space,
-        F,
-        gradF,
-        hessF,
-        inward_sign=-1.0,
-        chart=chart,
-        chart_box=(0.0, 2.0 * np.pi),
-        h_exact=lambda ts: np.full(np.shape(ts), H),
-        label=label,
-    )
+    return _sphere_piece(space, np.zeros(space.dim), s, H, (0.0, 2.0 * np.pi), label)
 
 
-# ---------------------------------------------------------------------------
-# named configurations
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Fixture:
-    """Two boundary pieces enclosing a region, with known exact data."""
-
-    name: str
-    space: SpaceForm
-    pieces: List[Hypersurface]
-    contains: Callable
-    distance: Optional[float] = None
-    endpoints: Optional[np.ndarray] = None
-    params: dict = field(default_factory=dict)
-
-
-def _sphere_piece(space, center, rho, inward_sign, label):
+def _sphere_piece(space, center, rho, H, chart_box, label):
+    """Coordinate sphere |x - center| = rho for a center on the x0 axis,
+    oriented toward its center, with constant mean curvature H and charted
+    by its great circle in the (x0, x1) plane."""
     center = np.asarray(center, dtype=float)
     m = space.dim
 
@@ -202,8 +151,56 @@ def _sphere_piece(space, center, rho, inward_sign, label):
         return pts
 
     return Hypersurface(
-        space, F, gradF, hessF, inward_sign, chart=chart, label=label
+        space, F, gradF, hessF, -1.0, chart=chart, chart_box=chart_box,
+        h_exact=lambda ts: np.full(np.shape(ts), H), label=label,
     )
+
+
+def _plane_piece(space, axis, offset, along, inward_sign, chart_box, label):
+    """Coordinate hyperplane x[axis] = offset, charted along coordinate
+    ``along``; totally geodesic in flat space."""
+    m = space.dim
+
+    def F(x):
+        return np.asarray(x, dtype=float)[..., axis] - offset
+
+    def gradF(x):
+        g = np.zeros_like(np.asarray(x, dtype=float))
+        g[..., axis] = 1.0
+        return g
+
+    def hessF(x):
+        return np.zeros(np.shape(x) + (m,))
+
+    def chart(ts):
+        ts = np.asarray(ts, dtype=float)
+        pts = np.zeros(ts.shape + (m,))
+        pts[..., axis] = offset
+        pts[..., along] = ts
+        return pts
+
+    return Hypersurface(
+        space, F, gradF, hessF, inward_sign, chart=chart, chart_box=chart_box,
+        h_exact=lambda ts: np.zeros(np.shape(ts)), label=label,
+    )
+
+
+# ---------------------------------------------------------------------------
+# named configurations
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Fixture:
+    """Two boundary pieces enclosing a region, with known exact data."""
+
+    name: str
+    space: SpaceForm
+    pieces: List[Hypersurface]
+    contains: Callable
+    distance: Optional[float] = None
+    endpoints: Optional[np.ndarray] = None
+    params: dict = field(default_factory=dict)
 
 
 def _equidistant_fixture(a: float, dim: int) -> Fixture:
@@ -221,14 +218,13 @@ def _equidistant_fixture(a: float, dim: int) -> Fixture:
     n = dim - 1
     H = n / rho
     b = rho - a  # axis crossing: pieces pass through -+ b e0
-    piece1 = _sphere_piece(space, [a] + [0.0] * (dim - 1), rho, -1.0, "sphere(+a)")
-    piece2 = _sphere_piece(space, [-a] + [0.0] * (dim - 1), rho, -1.0, "sphere(-a)")
-    for piece, ang in ((piece1, np.pi), (piece2, 0.0)):
-        piece.h_exact = lambda ts, H=H: np.full(np.shape(ts), H)
-        # restrict charts to the arc inside the ball (centered on the axis
-        # crossing; the sphere leaves the ball at polar angle where |x| = 1)
-        half = np.arccos(a / rho)
-        piece.chart_box = (ang - half + 1e-9, ang + half - 1e-9)
+    # restrict charts to the arc inside the ball (centered on the axis
+    # crossing; the sphere leaves the ball at polar angle where |x| = 1)
+    half = np.arccos(a / rho)
+    piece1 = _sphere_piece(space, [a] + [0.0] * (dim - 1), rho, H,
+                           (np.pi - half + 1e-9, np.pi + half - 1e-9), "sphere(+a)")
+    piece2 = _sphere_piece(space, [-a] + [0.0] * (dim - 1), rho, H,
+                           (-half + 1e-9, half - 1e-9), "sphere(-a)")
 
     def contains(x):
         x = np.asarray(x, dtype=float)
@@ -254,43 +250,9 @@ def _slab_fixture(d: float, dim: int) -> Fixture:
     if d <= 0:
         raise ValueError("slab width must be positive")
     space = SpaceForm(dim, 0.0)
-    m = dim
-
-    def make_piece(x0, sign, label):
-        def F(x):
-            return np.asarray(x, dtype=float)[..., 0] - x0
-
-        def gradF(x):
-            x = np.asarray(x, dtype=float)
-            g = np.zeros_like(x)
-            g[..., 0] = 1.0
-            return g
-
-        def hessF(x):
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape + (m,))
-
-        def chart(ts):
-            ts = np.asarray(ts, dtype=float)
-            pts = np.zeros(ts.shape + (m,))
-            pts[..., 0] = x0
-            pts[..., 1] = ts
-            return pts
-
-        return Hypersurface(
-            space,
-            F,
-            gradF,
-            hessF,
-            inward_sign=sign,
-            chart=chart,
-            chart_box=(-50.0 * d, 50.0 * d),
-            h_exact=lambda ts: np.zeros(np.shape(ts)),
-            label=label,
-        )
-
-    piece1 = make_piece(d / 2.0, -1.0, "plane(+d/2)")
-    piece2 = make_piece(-d / 2.0, 1.0, "plane(-d/2)")
+    box = (-50.0 * d, 50.0 * d)
+    piece1 = _plane_piece(space, 0, d / 2.0, 1, -1.0, box, "plane(+d/2)")
+    piece2 = _plane_piece(space, 0, -d / 2.0, 1, 1.0, box, "plane(-d/2)")
 
     def contains(x):
         x0 = np.asarray(x, dtype=float)[..., 0]
@@ -369,30 +331,7 @@ def _log_graph_fixture(x_min: float = 3.0, x_max: float = 2.0e6) -> Fixture:
         label="log-graph",
     )
 
-    def Fax(x):
-        return np.asarray(x, dtype=float)[..., 1]
-
-    def gradFax(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros_like(x)
-        g[..., 1] = 1.0
-        return g
-
-    def hessFax(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (2,))
-
-    axis = Hypersurface(
-        space,
-        Fax,
-        gradFax,
-        hessFax,
-        inward_sign=1.0,
-        chart=lambda ts: np.stack([np.asarray(ts, dtype=float), np.zeros(np.shape(ts))], axis=-1),
-        chart_box=(x_min, x_max),
-        h_exact=lambda ts: np.zeros(np.shape(ts)),
-        label="x-axis",
-    )
+    axis = _plane_piece(space, 1, 0.0, 0, 1.0, (x_min, x_max), "x-axis")
 
     def contains(x):
         x = np.asarray(x, dtype=float)

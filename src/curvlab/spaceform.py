@@ -283,9 +283,6 @@ class RadialField:
         self.center = np.asarray(self.center, dtype=float)
         self.space.check_point(self.center)
 
-    def radius(self, x):
-        return self.space.distance(self.center, x)
-
     def value(self, x):
         q, _, _ = radial_map(self.space, self.center, x)
         return self.profile.q_value(q)

@@ -170,9 +170,9 @@ def phi_calculus(L: float, n_grid: int = 2001) -> PhiCalculusReport:
     tf = TestFunction.cosh_type(L)
     s = np.linspace(0.0, L, n_grid)
     p0, p1 = tf.endpoint_psi()
-    endpoint_error = max(
+    endpoint_error = float(np.maximum(
         abs(float(tf.psi(0.0)) - p0), abs(float(tf.psi(np.asarray(L))) - p1)
-    )
+    ))
     h = 1e-6 * max(1.0, L)
     interior = s[(s > h) & (s < L - h)]
     fd = (tf.psi(interior + h) - tf.psi(interior - h)) / (2.0 * h)

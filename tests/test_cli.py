@@ -22,6 +22,7 @@ from curvlab.cli import (
 )
 from curvlab.report import build_report
 from curvlab.spaceform import SpaceForm
+from curvlab.variation import TestFunction
 
 
 def _args(**kw):
@@ -319,6 +320,49 @@ def test_fd_law_check_fails_on_nan_sample():
     assert rep.grid["non_finite_parts"] == ["fd_relative_error"]
     assert rep.grid["per_space"]["first"] == 2e-6
     assert np.isnan(rep.grid["per_space"]["second"])
+
+
+def _nan_ricci(monkeypatch):
+    monkeypatch.setattr(cli.conformal, "ricci_formula", lambda *a, **k: float("nan"))
+
+
+def _nan_min_slack(monkeypatch):
+    real = cli.crucial_bounds_scan
+
+    def scan(*args, **kwargs):
+        out = real(*args, **kwargs)
+        for check in out.checks.values():
+            check.min_slack = float("nan")
+        return out
+
+    monkeypatch.setattr(cli, "crucial_bounds_scan", scan)
+
+
+def _nan_psi_at_end(monkeypatch):
+    real = TestFunction.psi
+
+    def psi(self, s):
+        return np.where(np.asarray(s) == self.L, np.nan, real(self, s))
+
+    monkeypatch.setattr(TestFunction, "psi", psi)
+
+
+@pytest.mark.parametrize(
+    "cid, inject, part",
+    [
+        ("poincare-recovery", _nan_ricci, "ricci_constant_error"),
+        ("crucial-bounds-flat", _nan_min_slack, "negative_slack"),
+        ("phi-calculus", _nan_psi_at_end, "endpoint_error"),
+    ],
+    ids=["poincare-recovery", "crucial-bounds-flat", "phi-calculus"],
+)
+def test_nan_in_check_accumulator_fails_report(monkeypatch, cid, inject, part):
+    # Python's max() and min() drop a NaN, which let these reports pass with error 0
+    inject(monkeypatch)
+    ctx = cli.CheckContext(RunConfig(grids={"r_points": 20, "t_points": 10}))
+    rep = cli.CHECKS[cid].fn(ctx)
+    assert not rep.passed
+    assert part in rep.grid["non_finite_parts"]
 
 
 def test_nonconvergence_names_level_and_stop_reason():

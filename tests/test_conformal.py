@@ -15,7 +15,6 @@ from curvlab.conformal import (
     off_plane_component,
     ricci_formula,
     sectional_numerator,
-    tilde_norm,
 )
 from curvlab.fields import BallFactorField, ExpQuadraticField
 from curvlab.spaceform import RadialField, SpaceForm, gram_schmidt_frame
@@ -103,7 +102,6 @@ def test_ball_factor_reproduces_constant_curvature(dim):
         F = gram_schmidt_frame(space, x, seed=rng.normal(size=(dim, dim)))
         assert np.isclose(sectional_numerator(space, u, x, F[0], F[1]), -1.0, atol=1e-12)
         assert np.isclose(ricci_formula(space, u, x, F[0]), -(dim - 1), atol=1e-12)
-        assert np.isclose(tilde_norm(space, u, x, float(u.value(x)) * F[0]), 1.0, atol=1e-12)
 
 
 def test_mean_curvature_law_sphere_to_hyperbolic():
@@ -121,6 +119,21 @@ def test_mean_curvature_law_sphere_to_hyperbolic():
             got = mean_curvature_formula(space, u, x, H_g=n / s, nu=nu)
             expected = n / np.tanh(2.0 * np.arctanh(s))
             assert np.isclose(got, expected, rtol=1e-13)
+
+
+def test_mean_curvature_law_batches_pointwise():
+    """An (N, dim) batch of points, curvatures and normals gives the
+    per-point values, hyperbolic background, random factor."""
+    space = SpaceForm(3, 1.0)
+    rng = np.random.default_rng(405)
+    u = positive_factor(rng, 3)
+    x = rng.uniform(-0.5, 0.5, size=(7, 3))
+    H_g = rng.normal(size=7)
+    nu = space.unit(x, rng.normal(size=(7, 3)))
+    got = mean_curvature_formula(space, u, x, H_g, nu)
+    assert got.shape == (7,)
+    each = [mean_curvature_formula(space, u, p, h, v) for p, h, v in zip(x, H_g, nu)]
+    np.testing.assert_allclose(got, each, rtol=1e-14, atol=0.0)
 
 
 def test_mean_curvature_law_against_parametric_fd():

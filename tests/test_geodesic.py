@@ -1,8 +1,6 @@
 """Free-boundary conformal-length minimization against closed-form lengths
 and quadrature oracles."""
 
-import csv
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,7 +13,6 @@ from curvlab.geodesic import (
     length_comparison,
     minimize_free_boundary,
     shortness_check,
-    write_curve_csv,
     _coordinate_factor,
     _damped_newton_step,
     _energy,
@@ -295,19 +292,7 @@ def test_problem_validation():
     space = SpaceForm(2, 0.0)
     with pytest.raises(ValueError):
         GeodesicProblem(space, ConstantField(1.0))
-
-
-def test_write_curve_csv(tmp_path):
-    space = SpaceForm(2, 0.0)
-    u = BallFactorField(kappa=1.0)
-    problem = GeodesicProblem(space, u, endpoints=np.array([[-0.2, 0.0], [0.3, 0.1]]))
-    curve = problem.initial_curve(16)
-    path = tmp_path / "curve.csv"
-    write_curve_csv(path, curve, u)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "x0", "x1", "s", "s_tilde", "u"]
-    assert len(rows) == 18
-    s_vals = [float(r[3]) for r in rows[1:]]
-    assert s_vals[0] == 0.0
-    assert np.all(np.diff(s_vals) > 0)
+    fx = example_fixture("euclid-slab", d=1.0, dim=2)
+    with pytest.raises(ValueError):
+        GeodesicProblem(fx.space, ConstantField(1.0),
+                        piece_start=fx.pieces[1], piece_end=fx.pieces[0])
