@@ -52,7 +52,7 @@ from .geodesic import (
     shortness_check,
 )
 from .hypersurface import FIXTURE_NAMES, example_fixture, geodesic_sphere, infimum_over_annulus
-from .report import VerificationReport, build_report
+from .report import build_report
 from .spaceform import RadialField, SpaceForm, gram_schmidt_frame
 from .variation import TestFunction, crucial_bounds_scan, index_form_trace, phi_calculus
 

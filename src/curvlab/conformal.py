@@ -30,12 +30,14 @@ from .spaceform import (
 
 
 def coordinate_metric(space: SpaceForm, u: ScalarField):
-    """x -> matrix of u^-2 g in coordinates, for black-box FD audits."""
+    """x -> matrix of u^-2 g in coordinates, for black-box FD audits; points
+    (..., m) map to matrices (..., m, m)."""
     W = conformal_factor_field(space, u)
 
     def metric(x):
-        x = np.asarray(x, dtype=float)
-        return np.eye(space.dim) / float(W.value(x)) ** 2
+        # libm pow, like float ** 2 on one point; numpy's ** 2 rounds differently
+        w2 = np.float_power(W.value(np.asarray(x, dtype=float)), 2)
+        return np.eye(space.dim) / w2[..., None, None]
 
     return metric
 

@@ -18,7 +18,7 @@ projection, which is exact because nabla_T T is g-orthogonal to T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,6 +69,9 @@ def _stencil_derivative(values, order, h):
 
     Windows are five consecutive indices clamped to the array; near the ends
     the evaluation point sits off-center and the weights adjust accordingly.
+    The centred stencil is applied to all interior vertices at once; only
+    the two vertices at each end, or every vertex of a curve with five or
+    fewer, take a clamped window of their own.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
@@ -76,7 +79,13 @@ def _stencil_derivative(values, order, h):
     if npts <= order:
         raise ValueError("curve has too few vertices for this stencil")
     out = np.empty_like(values)
-    for i in range(n):
+    if n > 5:
+        windows = np.lib.stride_tricks.sliding_window_view(values, 5, axis=0)
+        out[2 : n - 2] = windows @ _uniform_stencil(5, 2, order)
+        clamped = (0, 1, n - 2, n - 1)
+    else:
+        clamped = range(n)
+    for i in clamped:
         start = min(max(i - 2, 0), n - npts)
         w = _uniform_stencil(npts, i - start, order)
         out[i] = np.tensordot(w, values[start : start + npts], axes=(0, 0))
@@ -190,21 +199,30 @@ class DiscreteCurve:
 
     # -- discrete differential geometry ------------------------------------
 
-    def vertex_tangents(self):
-        """(T, sigma): g-unit tangent and speed ds/dtau at each vertex,
-        where tau is the unit-spaced vertex index parameter."""
+    def _velocity(self):
+        """(v, sigma): coordinate velocity d/dtau and speed ds/dtau at each
+        vertex. Raises ValueError at the first vertex whose speed is zero or
+        not finite, where no tangent exists."""
         v = _stencil_derivative(self.points, 1, 1.0)
         w0 = self.space.ambient_factor(self.points)
         sigma = np.linalg.norm(v, axis=1) / w0
+        bad = np.flatnonzero(~(np.isfinite(sigma) & (sigma > 0.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"degenerate curve: speed {float(sigma[i])} at vertex {i}")
+        return v, sigma
+
+    def vertex_tangents(self):
+        """(T, sigma): g-unit tangent and speed ds/dtau at each vertex,
+        where tau is the unit-spaced vertex index parameter."""
+        v, sigma = self._velocity()
         # g-unit: flat norm of T is w0, so |T|_g = 1
         return v / sigma[:, None], sigma
 
     def vertex_acceleration(self):
         """nabla_T T at each vertex (g-covariant, arclength gauge)."""
-        v = _stencil_derivative(self.points, 1, 1.0)
+        v, sigma = self._velocity()
         a = _stencil_derivative(self.points, 2, 1.0)
-        w0 = self.space.ambient_factor(self.points)
-        sigma = np.linalg.norm(v, axis=1) / w0
         acc = (a + christoffel_quadratic(self.space, self.points, v)) / (sigma**2)[:, None]
         T = v / sigma[:, None]
         # remove the tangential reparameterization component

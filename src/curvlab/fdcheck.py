@@ -1,11 +1,17 @@
 """Finite-difference metric calculus, used as an independent audit path.
 
 Nothing here knows about conformal transformation laws. A metric enters as a
-black-box function x -> G(x) (matrix of coordinate components); Christoffel
-symbols, Riemann and Ricci tensors come out of central differences of G, and
-mean curvature of a parametric hypersurface comes out of the fundamental
-forms computed against G. The closed-form modules are then checked against
-these numbers in the test suite and the "conformal" CLI suite.
+black-box function x -> G(x) of coordinate components, batched: points of
+shape (..., m) map to matrices of shape (..., m, m). Christoffel symbols,
+Riemann and Ricci tensors come out of central differences of G, and mean
+curvature of a parametric hypersurface comes out of the fundamental forms
+computed against G. The closed-form modules are then checked against these
+numbers in the test suite and the "conformal" CLI suite.
+
+Each central difference evaluates its 2m shifted points in one metric call,
+and ``riemann_fd`` takes the Christoffel symbols at a point and at its 2m
+neighbours from one batched ``christoffels_fd``: three metric calls per
+Riemann tensor. Every point keeps its own step h * max(1, |x|_inf).
 
 Sign conventions (calibrated in tests against the ball model):
     R(X, Y, Y, X) = sectional curvature for g-orthonormal X, Y
@@ -20,7 +26,22 @@ DEFAULT_STEP = 1e-5
 
 
 def _step(x, h):
-    return h * max(1.0, float(np.max(np.abs(x))))
+    """Step h * max(1, |x|_inf) for each point of x (..., m)."""
+    return h * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+
+
+def _shifted(x, hh):
+    """x + hh e_i for i < m, then x - hh e_i: points (..., 2m, m)."""
+    e = hh[..., None, None] * np.eye(x.shape[-1])
+    return np.concatenate([x[..., None, :] + e, x[..., None, :] - e], axis=-2)
+
+
+def _central(values, hh):
+    """(f(x + hh e_i) - f(x - hh e_i)) / 2hh from f at ``_shifted`` points;
+    values (..., 2m, *shape) with ... the shape of hh."""
+    plus, minus = np.split(values, 2, axis=hh.ndim)
+    scale = (2.0 * hh).reshape(hh.shape + (1,) * (values.ndim - hh.ndim))
+    return (plus - minus) / scale
 
 
 def fd_gradient(f, x, h=DEFAULT_STEP):
@@ -57,40 +78,32 @@ def fd_hessian(f, x, h=1e-4):
 
 
 def metric_dg(metric, x, h=DEFAULT_STEP):
-    """dG[i] = partial_i G as an (m, m, m) array."""
+    """dG[..., i, :, :] = partial_i G at points x (..., m)."""
     x = np.asarray(x, dtype=float)
     hh = _step(x, h)
-    m = x.size
-    out = np.zeros((m, m, m))
-    for i in range(m):
-        e = np.zeros_like(x)
-        e[i] = hh
-        out[i] = (metric(x + e) - metric(x - e)) / (2.0 * hh)
-    return out
+    return _central(metric(_shifted(x, hh)), hh)
 
 
 def christoffels_fd(metric, x, h=DEFAULT_STEP):
-    """Gamma[k, i, j] = Gamma^k_ij from finite differences of the metric."""
-    G = metric(np.asarray(x, dtype=float))
-    Ginv = np.linalg.inv(G)
+    """Gamma[..., k, i, j] = Gamma^k_ij at points x (..., m), from finite
+    differences of the metric."""
+    x = np.asarray(x, dtype=float)
+    Ginv = np.linalg.inv(metric(x))
     dG = metric_dg(metric, x, h)
     # 0.5 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}); dG[i, a, b] = d_i g_{ab}
-    term = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
-    return 0.5 * np.einsum("kl,lij->kij", Ginv, term)
+    term = np.einsum("...ijl->...lij", dG) + np.einsum("...jil->...lij", dG) - dG
+    return 0.5 * np.einsum("...kl,...lij->...kij", Ginv, term)
 
 
 def riemann_fd(metric, x, h=DEFAULT_STEP):
-    """R[i, j, k, l] = g( R(d_i, d_j) d_k , d_l )."""
+    """R[i, j, k, l] = g( R(d_i, d_j) d_k , d_l ) at one point x (m,)."""
     x = np.asarray(x, dtype=float)
     hh = _step(x, h)
-    m = x.size
     G = metric(x)
-    Gam = christoffels_fd(metric, x, h)
-    dGam = np.zeros((m, m, m, m))
-    for i in range(m):
-        e = np.zeros_like(x)
-        e[i] = hh
-        dGam[i] = (christoffels_fd(metric, x + e, h) - christoffels_fd(metric, x - e, h)) / (2.0 * hh)
+    # Gamma at x and at its 2m neighbours in one batch
+    Gam_all = christoffels_fd(metric, np.concatenate([x[None], _shifted(x, hh)]), h)
+    Gam = Gam_all[0]
+    dGam = _central(Gam_all[1:], hh)
     # R^l_{kij} = d_i Gam^l_{jk} - d_j Gam^l_{ik} + Gam^l_{im} Gam^m_{jk} - Gam^l_{jm} Gam^m_{ik}
     up = (
         np.einsum("iljk->ijkl", dGam)

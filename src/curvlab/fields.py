@@ -85,7 +85,10 @@ class ExpQuadraticField:
     c: float = 0.0
 
     def _exponent(self, x):
-        return self.c + x @ self.a + 0.5 * np.einsum("...i,ij,...j->...", x, self.B, x)
+        # a.x as one dot per point: a batched x @ a rounds differently from
+        # the dot of a single point
+        ax = (x[..., None, :] @ self.a[:, None])[..., 0, 0]
+        return self.c + ax + 0.5 * np.einsum("...i,ij,...j->...", x, self.B, x)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

@@ -6,7 +6,6 @@ still reports its measured numbers.
 """
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from curvlab import cli

@@ -4,6 +4,7 @@ tangents and covariant accelerations."""
 import numpy as np
 import pytest
 
+from curvlab import curves
 from curvlab.curves import DiscreteCurve, fornberg_weights
 from curvlab.fields import BallFactorField, ExpQuadraticField
 from curvlab.spaceform import SpaceForm
@@ -170,3 +171,63 @@ def test_curve_validation_errors():
 
     with pytest.raises(ValueError):
         curve.integrate_ds_tilde(ConstantField(-1.0))
+
+
+def _stencil_reference(values, order):
+    """The per-vertex loop: one clamped five-point window for every vertex."""
+    n = values.shape[0]
+    npts = min(5, n)
+    out = np.empty_like(values)
+    for i in range(n):
+        start = min(max(i - 2, 0), n - npts)
+        w = curves._uniform_stencil(npts, i - start, order)
+        out[i] = np.tensordot(w, values[start : start + npts], axes=(0, 0))
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 33, 8193])
+def test_stencil_derivative_matches_per_vertex_loop(n, order, dim):
+    """Applying the centred stencil to all interior vertices at once gives
+    bitwise the same values as one clamped window per vertex."""
+    values = np.random.default_rng(n * 10 + order + dim).normal(size=(n, dim))
+    if n <= order:
+        with pytest.raises(ValueError, match="too few vertices"):
+            curves._stencil_derivative(values, order, 1.0)
+        return
+    got = curves._stencil_derivative(values, order, 1.0)
+    assert np.array_equal(got, _stencil_reference(values, order))
+
+
+def test_stencil_derivative_work_does_not_grow_with_vertices(monkeypatch):
+    calls = []
+    tensordot = np.tensordot
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return tensordot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", counting)
+    counts = []
+    for n in (7, 33, 8193):
+        calls.clear()
+        values = np.linspace(0.0, 1.0, 2 * n).reshape(n, 2)
+        curves._stencil_derivative(values, 2, 1.0)
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 3
+    assert counts[0] <= 4
+
+
+def test_degenerate_curve_raises_naming_vertex():
+    space = SpaceForm(2, 0.0)
+    curve = DiscreteCurve(space, np.zeros((9, 2)))
+    with pytest.raises(ValueError, match="at vertex 0"):
+        curve.vertex_tangents()
+    with pytest.raises(ValueError, match="at vertex 0"):
+        curve.geodesic_curvature()
+    # a NaN vertex poisons the stencils of its neighbours two either side
+    pts = np.stack([np.linspace(0.0, 1.0, 12), np.zeros(12)], axis=1)
+    pts[6, 1] = np.nan
+    with pytest.raises(ValueError, match="speed nan at vertex 4"):
+        DiscreteCurve(space, pts).vertex_acceleration()

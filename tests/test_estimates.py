@@ -7,10 +7,8 @@ from scipy.optimize import brentq
 
 from curvlab.estimates import (
     CONSTANT_FAMILIES,
-    DecayScan,
     EstimateConfig,
     alpha_interval,
-    annulus_infima,
     decay_scan,
     elementary_inequalities,
     main_estimate_euclid,

@@ -18,14 +18,18 @@ from curvlab.spaceform import SpaceForm, gram_schmidt_frame, log_factor_gradient
 
 def ball_metric(kappa):
     def metric(x):
-        w = 0.5 * kappa * (1.0 - float(np.sum(x * x)))
-        return np.eye(x.size) / w**2
+        w = 0.5 * kappa * (1.0 - np.sum(x * x, axis=-1))
+        return np.eye(x.shape[-1]) / (w**2)[..., None, None]
 
     return metric
 
 
+def flat_metric(m):
+    return lambda x: np.broadcast_to(np.eye(m), np.shape(x)[:-1] + (m, m))
+
+
 def test_flat_metric_has_no_curvature():
-    metric = lambda x: np.eye(3)
+    metric = flat_metric(3)
     x = np.array([0.3, -0.2, 0.5])
     assert np.allclose(fdcheck.christoffels_fd(metric, x), 0.0, atol=1e-9)
     assert np.allclose(fdcheck.riemann_fd(metric, x), 0.0, atol=1e-6)
@@ -74,6 +78,38 @@ def test_ricci_of_ball(dim):
     assert np.allclose(ric, -(dim - 1) * kappa**2 * G, rtol=2e-4, atol=1e-5)
     X = gram_schmidt_frame(space, x)[0]
     assert np.isclose(fdcheck.ricci_quadratic_fd(metric, x, X), -(dim - 1), rtol=2e-4)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_batched_calls_equal_single_point_calls(m):
+    """A (k, m) stack gives bitwise the single-point results; one point lies
+    outside the unit cube, so the stack mixes step sizes."""
+    metric = ball_metric(1.0)
+    rng = np.random.default_rng(7 + m)
+    pts = rng.uniform(-0.4, 0.4, size=(5, m))
+    pts[2, 0] = 1.7
+    dG = fdcheck.metric_dg(metric, pts)
+    Gam = fdcheck.christoffels_fd(metric, pts)
+    assert dG.shape == (5, m, m, m) and Gam.shape == (5, m, m, m)
+    for p, x in enumerate(pts):
+        assert np.array_equal(dG[p], fdcheck.metric_dg(metric, x))
+        assert np.array_equal(Gam[p], fdcheck.christoffels_fd(metric, x))
+    stack = fdcheck.christoffels_fd(metric, pts.reshape(1, 5, m))
+    assert np.array_equal(stack[0], Gam)
+
+
+def test_riemann_makes_at_most_three_metric_calls():
+    metric = ball_metric(1.0)
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return metric(x)
+
+    x = np.array([0.2, -0.1, 0.3])
+    R = fdcheck.riemann_fd(counting, x)
+    assert len(calls) <= 3
+    assert np.array_equal(R, fdcheck.riemann_fd(metric, x))
 
 
 def test_fd_gradient_and_hessian_on_polynomial():
@@ -127,7 +163,7 @@ def sphere_chart(rho):
 def test_circle_mean_curvature_flat():
     rho = 0.8
     chart, dchart, d2chart = circle_chart(rho)
-    metric = lambda x: np.eye(2)
+    metric = flat_metric(2)
     th = np.array([0.9])
     H, nu = fdcheck.parametric_mean_curvature(
         metric, chart, dchart, d2chart, th, inward_ref=-chart(th)
@@ -144,7 +180,7 @@ def test_circle_mean_curvature_flat():
 def test_sphere_mean_curvature_flat():
     rho = 1.3
     chart, dchart, d2chart = sphere_chart(rho)
-    metric = lambda x: np.eye(3)
+    metric = flat_metric(3)
     for th in ([1.1, 0.4], [0.7, 2.0]):
         th = np.array(th)
         H, _ = fdcheck.parametric_mean_curvature(

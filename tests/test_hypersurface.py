@@ -133,8 +133,8 @@ def test_equidistant_curvature_against_parametric_fd():
     c = np.array([fx.params["a"], 0.0])
 
     def metric(x):
-        w = 0.5 * (1.0 - float(np.sum(x * x)))
-        return np.eye(2) / w**2
+        w = 0.5 * (1.0 - np.sum(x * x, axis=-1))
+        return np.eye(2) / (w**2)[..., None, None]
 
     chart = lambda th: c + rho * np.array([np.cos(th[0]), np.sin(th[0])])
     dchart = lambda th: rho * np.array([[-np.sin(th[0])], [np.cos(th[0])]])
@@ -190,7 +190,7 @@ def test_log_graph_curvature_formulas_agree():
 def test_log_graph_curvature_against_parametric_fd():
     fx = example_fixture("log-graph")
     graph = fx.pieces[0]
-    metric = lambda x: np.eye(2)
+    metric = lambda x: np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2))
     yfun = lambda t: t / np.log(t)
     chart = lambda th: np.array([th[0], yfun(th[0])])
     L = lambda t: np.log(t)
@@ -323,7 +323,7 @@ def test_revolution_curvature_against_parametric_fd():
                 ) / (4.0 * h * h)
         return out
 
-    metric = lambda x: np.eye(4)
+    metric = lambda x: np.broadcast_to(np.eye(4), np.shape(x)[:-1] + (4, 4))
     t0 = 0.55
     th = np.array([t0, 1.1, 0.7])
     x = chart(th)

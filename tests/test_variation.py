@@ -22,7 +22,6 @@ from curvlab.hypersurface import example_fixture
 from curvlab.spaceform import RadialField, SpaceForm, radial_quantities
 from curvlab.spaceform import grad_g, grad_norm2_g, hess_g_apply, laplacian_g
 from curvlab.variation import (
-    BoundsScan,
     JInputs,
     TestFunction,
     coth_minus_inv,
