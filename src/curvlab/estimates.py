@@ -21,7 +21,7 @@ cannot be mixed up silently.
 import numpy as np
 
 from .hypersurface import Fixture, infimum_over_annulus
-from .report import VerificationReport, build_report
+from .report import NonConvergence, VerificationReport, build_report
 from .variation import coth_minus_inv
 
 CONSTANT_FAMILIES = {
@@ -215,12 +215,18 @@ ENVELOPE_KINDS = ("sum-inverse-R", "fitted-inverse-R2", "hyperbolic-saturation")
 SCAN_CSV_HEADER = "R,inf_h1,inf_h2,sum,envelope,slack\n"
 
 
-def annulus_infima(fixture: Fixture, r_lo: float, r_hi: float, **kw) -> np.ndarray:
+def annulus_infima(fixture: Fixture, r_lo: float, r_hi: float) -> np.ndarray:
     """Per-piece infimum of inward mean curvature over the set of boundary
-    points whose distance to the origin lies in (r_lo, r_hi)."""
-    return np.array(
-        [infimum_over_annulus(p, r_lo, r_hi, **kw).value for p in fixture.pieces]
-    )
+    points whose distance to the origin lies in (r_lo, r_hi). Raises
+    NonConvergence naming the piece, the annulus and the bracket that missed."""
+    values = []
+    for p in fixture.pieces:
+        res = infimum_over_annulus(p, r_lo, r_hi)
+        if not res.converged:
+            raise NonConvergence(p.label, f"annulus infimum over ({r_lo:.6g}, {r_hi:.6g}): "
+                                          f"chart bracket {res.missed} hit the step cap")
+        values.append(res.value)
+    return np.array(values)
 
 
 class DecayScan:
@@ -325,7 +331,7 @@ class DecayScan:
         return d
 
 
-def decay_scan(fixture: Fixture, R_grid, envelope_kind: str, **kw) -> DecayScan:
+def decay_scan(fixture: Fixture, R_grid, envelope_kind: str) -> DecayScan:
     """Scan annulus infima of a fixture over an increasing grid of radii.
 
     Raises if any annulus misses the charted boundary.  Fixtures with a
@@ -336,7 +342,7 @@ def decay_scan(fixture: Fixture, R_grid, envelope_kind: str, **kw) -> DecayScan:
         raise ValueError("R grid must be strictly increasing")
     inf1, inf2 = [], []
     for R in R_grid:
-        vals = annulus_infima(fixture, R / 3.0, R, **kw)
+        vals = annulus_infima(fixture, R / 3.0, R)
         inf1.append(vals[0])
         inf2.append(vals[1] if vals.size > 1 else 0.0)
     return DecayScan(fixture, envelope_kind, R_grid, inf1, inf2)

@@ -11,7 +11,8 @@ numbers in the test suite and the "conformal" CLI suite.
 Each central difference evaluates its 2m shifted points in one metric call,
 and ``riemann_fd`` takes the Christoffel symbols at a point and at its 2m
 neighbours from one batched ``christoffels_fd``: three metric calls per
-Riemann tensor. Every point keeps its own step h * max(1, |x|_inf).
+Riemann or Ricci tensor, and three per parametric mean curvature. Every
+point keeps its own step h * max(1, |x|_inf).
 
 Sign conventions (calibrated in tests against the ball model):
     R(X, Y, Y, X) = sectional curvature for g-orthonormal X, Y
@@ -97,6 +98,11 @@ def christoffels_fd(metric, x, h=DEFAULT_STEP):
 
 def riemann_fd(metric, x, h=DEFAULT_STEP):
     """R[i, j, k, l] = g( R(d_i, d_j) d_k , d_l ) at one point x (m,)."""
+    return _riemann_and_metric(metric, x, h)[0]
+
+
+def _riemann_and_metric(metric, x, h):
+    """(R, G) at one point x; see ``riemann_fd``."""
     x = np.asarray(x, dtype=float)
     hh = _step(x, h)
     G = metric(x)
@@ -112,7 +118,7 @@ def riemann_fd(metric, x, h=DEFAULT_STEP):
         - np.einsum("ljm,mik->ijkl", Gam, Gam)
     )
     # up[i, j, k, l] = component of R(d_i, d_j) d_k along d_l; lower with G.
-    return np.einsum("ijka,al->ijkl", up, G)
+    return np.einsum("ijka,al->ijkl", up, G), G
 
 
 def sectional_fd(metric, x, X, Y, h=DEFAULT_STEP):
@@ -123,10 +129,8 @@ def sectional_fd(metric, x, X, Y, h=DEFAULT_STEP):
 
 def ricci_fd(metric, x, h=DEFAULT_STEP):
     """Ric[j, k] with the trace Ric(X, X) = sum_a R(e_a, X, X, e_a)."""
-    G = metric(np.asarray(x, dtype=float))
-    Ginv = np.linalg.inv(G)
-    R = riemann_fd(metric, x, h)
-    return np.einsum("ab,ajkb->jk", Ginv, R)
+    R, G = _riemann_and_metric(metric, x, h)
+    return np.einsum("ab,ajkb->jk", np.linalg.inv(G), R)
 
 
 def ricci_quadratic_fd(metric, x, X, h=DEFAULT_STEP):
@@ -139,10 +143,9 @@ def ricci_quadratic_fd(metric, x, X, h=DEFAULT_STEP):
 # ---------------------------------------------------------------------------
 
 
-def metric_normal(metric, point, jacobian, inward_ref):
-    """G-unit normal to the column span of ``jacobian``, oriented along
-    ``inward_ref`` (coordinate vector with positive G-pairing)."""
-    G = metric(point)
+def metric_normal(G, jacobian, inward_ref):
+    """G-unit normal to the column span of ``jacobian`` for the metric matrix
+    G, oriented along ``inward_ref`` (coordinate vector, positive G-pairing)."""
     m = G.shape[0]
     J = np.asarray(jacobian, dtype=float)
     A = J.T @ G  # (k, m); null space is the G-orthogonal complement
@@ -169,7 +172,7 @@ def parametric_mean_curvature(metric, chart, dchart, d2chart, theta, inward_ref,
     D2 = d2chart(theta)  # (k, k, m)
     G = metric(p)
     I = np.einsum("ia,ij,jb->ab", J, G, J)
-    nu = metric_normal(metric, p, J, inward_ref)
+    nu = metric_normal(G, J, inward_ref)
     Gam = christoffels_fd(metric, p, h)
     # covariant second derivative: D2_ab + Gamma(J_a, J_b)
     cov = D2 + np.einsum("kij,ia,jb->abk", Gam, J, J)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .conformal import mean_curvature_formula
 from .fields import BallFactorField
@@ -461,119 +460,107 @@ FIXTURE_NAMES = (
 # ---------------------------------------------------------------------------
 
 
+_MAX_STEPS = 100  # cap on the steps of each bisection and golden-section search
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+
+
 @dataclass
 class InfimumResult:
+    """See ``infimum_over_annulus``; ``missed`` is the chart bracket of the
+    first search that hit the step cap, None when ``converged``."""
+
     value: float
     param: float
     point: np.ndarray
     n_grid: int
     converged: bool
+    missed: Optional[tuple] = None
 
 
-def infimum_over_annulus(
-    piece: Hypersurface,
-    r_lo: float,
-    r_hi: float,
-    n0: int = 512,
-    rtol: float = 1e-8,
-    max_doublings: int = 6,
-) -> InfimumResult:
+def _golden_section(f, a, x, b, fx):
+    """Golden-section search (Brent 1973, ch. 5) from a < x < b with fx = f(x)
+    below f(a) and f(b), to a width of sqrt(eps) max(1, |x|). Returns the
+    lowest (f(x), x) and the bracket if still open after _MAX_STEPS steps."""
+    for step in range(_MAX_STEPS + 1):
+        if b - a <= 1.5e-8 * max(1.0, abs(x)):
+            return (fx, x), None
+        if step == _MAX_STEPS:
+            return (fx, x), (float(a), float(b))
+        u = x + _GOLDEN * ((b - x) if b - x > x - a else (a - x))
+        fu = f(u)
+        if fu < fx:
+            a, b = (x, b) if u > x else (a, x)
+            x, fx = u, fu
+        else:
+            a, b = (a, u) if u > x else (u, b)
+
+
+def infimum_over_annulus(piece: Hypersurface, r_lo: float, r_hi: float) -> InfimumResult:
     """Infimum of the mean curvature over the part of the surface whose
-    g-distance to the origin lies in (r_lo, r_hi).
+    g-distance to the origin lies in the open annulus (r_lo, r_hi).
 
-    A dense distance table plus root bracketing on the two cut levels
-    first locates the chart range meeting the annulus (a narrow annulus
-    deep inside a wide chart box would otherwise slip between uniform
-    grid points), then a doubling grid scan over that range runs until
-    stable, refined locally around the best point and at the cuts.
+    A 4097-point distance table over the chart box brackets the cuts, and
+    one vectorized bisection finds their roots. The infimum is the lowest of
+    h at a root (its limit over the open annulus), at a chart-box end in the
+    annulus, or at an interior point of a 513-point table over the chart
+    range that meets the annulus, refined by golden section between its
+    neighbours when it is a strict local minimum there. ``n_grid`` is the
+    size of that table with the roots; ``converged`` says every bisection
+    and golden-section bracket reached its tolerance within _MAX_STEPS.
     """
     if piece.chart is None or piece.chart_box is None:
         raise ValueError("annulus infimum needs a charted surface")
-    space = piece.space
-    origin = np.zeros(space.dim)
-    a, b = piece.chart_box
+    origin = np.zeros(piece.space.dim)
 
     def dist_of(ts):
-        return np.asarray(space.distance(origin, piece.chart_points(ts)))
+        return np.asarray(piece.space.distance(origin, piece.chart_points(ts)))
 
     def h_of(ts):
         return np.asarray(piece.mean_curvature(piece.chart_points(ts)))
 
-    ts_tab = np.linspace(a, b, 4097)
+    ts_tab = np.linspace(*piece.chart_box, 4097)
     d_tab = dist_of(ts_tab)
-    cuts = []
-    for level in (r_lo, r_hi):
-        sgn = np.sign(d_tab - level)
-        for i in np.nonzero(np.diff(sgn) != 0)[0]:
-            try:
-                cuts.append(
-                    brentq(
-                        lambda t: float(dist_of(np.array([t]))[0]) - level,
-                        ts_tab[i],
-                        ts_tab[i + 1],
-                    )
-                )
-            except ValueError:
-                continue
-    inside = (d_tab > r_lo) & (d_tab < r_hi)
-    seeds = [*ts_tab[inside], *cuts]
-    if not seeds:
+    levels = np.array([r_lo, r_hi])
+    annulus_above = np.array([True, False])  # the annulus lies above r_lo, below r_hi
+    above = d_tab > levels[:, None]
+    lev, i = np.nonzero(above[:, :-1] != above[:, 1:])
+    level, keep = levels[lev], annulus_above[lev]
+    right = (above[lev, i + 1] == keep).astype(int)
+    t_in, t_out = ts_tab[i + right], ts_tab[i + 1 - right]
+    # t_in stays on the annulus side; stop at brentq's default tolerance
+    for step in range(_MAX_STEPS + 1):
+        wide = np.abs(t_out - t_in) > 2e-12 + 8.9e-16 * np.abs(t_in)
+        if not wide.any() or step == _MAX_STEPS:
+            break
+        mid = 0.5 * (t_in + t_out)
+        side = (dist_of(mid) > level) == keep
+        t_in, t_out = np.where(side, mid, t_in), np.where(side, t_out, mid)
+    missed = None
+    if wide.any():
+        k = int(np.argmax(wide))
+        missed = tuple(sorted((float(t_in[k]), float(t_out[k]))))
+    seeds = np.concatenate([ts_tab[(d_tab > r_lo) & (d_tab < r_hi)], t_in])
+    if seeds.size == 0:
         raise ValueError("annulus does not meet the surface chart")
-    pad = (b - a) / 4096.0
-    a_s = max(a, min(seeds) - pad)
-    b_s = min(b, max(seeds) + pad)
 
-    def masked_min(n):
-        ts = np.linspace(a_s, b_s, n)
-        d = dist_of(ts)
-        mask = (d > r_lo) & (d < r_hi)
-        if not np.any(mask):
-            return None, None
-        h = h_of(ts[mask])
-        k = int(np.argmin(h))
-        return float(h[k]), float(ts[mask][k])
-
-    prev, t_best = masked_min(n0)
-    n = n0
-    converged = False
-    for _ in range(max_doublings):
-        n *= 2
-        cur, t_cur = masked_min(n)
-        if cur is None:
-            break
-        if prev is not None and abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            prev, t_best = cur, t_cur
-            converged = True
-            break
-        prev, t_best = cur, t_cur
-
-    # candidate parameters: the grid best, a local bounded minimization
-    # around it, and the annulus cut points themselves
-    cands = []
-    if prev is not None:
-        cands.append((prev, t_best))
-        h_step = (b_s - a_s) / n
-        lo = max(a, t_best - 2 * h_step)
-        hi = min(b, t_best + 2 * h_step)
-        res = minimize_scalar(
-            lambda t: float(h_of(np.array([t]))[0]), bounds=(lo, hi), method="bounded"
+    ts = np.union1d(np.linspace(seeds.min(), seeds.max(), 513), t_in)
+    is_cut = np.isin(ts, t_in)
+    d = dist_of(ts)
+    ok = is_cut | ((d > r_lo) & (d < r_hi))
+    h = np.where(ok, h_of(ts), np.inf)
+    k = int(np.argmin(h))
+    best = (float(h[k]), float(ts[k]))
+    if not is_cut[k] and 0 < k < ts.size - 1 and ok[k - 1] and ok[k + 1] \
+            and h[k] < min(h[k - 1], h[k + 1]):
+        best, missed_min = _golden_section(
+            lambda t: float(h_of(np.array([t]))[0]), ts[k - 1], ts[k], ts[k + 1], h[k]
         )
-        if res.success:
-            t = float(res.x)
-            if r_lo < float(dist_of(np.array([t]))[0]) < r_hi:
-                cands.append((float(res.fun), t))
-    for t_cut in cuts:
-        eps = 1e-9 * max(1.0, abs(t_cut))
-        for t in (t_cut - eps, t_cut + eps):
-            if a <= t <= b and r_lo < float(dist_of(np.array([t]))[0]) < r_hi:
-                cands.append((float(h_of(np.array([t]))[0]), t))
-    if not cands:
-        raise ValueError("annulus does not meet the surface chart")
-    value, t_best = min(cands, key=lambda p: p[0])
+        missed = missed or missed_min
     return InfimumResult(
-        value=value,
-        param=t_best,
-        point=piece.chart_points(np.array([t_best]))[0],
-        n_grid=n,
-        converged=converged,
+        value=best[0],
+        param=best[1],
+        point=piece.chart_points(np.array([best[1]]))[0],
+        n_grid=int(ts.size),
+        converged=missed is None,
+        missed=missed,
     )

@@ -13,6 +13,14 @@ import json
 from dataclasses import asdict, dataclass, field
 
 
+class NonConvergence(RuntimeError):
+    """An iterative solve inside a check did not reach its tolerance;
+    ``where`` names the check or the boundary piece it ran on."""
+
+    def __init__(self, where, detail):
+        super().__init__(f"{where}: {detail}")
+
+
 def _jsonable(x):
     if hasattr(x, "tolist"):
         return x.tolist()

@@ -2,14 +2,20 @@
 report emission, and determinism."""
 
 import argparse
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from curvlab import cli
+import curvlab
+from curvlab import cli, estimates
 from curvlab.cli import (
     CheckSpec,
     ConfigError,
@@ -20,6 +26,7 @@ from curvlab.cli import (
     parse_config,
     suite_checks,
 )
+from curvlab.hypersurface import example_fixture
 from curvlab.report import build_report
 from curvlab.spaceform import SpaceForm
 from curvlab.variation import TestFunction
@@ -370,6 +377,34 @@ def test_nonconvergence_names_level_and_stop_reason():
                           level_stops=["gtol", "max-iter"], grad_norm=1e-3)
     with pytest.raises(NonConvergence, match=r"a=1: level 1 \(64 segments\) stopped on max-iter"):
         cli._require_converged("fake-check", res, where="a=1: ")
+
+
+def test_unconverged_annulus_infimum_fails_scan_with_named_reason(tmp_path, monkeypatch):
+    infimum = estimates.infimum_over_annulus
+
+    def unconverged(piece, r_lo, r_hi):
+        return dataclasses.replace(infimum(piece, r_lo, r_hi), converged=False, missed=(0.5, 0.625))
+
+    monkeypatch.setattr(estimates, "infimum_over_annulus", unconverged)
+    with pytest.raises(NonConvergence, match=r"^log-graph: annulus infimum over \(18\.1994, 54\.5982\): "
+                                             r"chart bracket \(0\.5, 0\.625\) hit the step cap"):
+        estimates.annulus_infima(example_fixture("log-graph"), np.exp(4.0) / 3.0, np.exp(4.0))
+    with pytest.raises(NonConvergence, match=r"^log-graph: annulus infimum over \(0, 403\.429\)"):
+        cli._check_curvature_sum_flat(cli.CheckContext(RunConfig()))
+    out = tmp_path / "out"
+    stdout = io.StringIO()
+    assert cli.run(RunConfig(suite="scan", out=str(out)), stdout=stdout, stderr=io.StringIO()) == 3
+    assert "scan-log-graph: NONCONVERGED (log-graph: annulus infimum over (" in stdout.getvalue()
+    assert not (out / "scan-log-graph.json").exists()
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_integrate():
+    src = str(Path(curvlab.__file__).resolve().parents[1])
+    code = ("import sys, curvlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 def test_saturating_bound_report_carries_grid():

@@ -100,16 +100,17 @@ def test_batched_calls_equal_single_point_calls(m):
 
 def test_riemann_makes_at_most_three_metric_calls():
     metric = ball_metric(1.0)
-    calls = []
-
-    def counting(x):
-        calls.append(np.shape(x))
-        return metric(x)
-
     x = np.array([0.2, -0.1, 0.3])
-    R = fdcheck.riemann_fd(counting, x)
-    assert len(calls) <= 3
-    assert np.array_equal(R, fdcheck.riemann_fd(metric, x))
+    for tensor in (fdcheck.riemann_fd, fdcheck.ricci_fd):
+        calls = []
+
+        def counting(y):
+            calls.append(np.shape(y))
+            return metric(y)
+
+        R = tensor(counting, x)
+        assert len(calls) <= 3, tensor.__name__
+        assert np.array_equal(R, tensor(metric, x))
 
 
 def test_fd_gradient_and_hessian_on_polynomial():
@@ -187,6 +188,22 @@ def test_sphere_mean_curvature_flat():
             metric, chart, dchart, d2chart, th, inward_ref=-chart(th)
         )
         assert np.isclose(H, 2.0 / rho, rtol=1e-6)
+
+
+def test_parametric_mean_curvature_makes_three_metric_calls():
+    chart, dchart, d2chart = sphere_chart(0.3)
+    metric = ball_metric(1.0)
+    calls = []
+
+    def counting(y):
+        calls.append(np.shape(y))
+        return metric(y)
+
+    th = np.array([1.2, 0.5])
+    H, nu = fdcheck.parametric_mean_curvature(counting, chart, dchart, d2chart, th, -chart(th))
+    assert len(calls) == 3
+    H_ref, nu_ref = fdcheck.parametric_mean_curvature(metric, chart, dchart, d2chart, th, -chart(th))
+    assert H == H_ref and np.array_equal(nu, nu_ref)
 
 
 def test_sphere_mean_curvature_hyperbolic():

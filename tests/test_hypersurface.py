@@ -377,3 +377,58 @@ def test_annulus_infimum_log_graph_matches_direct_scan():
     assert np.isclose(res.value, direct, rtol=1e-6)
     dist = float(np.linalg.norm(res.point))
     assert R / 3.0 <= dist <= R
+
+
+def test_annulus_infimum_log_graph_equals_exact_cut_value():
+    from scipy.optimize import brentq
+
+    graph = example_fixture("log-graph").pieces[0]
+    R = np.exp(7.0)
+    res = infimum_over_annulus(graph, R / 3.0, R)
+    # curvature decreases in x, so the infimum is the limit at the outer cut
+    x_cut = brentq(lambda x: np.linalg.norm(graph.chart_points(np.array([x]))[0]) - R, 3.0, 2e6)
+    oracle = float(graph.h_exact(np.array([x_cut]))[0])
+    assert abs(res.value - oracle) <= 1e-12 * oracle
+    assert res.converged
+
+
+def test_annulus_infimum_revolution_takes_the_cut_value():
+    trumpet = example_fixture("revolution-r4").pieces[0]
+    for R in np.exp([4.0, 7.0, 10.0]):
+        res = infimum_over_annulus(trumpet, R / 3.0, R)
+        assert R * (1.0 - 1e-9) <= np.linalg.norm(res.point) <= R
+        assert res.value == float(trumpet.mean_curvature(res.point[None])[0])
+        assert res.converged
+
+
+def test_annulus_infimum_work_guard(monkeypatch):
+    """One pass: the distance table, the cut bisection and one local table."""
+    graph = example_fixture("log-graph").pieces[0]
+    distance = SpaceForm.distance
+    points = []
+
+    def counting(self, p, q):
+        d = distance(self, p, q)
+        points.append(np.size(d))
+        return d
+
+    monkeypatch.setattr(SpaceForm, "distance", counting)
+    R = np.exp(10.0)
+    res = infimum_over_annulus(graph, R / 3.0, R)
+    assert sum(points) <= 8000
+    assert res.converged
+
+
+def test_annulus_infimum_two_intervals_hyperbolic_arc():
+    fx = example_fixture("hyperbolic-equidistant", a=1.0, dim=3)
+    piece = fx.pieces[0]
+    r_lo, r_hi = 16.0 / 3.0, 16.0
+    origin = np.zeros(3)
+    ts = np.linspace(*piece.chart_box, 100_001)
+    d = fx.space.distance(origin, piece.chart_points(ts))
+    inside = (d > r_lo) & (d < r_hi)
+    assert np.count_nonzero(np.diff(inside.astype(int)) == 1) == 2  # two intervals
+    res = infimum_over_annulus(piece, r_lo, r_hi)
+    assert res.converged
+    assert np.isclose(res.value, fx.params["H"], rtol=1e-12)
+    assert r_lo <= float(fx.space.distance(origin, res.point)) <= r_hi
