@@ -338,10 +338,17 @@ def _law_spaces():
     ]
 
 
-def _random_factor(rng, dim, scale=0.25):
+def _factor_draw(rng, dim, scale=0.25):
+    """(a, B, c) of one random ExpQuadraticField."""
     a = rng.normal(size=dim) * scale
     M = rng.normal(size=(dim, dim)) * scale
-    return ExpQuadraticField(a=a, B=0.5 * (M + M.T), c=float(rng.normal() * 0.1))
+    return a, 0.5 * (M + M.T), rng.normal() * 0.1
+
+
+def _stacked(samples, draw):
+    """One array per item of the tuple draw() returns, stacked over
+    ``samples`` calls; drawing one sample at a time keeps the rng order."""
+    return [np.array(col) for col in zip(*(draw() for _ in range(samples)))]
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +356,16 @@ def _random_factor(rng, dim, scale=0.25):
 # ---------------------------------------------------------------------------
 
 
-def _fd_law_check(ctx, cid, spaces, sample_error, **inputs):
+def _fd_law_check(ctx, cid, spaces, errors, **inputs):
     """Worst relative error of a transformation law against its fdcheck
-    oracle, per space over ``samples`` random draws of sample_error(rng, space)."""
+    oracle, per space over the ``samples`` random draws that
+    errors(rng, space, samples) evaluates as one stack."""
     rng = ctx.rng(cid)
     samples = ctx.grid("samples")
     per = {}
     for label, space in spaces:
         # np.max, unlike max(), propagates a NaN sample error
-        per[label] = float(np.max([sample_error(rng, space) for _ in range(samples)]))
+        per[label] = float(np.max(errors(rng, space, samples)))
     return _ratio_report(
         cid,
         {"fd_relative_error": (float(np.max(list(per.values()))), ctx.tol("fd_rel"))},
@@ -366,39 +374,46 @@ def _fd_law_check(ctx, cid, spaces, sample_error, **inputs):
     )
 
 
-def _connection_error(rng, space):
+def _relative(got, ref):
+    return np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)
+
+
+def _connection_error(rng, space, samples):
+    m = space.dim
+    a, B, c, x, X, Y = _stacked(samples, lambda: (
+        *_factor_draw(rng, m), rng.uniform(-0.3, 0.3, size=m),
+        rng.normal(size=m), rng.normal(size=m)))
+    u = ExpQuadraticField(a=a, B=B, c=c)
+    metric = conformal.coordinate_metric(space, u)
     flat_metric = conformal.coordinate_metric(space, ConstantField(1.0))
-    u = _random_factor(rng, space.dim)
-    metric = conformal.coordinate_metric(space, u)
-    x = rng.uniform(-0.3, 0.3, size=space.dim)
-    X = rng.normal(size=space.dim)
-    Y = rng.normal(size=space.dim)
     gap = fdcheck.christoffels_fd(metric, x) - fdcheck.christoffels_fd(flat_metric, x)
-    ref = np.einsum("kij,i,j->k", gap, X, Y)
+    ref = np.einsum("...kij,...i,...j->...k", gap, X, Y)
     got = conformal.connection_difference(space, u, x, X, Y)
-    return float(np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1.0))
+    return np.linalg.norm(got - ref, axis=-1) / np.maximum(np.linalg.norm(ref, axis=-1), 1.0)
 
 
-def _sectional_error(rng, space):
-    u = _random_factor(rng, space.dim)
-    metric = conformal.coordinate_metric(space, u)
-    x = rng.uniform(-0.3, 0.3, size=space.dim)
-    F = gram_schmidt_frame(space, x, seed=rng.normal(size=(space.dim, space.dim)))
-    got = conformal.sectional_numerator(space, u, x, F[0], F[1])
-    uv = float(u.value(x))
-    ref = fdcheck.sectional_fd(metric, x, uv * F[0], uv * F[1])
-    return abs(got - ref) / max(abs(ref), 1.0)
+def _frame_draw(rng, space, samples):
+    """Stacked random factor, points and g-orthonormal frames (samples, m, m)."""
+    m = space.dim
+    a, B, c, x, seed = _stacked(samples, lambda: (
+        *_factor_draw(rng, m), rng.uniform(-0.3, 0.3, size=m), rng.normal(size=(m, m))))
+    return ExpQuadraticField(a=a, B=B, c=c), x, gram_schmidt_frame(space, x, seed=seed)
 
 
-def _ricci_error(rng, space):
-    u = _random_factor(rng, space.dim)
-    metric = conformal.coordinate_metric(space, u)
-    x = rng.uniform(-0.3, 0.3, size=space.dim)
-    F = gram_schmidt_frame(space, x, seed=rng.normal(size=(space.dim, space.dim)))
-    got = conformal.ricci_formula(space, u, x, F[0])
-    uv = float(u.value(x))
-    ref = fdcheck.ricci_quadratic_fd(metric, x, uv * F[0])
-    return abs(got - ref) / max(abs(ref), 1.0)
+def _sectional_error(rng, space, samples):
+    u, x, F = _frame_draw(rng, space, samples)
+    got = conformal.sectional_numerator(space, u, x, F[:, 0], F[:, 1])
+    uv = u.value(x)[:, None]
+    ref = fdcheck.sectional_fd(conformal.coordinate_metric(space, u), x, uv * F[:, 0], uv * F[:, 1])
+    return _relative(got, ref)
+
+
+def _ricci_error(rng, space, samples):
+    u, x, F = _frame_draw(rng, space, samples)
+    got = conformal.ricci_formula(space, u, x, F[:, 0])
+    uv = u.value(x)[:, None]
+    ref = fdcheck.ricci_quadratic_fd(conformal.coordinate_metric(space, u), x, uv * F[:, 0])
+    return _relative(got, ref)
 
 
 def _check_connection_law(ctx):
@@ -417,48 +432,51 @@ _SPHERE_RADIUS = 0.35
 
 
 def _sphere_chart(s):
+    """Coordinate sphere of radius s: chart, Jacobian (..., 3, 2) and second
+    derivatives (..., 2, 2, 3) at polar and azimuthal angles th (..., 2)."""
+
     def chart(th):
-        t, p = th
-        return s * np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
+        t, p = th[..., 0], th[..., 1]
+        return s * np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
 
     def dchart(th):
-        t, p = th
-        return s * np.array(
-            [
-                [np.cos(t) * np.cos(p), -np.sin(t) * np.sin(p)],
-                [np.cos(t) * np.sin(p), np.sin(t) * np.cos(p)],
-                [-np.sin(t), 0.0],
-            ]
-        )
+        t, p = th[..., 0], th[..., 1]
+        rows = [
+            [np.cos(t) * np.cos(p), -np.sin(t) * np.sin(p)],
+            [np.cos(t) * np.sin(p), np.sin(t) * np.cos(p)],
+            [-np.sin(t), np.zeros_like(t)],
+        ]
+        return s * np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
     def d2chart(th):
-        t, p = th
-        dtt = s * np.array([-np.sin(t) * np.cos(p), -np.sin(t) * np.sin(p), -np.cos(t)])
-        dtp = s * np.array([-np.cos(t) * np.sin(p), np.cos(t) * np.cos(p), 0.0])
-        dpp = s * np.array([-np.sin(t) * np.cos(p), -np.sin(t) * np.sin(p), 0.0])
-        return np.array([[dtt, dtp], [dtp, dpp]])
+        t, p = th[..., 0], th[..., 1]
+        dtt = s * np.stack([-np.sin(t) * np.cos(p), -np.sin(t) * np.sin(p), -np.cos(t)], axis=-1)
+        dtp = s * np.stack([-np.cos(t) * np.sin(p), np.cos(t) * np.cos(p), np.zeros_like(t)], axis=-1)
+        dpp = s * np.stack([-np.sin(t) * np.cos(p), -np.sin(t) * np.sin(p), np.zeros_like(t)], axis=-1)
+        return np.stack([np.stack([dtt, dtp], axis=-2), np.stack([dtp, dpp], axis=-2)], axis=-3)
 
     return chart, dchart, d2chart
 
 
-def _mean_curvature_error(rng, space):
+def _mean_curvature_error(rng, space, samples):
     s = _SPHERE_RADIUS
     chart, dchart, d2chart = _sphere_chart(s)
     if space.hyperbolic:
         H_g = 2.0 / np.tanh(2.0 * np.arctanh(s))
     else:
         H_g = 2.0 / s
-    u = _random_factor(rng, 3, scale=0.2)
+    a, B, c, th = _stacked(samples, lambda: (
+        *_factor_draw(rng, 3, scale=0.2),
+        (rng.uniform(0.4, 2.7), rng.uniform(0.0, 2.0 * np.pi))))
+    u = ExpQuadraticField(a=a, B=B, c=c)
     metric = conformal.coordinate_metric(space, u)
-    th = np.array([rng.uniform(0.4, 2.7), rng.uniform(0.0, 2.0 * np.pi)])
     x = chart(th)
-    w = float(space.ambient_factor(x))
-    nu_g = -x / s * w
+    nu_g = -x / s * space.ambient_factor(x)[:, None]
     got = conformal.mean_curvature_formula(space, u, x, H_g=H_g, nu=nu_g)
     ref, _ = fdcheck.parametric_mean_curvature(
         metric, chart, dchart, d2chart, th, inward_ref=-x
     )
-    return abs(got - ref) / max(abs(ref), 1.0)
+    return _relative(got, ref)
 
 
 def _check_mean_curvature_law(ctx):
@@ -479,15 +497,19 @@ def _check_poincare_recovery(ctx):
     for dim in (2, 3, 4):
         space = SpaceForm(dim, 0.0)
         u = BallFactorField(kappa=1.0)
-        for _ in range(max(8, ctx.grid("samples") // 5)):
+
+        def draw():
             x = rng.uniform(-0.6, 0.6, size=dim)
             r = np.linalg.norm(x)
             if r > 0.85:
                 x *= 0.85 / r
-            F = gram_schmidt_frame(space, x, seed=rng.normal(size=(dim, dim)))
-            for k in range(dim):
-                ric = conformal.ricci_formula(space, u, x, F[k])
-                worst_ric = np.maximum(worst_ric, abs(ric + (dim - 1)))
+            return x, rng.normal(size=(dim, dim))
+
+        x, seed = _stacked(max(8, ctx.grid("samples") // 5), draw)
+        F = gram_schmidt_frame(space, x, seed=seed)
+        # every frame vector, each at its own point
+        ric = conformal.ricci_formula(space, u, np.repeat(x, dim, axis=0), F.reshape(-1, dim))
+        worst_ric = np.maximum(worst_ric, np.max(np.abs(ric + (dim - 1))))
     worst_sph = 0.0
     for dim in (2, 3):
         space = SpaceForm(dim, 1.0)

@@ -7,6 +7,11 @@ test suite and the "conformal" CLI suite with a finite-difference oracle from
 share no code path: formulas live here, derivatives of the coordinate metric
 live there.
 
+``directional``, ``connection_difference``, ``sectional_numerator``,
+``ricci_formula`` and ``mean_curvature_formula`` take stacks: points x (..., m)
+with vectors (..., m) and, for a stacked ``ExpQuadraticField``, a factor whose
+parameter stack pairs with the leading axis of x, give one value per point.
+
 Conventions: vectors named e, ei, ej are g-unit (the corresponding
 tilde-metric unit vectors are u e); H denotes scalar mean curvature with
 respect to a chosen g-unit normal nu, and the transformed curvature is
@@ -42,9 +47,9 @@ def coordinate_metric(space: SpaceForm, u: ScalarField):
     return metric
 
 
-def directional(space: SpaceForm, u: ScalarField, x, X) -> float:
+def directional(space: SpaceForm, u: ScalarField, x, X) -> np.ndarray:
     """X u = du(X), the coordinate pairing (no metric involved)."""
-    return float(np.sum(u.gradient(x) * np.asarray(X, dtype=float), axis=-1))
+    return np.sum(u.gradient(x) * np.asarray(X, dtype=float), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +64,10 @@ def connection_difference(space: SpaceForm, u: ScalarField, x, X, Y) -> np.ndarr
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    uv = float(u.value(x))
-    Xu = directional(space, u, x, X)
-    Yu = directional(space, u, x, Y)
-    gXY = float(space.inner(x, X, Y))
+    uv = u.value(x)[..., None]
+    Xu = directional(space, u, x, X)[..., None]
+    Yu = directional(space, u, x, Y)[..., None]
+    gXY = space.inner(x, X, Y)[..., None]
     return -(Xu * Y + Yu * X - gXY * grad_g(space, u, x)) / uv
 
 
@@ -89,35 +94,31 @@ def christoffels_formula(space: SpaceForm, u: ScalarField, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sectional_numerator(space: SpaceForm, u: ScalarField, x, ei, ej) -> float:
+def sectional_numerator(space: SpaceForm, u: ScalarField, x, ei, ej) -> np.ndarray:
     """R-tilde(u ei, u ej, u ej, u ei) for g-orthonormal ei, ej.
 
     Equals u^2 K_g + u (Hess u(ei, ei) + Hess u(ej, ej)) - |grad u|_g^2 with
     K_g = -kappa^2 the ambient sectional curvature.
     """
-    uv = float(u.value(x))
+    uv = u.value(x)
     hii = hess_g_apply(space, u, x, ei, ei)
     hjj = hess_g_apply(space, u, x, ej, ej)
-    return (
-        -(space.kappa**2) * uv * uv
-        + uv * (hii + hjj)
-        - float(grad_norm2_g(space, u, x))
-    )
+    return -(space.kappa**2) * uv * uv + uv * (hii + hjj) - grad_norm2_g(space, u, x)
 
 
-def ricci_formula(space: SpaceForm, u: ScalarField, x, e) -> float:
+def ricci_formula(space: SpaceForm, u: ScalarField, x, e) -> np.ndarray:
     """Ric-tilde(u e, u e) for a g-unit vector e.
 
     u^2 Ric_g(e, e) + u Lap_g u + (m - 2) u Hess u(e, e) - (m - 1) |grad u|_g^2,
     with Ric_g(e, e) = -(m - 1) kappa^2 on the background.
     """
     m = space.dim
-    uv = float(u.value(x))
+    uv = u.value(x)
     return (
         -(m - 1) * space.kappa**2 * uv * uv
-        + uv * float(laplacian_g(space, u, x))
+        + uv * laplacian_g(space, u, x)
         + (m - 2) * uv * hess_g_apply(space, u, x, e, e)
-        - (m - 1) * float(grad_norm2_g(space, u, x))
+        - (m - 1) * grad_norm2_g(space, u, x)
     )
 
 
@@ -125,8 +126,7 @@ def mean_curvature_formula(space: SpaceForm, u: ScalarField, x, H_g, nu) -> np.n
     """H-tilde with respect to the tilde-unit normal u nu.
 
     H-tilde = u H_g + (m - 1) <grad u, nu>_g for the g-unit normal nu with
-    the same orientation. Points x (..., m) may be batched, with H_g (...)
-    and nu (..., m) matching.
+    the same orientation; H_g (...) and nu (..., m) match the points.
     """
     uv = u.value(x)
     grad_nu = space.inner(x, grad_g(space, u, x), nu)

@@ -4,7 +4,13 @@ Every conformal factor in the lab flows through the small ``ScalarField``
 interface: ``value``, ``gradient`` (coordinate partials), ``hessian``
 (coordinate second partials). Derivatives are analytic by construction, so the
 finite-difference machinery in ``fdcheck`` stays independent of the formulas
-it audits. All methods are vectorized over a leading batch axis.
+it audits. All methods are vectorized over leading batch axes: points (..., m)
+give values (...), gradients (..., m) and Hessians (..., m, m).
+
+``ExpQuadraticField`` also stacks its parameters: a field built from a (S, m),
+B (S, m, m) and c (S,) is S fields at once, and its points (S, ..., m) pair
+field s with the points x[s]. Its sums run in index order, so a point gets the
+same bits alone, inside a batch and inside a stack.
 
 Radial profiles are stored as smooth functions of q = r^2. That single choice
 removes every removable singularity at r = 0: u'(r)/r = 2*du/dq is a plain
@@ -72,39 +78,53 @@ class BallFactorField:
         return -self.kappa * _eye_like(x)
 
 
+def _fold_dot(u, v):
+    """sum_i u[..., i] v[..., i], added in index order. einsum and matmul pick
+    their summation order from the array layout, so they can round a point
+    differently alone and inside a batch; this cannot."""
+    out = u[..., 0] * v[..., 0]
+    for i in range(1, u.shape[-1]):
+        out = out + u[..., i] * v[..., i]
+    return out
+
+
 @dataclass(frozen=True)
 class ExpQuadraticField:
     """u = exp(c + a.x + x.B x / 2); strictly positive, fully analytic.
 
     The workhorse for randomized oracle points: curvature transformation laws
     get audited against finite differences with these as the conformal factor.
+    B is symmetric. Stacked parameters a (S, m), B (S, m, m), c (S,) make S
+    fields whose leading axis pairs with the leading axis of the points.
     """
 
     a: np.ndarray
     B: np.ndarray
     c: float = 0.0
 
-    def _exponent(self, x):
-        # a.x as one dot per point: a batched x @ a rounds differently from
-        # the dot of a single point
-        ax = (x[..., None, :] @ self.a[:, None])[..., 0, 0]
-        return self.c + ax + 0.5 * np.einsum("...i,ij,...j->...", x, self.B, x)
+    def _terms(self, x):
+        """(u, a + Bx, B) at points x, with B shaped to broadcast against x."""
+        a = np.asarray(self.a, dtype=float)
+        m = a.shape[-1]
+        # one field: a (m,); a stack: a (S, m), paired with the first axis of x
+        shape = a.shape[:-1] + (1,) * (x.ndim - a.ndim)
+        a = a.reshape(shape + (m,))
+        B = np.reshape(self.B, shape + (m, m))
+        Bx = _fold_dot(B, x[..., None, :])
+        exponent = np.reshape(self.c, shape) + _fold_dot(a, x) + 0.5 * _fold_dot(x, Bx)
+        return np.exp(exponent), a + Bx, B
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(self._exponent(x))
+        return self._terms(np.asarray(x, dtype=float))[0]
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        lin = self.a + x @ self.B
-        return self.value(x)[..., None] * lin
+        u, lin, _ = self._terms(np.asarray(x, dtype=float))
+        return u[..., None] * lin
 
     def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        u = self.value(x)
-        lin = self.a + x @ self.B
+        u, lin, B = self._terms(np.asarray(x, dtype=float))
         outer = lin[..., :, None] * lin[..., None, :]
-        return u[..., None, None] * (outer + self.B)
+        return u[..., None, None] * (outer + B)
 
 
 @dataclass(frozen=True)

@@ -372,16 +372,21 @@ def grad_norm2_g(space: SpaceForm, u: ScalarField, x) -> np.ndarray:
 
 def gram_schmidt_frame(space: SpaceForm, x, seed: Optional[np.ndarray] = None) -> np.ndarray:
     """g-orthonormal frame at x, rows = vectors, Gram-Schmidt from ``seed``
-    (defaults to the coordinate basis)."""
+    (defaults to the coordinate basis). Points x (..., m) with seeds
+    (..., m, m) give frames (..., m, m); one degenerate seed in the stack
+    raises."""
+    x = np.asarray(x, dtype=float)
     m = space.dim
-    basis = np.eye(m) if seed is None else np.array(seed, dtype=float, copy=True)
-    out = np.zeros((m, m))
+    if seed is None:
+        seed = np.broadcast_to(np.eye(m), x.shape[:-1] + (m, m))
+    basis = np.asarray(seed, dtype=float)
+    out = np.zeros(basis.shape)
     for i in range(m):
-        v = basis[i].copy()
+        v = basis[..., i, :].copy()
         for j in range(i):
-            v -= float(space.inner(x, v, out[j])) * out[j]
-        nv = float(space.norm(x, v))
-        if nv < 1e-13:
+            v -= space.inner(x, v, out[..., j, :])[..., None] * out[..., j, :]
+        nv = space.norm(x, v)
+        if np.any(nv < 1e-13):
             raise ValueError("degenerate frame seed")
-        out[i] = v / nv
+        out[..., i, :] = v / nv[..., None]
     return out

@@ -241,6 +241,11 @@ def j_values(inputs: JInputs) -> Tuple[np.ndarray, np.ndarray]:
     the expressions stay finite at r = 0 where both J's tend to the common
     value -n u''(0) (= 4 n R^-2 for the quartic cutoff).
     """
+    return _j1(inputs), _j2(inputs)
+
+
+def _radial_terms(inputs: JInputs):
+    """(n, S, P, D, r_T^2, r_N^2) of ``j_values``; S, P, D depend on r alone."""
     space = inputs.space
     prof = inputs.profile
     r = inputs.r
@@ -257,9 +262,17 @@ def j_values(inputs: JInputs) -> Tuple[np.ndarray, np.ndarray]:
         extra = prof.d1(r) * k * coth_minus_inv(k * r)
         P = P + extra
         D = D - extra
-    J1 = n * (S * rN2 - P) - n * D * rT2
-    J2 = n * (S * rT2 - P) - D * rN2
-    return J1, J2
+    return n, S, P, D, rT2, rN2
+
+
+def _j1(inputs: JInputs) -> np.ndarray:
+    n, S, P, D, rT2, rN2 = _radial_terms(inputs)
+    return n * (S * rN2 - P) - n * D * rT2
+
+
+def _j2(inputs: JInputs) -> np.ndarray:
+    n, S, P, D, rT2, rN2 = _radial_terms(inputs)
+    return n * (S * rT2 - P) - D * rN2
 
 
 @dataclass
@@ -311,9 +324,11 @@ def crucial_bounds_scan(
     prof = quartic_cutoff_profile(R)
     r = np.linspace(0.0, R, n_r)
     rt = np.linspace(-1.0, 1.0, n_t)
-    # j_values is pointwise, so broadcasting a column of radii against a row
-    # of r_T fills the (n_r, n_t) grid without materializing coordinate grids
-    J1, J2 = j_values(JInputs(space, prof, r[:, None], rt[None, :]))
+    # J1 and J2 are pointwise, so broadcasting a column of radii against a row
+    # of r_T fills the (n_r, n_t) grid without materializing coordinate grids;
+    # only the hyperbolic model bounds J1
+    inputs = JInputs(space, prof, r[:, None], rt[None, :])
+    J2 = _j2(inputs)
 
     scan = BoundsScan(model=model, n=n, R=R, n_r=n_r, n_t=n_t)
     scan.j2_max = float(J2.max())
@@ -334,6 +349,7 @@ def crucial_bounds_scan(
         record("j2_upper", base - J2, base, J2)
     else:
         low = -8.0 * n / R**2
+        J1 = _j1(inputs)
         record("j1_lower", J1 - low, low, J1)
         bound2 = base - n * prof.d1(r[:, None])
         record("j2_upper", bound2 - J2, bound2, J2)

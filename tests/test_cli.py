@@ -315,18 +315,47 @@ def test_ratio_report_fails_on_nan_error():
 def test_fd_law_check_fails_on_nan_sample():
     # the NaN is neither the first sample nor in the first space, where a
     # plain max() would drop it
-    errors = iter([1e-6, 2e-6, 1e-6, float("nan"), 3e-6, 1e-6])
+    errors = iter([[1e-6, 2e-6, 1e-6], [float("nan"), 3e-6, 1e-6]])
 
-    def sample_error(rng, space):
-        return next(errors)
+    def sample_errors(rng, space, samples):
+        return np.array(next(errors))
 
     ctx = cli.CheckContext(RunConfig(grids={"samples": 3}))
     spaces = [("first", SpaceForm(2, 0.0)), ("second", SpaceForm(2, 1.0))]
-    rep = cli._fd_law_check(ctx, "fake-law", spaces, sample_error)
+    rep = cli._fd_law_check(ctx, "fake-law", spaces, sample_errors)
     assert not rep.passed
     assert rep.grid["non_finite_parts"] == ["fd_relative_error"]
     assert rep.grid["per_space"]["first"] == 2e-6
     assert np.isnan(rep.grid["per_space"]["second"])
+
+
+@pytest.mark.parametrize(
+    "cid", ["connection-law-fd", "sectional-law-fd", "ricci-law-fd", "mean-curvature-law-fd"]
+)
+def test_fd_law_metric_calls_do_not_grow_with_samples(monkeypatch, cid):
+    """Each space's samples go through the oracle as one stack, so the
+    metric calls per space are the same for 3 samples and for 30."""
+    real = cli.conformal.coordinate_metric
+
+    def calls_per_space(samples):
+        calls = {}
+
+        def counting(space, u):
+            metric = real(space, u)
+
+            def counted(x):
+                calls[space] = calls.get(space, 0) + 1
+                return metric(x)
+
+            return counted
+
+        monkeypatch.setattr(cli.conformal, "coordinate_metric", counting)
+        ctx = cli.CheckContext(RunConfig(grids={"samples": samples}))
+        assert cli.CHECKS[cid].fn(ctx).passed
+        return calls
+
+    few = calls_per_space(3)
+    assert few and few == calls_per_space(30)
 
 
 def _nan_ricci(monkeypatch):

@@ -122,8 +122,10 @@ def test_mean_curvature_law_sphere_to_hyperbolic():
 
 
 def test_mean_curvature_law_batches_pointwise():
-    """An (N, dim) batch of points, curvatures and normals gives the
-    per-point values, hyperbolic background, random factor."""
+    """An (N, dim) batch of points, curvatures, normals and frame vectors
+    gives the per-point values of the mean-curvature, connection, sectional
+    and Ricci laws, hyperbolic background, random factor; a stack of N
+    factors, one per point, gives each factor's value at its point."""
     space = SpaceForm(3, 1.0)
     rng = np.random.default_rng(405)
     u = positive_factor(rng, 3)
@@ -134,6 +136,25 @@ def test_mean_curvature_law_batches_pointwise():
     assert got.shape == (7,)
     each = [mean_curvature_formula(space, u, p, h, v) for p, h, v in zip(x, H_g, nu)]
     np.testing.assert_allclose(got, each, rtol=1e-14, atol=0.0)
+
+    F = gram_schmidt_frame(space, x, seed=rng.normal(size=(7, 3, 3)))
+    X, Y = rng.normal(size=(2, 7, 3))
+    factors = [positive_factor(rng, 3) for _ in range(7)]
+    stack = ExpQuadraticField(
+        a=np.array([f.a for f in factors]), B=np.array([f.B for f in factors]),
+        c=np.array([f.c for f in factors]),
+    )
+    laws = [
+        (connection_difference, (X, Y)),
+        (sectional_numerator, (F[:, 0], F[:, 1])),
+        (ricci_formula, (F[:, 0],)),
+    ]
+    for law, vecs in laws:
+        for field, fields in ((u, [u] * 7), (stack, factors)):
+            got = law(space, field, x, *vecs)
+            assert got.shape == x.shape[: 2 if law is connection_difference else 1]
+            each = [law(space, f, x[i], *(v[i] for v in vecs)) for i, f in enumerate(fields)]
+            np.testing.assert_allclose(got, each, rtol=1e-14, atol=0.0, err_msg=law.__name__)
 
 
 def test_mean_curvature_law_against_parametric_fd():

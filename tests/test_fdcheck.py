@@ -97,6 +97,43 @@ def test_batched_calls_equal_single_point_calls(m):
     stack = fdcheck.christoffels_fd(metric, pts.reshape(1, 5, m))
     assert np.array_equal(stack[0], Gam)
 
+    X, Y = rng.normal(size=(2, 5, m))
+    R = fdcheck.riemann_fd(metric, pts)
+    ric = fdcheck.ricci_fd(metric, pts)
+    K = fdcheck.sectional_fd(metric, pts, X, Y)
+    q = fdcheck.ricci_quadratic_fd(metric, pts, X)
+    assert R.shape == (5, m, m, m, m) and ric.shape == (5, m, m)
+    assert K.shape == q.shape == (5,)
+    for p, x in enumerate(pts):
+        assert np.array_equal(R[p], fdcheck.riemann_fd(metric, x))
+        assert np.array_equal(ric[p], fdcheck.ricci_fd(metric, x))
+        assert K[p] == fdcheck.sectional_fd(metric, x, X[p], Y[p])
+        assert q[p] == fdcheck.ricci_quadratic_fd(metric, x, X[p])
+
+    G = metric(pts)
+    J = rng.normal(size=(5, m, m - 1))
+    ref = rng.normal(size=(5, m))
+    nu = fdcheck.metric_normal(G, J, ref)
+    for p in range(5):
+        assert np.array_equal(nu[p], fdcheck.metric_normal(G[p], J[p], ref[p]))
+
+    chart, dchart, d2chart = circle_chart(0.8) if m == 2 else sphere_chart(0.3)
+    th = rng.uniform(0.4, 2.7, size=(5, m - 1))
+    H, nus = fdcheck.parametric_mean_curvature(metric, chart, dchart, d2chart, th, -chart(th))
+    assert H.shape == (5,) and nus.shape == (5, m)
+    for p, t in enumerate(th):
+        H1, nu1 = fdcheck.parametric_mean_curvature(metric, chart, dchart, d2chart, t, -chart(t))
+        assert H[p] == H1 and np.array_equal(nus[p], nu1)
+
+
+def test_stacked_metric_normal_raises_on_any_degenerate_tangent_space():
+    G = np.broadcast_to(np.eye(2), (3, 2, 2))
+    J = np.zeros((3, 2, 2))
+    J[:, 0, 0] = 1.0
+    J[1, 1, 1] = 1.0  # the second tangent space spans the plane
+    with pytest.raises(ValueError, match="degenerate tangent space"):
+        fdcheck.metric_normal(G, J, np.ones((3, 2)))
+
 
 def test_riemann_makes_at_most_three_metric_calls():
     metric = ball_metric(1.0)
@@ -130,33 +167,36 @@ def test_fd_gradient_and_hessian_on_polynomial():
 
 
 def circle_chart(rho):
-    chart = lambda th: rho * np.array([np.cos(th[0]), np.sin(th[0])])
-    dchart = lambda th: rho * np.array([[-np.sin(th[0])], [np.cos(th[0])]])
-    d2chart = lambda th: rho * np.array([[[-np.cos(th[0]), -np.sin(th[0])]]])
+    """Circle of radius rho at angles th (..., 1)."""
+    chart = lambda th: rho * np.stack([np.cos(th[..., 0]), np.sin(th[..., 0])], axis=-1)
+    dchart = lambda th: rho * np.stack([-np.sin(th[..., 0]), np.cos(th[..., 0])], axis=-1)[..., None]
+    d2chart = lambda th: -chart(th)[..., None, None, :]
     return chart, dchart, d2chart
 
 
 def sphere_chart(rho):
+    """Sphere of radius rho at polar and azimuthal angles th (..., 2)."""
+
     def chart(th):
-        t, p = th
-        return rho * np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
+        t, p = th[..., 0], th[..., 1]
+        return rho * np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
 
     def dchart(th):
-        t, p = th
-        return rho * np.array(
-            [
-                [np.cos(t) * np.cos(p), -np.sin(t) * np.sin(p)],
-                [np.cos(t) * np.sin(p), np.sin(t) * np.cos(p)],
-                [-np.sin(t), 0.0],
-            ]
-        )
+        t, p = th[..., 0], th[..., 1]
+        rows = [
+            [np.cos(t) * np.cos(p), -np.sin(t) * np.sin(p)],
+            [np.cos(t) * np.sin(p), np.sin(t) * np.cos(p)],
+            [-np.sin(t), np.zeros_like(t)],
+        ]
+        return rho * np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
     def d2chart(th):
-        t, p = th
-        dtt = rho * np.array([-np.sin(t) * np.cos(p), -np.sin(t) * np.sin(p), -np.cos(t)])
-        dtp = rho * np.array([-np.cos(t) * np.sin(p), np.cos(t) * np.cos(p), 0.0])
-        dpp = rho * np.array([-np.sin(t) * np.cos(p), -np.sin(t) * np.sin(p), 0.0])
-        return np.array([[dtt, dtp], [dtp, dpp]])
+        t, p = th[..., 0], th[..., 1]
+        zero = np.zeros_like(t)
+        dtt = rho * np.stack([-np.sin(t) * np.cos(p), -np.sin(t) * np.sin(p), -np.cos(t)], axis=-1)
+        dtp = rho * np.stack([-np.cos(t) * np.sin(p), np.cos(t) * np.cos(p), zero], axis=-1)
+        dpp = rho * np.stack([-np.sin(t) * np.cos(p), -np.sin(t) * np.sin(p), zero], axis=-1)
+        return np.stack([np.stack([dtt, dtp], axis=-2), np.stack([dtp, dpp], axis=-2)], axis=-3)
 
     return chart, dchart, d2chart
 

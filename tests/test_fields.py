@@ -57,6 +57,36 @@ def test_fields_vectorize_over_batches():
         assert np.allclose(hesses[i], field.hessian(x))
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-field", "stacked"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exp_quadratic_point_rounds_the_same_alone_and_in_a_batch(dim, stacked):
+    """Bitwise: a point alone, the same point inside a batch, and, for a
+    stack of fields, each field alone at its own points."""
+    rng = np.random.default_rng(31 + dim)
+    S, k = 60, 50
+    M = rng.normal(size=(S, dim, dim)) * 0.2
+    a = rng.normal(size=(S, dim)) * 0.3
+    B = 0.5 * (M + np.swapaxes(M, -1, -2))
+    c = rng.normal(size=S) * 0.1
+    xs = rng.uniform(-1.0, 1.0, size=(S, k, dim))
+    if stacked:
+        field = ExpQuadraticField(a=a, B=B, c=c)
+        singles = [ExpQuadraticField(a=a[s], B=B[s], c=c[s]) for s in range(S)]
+    else:
+        field = ExpQuadraticField(a=a[0], B=B[0], c=float(c[0]))
+        singles = [field] * S
+    vals, grads, hesses = field.value(xs), field.gradient(xs), field.hessian(xs)
+    assert vals.shape == (S, k) and hesses.shape == (S, k, dim, dim)
+    for s, one in enumerate(singles):
+        assert np.array_equal(vals[s], one.value(xs[s]))
+        assert np.array_equal(grads[s], one.gradient(xs[s]))
+        assert np.array_equal(hesses[s], one.hessian(xs[s]))
+        for j, x in enumerate(xs[s]):
+            assert vals[s, j] == one.value(x)
+            assert np.array_equal(grads[s, j], one.gradient(x))
+            assert np.array_equal(hesses[s, j], one.hessian(x))
+
+
 @pytest.mark.parametrize(
     "profile",
     [quartic_cutoff_profile(3.0), gaussian_profile(1.3), constant_profile(2.0)],

@@ -290,6 +290,20 @@ def test_gram_schmidt_frame_is_orthonormal():
         assert np.allclose(gram, np.eye(space.dim), atol=1e-11)
 
 
+def test_gram_schmidt_frame_stacks_points_and_seeds():
+    rng = np.random.default_rng(92)
+    space = SpaceForm(3, 1.0)
+    xs = np.array([ball_point(rng, 3, rmax=0.6) for _ in range(5)])
+    seeds = rng.normal(size=(5, 3, 3))
+    F = gram_schmidt_frame(space, xs, seed=seeds)
+    assert F.shape == (5, 3, 3)
+    for x, seed, frame in zip(xs, seeds, F):
+        np.testing.assert_allclose(frame, gram_schmidt_frame(space, x, seed=seed), rtol=1e-14, atol=1e-15)
+    seeds[3, 1] = 2.0 * seeds[3, 0]
+    with pytest.raises(ValueError, match="degenerate frame seed"):
+        gram_schmidt_frame(space, xs, seed=seeds)
+
+
 def test_radial_field_is_analytic_scalar_field():
     space = SpaceForm(dim=3, kappa=1.0)
     field = RadialField(space, np.array([0.2, 0.0, -0.1]), quartic_cutoff_profile(1.5))
