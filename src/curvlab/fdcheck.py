@@ -8,15 +8,15 @@ curvature of a parametric hypersurface comes out of the fundamental forms
 computed against G. The closed-form modules are then checked against these
 numbers in the test suite and the "conformal" CLI suite.
 
-Every function below the one-point ``fd_gradient`` and ``fd_hessian`` takes a
-stack: points (..., m), with vectors, charts and parameters stacked the same
-way, give one result per point. Each central difference evaluates its 2m
-shifted points in one metric call, and ``riemann_fd`` takes the Christoffel
-symbols at the points and at their 2m neighbours from one batched
-``christoffels_fd``: three metric calls per stack of Riemann or Ricci tensors,
-and three per stack of parametric mean curvatures. Every point keeps its own
-step h * max(1, |x|_inf). Contractions add their terms in index order, so a
-point gets the same bits alone and inside any stack.
+Apart from the one-point ``fd_gradient`` and ``fd_hessian``, every function
+takes a stack: points (..., m), with vectors, Jacobians and chart parameters
+stacked the same way, give one result per point. Each central difference
+evaluates its 2m shifted points in one metric call, and ``riemann_fd`` takes
+the Christoffel symbols at the points and at their 2m neighbours from one
+batched ``christoffels_fd``: three metric calls per stack of Riemann or Ricci
+tensors, and three per stack of parametric mean curvatures. Every point keeps
+its own step h * max(1, |x|_inf). Contractions add their terms in index
+order, so a point gets the same bits alone and inside any stack.
 
 Sign conventions (calibrated in tests against the ball model):
     R(X, Y, Y, X) = sectional curvature for g-orthonormal X, Y

@@ -63,7 +63,7 @@ def test_exp_quadratic_point_rounds_the_same_alone_and_in_a_batch(dim, stacked):
     """Bitwise: a point alone, the same point inside a batch, and, for a
     stack of fields, each field alone at its own points."""
     rng = np.random.default_rng(31 + dim)
-    S, k = 60, 50
+    S, k = 20, 50
     M = rng.normal(size=(S, dim, dim)) * 0.2
     a = rng.normal(size=(S, dim)) * 0.3
     B = 0.5 * (M + np.swapaxes(M, -1, -2))
