@@ -184,14 +184,15 @@ def metric_normal(G, jacobian, inward_ref):
     """G-unit normal to the column span of ``jacobian`` for the metric matrix
     G, oriented along ``inward_ref`` (coordinate vector, positive G-pairing).
     Stacks G (..., m, m), jacobian (..., m, k) and inward_ref (..., m) give
-    normals (..., m); one degenerate tangent space in the stack raises."""
+    normals (..., m); a tangent space of any rank but m - 1 anywhere in the
+    stack raises, as its normal direction is not unique."""
     G = np.asarray(G, dtype=float)
     m = G.shape[-1]
     Jt = np.swapaxes(np.asarray(jacobian, dtype=float), -1, -2)
     A = _fold(Jt[..., :, None, :] * G[..., None, :, :])  # (k, m); null space is the G-orthogonal complement
     _, s, vt = np.linalg.svd(A)
     nu = vt[..., -1, :]
-    if A.shape[-2] >= m and np.any(s[..., -1] > 1e-8 * s[..., 0]):
+    if np.any(np.sum(s > 1e-8 * s[..., :1], axis=-1) != m - 1):
         raise ValueError("degenerate tangent space")
     nu = nu / np.sqrt(_fold(nu * _apply(G, nu)))[..., None]
     flip = _fold(_apply(G, nu) * np.asarray(inward_ref, dtype=float)) < 0

@@ -422,13 +422,24 @@ def _revolution_fixture(t_min: float = 0.5, t_max: float = 0.95) -> Fixture:
     )
 
 
-def example_fixture(name: str, **kwargs) -> Fixture:
-    """Build a named boundary configuration.
+# the parameters each named fixture takes; ``dim`` is an integer, the rest floats
+FIXTURE_PARAMS = {
+    "hyperbolic-equidistant": ("a", "dim"),
+    "poincare-circles": ("a",),
+    "euclid-slab": ("d", "dim"),
+    "log-graph": ("x_min", "x_max"),
+    "revolution-r4": ("t_min", "t_max"),
+}
 
-    Names: "hyperbolic-equidistant" (a, dim), "poincare-circles" (a),
-    "euclid-slab" (d, dim), "log-graph" (x_min, x_max),
-    "revolution-r4" (t_min, t_max).
-    """
+
+def example_fixture(name: str, **kwargs) -> Fixture:
+    """Build a named boundary configuration from the parameters that
+    ``FIXTURE_PARAMS`` lists for it; any other keyword raises."""
+    if name not in FIXTURE_PARAMS:
+        raise ValueError(f"unknown fixture {name!r}")
+    for key in kwargs:
+        if key not in FIXTURE_PARAMS[name]:
+            raise ValueError(f"fixture {name!r} takes no parameter {key!r}")
     if name == "hyperbolic-equidistant":
         return _equidistant_fixture(kwargs.get("a", 1.0), kwargs.get("dim", 3))
     if name == "poincare-circles":
@@ -441,18 +452,7 @@ def example_fixture(name: str, **kwargs) -> Fixture:
         return _log_graph_fixture(
             kwargs.get("x_min", 3.0), kwargs.get("x_max", 2.0e6)
         )
-    if name == "revolution-r4":
-        return _revolution_fixture(kwargs.get("t_min", 0.5), kwargs.get("t_max", 0.95))
-    raise ValueError(f"unknown fixture {name!r}")
-
-
-FIXTURE_NAMES = (
-    "hyperbolic-equidistant",
-    "poincare-circles",
-    "euclid-slab",
-    "log-graph",
-    "revolution-r4",
-)
+    return _revolution_fixture(kwargs.get("t_min", 0.5), kwargs.get("t_max", 0.95))
 
 
 # ---------------------------------------------------------------------------

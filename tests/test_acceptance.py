@@ -17,8 +17,9 @@ from curvlab.hypersurface import example_fixture
 from curvlab.variation import TestFunction, crucial_bounds_scan, phi_calculus
 
 
-def _ctx():
-    return cli.CheckContext(RunConfig())
+def _run(cid):
+    """The registered check ``cid`` under the default configuration."""
+    return cli.CHECKS[cid].fn(cli.CheckContext(RunConfig(), cid))
 
 
 def _line(num, ok, detail):
@@ -35,12 +36,11 @@ def _observed(report, part):
 
 
 def test_criterion_01_conformal_law_oracles():
-    ctx = _ctx()
     reports = [
-        cli._check_connection_law(ctx),
-        cli._check_sectional_law(ctx),
-        cli._check_ricci_law(ctx),
-        cli._check_mean_curvature_law(ctx),
+        _run("connection-law-fd"),
+        _run("sectional-law-fd"),
+        _run("ricci-law-fd"),
+        _run("mean-curvature-law-fd"),
     ]
     errs = [_observed(r, "fd_relative_error") for r in reports]
     ok = all(e <= 1e-4 for e in errs)
@@ -55,7 +55,7 @@ def test_criterion_01_conformal_law_oracles():
 
 
 def test_criterion_02_poincare_recovery():
-    rep = cli._check_poincare_recovery(_ctx())
+    rep = _run("poincare-recovery")
     ric = _observed(rep, "ricci_constant_error")
     sph = _observed(rep, "sphere_mean_curvature_error")
     ok = ric <= 1e-4 and sph <= 1e-6
@@ -70,7 +70,7 @@ def test_criterion_02_poincare_recovery():
 
 
 def test_criterion_03_sharp_lens():
-    rep = cli._check_sharp_lens(_ctx())
+    rep = _run("sharp-lens")
     errs = {
         name: _observed(rep, name)
         for name in ("mean_curvature_error", "distance_error",
@@ -120,12 +120,11 @@ def _max_discrete_curvature(space, curve):
 
 
 def test_criterion_05_solver_and_curvature_law():
-    ctx = _ctx()
-    slab = cli._check_slab_perpendicular(ctx)
+    slab = _run("slab-perpendicular")
     length_err = _observed(slab, "length_error")
     orth_err = _observed(slab, "orthogonality_error")
 
-    law = cli._check_planar_curvature_law(ctx)
+    law = _run("planar-curvature-law")
     bump_residual = _observed(law, "curvature_law_residual")
 
     # trivial-factor minimizer between the equidistant circles: the law
@@ -144,7 +143,7 @@ def test_criterion_05_solver_and_curvature_law():
     res = minimize_free_boundary(problem, n_segments=256, gtol=1e-7)
     lens_residual = _max_discrete_curvature(fx.space, res.curve)
 
-    short = cli._check_curve_shortness(ctx)
+    short = _run("curve-shortness")
     margin = short.grid["budget"] - short.grid["sup_deviation"]
 
     law_worst = max(bump_residual, lens_residual)
@@ -173,9 +172,8 @@ def test_criterion_05_solver_and_curvature_law():
 
 
 def test_criterion_06_index_form_consistency():
-    ctx = _ctx()
-    flat = cli._check_index_form_flat_slab(ctx)
-    nonneg = cli._check_index_form_nonnegative(ctx)
+    flat = _run("index-form-flat-slab")
+    nonneg = _run("index-form-nonnegative")
     fd_rel = max(_observed(flat, "fd_relative_error"),
                  _observed(flat, "fd_relative_error_cosh"))
     totals = [

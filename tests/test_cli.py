@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import curvlab
-from curvlab import cli, estimates
+from curvlab import checks, cli, estimates
+from curvlab.checks import CheckSpec
 from curvlab.cli import (
-    CheckSpec,
     ConfigError,
     NonConvergence,
     RunConfig,
@@ -85,6 +85,11 @@ def test_config_file_round_trip(tmp_path):
         "[run]\nseed = not-a-number\n",
         "[fixture]\nname = klein-bottle\n",
         "[fixture]\nwhatever = 1\n",
+        "[fixture]\nname = euclid-slab\ndim = 2.5\n",
+        "[fixture]\nname = euclid-slab\nx_min = 7\n",
+        "[fixture]\nd = 1.0\n",
+        "[tolerances]\nfd_rel = inf\n",
+        "[grids]\nr_exp_hi = inf\n",
         "no sections at all [",
     ],
 )
@@ -93,6 +98,12 @@ def test_bad_config_rejected(tmp_path, body):
     path.write_text(body, encoding="utf-8")
     with pytest.raises(ConfigError):
         parse_config(path)
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": "x"}, {"grids": {"samples": "many"}}])
+def test_unconvertible_value_raises_config_error(kwargs):
+    with pytest.raises(ConfigError):
+        RunConfig(**kwargs)
 
 
 def test_missing_config_file_rejected(tmp_path):
@@ -168,12 +179,40 @@ def test_list_checks_flag(capsys):
 
 
 def test_rng_seeding_is_per_check_and_per_seed():
-    ctx_a = cli.CheckContext(RunConfig(seed=1))
-    ctx_b = cli.CheckContext(RunConfig(seed=2))
-    draw = lambda ctx, cid: ctx.rng(cid).normal(size=4)
-    assert np.array_equal(draw(ctx_a, "x"), draw(ctx_a, "x"))
-    assert not np.array_equal(draw(ctx_a, "x"), draw(ctx_a, "y"))
-    assert not np.array_equal(draw(ctx_a, "x"), draw(ctx_b, "x"))
+    cfg_a = RunConfig(seed=1)
+    cfg_b = RunConfig(seed=2)
+    draw = lambda cfg, cid: cli.CheckContext(cfg, cid).rng().normal(size=4)
+    assert np.array_equal(draw(cfg_a, "x"), draw(cfg_a, "x"))
+    assert not np.array_equal(draw(cfg_a, "x"), draw(cfg_a, "y"))
+    assert not np.array_equal(draw(cfg_a, "x"), draw(cfg_b, "x"))
+
+
+def test_cli_shares_the_check_registry():
+    assert cli.CHECKS is checks.CHECKS
+
+
+def test_runner_calls_a_replaced_check_fn(tmp_path, monkeypatch):
+    # bench/child.py swaps ``fn`` on the registry's specs after import
+    calls = []
+
+    def replacement(ctx):
+        calls.append(ctx.cid)
+        return build_report(ctx.cid, 2.0, 1.0, tolerance=1e-9)
+
+    monkeypatch.setattr(cli.CHECKS["saturating-bound"], "fn", replacement)
+    stdout = io.StringIO()
+    cfg = RunConfig(suite="estimates", out=str(tmp_path / "out"))
+    assert cli.run(cfg, stdout=stdout, stderr=io.StringIO()) == 1
+    assert calls == ["saturating-bound"]
+    assert "saturating-bound: FAIL" in stdout.getvalue()
+
+
+def test_checks_import_leaves_out_cli():
+    src = str(Path(curvlab.__file__).resolve().parents[1])
+    code = "import sys, curvlab.checks; print('curvlab.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +343,10 @@ def test_report_id_mismatch_is_flagged(tmp_path, monkeypatch):
 
 
 def test_ratio_report_fails_on_nan_error():
-    rep = cli._ratio_report("x", {"a": (float("nan"), 1.0), "b": (0.5, 1.0)})
+    rep = checks._ratio_report("x", {"a": (float("nan"), 1.0), "b": (0.5, 1.0)})
     assert not rep.passed
     assert rep.grid["non_finite_parts"] == ["a"]
-    finite = cli._ratio_report("x", {"b": (0.5, 1.0)})
+    finite = checks._ratio_report("x", {"b": (0.5, 1.0)})
     assert finite.passed
     assert "non_finite_parts" not in finite.grid
 
@@ -320,9 +359,9 @@ def test_fd_law_check_fails_on_nan_sample():
     def sample_errors(rng, space, samples):
         return np.array(next(errors))
 
-    ctx = cli.CheckContext(RunConfig(grids={"samples": 3}))
+    ctx = cli.CheckContext(RunConfig(grids={"samples": 3}), "fake-law")
     spaces = [("first", SpaceForm(2, 0.0)), ("second", SpaceForm(2, 1.0))]
-    rep = cli._fd_law_check(ctx, "fake-law", spaces, sample_errors)
+    rep = checks._fd_law_check(ctx, sample_errors, spaces)
     assert not rep.passed
     assert rep.grid["non_finite_parts"] == ["fd_relative_error"]
     assert rep.grid["per_space"]["first"] == 2e-6
@@ -335,7 +374,7 @@ def test_fd_law_check_fails_on_nan_sample():
 def test_fd_law_metric_calls_do_not_grow_with_samples(monkeypatch, cid):
     """Each space's samples go through the oracle as one stack, so the
     metric calls per space are the same for 3 samples and for 30."""
-    real = cli.conformal.coordinate_metric
+    real = checks.conformal.coordinate_metric
 
     def calls_per_space(samples):
         calls = {}
@@ -349,8 +388,8 @@ def test_fd_law_metric_calls_do_not_grow_with_samples(monkeypatch, cid):
 
             return counted
 
-        monkeypatch.setattr(cli.conformal, "coordinate_metric", counting)
-        ctx = cli.CheckContext(RunConfig(grids={"samples": samples}))
+        monkeypatch.setattr(checks.conformal, "coordinate_metric", counting)
+        ctx = cli.CheckContext(RunConfig(grids={"samples": samples}), cid)
         assert cli.CHECKS[cid].fn(ctx).passed
         return calls
 
@@ -359,11 +398,11 @@ def test_fd_law_metric_calls_do_not_grow_with_samples(monkeypatch, cid):
 
 
 def _nan_ricci(monkeypatch):
-    monkeypatch.setattr(cli.conformal, "ricci_formula", lambda *a, **k: float("nan"))
+    monkeypatch.setattr(checks.conformal, "ricci_formula", lambda *a, **k: float("nan"))
 
 
 def _nan_min_slack(monkeypatch):
-    real = cli.crucial_bounds_scan
+    real = checks.crucial_bounds_scan
 
     def scan(*args, **kwargs):
         out = real(*args, **kwargs)
@@ -371,7 +410,7 @@ def _nan_min_slack(monkeypatch):
             check.min_slack = float("nan")
         return out
 
-    monkeypatch.setattr(cli, "crucial_bounds_scan", scan)
+    monkeypatch.setattr(checks, "crucial_bounds_scan", scan)
 
 
 def _nan_psi_at_end(monkeypatch):
@@ -395,7 +434,7 @@ def _nan_psi_at_end(monkeypatch):
 def test_nan_in_check_accumulator_fails_report(monkeypatch, cid, inject, part):
     # Python's max() and min() drop a NaN, which let these reports pass with error 0
     inject(monkeypatch)
-    ctx = cli.CheckContext(RunConfig(grids={"r_points": 20, "t_points": 10}))
+    ctx = cli.CheckContext(RunConfig(grids={"r_points": 20, "t_points": 10}), cid)
     rep = cli.CHECKS[cid].fn(ctx)
     assert not rep.passed
     assert part in rep.grid["non_finite_parts"]
@@ -405,7 +444,7 @@ def test_nonconvergence_names_level_and_stop_reason():
     res = SimpleNamespace(converged=False, level_sizes=[32, 64], level_iterations=[5, 200],
                           level_stops=["gtol", "max-iter"], grad_norm=1e-3)
     with pytest.raises(NonConvergence, match=r"a=1: level 1 \(64 segments\) stopped on max-iter"):
-        cli._require_converged("fake-check", res, where="a=1: ")
+        checks._require_converged("fake-check", res, where="a=1: ")
 
 
 def test_unconverged_annulus_infimum_fails_scan_with_named_reason(tmp_path, monkeypatch):
@@ -419,7 +458,7 @@ def test_unconverged_annulus_infimum_fails_scan_with_named_reason(tmp_path, monk
                                              r"chart bracket \(0\.5, 0\.625\) hit the step cap"):
         estimates.annulus_infima(example_fixture("log-graph"), np.exp(4.0) / 3.0, np.exp(4.0))
     with pytest.raises(NonConvergence, match=r"^log-graph: annulus infimum over \(0, 403\.429\)"):
-        cli._check_curvature_sum_flat(cli.CheckContext(RunConfig()))
+        checks._check_curvature_sum_flat(cli.CheckContext(RunConfig(), "curvature-sum-flat"))
     out = tmp_path / "out"
     stdout = io.StringIO()
     assert cli.run(RunConfig(suite="scan", out=str(out)), stdout=stdout, stderr=io.StringIO()) == 3
@@ -437,7 +476,7 @@ def test_cli_import_leaves_out_scipy_optimize_and_integrate():
 
 
 def test_saturating_bound_report_carries_grid():
-    rep = cli._check_saturating_bound(cli.CheckContext(RunConfig()))
+    rep = checks._check_saturating_bound(cli.CheckContext(RunConfig(), "saturating-bound"))
     assert rep.passed
     assert np.isclose(rep.grid["anchor_distance"], 4.0 * np.arctanh(np.sqrt(2.0) - 1.0))
     assert abs(rep.grid["saturation_value"] - 4.0) < 1e-3

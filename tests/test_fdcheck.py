@@ -135,6 +135,19 @@ def test_stacked_metric_normal_raises_on_any_degenerate_tangent_space():
         fdcheck.metric_normal(G, J, np.ones((3, 2)))
 
 
+def test_metric_normal_raises_on_rank_deficient_hypersurface_jacobian():
+    # two parallel tangent vectors in R^3 leave a 2-D normal space
+    J = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="degenerate tangent space"):
+        fdcheck.metric_normal(np.eye(3), J, np.ones(3))
+    stack = np.stack([np.eye(3)[:, :2], J, np.eye(3)[:, 1:]])
+    G = np.broadcast_to(np.eye(3), (3, 3, 3))
+    with pytest.raises(ValueError, match="degenerate tangent space"):
+        fdcheck.metric_normal(G, stack, np.ones((3, 3)))
+    nu = fdcheck.metric_normal(G[:2], stack[[0, 2]], np.ones((2, 3)))
+    assert np.allclose(nu, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
 def test_riemann_makes_at_most_three_metric_calls():
     metric = ball_metric(1.0)
     x = np.array([0.2, -0.1, 0.3])

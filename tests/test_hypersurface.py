@@ -6,7 +6,7 @@ import pytest
 
 from curvlab import fdcheck
 from curvlab.hypersurface import (
-    FIXTURE_NAMES,
+    FIXTURE_PARAMS,
     example_fixture,
     geodesic_sphere,
     infimum_over_annulus,
@@ -334,11 +334,19 @@ def test_revolution_curvature_against_parametric_fd():
 
 
 def test_fixture_names_cover_registry():
-    for name in FIXTURE_NAMES:
+    for name in FIXTURE_PARAMS:
         fx = example_fixture(name)
         assert fx.pieces
     with pytest.raises(ValueError):
         example_fixture("klein-bottle")
+
+
+def test_fixture_rejects_parameters_it_does_not_take():
+    assert example_fixture("euclid-slab", d=1.5, dim=2).params["d"] == 1.5
+    with pytest.raises(ValueError, match="takes no parameter 'x_min'"):
+        example_fixture("euclid-slab", x_min=7.0)
+    with pytest.raises(ValueError, match="takes no parameter 'dim'"):
+        example_fixture("poincare-circles", dim=3)
 
 
 # ---------------------------------------------------------------------------
