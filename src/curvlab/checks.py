@@ -850,6 +850,10 @@ class CheckSpec:
     probe: bool = False
 
 
+# the fixtures a run config may set parameters of: those some check builds
+# through ``ctx.fixture_kwargs``
+CONFIGURABLE_FIXTURES = ("poincare-circles", "euclid-slab", "log-graph", "revolution-r4")
+
 CHECKS = {
     "connection-law-fd": CheckSpec(("conformal",), partial(_fd_law_check, errors=_connection_error)),
     "sectional-law-fd": CheckSpec(("conformal",), partial(_fd_law_check, errors=_sectional_error)),

@@ -25,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import CHECKS
+from .checks import CHECKS, CONFIGURABLE_FIXTURES
 from .estimates import SCAN_CSV_HEADER
-from .hypersurface import FIXTURE_PARAMS
+from .hypersurface import example_fixture
 from .report import NonConvergence, build_report
 
 SUITES = ("conformal", "lemmas", "examples", "geodesic", "estimates", "scan", "all")
@@ -130,15 +130,17 @@ class RunConfig:
             raise ConfigError("grid r_exp_lo must be below r_exp_hi")
         if self.fixture:
             name = self.fixture.get("name")
-            if name not in FIXTURE_PARAMS:
-                raise ConfigError(f"fixture name must be one of {', '.join(FIXTURE_PARAMS)}, "
+            if name not in CONFIGURABLE_FIXTURES:
+                raise ConfigError(f"fixture name must be one of {', '.join(CONFIGURABLE_FIXTURES)}, "
                                   f"got {name!r}")
             for key, val in self.fixture.items():
-                if key == "name":
-                    continue
-                if key not in FIXTURE_PARAMS[name]:
-                    raise ConfigError(f"fixture {name} takes no key {key!r}")
-                self.fixture[key] = _number(f"fixture {key}", val, integer=key == "dim")
+                if key != "name":
+                    self.fixture[key] = _number(f"fixture {key}", val, integer=key == "dim")
+            # the builder rejects unknown keys and values no check could run with
+            try:
+                example_fixture(**self.fixture)
+            except ValueError as exc:
+                raise ConfigError(f"fixture {name}: {exc}")
 
 
 def parse_config(path):
@@ -207,6 +209,8 @@ class CheckContext:
 
     def fixture_kwargs(self, name):
         """Config overrides for the named fixture, empty unless it matches."""
+        if name not in CONFIGURABLE_FIXTURES:
+            raise ValueError(f"fixture {name!r} is not in CONFIGURABLE_FIXTURES")
         if self.cfg.fixture.get("name") != name:
             return {}
         return {k: v for k, v in self.cfg.fixture.items() if k != "name"}

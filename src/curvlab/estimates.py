@@ -20,7 +20,7 @@ cannot be mixed up silently.
 
 import numpy as np
 
-from .hypersurface import Fixture, infimum_over_annulus
+from .hypersurface import Fixture, infima_over_annuli
 from .report import NonConvergence, VerificationReport, build_report
 from .variation import coth_minus_inv
 
@@ -215,18 +215,29 @@ ENVELOPE_KINDS = ("sum-inverse-R", "fitted-inverse-R2", "hyperbolic-saturation")
 SCAN_CSV_HEADER = "R,inf_h1,inf_h2,sum,envelope,slack\n"
 
 
-def annulus_infima(fixture: Fixture, r_lo: float, r_hi: float) -> np.ndarray:
+def annulus_infima(fixture: Fixture, r_lo, r_hi) -> np.ndarray:
     """Per-piece infimum of inward mean curvature over the set of boundary
-    points whose distance to the origin lies in (r_lo, r_hi). Raises
-    NonConvergence naming the piece, the annulus and the bracket that missed."""
-    values = []
-    for p in fixture.pieces:
-        res = infimum_over_annulus(p, r_lo, r_hi)
-        if not res.converged:
-            raise NonConvergence(p.label, f"annulus infimum over ({r_lo:.6g}, {r_hi:.6g}): "
-                                          f"chart bracket {res.missed} hit the step cap")
-        values.append(res.value)
-    return np.array(values)
+    points whose distance to the origin lies in (r_lo, r_hi).
+
+    r_lo and r_hi may be matching arrays of annuli; the result then has one
+    row of piece values per annulus, and each piece handles all its annuli
+    in one ``infima_over_annuli`` call. Raises for the first annulus, then
+    the first piece, that fails: ValueError when the annulus misses the
+    chart, NonConvergence naming the piece, the annulus and the bracket
+    that missed when a search hit its step cap."""
+    r_lo, r_hi = np.broadcast_arrays(np.asarray(r_lo, dtype=float), np.asarray(r_hi, dtype=float))
+    per_piece = [infima_over_annuli(p, r_lo.ravel(), r_hi.ravel()) for p in fixture.pieces]
+    values = np.empty((r_lo.size, len(fixture.pieces)))
+    for k, (lo, hi) in enumerate(zip(r_lo.ravel(), r_hi.ravel())):
+        for j, (p, results) in enumerate(zip(fixture.pieces, per_piece)):
+            res = results[k]
+            if res is None:
+                raise ValueError("annulus does not meet the surface chart")
+            if not res.converged:
+                raise NonConvergence(p.label, f"annulus infimum over ({lo:.6g}, {hi:.6g}): "
+                                              f"chart bracket {res.missed} hit the step cap")
+            values[k, j] = res.value
+    return values.reshape(r_lo.shape + (len(fixture.pieces),))
 
 
 class DecayScan:
@@ -340,12 +351,9 @@ def decay_scan(fixture: Fixture, R_grid, envelope_kind: str) -> DecayScan:
     R_grid = np.asarray(R_grid, dtype=float)
     if R_grid.ndim != 1 or np.any(np.diff(R_grid) <= 0):
         raise ValueError("R grid must be strictly increasing")
-    inf1, inf2 = [], []
-    for R in R_grid:
-        vals = annulus_infima(fixture, R / 3.0, R)
-        inf1.append(vals[0])
-        inf2.append(vals[1] if vals.size > 1 else 0.0)
-    return DecayScan(fixture, envelope_kind, R_grid, inf1, inf2)
+    vals = annulus_infima(fixture, R_grid / 3.0, R_grid)
+    inf2 = vals[:, 1] if vals.shape[1] > 1 else np.zeros(R_grid.size)
+    return DecayScan(fixture, envelope_kind, R_grid, vals[:, 0], inf2)
 
 
 # ---------------------------------------------------------------------------

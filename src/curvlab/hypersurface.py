@@ -279,6 +279,8 @@ def _log_graph_fixture(x_min: float = 3.0, x_max: float = 2.0e6) -> Fixture:
     positive past x = e^2 but decaying faster than 1/x; the configuration
     probes how slowly a boundary curvature can decay at infinity.
     """
+    if not 1.0 < x_min < x_max:
+        raise ValueError("x_min and x_max must satisfy 1 < x_min < x_max")
     space = SpaceForm(2, 0.0)
 
     def yfun(t):
@@ -350,6 +352,8 @@ def _log_graph_fixture(x_min: float = 3.0, x_max: float = 2.0e6) -> Fixture:
 def _revolution_fixture(t_min: float = 0.5, t_max: float = 0.95) -> Fixture:
     """Surface of revolution |y| = exp(1/(1-t)) in R^4, oriented toward the
     axis; mean-convex with curvature collapsing super-polynomially."""
+    if not t_min < t_max < 1.0:
+        raise ValueError("t_min and t_max must satisfy t_min < t_max < 1")
     space = SpaceForm(4, 0.0)
 
     def prof(t):
@@ -466,7 +470,7 @@ _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
 @dataclass
 class InfimumResult:
-    """See ``infimum_over_annulus``; ``missed`` is the chart bracket of the
+    """See ``infima_over_annuli``; ``missed`` is the chart bracket of the
     first search that hit the step cap, None when ``converged``."""
 
     value: float
@@ -478,26 +482,38 @@ class InfimumResult:
 
 
 def _golden_section(f, a, x, b, fx):
-    """Golden-section search (Brent 1973, ch. 5) from a < x < b with fx = f(x)
-    below f(a) and f(b), to a width of sqrt(eps) max(1, |x|). Returns the
-    lowest (f(x), x) and the bracket if still open after _MAX_STEPS steps."""
+    """Golden-section searches (Brent 1973, ch. 5) in lockstep, one from each
+    bracket a < x < b with fx = f(x) below f(a) and f(b), each to a width of
+    sqrt(eps) max(1, |x|). Every step evaluates f, which maps an array of
+    points to their values, once on the searches still open. Returns the
+    lowest f and its point for each search, and the list of brackets still
+    open after _MAX_STEPS steps (None for a search that closed)."""
+    a, x, b, fx = (np.array(v, dtype=float) for v in (a, x, b, fx))
+    missed = [None] * x.size
+    live = np.arange(x.size)
     for step in range(_MAX_STEPS + 1):
-        if b - a <= 1.5e-8 * max(1.0, abs(x)):
-            return (fx, x), None
+        ax = np.abs(x[live])  # max(1, |x|) as Python's max takes it, NaN to 1
+        live = live[b[live] - a[live] > 1.5e-8 * np.where(ax > 1.0, ax, 1.0)]
         if step == _MAX_STEPS:
-            return (fx, x), (float(a), float(b))
-        u = x + _GOLDEN * ((b - x) if b - x > x - a else (a - x))
+            for k in live:
+                missed[k] = (float(a[k]), float(b[k]))
+        if step == _MAX_STEPS or live.size == 0:
+            return fx, x, missed
+        ak, xk, bk, fk = a[live], x[live], b[live], fx[live]
+        u = xk + _GOLDEN * np.where(bk - xk > xk - ak, bk - xk, ak - xk)
         fu = f(u)
-        if fu < fx:
-            a, b = (x, b) if u > x else (a, x)
-            x, fx = u, fu
-        else:
-            a, b = (a, u) if u > x else (u, b)
+        lower, right = fu < fk, u > xk
+        # a lower u becomes x inside its half; otherwise u becomes an end
+        a[live] = np.where(lower, np.where(right, xk, ak), np.where(right, ak, u))
+        b[live] = np.where(lower, np.where(right, bk, xk), np.where(right, u, bk))
+        x[live] = np.where(lower, u, xk)
+        fx[live] = np.where(lower, fu, fk)
 
 
-def infimum_over_annulus(piece: Hypersurface, r_lo: float, r_hi: float) -> InfimumResult:
+def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[InfimumResult]]:
     """Infimum of the mean curvature over the part of the surface whose
-    g-distance to the origin lies in the open annulus (r_lo, r_hi).
+    g-distance to the origin lies in the open annulus (r_lo[k], r_hi[k]), for
+    every k; None for an annulus that does not meet the surface chart.
 
     A 4097-point distance table over the chart box brackets the cuts, and
     one vectorized bisection finds their roots. The infimum is the lowest of
@@ -507,9 +523,20 @@ def infimum_over_annulus(piece: Hypersurface, r_lo: float, r_hi: float) -> Infim
     neighbours when it is a strict local minimum there. ``n_grid`` is the
     size of that table with the roots; ``converged`` says every bisection
     and golden-section bracket reached its tolerance within _MAX_STEPS.
+
+    The annuli share the work: one distance table, one bisection loop over
+    all their cut roots, one distance and one mean-curvature call for all
+    their local tables, and one lockstep golden-section run. Each annulus
+    gets the bits it would get alone. Its cuts stop at the step where none
+    of them is still wide, which is where a bisection of that annulus alone
+    stops; the golden-section searches keep a bracket each; and distance
+    and mean curvature act point by point, so the other points of a batch
+    do not change a point's value.
     """
     if piece.chart is None or piece.chart_box is None:
         raise ValueError("annulus infimum needs a charted surface")
+    r_lo = np.atleast_1d(np.asarray(r_lo, dtype=float))
+    r_hi = np.atleast_1d(np.asarray(r_hi, dtype=float))
     origin = np.zeros(piece.space.dim)
 
     def dist_of(ts):
@@ -520,47 +547,79 @@ def infimum_over_annulus(piece: Hypersurface, r_lo: float, r_hi: float) -> Infim
 
     ts_tab = np.linspace(*piece.chart_box, 4097)
     d_tab = dist_of(ts_tab)
-    levels = np.array([r_lo, r_hi])
-    annulus_above = np.array([True, False])  # the annulus lies above r_lo, below r_hi
+    # levels r_lo[0], r_hi[0], r_lo[1], ...; the annulus lies above r_lo, below r_hi
+    levels = np.stack([r_lo, r_hi], axis=1).ravel()
+    annulus_above = np.tile([True, False], r_lo.size)
     above = d_tab > levels[:, None]
     lev, i = np.nonzero(above[:, :-1] != above[:, 1:])
-    level, keep = levels[lev], annulus_above[lev]
+    ann, level, keep = lev // 2, levels[lev], annulus_above[lev]
     right = (above[lev, i + 1] == keep).astype(int)
     t_in, t_out = ts_tab[i + right], ts_tab[i + 1 - right]
     # t_in stays on the annulus side; stop at brentq's default tolerance
     for step in range(_MAX_STEPS + 1):
         wide = np.abs(t_out - t_in) > 2e-12 + 8.9e-16 * np.abs(t_in)
-        if not wide.any() or step == _MAX_STEPS:
+        live = np.zeros(r_lo.size, dtype=bool)
+        live[ann[wide]] = True
+        moving = live[ann]  # every cut of an annulus with a wide cut
+        if step == _MAX_STEPS or not moving.any():
             break
-        mid = 0.5 * (t_in + t_out)
-        side = (dist_of(mid) > level) == keep
-        t_in, t_out = np.where(side, mid, t_in), np.where(side, t_out, mid)
-    missed = None
-    if wide.any():
-        k = int(np.argmax(wide))
-        missed = tuple(sorted((float(t_in[k]), float(t_out[k]))))
-    seeds = np.concatenate([ts_tab[(d_tab > r_lo) & (d_tab < r_hi)], t_in])
-    if seeds.size == 0:
-        raise ValueError("annulus does not meet the surface chart")
+        mid = 0.5 * (t_in[moving] + t_out[moving])
+        side = (dist_of(mid) > level[moving]) == keep[moving]
+        t_in[moving] = np.where(side, mid, t_in[moving])
+        t_out[moving] = np.where(side, t_out[moving], mid)
 
-    ts = np.union1d(np.linspace(seeds.min(), seeds.max(), 513), t_in)
-    is_cut = np.isin(ts, t_in)
-    d = dist_of(ts)
-    ok = is_cut | ((d > r_lo) & (d < r_hi))
-    h = np.where(ok, h_of(ts), np.inf)
-    k = int(np.argmin(h))
-    best = (float(h[k]), float(ts[k]))
-    if not is_cut[k] and 0 < k < ts.size - 1 and ok[k - 1] and ok[k + 1] \
-            and h[k] < min(h[k - 1], h[k + 1]):
-        best, missed_min = _golden_section(
-            lambda t: float(h_of(np.array([t]))[0]), ts[k - 1], ts[k], ts[k + 1], h[k]
-        )
-        missed = missed or missed_min
-    return InfimumResult(
-        value=best[0],
-        param=best[1],
-        point=piece.chart_points(np.array([best[1]]))[0],
+    inside = (d_tab > r_lo[:, None]) & (d_tab < r_hi[:, None])
+    cuts, tables, missed = [], [], []
+    for k in range(r_lo.size):
+        mine = ann == k
+        cuts.append(t_in[mine])
+        seeds = np.concatenate([ts_tab[inside[k]], cuts[k]])
+        tables.append(np.union1d(np.linspace(seeds.min(), seeds.max(), 513), cuts[k])
+                      if seeds.size else np.empty(0))
+        j = np.flatnonzero(wide[mine])
+        missed.append(tuple(sorted((float(cuts[k][j[0]]), float(t_out[mine][j[0]]))))
+                      if j.size else None)
+    ends = np.cumsum([t.size for t in tables])[:-1]
+    ts_all = np.concatenate([np.empty(0)] + tables)
+    d_all = np.split(dist_of(ts_all), ends)
+    h_all = np.split(h_of(ts_all), ends)
+
+    best, brackets = [], []
+    for k, ts in enumerate(tables):
+        if ts.size == 0:
+            best.append(None)
+            continue
+        is_cut = np.isin(ts, cuts[k])
+        ok = is_cut | ((d_all[k] > r_lo[k]) & (d_all[k] < r_hi[k]))
+        h = np.where(ok, h_all[k], np.inf)
+        j = int(np.argmin(h))
+        best.append((float(h[j]), float(ts[j])))
+        if not is_cut[j] and 0 < j < ts.size - 1 and ok[j - 1] and ok[j + 1] \
+                and h[j] < min(h[j - 1], h[j + 1]):
+            brackets.append((k, ts[j - 1], ts[j], ts[j + 1], h[j]))
+    if brackets:
+        ks, a, x, b, fx = zip(*brackets)
+        fx, x, missed_min = _golden_section(h_of, a, x, b, fx)
+        for n, k in enumerate(ks):
+            best[k] = (float(fx[n]), float(x[n]))
+            missed[k] = missed[k] or missed_min[n]
+
+    return [None if b is None else InfimumResult(
+        value=b[0],
+        param=b[1],
+        point=piece.chart_points(np.array([b[1]]))[0],
         n_grid=int(ts.size),
-        converged=missed is None,
-        missed=missed,
-    )
+        converged=m is None,
+        missed=m,
+    ) for b, ts, m in zip(best, tables, missed)]
+
+
+def infimum_over_annulus(piece: Hypersurface, r_lo: float, r_hi: float) -> InfimumResult:
+    """Infimum of the mean curvature over the part of the surface whose
+    g-distance to the origin lies in the open annulus (r_lo, r_hi): the
+    one-annulus case of ``infima_over_annuli``. Raises ValueError when the
+    annulus does not meet the surface chart."""
+    res = infima_over_annuli(piece, r_lo, r_hi)[0]
+    if res is None:
+        raise ValueError("annulus does not meet the surface chart")
+    return res

@@ -46,13 +46,18 @@ def coth_minus_inv(x):
 
     Below x = 0.1 the direct form loses digits to cancellation, so the
     Laurent series x/3 - x^3/45 + 2x^5/945 - x^7/4725 is used instead.
+    Past |x| = 710 cosh overflows; there cosh/sinh is taken as sign(x), which
+    is what it already rounds to from |x| = 707.7 on.
     """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 0.1
+    big = np.abs(x) > 710.0
     xs = np.where(small, 1.0, x)
-    direct = np.cosh(xs) / np.sinh(xs) - 1.0 / xs
-    x2 = x * x
-    series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0)))
+    xc = np.where(big, 1.0, xs)
+    direct = np.where(big, np.sign(x), np.cosh(xc) / np.sinh(xc)) - 1.0 / xs
+    xq = np.where(small, x, 0.0)
+    x2 = xq * xq
+    series = xq * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0)))
     out = np.where(small, series, direct)
     if out.ndim == 0:
         return float(out)
@@ -241,7 +246,8 @@ def j_values(inputs: JInputs) -> Tuple[np.ndarray, np.ndarray]:
     the expressions stay finite at r = 0 where both J's tend to the common
     value -n u''(0) (= 4 n R^-2 for the quartic cutoff).
     """
-    return _j1(inputs), _j2(inputs)
+    terms = _radial_terms(inputs)
+    return _j1(*terms), _j2(*terms)
 
 
 def _radial_terms(inputs: JInputs):
@@ -265,13 +271,11 @@ def _radial_terms(inputs: JInputs):
     return n, S, P, D, rT2, rN2
 
 
-def _j1(inputs: JInputs) -> np.ndarray:
-    n, S, P, D, rT2, rN2 = _radial_terms(inputs)
+def _j1(n, S, P, D, rT2, rN2) -> np.ndarray:
     return n * (S * rN2 - P) - n * D * rT2
 
 
-def _j2(inputs: JInputs) -> np.ndarray:
-    n, S, P, D, rT2, rN2 = _radial_terms(inputs)
+def _j2(n, S, P, D, rT2, rN2) -> np.ndarray:
     return n * (S * rT2 - P) - D * rN2
 
 
@@ -315,6 +319,18 @@ def crucial_bounds_scan(
 
     Slack is bound - value for upper bounds and value - bound for lower
     bounds; the scan passes when every slack stays above ``slack_floor``.
+
+    The result is that of the full n_r x n_t grid, bit for bit, but most
+    rows need only their r_T = -1 cell. On a row write t = r_T^2, so that
+    J2 = n (S t - P) - D (1 - t) and J1 = n (S (1 - t) - P) - n D t.
+    Round-to-nearest is monotone, so an IEEE operation with one operand fixed
+    is monotone in the other. Where the computed S and D are nonnegative
+    (true of the quartic cutoff in both models) the computed J2 is therefore
+    nondecreasing in t and J1 nonincreasing, and every slack is nonincreasing
+    in t. Each row's smallest slack and largest J2 then sit at t = 1, and
+    its first such cell, the one ``np.argmin`` picks, is r_T = -1. A row
+    whose S, P, D, bounds or r_T = -1 values fail that sign and finiteness
+    test is evaluated in full.
     """
     if model not in ("euclid", "hyperbolic"):
         raise ValueError("model must be 'euclid' or 'hyperbolic'")
@@ -324,35 +340,48 @@ def crucial_bounds_scan(
     prof = quartic_cutoff_profile(R)
     r = np.linspace(0.0, R, n_r)
     rt = np.linspace(-1.0, 1.0, n_t)
-    # J1 and J2 are pointwise, so broadcasting a column of radii against a row
-    # of r_T fills the (n_r, n_t) grid without materializing coordinate grids;
-    # only the hyperbolic model bounds J1
-    inputs = JInputs(space, prof, r[:, None], rt[None, :])
-    J2 = _j2(inputs)
+    nf, S, P, D, rT2, rN2 = _radial_terms(JInputs(space, prof, r[:, None], rt))
+    base = 16.0 * n / R**2
+    low = -8.0 * n / R**2
+    # the hyperbolic J2 bound depends on r alone; only that model bounds J1
+    bound2 = base - n * prof.d1(r[:, None]) if model == "hyperbolic" else base
+
+    def cells(rows, cols):
+        """J2 and each check's (slack, bound, value) on the cells rows x cols."""
+        terms = (nf, S[rows], P[rows], D[rows], rT2[cols], rN2[cols])
+        J2 = _j2(*terms)
+        if model == "euclid":
+            return J2, {"j2_upper": (base - J2, base, J2)}
+        J1 = _j1(*terms)
+        b2 = bound2[rows]
+        return J2, {"j1_lower": (J1 - low, low, J1), "j2_upper": (b2 - J2, b2, J2)}
+
+    J2_col, col = cells(slice(None), slice(0, 1))
+    monotone = (S >= 0.0) & (D >= 0.0) & np.isfinite(S + P + D)
+    for slack, bound, value in col.values():
+        monotone &= np.isfinite(slack + bound + value)
+    full = np.flatnonzero(~monotone)
+    J2_full, rows = cells(full, slice(None))
 
     scan = BoundsScan(model=model, n=n, R=R, n_r=n_r, n_t=n_t)
-    scan.j2_max = float(J2.max())
-
-    def record(name, slack, bound, value):
-        i, j = np.unravel_index(np.argmin(slack), slack.shape)
+    scan.j2_max = float(np.max(np.concatenate([J2_col.ravel(), J2_full.ravel()])))
+    for name, parts in col.items():
+        # per row: the first minimum of the slack, with its bound and value
+        picked = [np.broadcast_to(a, (n_r, 1))[:, 0].copy() for a in parts]
+        at = np.zeros(n_r, dtype=int)
+        slack = rows[name][0]
+        at[full] = np.argmin(slack, axis=1)
+        for dst, a in zip(picked, rows[name]):
+            dst[full] = np.broadcast_to(a, slack.shape)[np.arange(full.size), at[full]]
+        i = int(np.argmin(picked[0]))
         scan.checks[name] = BoundCheck(
             name=name,
-            min_slack=float(slack[i, j]),
+            min_slack=float(picked[0][i]),
             at_r=float(r[i]),
-            at_r_T=float(rt[j]),
-            bound=float(np.broadcast_to(bound, slack.shape)[i, j]),
-            value=float(value[i, j]),
+            at_r_T=float(rt[at[i]]),
+            bound=float(picked[1][i]),
+            value=float(picked[2][i]),
         )
-
-    base = 16.0 * n / R**2
-    if model == "euclid":
-        record("j2_upper", base - J2, base, J2)
-    else:
-        low = -8.0 * n / R**2
-        J1 = _j1(inputs)
-        record("j1_lower", J1 - low, low, J1)
-        bound2 = base - n * prof.d1(r[:, None])
-        record("j2_upper", bound2 - J2, bound2, J2)
     scan.passed = all(c.min_slack >= slack_floor for c in scan.checks.values())
     return scan
 

@@ -88,6 +88,12 @@ def test_config_file_round_trip(tmp_path):
         "[fixture]\nname = euclid-slab\ndim = 2.5\n",
         "[fixture]\nname = euclid-slab\nx_min = 7\n",
         "[fixture]\nd = 1.0\n",
+        "[fixture]\nname = hyperbolic-equidistant\n",
+        "[fixture]\nname = euclid-slab\ndim = 1\n",
+        "[fixture]\nname = log-graph\nx_min = 10\nx_max = 5\n",
+        "[fixture]\nname = log-graph\nx_min = 1\n",
+        "[fixture]\nname = revolution-r4\nt_max = 1\n",
+        "[fixture]\nname = revolution-r4\nt_min = 0.9\nt_max = 0.8\n",
         "[tolerances]\nfd_rel = inf\n",
         "[grids]\nr_exp_hi = inf\n",
         "no sections at all [",
@@ -104,6 +110,17 @@ def test_bad_config_rejected(tmp_path, body):
 def test_unconvertible_value_raises_config_error(kwargs):
     with pytest.raises(ConfigError):
         RunConfig(**kwargs)
+
+
+def test_fixture_no_check_can_run_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="ambient dimension"):
+        RunConfig(fixture={"name": "euclid-slab", "dim": 1})
+    path = tmp_path / "slab.ini"
+    path.write_text("[fixture]\nname = euclid-slab\ndim = 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--suite", "scan", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error: fixture euclid-slab" in capsys.readouterr().err
 
 
 def test_missing_config_file_rejected(tmp_path):
@@ -448,12 +465,13 @@ def test_nonconvergence_names_level_and_stop_reason():
 
 
 def test_unconverged_annulus_infimum_fails_scan_with_named_reason(tmp_path, monkeypatch):
-    infimum = estimates.infimum_over_annulus
+    infima = estimates.infima_over_annuli
 
     def unconverged(piece, r_lo, r_hi):
-        return dataclasses.replace(infimum(piece, r_lo, r_hi), converged=False, missed=(0.5, 0.625))
+        return [dataclasses.replace(res, converged=False, missed=(0.5, 0.625))
+                for res in infima(piece, r_lo, r_hi)]
 
-    monkeypatch.setattr(estimates, "infimum_over_annulus", unconverged)
+    monkeypatch.setattr(estimates, "infima_over_annuli", unconverged)
     with pytest.raises(NonConvergence, match=r"^log-graph: annulus infimum over \(18\.1994, 54\.5982\): "
                                              r"chart bracket \(0\.5, 0\.625\) hit the step cap"):
         estimates.annulus_infima(example_fixture("log-graph"), np.exp(4.0) / 3.0, np.exp(4.0))

@@ -1,10 +1,13 @@
 """Tests for the curvature-sum estimate, decay scans, and the supporting
 elementary inequalities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from curvlab import estimates
 from curvlab.estimates import (
     CONSTANT_FAMILIES,
     EstimateConfig,
@@ -17,7 +20,7 @@ from curvlab.estimates import (
     theorem_bound,
 )
 from curvlab.hypersurface import example_fixture, infimum_over_annulus
-from curvlab.report import build_report
+from curvlab.report import NonConvergence, build_report
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +221,49 @@ def test_decay_scan_slab_identically_zero():
     assert np.max(np.abs(scan.inf2)) < 1e-12
     assert np.allclose(scan.envelope, 40.0 * 2 / scan.R)
     assert scan.start_R == 2.0
+
+
+def _inject(monkeypatch, failures):
+    """Make the k-th annulus of the piece labelled ``label`` fail, for each
+    (k, label, kind) in ``failures``: kind "unconverged" or "miss"."""
+    infima = estimates.infima_over_annuli
+
+    def patched(piece, r_lo, r_hi):
+        out = infima(piece, r_lo, r_hi)
+        for k, label, kind in failures:
+            if piece.label == label:
+                out[k] = None if kind == "miss" else dataclasses.replace(
+                    out[k], converged=False, missed=(0.5, 0.625))
+        return out
+
+    monkeypatch.setattr(estimates, "infima_over_annuli", patched)
+
+
+def test_decay_scan_names_the_unconverged_radius(monkeypatch):
+    Rs = np.exp(np.linspace(4.0, 10.0, 7))
+    _inject(monkeypatch, [(1, "x-axis", "unconverged"), (3, "log-graph", "unconverged")])
+    # the message a radius-by-radius loop raises at the second radius
+    want = (f"x-axis: annulus infimum over ({Rs[1] / 3.0:.6g}, {Rs[1]:.6g}): "
+            "chart bracket (0.5, 0.625) hit the step cap")
+    with pytest.raises(NonConvergence) as info:
+        decay_scan(example_fixture("log-graph"), Rs, "sum-inverse-R")
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("failures, error", [
+    # radius first: a miss of the second piece at the second radius comes
+    # before a failure of the first piece at the third
+    ([(1, "x-axis", "miss"), (2, "log-graph", "unconverged")], ValueError),
+    ([(2, "x-axis", "miss"), (1, "log-graph", "unconverged")], NonConvergence),
+    # then piece: at one radius the first piece's failure wins
+    ([(1, "x-axis", "miss"), (1, "log-graph", "unconverged")], NonConvergence),
+    ([(1, "x-axis", "unconverged"), (1, "log-graph", "miss")], ValueError),
+])
+def test_decay_scan_raises_for_the_first_radius_then_piece(monkeypatch, failures, error):
+    _inject(monkeypatch, failures)
+    with pytest.raises(error, match="annulus"):
+        decay_scan(example_fixture("log-graph"), np.exp(np.linspace(4.0, 10.0, 7)),
+                   "sum-inverse-R")
 
 
 def test_decay_scan_log_graph_envelope_and_cut_oracle():

@@ -4,11 +4,13 @@ configurations, and annulus infima."""
 import numpy as np
 import pytest
 
-from curvlab import fdcheck
+from curvlab import fdcheck, hypersurface
 from curvlab.hypersurface import (
     FIXTURE_PARAMS,
+    InfimumResult,
     example_fixture,
     geodesic_sphere,
+    infima_over_annuli,
     infimum_over_annulus,
     sphere_mean_curvature,
 )
@@ -349,6 +351,17 @@ def test_fixture_rejects_parameters_it_does_not_take():
         example_fixture("poincare-circles", dim=3)
 
 
+@pytest.mark.parametrize("name, kwargs", [
+    ("log-graph", {"x_min": 10.0, "x_max": 5.0}),
+    ("log-graph", {"x_min": 1.0}),
+    ("revolution-r4", {"t_min": 0.9, "t_max": 0.8}),
+    ("revolution-r4", {"t_max": 1.0}),
+])
+def test_fixture_rejects_an_empty_or_singular_chart(name, kwargs):
+    with pytest.raises(ValueError, match="must satisfy"):
+        example_fixture(name, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # annulus infima
 # ---------------------------------------------------------------------------
@@ -440,3 +453,129 @@ def test_annulus_infimum_two_intervals_hyperbolic_arc():
     assert res.converged
     assert np.isclose(res.value, fx.params["H"], rtol=1e-12)
     assert r_lo <= float(fx.space.distance(origin, res.point)) <= r_hi
+
+
+def _golden_section_reference(f, a, x, b, fx):
+    """One golden-section search with one scalar f call per step."""
+    for step in range(hypersurface._MAX_STEPS + 1):
+        if b - a <= 1.5e-8 * max(1.0, abs(x)):
+            return (fx, x), None
+        if step == hypersurface._MAX_STEPS:
+            return (fx, x), (float(a), float(b))
+        u = x + hypersurface._GOLDEN * ((b - x) if b - x > x - a else (a - x))
+        fu = f(u)
+        if fu < fx:
+            a, b = (x, b) if u > x else (a, x)
+            x, fx = u, fu
+        else:
+            a, b = (a, u) if u > x else (u, b)
+
+
+def _infimum_reference(piece, r_lo, r_hi):
+    """One annulus at a time: its own distance table, bisection loop, local
+    table and single-point golden-section steps; None when it misses."""
+    origin = np.zeros(piece.space.dim)
+
+    def dist_of(ts):
+        return np.asarray(piece.space.distance(origin, piece.chart_points(ts)))
+
+    def h_of(ts):
+        return np.asarray(piece.mean_curvature(piece.chart_points(ts)))
+
+    ts_tab = np.linspace(*piece.chart_box, 4097)
+    d_tab = dist_of(ts_tab)
+    levels = np.array([r_lo, r_hi])
+    annulus_above = np.array([True, False])
+    above = d_tab > levels[:, None]
+    lev, i = np.nonzero(above[:, :-1] != above[:, 1:])
+    level, keep = levels[lev], annulus_above[lev]
+    right = (above[lev, i + 1] == keep).astype(int)
+    t_in, t_out = ts_tab[i + right], ts_tab[i + 1 - right]
+    for step in range(hypersurface._MAX_STEPS + 1):
+        wide = np.abs(t_out - t_in) > 2e-12 + 8.9e-16 * np.abs(t_in)
+        if not wide.any() or step == hypersurface._MAX_STEPS:
+            break
+        mid = 0.5 * (t_in + t_out)
+        side = (dist_of(mid) > level) == keep
+        t_in, t_out = np.where(side, mid, t_in), np.where(side, t_out, mid)
+    missed = None
+    if wide.any():
+        k = int(np.argmax(wide))
+        missed = tuple(sorted((float(t_in[k]), float(t_out[k]))))
+    seeds = np.concatenate([ts_tab[(d_tab > r_lo) & (d_tab < r_hi)], t_in])
+    if seeds.size == 0:
+        return None
+    ts = np.union1d(np.linspace(seeds.min(), seeds.max(), 513), t_in)
+    is_cut = np.isin(ts, t_in)
+    d = dist_of(ts)
+    ok = is_cut | ((d > r_lo) & (d < r_hi))
+    h = np.where(ok, h_of(ts), np.inf)
+    k = int(np.argmin(h))
+    best = (float(h[k]), float(ts[k]))
+    if not is_cut[k] and 0 < k < ts.size - 1 and ok[k - 1] and ok[k + 1] \
+            and h[k] < min(h[k - 1], h[k + 1]):
+        best, missed_min = _golden_section_reference(
+            lambda t: float(h_of(np.array([t]))[0]), ts[k - 1], ts[k], ts[k + 1], h[k]
+        )
+        missed = missed or missed_min
+    return InfimumResult(
+        value=best[0], param=best[1], point=piece.chart_points(np.array([best[1]]))[0],
+        n_grid=int(ts.size), converged=missed is None, missed=missed,
+    )
+
+
+_DENSE_SCAN_RADII = {
+    # the scan and curvature-sum-flat annuli of a run at scan_points = 40
+    "log-graph": np.append(np.exp(np.linspace(4.0, 10.0, 40)), np.exp(6.0)),
+    "revolution-r4": np.exp(np.linspace(4.0, 10.0, 40)),
+    "poincare-circles": np.geomspace(2.0, 16.0, 40),
+    "hyperbolic-equidistant": np.geomspace(2.0, 16.0, 40),
+    "euclid-slab": np.geomspace(2.0, 32.0, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_SCAN_RADII))
+def test_infima_over_annuli_match_one_annulus_at_a_time(name):
+    R = _DENSE_SCAN_RADII[name]
+    r_lo = R / 3.0
+    if name == "log-graph":
+        r_lo[-1] = 0.0  # curvature-sum-flat takes the ball (0, e^6)
+    # a few annuli past the chart, which the reference reports as None
+    r_lo, r_hi = np.append(r_lo, [1e9, 1e12]), np.append(R, [3e9, 3e12])
+    for piece in example_fixture(name).pieces:
+        got = infima_over_annuli(piece, r_lo, r_hi)
+        assert len(got) == r_lo.size
+        for lo, hi, res in zip(r_lo, r_hi, got):
+            want = _infimum_reference(piece, lo, hi)
+            if want is None:
+                assert res is None
+                continue
+            assert res.value == want.value and res.param == want.param
+            assert np.array_equal(res.point, want.point)
+            assert (res.n_grid, res.converged, res.missed) == (want.n_grid, want.converged,
+                                                                  want.missed)
+
+
+def test_lockstep_golden_section_matches_one_search_at_a_time():
+    rng = np.random.default_rng(7)
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.cos(3.0 * t) + 0.1 * t * t
+
+    brackets = []
+    for _ in range(200):
+        # near a minimum of cos(3t), at an odd multiple of pi/3
+        x = np.pi / 3.0 * rng.choice([-3, -1, 1, 3]) + rng.uniform(-0.05, 0.05)
+        a, b = x - rng.uniform(1e-3, 0.3), x + rng.uniform(1e-3, 0.3)
+        if f(x) < min(f(a), f(b)):
+            brackets.append((a, x, b, float(f(x))))
+    # wider than 0.618^100 times the tolerance: this one hits _MAX_STEPS
+    brackets.append((-1e14, 1.0, 1e14, float(f(1.0))))
+    assert len(brackets) > 100
+    fx, x, missed = hypersurface._golden_section(f, *zip(*brackets))
+    assert missed[-1] is not None
+    for k, (a, xk, b, fk) in enumerate(brackets):
+        (want_f, want_x), want_missed = _golden_section_reference(
+            lambda t: float(f(np.array([t]))[0]), a, xk, b, fk)
+        assert (fx[k], x[k], missed[k]) == (want_f, want_x, want_missed)

@@ -21,7 +21,10 @@ from curvlab.fields import ConstantField, quartic_cutoff_profile
 from curvlab.hypersurface import example_fixture
 from curvlab.spaceform import RadialField, SpaceForm, radial_quantities
 from curvlab.spaceform import grad_g, grad_norm2_g, hess_g_apply, laplacian_g
+from curvlab import variation
 from curvlab.variation import (
+    BoundCheck,
+    BoundsScan,
     JInputs,
     TestFunction,
     coth_minus_inv,
@@ -130,6 +133,27 @@ def test_coth_minus_inv_series_matches_direct():
     # leading term x/3; the x^3/45 correction is ~2.2e-11 at x = 1e-3
     assert abs(coth_minus_inv(1e-3) - 1e-3 / 3.0) < 1e-10
     assert coth_minus_inv(0.0) == 0.0
+
+
+def _coth_minus_inv_reference(x):
+    """The form without the overflow guard: finite up to x = 710.47."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 0.1
+    xs = np.where(small, 1.0, x)
+    direct = np.cosh(xs) / np.sinh(xs) - 1.0 / xs
+    x2 = x * x
+    series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0)))
+    return np.where(small, series, direct)
+
+
+def test_coth_minus_inv_past_cosh_overflow():
+    # cosh overflows past 710.47; pytest turns the RuntimeWarning into an error
+    for x in (711.0, 1e3, 1e6):
+        assert coth_minus_inv(x) == 1.0 - 1.0 / x
+        assert coth_minus_inv(-x) == -(1.0 - 1.0 / x)
+    # every value that was finite keeps its bits
+    x = np.concatenate([np.linspace(0.0, 710.0, 1_000_001), np.geomspace(1e-9, 710.0, 20001)])
+    assert np.array_equal(coth_minus_inv(x), _coth_minus_inv_reference(x))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +301,100 @@ def test_scan_serialization_round_trip():
 def test_scan_rejects_unknown_model():
     with pytest.raises(ValueError):
         crucial_bounds_scan(n=1, R=4.0, model="spherical")
+
+
+def _bounds_scan_reference(n, R, model, n_r, n_t, slack_floor=-1e-12):
+    """The full n_r x n_t grid: every cell evaluated, one argmin per check."""
+    space = SpaceForm(n + 1, 0.0 if model == "euclid" else 1.0)
+    prof = quartic_cutoff_profile(R)
+    r = np.linspace(0.0, R, n_r)
+    rt = np.linspace(-1.0, 1.0, n_t)
+    terms = variation._radial_terms(JInputs(space, prof, r[:, None], rt[None, :]))
+    J2 = variation._j2(*terms)
+    scan = BoundsScan(model=model, n=n, R=R, n_r=n_r, n_t=n_t)
+    scan.j2_max = float(J2.max())
+
+    def record(name, slack, bound, value):
+        i, j = np.unravel_index(np.argmin(slack), slack.shape)
+        scan.checks[name] = BoundCheck(
+            name=name,
+            min_slack=float(slack[i, j]),
+            at_r=float(r[i]),
+            at_r_T=float(rt[j]),
+            bound=float(np.broadcast_to(bound, slack.shape)[i, j]),
+            value=float(value[i, j]),
+        )
+
+    base = 16.0 * n / R**2
+    if model == "euclid":
+        record("j2_upper", base - J2, base, J2)
+    else:
+        low = -8.0 * n / R**2
+        J1 = variation._j1(*terms)
+        record("j1_lower", J1 - low, low, J1)
+        bound2 = base - n * prof.d1(r[:, None])
+        record("j2_upper", bound2 - J2, bound2, J2)
+    scan.passed = all(c.min_slack >= slack_floor for c in scan.checks.values())
+    return scan
+
+
+def _assert_same_scan(got, want):
+    assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+
+
+@pytest.mark.parametrize("model", ["euclid", "hyperbolic"])
+@pytest.mark.parametrize("n_r, n_t", [(3, 3), (37, 5), (500, 2), (1000, 101), (8000, 400)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bounds_scan_matches_full_grid(model, n_r, n_t, n):
+    """The r_T = -1 column gives bitwise the scan of the full grid."""
+    for R in (0.3, 1.0, 7.7, 10.0, 100.0, 1000.0):
+        _assert_same_scan(crucial_bounds_scan(n, R, model, n_r, n_t),
+                          _bounds_scan_reference(n, R, model, n_r, n_t))
+
+
+@pytest.mark.parametrize("model", ["euclid", "hyperbolic"])
+@pytest.mark.parametrize("row", ["negative-D", "nan-S"])
+def test_bounds_scan_rows_failing_the_sign_test_get_the_full_grid(monkeypatch, model, row):
+    """A row with D < 0 has its smallest slack inside the row, and a row with
+    S = NaN spreads NaN; either must read as on the full grid."""
+    radial_terms = variation._radial_terms
+    r_bad = 7.5
+
+    def patched(inputs):
+        n, S, P, D, rT2, rN2 = radial_terms(inputs)
+        if row == "negative-D":
+            D = np.where(inputs.r == r_bad, -1e3, D)
+        else:
+            S = np.where(inputs.r == r_bad, np.nan, S)
+        return n, S, P, D, rT2, rN2
+
+    monkeypatch.setattr(variation, "_radial_terms", patched)
+    got = crucial_bounds_scan(2, 10.0, model, n_r=5, n_t=5)
+    _assert_same_scan(got, _bounds_scan_reference(2, 10.0, model, 5, 5))
+    j2 = got.checks["j2_upper"]
+    assert j2.at_r == r_bad
+    if row == "negative-D":
+        assert j2.at_r_T == 0.0  # r_T = 0, not the r_T = -1 column
+    else:
+        assert np.isnan(got.j2_max) and np.isnan(j2.min_slack)
+
+
+@pytest.mark.parametrize("model", ["euclid", "hyperbolic"])
+def test_bounds_scan_evaluates_one_cell_per_row(monkeypatch, model):
+    cells = []
+    for name in ("_j1", "_j2"):
+        real = getattr(variation, name)
+
+        def counting(*terms, real=real):
+            out = real(*terms)
+            cells.append(out.size)
+            return out
+
+        monkeypatch.setattr(variation, name, counting)
+    n_r, n_t = 8000, 400
+    crucial_bounds_scan(2, 10.0, model, n_r=n_r, n_t=n_t)
+    assert max(cells) <= n_r
+    assert sum(cells) <= (1 if model == "euclid" else 2) * n_r
 
 
 # ---------------------------------------------------------------------------
