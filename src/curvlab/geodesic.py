@@ -11,16 +11,20 @@ The optimizer is damped Newton with Armijo backtracking, run coarse-to-fine:
 minimize on a coarse polyline, resample in the tilde arclength, double the
 resolution, repeat. Each segment term couples only its two vertices, so the
 Hessian is block-tridiagonal with dim x dim blocks, assembled analytically
-from the factor's value, gradient and Hessian at the segment midpoints and
-solved in banded Cholesky form; a sliding endpoint's blocks are taken in its
-tangent space (Nocedal & Wright, Numerical Optimization, ch. 3-4 and 10).
+from the factor's value, gradient and Hessian at the segment midpoints; a
+sliding endpoint's blocks are taken in its tangent space (Nocedal & Wright,
+Numerical Optimization, ch. 3-4 and 10). The Newton system is solved by block
+cyclic reduction, which is block Cholesky in odd-even order: the damped
+Hessian is positive definite exactly when every pivot block of the reduction
+is, so a failed pivot factorization is the test for definiteness.
 Levenberg-Marquardt damping is raised until the factorization exists and
 lowered after full steps, which also handles the degenerate minimizers (a
 one-parameter family of perpendicular geodesics) that leave the Hessian with
-a near-null direction. Steps that would leave the model ball or drive the
-conformal factor below a floor are rejected by an infinite energy, which acts
-as a natural barrier (the factor vanishing is exactly the degeneration the
-continuum problem forbids).
+a near-null direction. Steps that would leave the model ball, drive the
+conformal factor below a floor or carry an endpoint where its surface
+projection fails are rejected by an infinite energy, which acts as a natural
+barrier (the factor vanishing is exactly the degeneration the continuum
+problem forbids).
 """
 
 from __future__ import annotations
@@ -29,11 +33,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .curves import DiscreteCurve
 from .fields import ScalarField
-from .hypersurface import Hypersurface
+from .hypersurface import Hypersurface, ProjectionError
 from .spaceform import SpaceForm, conformal_factor_field, mobius_add, mobius_center
 
 U_FLOOR = 1e-9
@@ -185,29 +188,59 @@ def _newton_system(problem, W, points):
     return grad, diag, upper
 
 
-def _upper_band(diag, upper):
-    """Upper banded storage (``solveh_banded``) of the symmetric
-    block-tridiagonal matrix with the given diagonal and super-diagonal."""
-    n_vert, dim = diag.shape[0], diag.shape[1]
-    u = 2 * dim - 1
-    ab = np.zeros((u + 1, n_vert * dim))
-    for k in range(dim):
-        for l in range(dim):
-            if k <= l:
-                ab[u + k - l, l::dim] = diag[:, k, l]
-            ab[u + k - l - dim, dim + l::dim] = upper[:, k, l]
-    return ab
+def _cyclic_reduction_solve(diag, upper, rhs):
+    """Solve the symmetric block-tridiagonal system with diagonal blocks
+    ``diag`` (n, d, d), super-diagonal blocks ``upper`` (n-1, d, d) and
+    right-hand side ``rhs`` (n, d, 1) by block cyclic reduction (Buzbee,
+    Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
+
+    Each level eliminates the odd blocks, which are mutually uncoupled, and
+    leaves the even blocks coupled by their Schur complement, again
+    block-tridiagonal; one back-substitution sweep recovers the odd blocks.
+    This is block Cholesky in odd-even order, so the matrix is positive
+    definite exactly when every pivot block is, and ``np.linalg.cholesky``
+    raises ``LinAlgError`` otherwise. On positive definite matrices the
+    reduction is stable (Heller, SIAM J. Numer. Anal. 13, 1976).
+    """
+    levels = []
+    while len(diag) > 1:
+        # pivot j = 2k + 1 couples to j - 1 by upper[2k] and to j + 1 by upper[2k + 1]
+        L_inv = np.linalg.inv(np.linalg.cholesky(diag[1::2]))
+        left = upper[0::2] @ L_inv.transpose(0, 2, 1)
+        right = (L_inv[: len(upper) // 2] @ upper[1::2]).transpose(0, 2, 1)
+        z = L_inv @ rhs[1::2]
+        p, q = len(left), len(right)
+        diag, rhs = diag[0::2].copy(), rhs[0::2].copy()
+        diag[:p] -= left @ left.transpose(0, 2, 1)
+        diag[1 : q + 1] -= right @ right.transpose(0, 2, 1)
+        rhs[:p] -= left @ z
+        rhs[1 : q + 1] -= right @ z[:q]
+        upper = -left[:q] @ right.transpose(0, 2, 1)
+        levels.append((L_inv, left, right, z))
+    L_inv = np.linalg.inv(np.linalg.cholesky(diag))
+    x = L_inv.transpose(0, 2, 1) @ (L_inv @ rhs)
+    for L_inv, left, right, z in reversed(levels):
+        p, q = len(left), len(right)
+        # the order of the two subtractions fixes the last bits of the step
+        r = z.copy()
+        r[:q] -= right.transpose(0, 2, 1) @ x[1 : q + 1]
+        r -= left.transpose(0, 2, 1) @ x[:p]
+        full = np.empty((len(x) + p,) + x.shape[1:])
+        full[0::2] = x
+        full[1::2] = L_inv.transpose(0, 2, 1) @ r
+        x = full
+    return x
 
 
-def _damped_newton_step(ab, grad, lam):
+def _damped_newton_step(diag, upper, grad, lam):
     """Solve (H + lam h I) s = -grad with h the largest diagonal entry of H,
     raising lam tenfold until the Cholesky factorization exists."""
-    h = float(np.max(np.abs(ab[-1])))
+    h = float(np.max(np.abs(np.diagonal(diag, axis1=1, axis2=2))))
+    eye = np.eye(diag.shape[1])
     while True:
-        shifted = ab.copy()
-        shifted[-1] += lam * h
         try:
-            return solveh_banded(shifted, -grad.ravel()).reshape(grad.shape), lam
+            step = _cyclic_reduction_solve(diag + (lam * h) * eye, upper, -grad[:, :, None])
+            return step[:, :, 0], lam
         except np.linalg.LinAlgError:
             lam *= 10.0
 
@@ -219,6 +252,19 @@ def _retract(problem, points):
         if piece is not None:
             out[idx] = piece.project(out[idx])
     return out
+
+
+def _trial_energy(problem, W, points):
+    """Retract a trial step and take its energy; a retraction that fails or
+    leaves the reals gives an infinite energy, so Armijo rejects the trial."""
+    with np.errstate(all="ignore"):
+        try:
+            points = _retract(problem, points)
+        except ProjectionError:
+            return points, np.inf
+    if not np.all(np.isfinite(points)):
+        return points, np.inf
+    return points, _energy(problem, W, points)
 
 
 def minimize_free_boundary(
@@ -265,13 +311,12 @@ def minimize_free_boundary(
             if iters == max_iter_per_level:
                 stop = "max-iter"
                 break
-            s, lam = _damped_newton_step(_upper_band(diag, upper), g, lam)
+            s, lam = _damped_newton_step(diag, upper, g, lam)
             slope = float(np.sum(g * s))
             # Armijo backtracking along the retracted Newton direction
             alpha = 1.0
             for _ in range(40):
-                trial = _retract(problem, x + alpha * s)
-                E_trial = _energy(problem, W, trial)
+                trial, E_trial = _trial_energy(problem, W, x + alpha * s)
                 if np.isfinite(E_trial) and E_trial <= E + 1e-4 * alpha * slope:
                     break
                 alpha *= 0.5

@@ -25,6 +25,10 @@ from .fields import BallFactorField
 from .spaceform import SpaceForm
 
 
+class ProjectionError(RuntimeError):
+    """Newton projection onto a surface did not converge."""
+
+
 @dataclass
 class Hypersurface:
     """Implicit hypersurface {F = 0} with a chosen inward side.
@@ -91,7 +95,7 @@ class Hypersurface:
                 return y
             g = np.asarray(self.gradF(y), dtype=float)
             y = y - f * g / float(g @ g)
-        raise RuntimeError("surface projection did not converge")
+        raise ProjectionError("surface projection did not converge")
 
     def chart_points(self, ts) -> np.ndarray:
         if self.chart is None:

@@ -2,10 +2,12 @@
 report emission, and determinism."""
 
 import argparse
+import ast
 import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -484,13 +486,39 @@ def test_unconverged_annulus_infimum_fails_scan_with_named_reason(tmp_path, monk
     assert not (out / "scan-log-graph.json").exists()
 
 
-def test_cli_import_leaves_out_scipy_optimize_and_integrate():
+def test_geodesic_suite_runs_without_scipy(tmp_path):
     src = str(Path(curvlab.__file__).resolve().parents[1])
     code = ("import sys, curvlab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
+            f"status = curvlab.cli.main(['--suite', 'geodesic', '--out', {str(tmp_path)!r}]); "
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "0 []"
+    assert (tmp_path / "lens-distance.json").is_file()
+
+
+def test_every_library_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(curvlab.__file__).resolve().parents[2]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    imported = {}
+    for path in sorted(Path(curvlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    third_party = {m: f for m, f in imported.items()
+                   if m not in sys.stdlib_module_names and m != "curvlab"}
+    assert "numpy" in third_party
+    undeclared = {m: f for m, f in third_party.items() if m.lower() not in declared}
+    assert not undeclared, f"imported by src/curvlab but not in [project] dependencies: {undeclared}"
 
 
 def test_saturating_bound_report_carries_grid():

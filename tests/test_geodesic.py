@@ -1,9 +1,12 @@
 """Free-boundary conformal-length minimization against closed-form lengths
 and quadrature oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solveh_banded
 
 from curvlab import fdcheck
 from curvlab.fields import BallFactorField, ConstantField, quartic_cutoff_profile
@@ -14,15 +17,15 @@ from curvlab.geodesic import (
     minimize_free_boundary,
     shortness_check,
     _coordinate_factor,
+    _cyclic_reduction_solve,
     _damped_newton_step,
     _energy,
     _energy_gradient,
     _energy_hessian_blocks,
     _newton_system,
     _retract,
-    _upper_band,
 )
-from curvlab.hypersurface import example_fixture
+from curvlab.hypersurface import ProjectionError, example_fixture
 from curvlab.spaceform import RadialField, SpaceForm
 
 
@@ -56,6 +59,108 @@ def _dense(diag, upper):
         H[i * dim:(i + 1) * dim, (i + 1) * dim:(i + 2) * dim] = upper[i]
         H[(i + 1) * dim:(i + 2) * dim, i * dim:(i + 1) * dim] = upper[i].T
     return H
+
+
+def _upper_band(diag, upper):
+    """Upper banded storage (``solveh_banded``) of the symmetric
+    block-tridiagonal matrix with the given diagonal and super-diagonal."""
+    n_vert, dim = diag.shape[0], diag.shape[1]
+    u = 2 * dim - 1
+    ab = np.zeros((u + 1, n_vert * dim))
+    for k in range(dim):
+        for l in range(dim):
+            if k <= l:
+                ab[u + k - l, l::dim] = diag[:, k, l]
+            ab[u + k - l - dim, dim + l::dim] = upper[:, k, l]
+    return ab
+
+
+def _random_blocks(rng, n, dim, fixed_ends=False):
+    """Symmetric block-tridiagonal blocks, positive definite by block
+    diagonal dominance; with ``fixed_ends`` the end blocks are the identity
+    and uncoupled, as for fixed endpoints."""
+    upper = rng.normal(size=(n - 1, dim, dim))
+    B = rng.normal(size=(n, dim, dim))
+    diag = B @ B.transpose(0, 2, 1) + 4.0 * dim * np.eye(dim)
+    if fixed_ends and n > 1:
+        diag[[0, -1]] = np.eye(dim)
+        upper[[0, -1]] = 0.0
+    return diag, upper
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 33, 257, 513])
+@pytest.mark.parametrize("fixed_ends", [False, True], ids=["coupled-ends", "fixed-ends"])
+def test_cyclic_reduction_matches_dense_and_banded_solves(n, dim, fixed_ends):
+    rng = np.random.default_rng(1000 * n + 10 * dim + fixed_ends)
+    diag, upper = _random_blocks(rng, n, dim, fixed_ends)
+    b = rng.normal(size=(n, dim))
+    got = _cyclic_reduction_solve(diag, upper, b[:, :, None])[:, :, 0]
+    dense = np.linalg.solve(_dense(diag, upper), b.ravel()).reshape(n, dim)
+    banded = solveh_banded(_upper_band(diag, upper), b.ravel()).reshape(n, dim)
+    # block diagonal dominance keeps the condition number below about 10,
+    # so both references agree with the solve to a few hundred ulps
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(got - dense)) <= 1e-13 * scale
+    assert np.max(np.abs(got - banded)) <= 1e-13 * scale
+    if fixed_ends and n > 1:
+        assert np.array_equal(got[[0, -1]], b[[0, -1]])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 33, 257, 513])
+def test_cyclic_reduction_rejects_exactly_the_indefinite_systems(n, dim):
+    """Shift a positive definite system by multiples of its smallest
+    eigenvalue: the solve raises LinAlgError exactly when dense Cholesky does,
+    and the damped step raises lam to the first power of ten it accepts."""
+    rng = np.random.default_rng(7 * n + dim)
+    diag, upper = _random_blocks(rng, n, dim)
+    lam_min = np.linalg.eigvalsh(_dense(diag, upper))[0]
+    b = rng.normal(size=(n, dim, 1))
+    for t in (0.5, 0.99, 1.01, 2.0, 10.0):
+        shifted = diag - t * lam_min * np.eye(dim)
+        try:
+            np.linalg.cholesky(_dense(shifted, upper))
+            dense_ok = True
+        except np.linalg.LinAlgError:
+            dense_ok = False
+        assert dense_ok == (t < 1.0)
+        if dense_ok:
+            _cyclic_reduction_solve(shifted, upper, b)
+        else:
+            with pytest.raises(np.linalg.LinAlgError):
+                _cyclic_reduction_solve(shifted, upper, b)
+
+    shifted = diag - 2.0 * lam_min * np.eye(dim)
+    h = np.max(np.abs(np.diagonal(shifted, axis1=1, axis2=2)))
+    lam = 1e-6
+    while True:
+        try:
+            np.linalg.cholesky(_dense(shifted, upper) + lam * h * np.eye(n * dim))
+            break
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+    step, got_lam = _damped_newton_step(shifted, upper, b[:, :, 0], 1e-6)
+    assert got_lam == lam
+    H = _dense(shifted, upper) + lam * h * np.eye(n * dim)
+    assert np.allclose(step.ravel(), np.linalg.solve(H, -b.ravel()), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 33, 257, 513])
+def test_cyclic_reduction_work_guard(n, monkeypatch):
+    """One batched Cholesky per reduction level plus one for the last block."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape[0])
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    diag, upper = _random_blocks(np.random.default_rng(n), n, 2)
+    _cyclic_reduction_solve(diag, upper, np.ones((n, 2, 1)))
+    assert len(calls) == math.ceil(math.log2(n)) + 1
+    assert sum(calls) == n
 
 
 def _lens_problem(a=1.0, t_start=np.pi + 0.25, t_end=-0.2):
@@ -150,7 +255,7 @@ def test_free_boundary_newton_step_stays_on_surfaces():
     problem = _lens_problem(a=1.0, t_start=np.pi + 0.4, t_end=-0.3)
     pts = _retract(problem, problem.initial_curve(16).points.copy())
     grad, diag, upper = _newton_system(problem, _coordinate_factor(problem), pts)
-    step, _ = _damped_newton_step(_upper_band(diag, upper), grad, 1e-3)
+    step, _ = _damped_newton_step(diag, upper, grad, 1e-3)
     for idx, piece in ((0, problem.piece_start), (-1, problem.piece_end)):
         nu = piece.euclid_unit_normal(pts[idx])
         assert abs(step[idx] @ nu) <= 1e-12 * np.linalg.norm(step[idx])
@@ -158,6 +263,39 @@ def test_free_boundary_newton_step_stays_on_surfaces():
     res = minimize_free_boundary(problem, n_segments=64, max_iter_per_level=1)
     for idx, piece in ((0, problem.piece_start), (-1, problem.piece_end)):
         assert abs(float(piece.F(res.curve.points[idx]))) < 1e-12
+
+
+@pytest.mark.parametrize("R, x0", [(40.0, 10.0), (100.0, 10.0), (100.0, 20.0)])
+def test_failed_trial_retraction_rejects_the_step(R, x0):
+    """Log-graph with the cutoff at the origin: Newton steps carry the graph
+    endpoint to x < 1, where the projection fails; those trials are
+    rejected by Armijo and the solve converges."""
+    fx = example_fixture("log-graph")
+    graph, axis = fx.pieces
+    seeds = np.stack([graph.chart_points(np.array([x0]))[0], np.array([x0, 0.0])])
+    problem = GeodesicProblem(fx.space, RadialField(fx.space, np.zeros(2), quartic_cutoff_profile(R)),
+                              piece_start=graph, piece_end=axis, endpoints=seeds)
+    res = minimize_free_boundary(problem, n_segments=128)
+    assert res.converged
+    assert res.level_stops == ["gtol"] * 3
+    for idx, piece in ((0, graph), (-1, axis)):
+        assert abs(float(piece.F(res.curve.points[idx]))) < 1e-12
+
+
+@pytest.mark.parametrize("failure", ["raises", "non-finite"])
+def test_line_search_stop_when_every_retraction_fails(failure, monkeypatch):
+    problem = _lens_problem(a=1.0)
+
+    def project(x):
+        if failure == "raises":
+            raise ProjectionError("surface projection did not converge")
+        return np.full_like(x, np.nan)
+
+    monkeypatch.setattr(problem.piece_end, "project", project)
+    res = minimize_free_boundary(problem, n_segments=32, coarse=32)
+    assert not res.converged
+    assert res.level_stops == ["line-search"]
+    assert res.iterations == 0
 
 
 def test_lens_solve_work_guard():
