@@ -612,12 +612,11 @@ def _check_planar_curvature_law(ctx):
     acc = curve.vertex_acceleration()
     pts = curve.points[1:-1]
     acc = acc[1:-1]
-    kg = np.array([float(space.norm(x, a)) for x, a in zip(pts, acc)])
+    kg = space.norm(pts, acc)
     mask = kg > 1e-3
-    worst = 0.0
-    for x, a, k in zip(pts[mask], acc[mask], kg[mask]):
-        N = a / k
-        worst = np.maximum(worst, abs(conformal.geodesic_curvature_residual(space, u, x, N, k)))
+    k = kg[mask]
+    residual = conformal.geodesic_curvature_residual(space, u, pts[mask], acc[mask] / k[:, None], k)
+    worst = np.max(np.abs(residual), initial=0.0)
     parts = {
         "curvature_law_residual": (worst, ctx.tol("geodesic")),
         "curved_arc_present": _flag(int(np.sum(mask)) > 50),
@@ -646,13 +645,9 @@ def _fd_second_variation(curve, u, phi, directions, eps=1e-3):
 
 
 def _axis_curve(space, half, n_segments):
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape + (space.dim,))
-        out[..., 0] = t
-        return out
-
-    return DiscreteCurve.from_function(space, fn, -half, half, n_segments)
+    pts = np.zeros((n_segments + 1, space.dim))
+    pts[:, 0] = np.linspace(-half, half, n_segments + 1)
+    return DiscreteCurve(space, pts)
 
 
 def _check_index_form_flat_slab(ctx):

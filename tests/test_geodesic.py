@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import solveh_banded
 
-from curvlab import fdcheck
+from curvlab import checks, cli, fdcheck
 from curvlab.fields import BallFactorField, ConstantField, quartic_cutoff_profile
 from curvlab.geodesic import (
     GeodesicProblem,
@@ -29,6 +29,11 @@ from curvlab.hypersurface import ProjectionError, example_fixture
 from curvlab.spaceform import RadialField, SpaceForm
 
 
+def _midpoint_factor(W, points):
+    mids = 0.5 * (points[1:] + points[:-1])
+    return W.value(mids), W.gradient(mids), W.hessian(mids)
+
+
 def test_energy_gradient_matches_fd():
     space = SpaceForm(2, 1.0)
     u = RadialField(space, np.zeros(2), quartic_cutoff_profile(3.0))
@@ -39,7 +44,7 @@ def test_energy_gradient_matches_fd():
     pts[0] = curve.points[0]
     pts[-1] = curve.points[-1]
     W = _coordinate_factor(problem)
-    got = _energy_gradient(problem, W, pts)
+    got = _energy_gradient(pts, *_midpoint_factor(W, pts)[:2])
     flat = pts.reshape(-1)
 
     def efun(z):
@@ -195,7 +200,7 @@ def test_energy_hessian_blocks_match_fd(space, factor):
     rng = np.random.default_rng(5)
     pts = problem.initial_curve(6).points + rng.normal(scale=0.02, size=(7, dim))
     W = _coordinate_factor(problem)
-    got = _dense(*_energy_hessian_blocks(problem, W, pts))
+    got = _dense(*_energy_hessian_blocks(pts, *_midpoint_factor(W, pts)))
     ref = fdcheck.fd_hessian(lambda z: _energy(problem, W, z.reshape(pts.shape)), pts.ravel())
     assert np.allclose(got, ref, rtol=1e-6, atol=1e-5 * np.max(np.abs(ref)))
 
@@ -277,7 +282,7 @@ def test_failed_trial_retraction_rejects_the_step(R, x0):
                               piece_start=graph, piece_end=axis, endpoints=seeds)
     res = minimize_free_boundary(problem, n_segments=128)
     assert res.converged
-    assert res.level_stops == ["gtol"] * 3
+    assert res.level_stops == ["gtol"] * len(res.level_sizes)
     for idx, piece in ((0, graph), (-1, axis)):
         assert abs(float(piece.F(res.curve.points[idx]))) < 1e-12
 
@@ -307,6 +312,59 @@ def test_lens_solve_work_guard():
     assert len(res.level_iterations) == len(res.level_sizes)
     assert res.iterations == sum(res.level_iterations)
     assert res.iterations <= 200
+
+
+def test_lens_ladder_work_guard():
+    """The three sharp-lens solves cross their degenerate valleys on the
+    8-segment level; starting the ladder at 32 segments took 171 Newton
+    iterations in total."""
+    results = [checks._solve_lens(a, 256)[2] for a in (0.5, 1.0, 2.0)]
+    for res in results:
+        assert res.level_sizes[0] == 8
+        assert res.level_stops == ["gtol"] * len(res.level_sizes)
+    assert sum(res.iterations for res in results) <= 90
+
+
+def _suite_solves(monkeypatch):
+    """(problem, keyword arguments) of every solve the default suite makes."""
+    calls = []
+
+    def record(problem, **kwargs):
+        calls.append((problem, kwargs))
+        return minimize_free_boundary(problem, **kwargs)
+
+    monkeypatch.setattr(checks, "minimize_free_boundary", record)
+    cfg = cli.RunConfig()
+    for cid in ("curve-shortness", "sharp-lens", "slab-perpendicular", "lens-distance",
+                "planar-curvature-law"):
+        checks.CHECKS[cid].fn(cli.CheckContext(cfg, cid))
+    return calls
+
+
+def _log_graph_chain(x_c):
+    """Graph-to-axis solve of the log-graph fixture through a cutoff centred
+    on the axis at x_c, with radius x_c / 2."""
+    fx = example_fixture("log-graph")
+    graph, axis = fx.pieces
+    seeds = np.stack([graph.chart_points(np.array([x_c]))[0], np.array([x_c, 0.0])])
+    u = RadialField(fx.space, np.array([x_c, 0.0]), quartic_cutoff_profile(x_c / 2.0))
+    problem = GeodesicProblem(fx.space, u, piece_start=graph, piece_end=axis, endpoints=seeds)
+    return problem, {"n_segments": 512}
+
+
+def test_ladder_start_does_not_move_the_minimizer(monkeypatch):
+    """The 8-segment ladder start with per-level tolerances reaches the same
+    minimizer as a 32-segment start, on every solve of the suite and on
+    log-graph chains."""
+    cases = _suite_solves(monkeypatch)
+    assert len(cases) == 7
+    cases += [_log_graph_chain(x_c) for x_c in (50.0, 400.0, 3000.0, 20000.0)]
+    for problem, kwargs in cases:
+        default = minimize_free_boundary(problem, **kwargs)
+        start32 = minimize_free_boundary(problem, **dict(kwargs, coarse=32))
+        for res in (default, start32):
+            assert res.level_stops == ["gtol"] * len(res.level_sizes)
+        assert abs(default.g_length - start32.g_length) <= 1e-9 * start32.g_length
 
 
 def test_slab_minimizer_finds_common_perpendicular():
