@@ -202,9 +202,9 @@ class DiscreteCurve:
     def _velocity(self):
         """(v, sigma): coordinate velocity d/dtau and speed ds/dtau at each
         vertex. Raises ValueError at the first vertex whose speed is not finite
-        or at most 1e-8 of the median, where no tangent can be trusted: where
-        a curve stalls (five repeated vertices) the speed is roundoff, 1e-17
-        relative, and the checks' curves stay above 0.87 of their median."""
+        or at most 1e-8 (about sqrt(eps)) of the median, where no tangent can
+        be trusted: a stalled curve (five repeated vertices) has roundoff
+        speeds, 1e-17 relative, while the checks' curves stay above 0.87."""
         v = _stencil_derivative(self.points, 1, 1.0)
         w0 = self.space.ambient_factor(self.points)
         sigma = np.linalg.norm(v, axis=1) / w0

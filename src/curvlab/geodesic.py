@@ -140,7 +140,8 @@ def _energy_hessian_blocks(points, Wm, dW, HW):
     """
     M, dim = points.shape[0] - 1, points.shape[1]
     d = points[1:] - points[:-1]
-    Wm, dW = Wm[:, None, None], dW[:, :, None]
+    Wm = Wm[:, None, None]
+    dW = dW[:, :, None]
     dV = -2.0 * dW / Wm**3
     HV = 6.0 * dW * np.swapaxes(dW, 1, 2) / Wm**4 - 2.0 * HW / Wm**3
     f_dd = 2.0 * np.eye(dim) / Wm**2
@@ -295,7 +296,8 @@ def minimize_free_boundary(
         gtol = 1e-6 * max(1.0, L0)
 
     lam = LAM_START
-    level_iterations, level_stops = [], []
+    level_iterations = []
+    level_stops = []
     for M in levels:
         if curve.n_segments != M:
             curve = curve.resample(M, u=problem.u)
