@@ -123,17 +123,13 @@ _LAW_SPACES = (
 )
 
 
-def _factor_draw(rng, dim, scale=0.25):
-    """(a, B, c) of one random ExpQuadraticField."""
-    a = rng.normal(size=dim) * scale
-    M = rng.normal(size=(dim, dim)) * scale
-    return a, 0.5 * (M + M.T), rng.normal() * 0.1
-
-
-def _stacked(samples, draw):
-    """One array per item of the tuple draw() returns, stacked over
-    ``samples`` calls; drawing one sample at a time keeps the rng order."""
-    return [np.array(col) for col in zip(*(draw() for _ in range(samples)))]
+def _factor_draw(rng, samples, dim, scale=0.25):
+    """(a, B, c) of ``samples`` random ExpQuadraticFields, stacked: a (S, m),
+    symmetric B (S, m, m) and c (S,), one generator call each."""
+    a = rng.normal(size=(samples, dim)) * scale
+    M = rng.normal(size=(samples, dim, dim)) * scale
+    c = rng.normal(size=samples) * 0.1
+    return a, 0.5 * (M + np.swapaxes(M, -1, -2)), c
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +161,10 @@ def _relative(got, ref):
 
 def _connection_error(rng, space, samples):
     m = space.dim
-    a, B, c, x, X, Y = _stacked(samples, lambda: (
-        *_factor_draw(rng, m), rng.uniform(-0.3, 0.3, size=m),
-        rng.normal(size=m), rng.normal(size=m)))
-    u = ExpQuadraticField(a=a, B=B, c=c)
+    u = ExpQuadraticField(*_factor_draw(rng, samples, m))
+    x = rng.uniform(-0.3, 0.3, size=(samples, m))
+    X = rng.normal(size=(samples, m))
+    Y = rng.normal(size=(samples, m))
     metric = conformal.coordinate_metric(space, u)
     flat_metric = conformal.coordinate_metric(space, ConstantField(1.0))
     gap = fdcheck.christoffels_fd(metric, x) - fdcheck.christoffels_fd(flat_metric, x)
@@ -178,11 +174,13 @@ def _connection_error(rng, space, samples):
 
 
 def _frame_draw(rng, space, samples):
-    """Stacked random factor, points and g-orthonormal frames (samples, m, m)."""
+    """Stacked random factor, points and g-orthonormal frames (samples, m, m),
+    one generator call per quantity."""
     m = space.dim
-    a, B, c, x, seed = _stacked(samples, lambda: (
-        *_factor_draw(rng, m), rng.uniform(-0.3, 0.3, size=m), rng.normal(size=(m, m))))
-    return ExpQuadraticField(a=a, B=B, c=c), x, gram_schmidt_frame(space, x, seed=seed)
+    u = ExpQuadraticField(*_factor_draw(rng, samples, m))
+    x = rng.uniform(-0.3, 0.3, size=(samples, m))
+    seed = rng.normal(size=(samples, m, m))
+    return u, x, gram_schmidt_frame(space, x, seed=seed)
 
 
 def _sectional_error(rng, space, samples):
@@ -238,10 +236,9 @@ def _mean_curvature_error(rng, space, samples):
         H_g = 2.0 / np.tanh(2.0 * np.arctanh(s))
     else:
         H_g = 2.0 / s
-    a, B, c, th = _stacked(samples, lambda: (
-        *_factor_draw(rng, 3, scale=0.2),
-        (rng.uniform(0.4, 2.7), rng.uniform(0.0, 2.0 * np.pi))))
-    u = ExpQuadraticField(a=a, B=B, c=c)
+    u = ExpQuadraticField(*_factor_draw(rng, samples, 3, scale=0.2))
+    # polar angle in [0.4, 2.7), azimuth in [0, 2 pi)
+    th = rng.uniform((0.4, 0.0), (2.7, 2.0 * np.pi), size=(samples, 2))
     metric = conformal.coordinate_metric(space, u)
     x = chart(th)
     nu_g = -x / s * space.ambient_factor(x)[:, None]
@@ -269,15 +266,13 @@ def _check_poincare_recovery(ctx):
     for dim in (2, 3, 4):
         space = SpaceForm(dim, 0.0)
         u = BallFactorField(kappa=1.0)
-
-        def draw():
-            x = rng.uniform(-0.6, 0.6, size=dim)
-            r = np.linalg.norm(x)
-            if r > 0.85:
-                x *= 0.85 / r
-            return x, rng.normal(size=(dim, dim))
-
-        x, seed = _stacked(max(8, ctx.grid("samples") // 5), draw)
+        n_pts = max(8, ctx.grid("samples") // 5)
+        x = rng.uniform(-0.6, 0.6, size=(n_pts, dim))
+        seed = rng.normal(size=(n_pts, dim, dim))
+        # pull the points outside radius 0.85 back onto that sphere
+        r = np.linalg.norm(x, axis=-1)
+        far = r > 0.85
+        x[far] *= 0.85 / r[far, None]
         F = gram_schmidt_frame(space, x, seed=seed)
         # every frame vector, each at its own point
         ric = conformal.ricci_formula(space, u, np.repeat(x, dim, axis=0), F.reshape(-1, dim))
@@ -477,16 +472,12 @@ def _check_sharp_lens(ctx):
 
 def _fd_profile_derivatives(height, ts, steps, npts=9):
     """First and second derivatives of a scalar profile by Fornberg stencils
-    on per-point step sizes."""
+    on per-point step sizes, all points as one stack. Each row's weights are
+    contracted by a stacked matmul, which adds a row as ``w @ vals`` does."""
     offsets = np.arange(npts) - (npts - 1) // 2
-    d1 = np.empty_like(ts)
-    d2 = np.empty_like(ts)
-    for i, (t0, h) in enumerate(zip(ts, steps)):
-        grid = t0 + offsets * h
-        vals = height(grid)
-        d1[i] = float(fornberg_weights(grid, t0, 1) @ vals)
-        d2[i] = float(fornberg_weights(grid, t0, 2) @ vals)
-    return d1, d2
+    grid = ts[:, None] + offsets * steps[:, None]
+    vals = height(grid)[:, :, None]
+    return [(fornberg_weights(grid, ts, k)[:, None, :] @ vals)[:, 0, 0] for k in (1, 2)]
 
 
 def _check_log_graph_curvature(ctx):

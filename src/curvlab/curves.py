@@ -29,33 +29,36 @@ from .spaceform import SpaceForm, christoffel_quadratic
 def fornberg_weights(grid, x0, order):
     """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
 
-    Returns w with sum_j w[j] f(grid[j]) = f^(order)(x0) + O(h^{len-order}).
+    Returns w with sum_j w[..., j] f(grid[..., j]) = f^(order)(x0[...]) +
+    O(h^{n-order}) for nodes grid (..., n) and points x0 (...). The recursion
+    is elementwise, so each stencil of a stack gets the bits it gets alone.
     """
     grid = np.asarray(grid, dtype=float)
-    n = grid.size
+    x0 = np.asarray(x0, dtype=float)
+    n = grid.shape[-1]
     if order >= n:
         raise ValueError("need more nodes than the derivative order")
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
+    c = np.zeros(grid.shape + (order + 1,))
+    c[..., 0, 0] = 1.0
     c1 = 1.0
-    c4 = grid[0] - x0
+    c4 = grid[..., 0] - x0
     for i in range(1, n):
         mn = min(i, order)
         c2 = 1.0
         c5 = c4
-        c4 = grid[i] - x0
+        c4 = grid[..., i] - x0
         for j in range(i):
-            c3 = grid[i] - grid[j]
-            c2 *= c3
+            c3 = grid[..., i] - grid[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1] - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
-    return c[:, order]
+    return c[..., order]
 
 
 @lru_cache(maxsize=None)

@@ -73,7 +73,7 @@ class GeodesicProblem:
             rr = np.linalg.norm(q0)
             direction = q0 / rr
             radii = np.tanh(ts * np.arctanh(rr))
-            pts = np.array([mobius_add(p, r * direction) for r in radii])
+            pts = mobius_add(p, radii[:, None] * direction)
         else:
             pts = p[None, :] + ts[:, None] * (q - p)[None, :]
         pts[0], pts[-1] = p, q

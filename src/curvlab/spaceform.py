@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import BallFactorField, ConstantField, RadialProfile, ScalarField
+from .fields import BallFactorField, ConstantField, RadialProfile, ScalarField, _fold_dot
 
 
 @dataclass(frozen=True)
@@ -350,8 +350,11 @@ def hess_g_matrix(space: SpaceForm, u: ScalarField, x) -> np.ndarray:
 
 
 def hess_g_apply(space: SpaceForm, u: ScalarField, x, X, Y) -> np.ndarray:
+    """Hess_g u(X, Y), added in index order, so a point gets the same bits
+    alone and inside a stack."""
     H = hess_g_matrix(space, u, x)
-    return np.einsum("...ij,...i,...j->...", H, np.asarray(X, float), np.asarray(Y, float))
+    HY = _fold_dot(H, np.asarray(Y, float)[..., None, :])
+    return _fold_dot(np.asarray(X, float), HY)
 
 
 def laplacian_g(space: SpaceForm, u: ScalarField, x) -> np.ndarray:

@@ -416,6 +416,91 @@ def test_fd_law_metric_calls_do_not_grow_with_samples(monkeypatch, cid):
     assert few and few == calls_per_space(30)
 
 
+class _CountingRng:
+    """Generator proxy that counts the calls of its methods."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize(
+    "cid",
+    ["connection-law-fd", "sectional-law-fd", "ricci-law-fd", "mean-curvature-law-fd",
+     "poincare-recovery"],
+)
+def test_generator_calls_do_not_grow_with_samples(monkeypatch, cid):
+    """Each quantity is drawn as one stack, so a check makes as many
+    generator calls for 3 samples as for 60 (poincare-recovery draws
+    max(8, samples // 5) points per dimension, so it needs more than 40 to
+    draw more than at 3)."""
+    real = cli.CheckContext.rng
+
+    def generator_calls(samples):
+        proxies = []
+
+        def counting(self):
+            proxies.append(_CountingRng(real(self)))
+            return proxies[-1]
+
+        monkeypatch.setattr(cli.CheckContext, "rng", counting)
+        ctx = cli.CheckContext(RunConfig(grids={"samples": samples}), cid)
+        assert cli.CHECKS[cid].fn(ctx).passed
+        return sum(p.calls for p in proxies)
+
+    few = generator_calls(3)
+    assert few > 0 and few == generator_calls(60)
+
+
+def test_poincare_recovery_draws_stay_within_radius(monkeypatch):
+    """Every point handed to the frame builder lies within radius 0.85, up to
+    the rounding of the rescale, and the rescale is exercised."""
+    drawn = []
+    real = checks.gram_schmidt_frame
+
+    def recording(space, x, seed=None):
+        drawn.append(np.linalg.norm(x, axis=-1))
+        return real(space, x, seed=seed)
+
+    monkeypatch.setattr(checks, "gram_schmidt_frame", recording)
+    for seed in (1, 2, 3):
+        ctx = cli.CheckContext(RunConfig(seed=seed, grids={"samples": 400}), "poincare-recovery")
+        assert cli.CHECKS["poincare-recovery"].fn(ctx).passed
+    r = np.concatenate(drawn)
+    assert r.size == 3 * 3 * 80
+    assert np.all(r <= 0.85 * (1.0 + 4.0 * np.finfo(float).eps))
+    assert np.any(np.abs(r - 0.85) <= 1e-15)
+
+
+def test_fd_profile_derivatives_match_the_per_point_stencils():
+    """Bitwise against one Fornberg stencil and one dot product per point,
+    on the log-graph height and the trumpet profile as the checks use them."""
+    graph = example_fixture("log-graph").pieces[0]
+    xs = np.geomspace(10.0, 1.0e4, 50)
+    ts = np.linspace(0.0, 0.9, 50, endpoint=False)
+    cases = [
+        (lambda t: graph.chart_points(t)[..., 1], xs, 3e-3 * xs),
+        (lambda t: np.exp(1.0 / (1.0 - t)), ts, 1e-2 * (1.0 - ts) ** 2),
+    ]
+    offsets = np.arange(9) - 4
+    for height, pts, steps in cases:
+        d1, d2 = checks._fd_profile_derivatives(height, pts, steps)
+        for i, (t0, h) in enumerate(zip(pts, steps)):
+            grid = t0 + offsets * h
+            vals = height(grid)
+            assert d1[i] == float(checks.fornberg_weights(grid, t0, 1) @ vals)
+            assert d2[i] == float(checks.fornberg_weights(grid, t0, 2) @ vals)
+
+
 def _nan_ricci(monkeypatch):
     monkeypatch.setattr(checks.conformal, "ricci_formula", lambda *a, **k: float("nan"))
 

@@ -27,6 +27,20 @@ def test_fornberg_reproduces_centered_weights():
     assert np.allclose(w0, [0.0, 1.0, 0.0], atol=1e-13)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 4])
+def test_fornberg_stacked_nodes_match_the_per_point_call(order):
+    """Bitwise: every row of a stack of irregular stencils (a (3, 40) stack
+    of 9 nodes each) gets the weights of its own one-stencil call."""
+    rng = np.random.default_rng(8 + order)
+    x0 = rng.uniform(-5.0, 5.0, size=(3, 40))
+    h = np.exp(rng.uniform(-8.0, 0.0, size=(3, 40)))
+    grid = x0[..., None] + h[..., None] * (np.arange(9) - 4 + rng.uniform(-0.3, 0.3, size=9))
+    w = fornberg_weights(grid, x0, order)
+    assert w.shape == (3, 40, 9)
+    for idx in np.ndindex(x0.shape):
+        assert np.array_equal(w[idx], fornberg_weights(grid[idx], float(x0[idx]), order))
+
+
 @pytest.mark.parametrize("rule", ["midpoint", "simpson"])
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
 def test_length_duality_exact(rule, kappa):

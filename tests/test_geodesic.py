@@ -26,7 +26,7 @@ from curvlab.geodesic import (
     _retract,
 )
 from curvlab.hypersurface import ProjectionError, example_fixture
-from curvlab.spaceform import RadialField, SpaceForm
+from curvlab.spaceform import RadialField, SpaceForm, mobius_add, mobius_center
 
 
 def _midpoint_factor(W, points):
@@ -453,6 +453,29 @@ def test_fixed_endpoints_reproduce_hyperbolic_distance():
     assert np.isclose(res.tilde_length, exact, rtol=1e-4)
     assert np.allclose(res.curve.points[0], p)
     assert np.allclose(res.curve.points[-1], q)
+
+
+@pytest.mark.parametrize("n_segments", [8, 256])
+def test_ball_initial_curve_matches_the_per_point_loop(n_segments):
+    """Bitwise: the broadcast seed polyline on the ball equals the one built
+    one mobius_add call per vertex, on the lens seeds and random endpoints."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for a in (0.5, 1.0, 2.0):
+        fx = example_fixture("poincare-circles", a=a)
+        cases.append((fx.space, np.stack([fx.pieces[0].chart_points(np.array([np.pi + 0.25]))[0],
+                                          fx.pieces[1].chart_points(np.array([-0.2]))[0]])))
+    for dim, kappa in ((2, 1.0), (3, 1.0), (3, 2.0)):
+        cases.append((SpaceForm(dim, kappa), rng.uniform(-0.5, 0.5, size=(2, dim))))
+    for space, ends in cases:
+        problem = GeodesicProblem(space, ConstantField(1.0), endpoints=ends)
+        p, q = problem.endpoints
+        q0 = mobius_center(problem.space, p, q)
+        rr = np.linalg.norm(q0)
+        radii = np.tanh(np.linspace(0.0, 1.0, n_segments + 1) * np.arctanh(rr))
+        ref = np.array([mobius_add(p, r * (q0 / rr)) for r in radii])
+        ref[0], ref[-1] = p, q
+        assert np.array_equal(problem.initial_curve(n_segments).points, ref)
 
 
 def test_nonconvergence_reported():

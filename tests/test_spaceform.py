@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from curvlab import fdcheck
-from curvlab.fields import quartic_cutoff_profile
+from curvlab.fields import ExpQuadraticField, quartic_cutoff_profile
 from curvlab.spaceform import (
     RadialField,
     SpaceForm,
@@ -14,6 +14,7 @@ from curvlab.spaceform import (
     conformal_factor_field,
     grad_norm2_g,
     gram_schmidt_frame,
+    hess_g_apply,
     hess_g_matrix,
     lambda_pair,
     mobius_add,
@@ -332,3 +333,23 @@ def test_grad_norm2_matches_inner_product():
     w = space.ambient_factor(x)
     gr = (w * w) * field.gradient(x)
     assert np.isclose(grad_norm2_g(space, field, x), space.inner(x, gr, gr), rtol=1e-13)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hess_g_apply_rounds_the_same_alone_and_in_a_batch(dim, kappa):
+    """Bitwise: each point of a batch of 400 gets the value of its own
+    one-point call, and that value is the contraction of hess_g_matrix."""
+    rng = np.random.default_rng(40 + dim)
+    space = SpaceForm(dim, kappa)
+    M = rng.normal(size=(dim, dim)) * 0.3
+    u = ExpQuadraticField(a=rng.normal(size=dim) * 0.3, B=0.5 * (M + M.T), c=0.1)
+    x = np.array([ball_point(rng, dim, rmax=0.6) for _ in range(400)])
+    X, Y = rng.normal(size=(2, 400, dim))
+    batch = hess_g_apply(space, u, x, X, Y)
+    assert batch.shape == (400,)
+    for i in range(400):
+        assert batch[i] == hess_g_apply(space, u, x[i], X[i], Y[i])
+    H = hess_g_matrix(space, u, x)
+    np.testing.assert_allclose(batch, np.einsum("...ij,...i,...j->...", H, X, Y),
+                               rtol=1e-13, atol=1e-13)
