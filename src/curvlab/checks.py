@@ -42,7 +42,13 @@ from .geodesic import (
 from .hypersurface import example_fixture, geodesic_sphere
 from .report import NonConvergence, build_report
 from .spaceform import RadialField, SpaceForm, gram_schmidt_frame
-from .variation import TestFunction, crucial_bounds_scan, index_form_trace, phi_calculus
+from .variation import (
+    TestFunction,
+    crucial_bounds_scan,
+    index_form_trace,
+    phi_calculus,
+    tanh_boundary_identity,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +650,8 @@ def _axis_curve(space, half, n_segments):
 def _check_index_form_flat_slab(ctx):
     """Traced second variation on the slab axis through a radial bump,
     against the closed form and against the brute-force displacement
-    oracle."""
+    oracle; with the cosh weight, both sides of the tanh and f identities
+    agree to the closed-form allowance."""
     fx = example_fixture("euclid-slab", d=1.2, dim=3)
     u = RadialField(fx.space, np.zeros(3), quartic_cutoff_profile(2.0))
     curve = _axis_curve(fx.space, 0.6, 2048)
@@ -658,14 +665,19 @@ def _check_index_form_flat_slab(ctx):
     phi = TestFunction.cosh_type(curve.g_length())
     rep_w = index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], phi)
     fd_w = _fd_second_variation(curve, u, phi, [np.eye(3)[1], np.eye(3)[2]])
+    tanh_lhs, tanh_rhs = tanh_boundary_identity(curve, u, phi)
     parts = {
         "closed_form_error": (abs(rep.total - exact), 1e-6),
         "fd_relative_error": (abs(fd - rep.total) / abs(rep.total), ctx.tol("fd_rel")),
         "fd_relative_error_cosh": (abs(fd_w - rep_w.total) / max(1.0, abs(rep_w.total)),
                                    ctx.tol("fd_rel")),
         "terms_sum_to_total": (abs(rep.total - term_sum), 1e-12),
+        "tanh_identity_error": (abs(tanh_lhs - tanh_rhs), 1e-6),
+        "f_identity_error": (abs(rep_w.f_identity_lhs - rep_w.f_identity_rhs), 1e-6),
     }
-    grid = {"total": rep.total, "total_cosh": rep_w.total, "fd": fd, "fd_cosh": fd_w}
+    grid = {"total": rep.total, "total_cosh": rep_w.total, "fd": fd, "fd_cosh": fd_w,
+            "tanh_identity": [tanh_lhs, tanh_rhs],
+            "f_identity": [rep_w.f_identity_lhs, rep_w.f_identity_rhs]}
     return _ratio_report(ctx.cid, parts, inputs={"n_segments": 2048}, grid=grid)
 
 

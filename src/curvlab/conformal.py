@@ -30,7 +30,6 @@ from .spaceform import (
     grad_norm2_g,
     hess_g_apply,
     laplacian_g,
-    log_factor_gradient,
 )
 
 
@@ -69,24 +68,6 @@ def connection_difference(space: SpaceForm, u: ScalarField, x, X, Y) -> np.ndarr
     Yu = directional(space, u, x, Y)[..., None]
     gXY = space.inner(x, X, Y)[..., None]
     return -(Xu * Y + Yu * X - gXY * grad_g(space, u, x)) / uv
-
-
-def christoffels_formula(space: SpaceForm, u: ScalarField, x) -> np.ndarray:
-    """Gamma[k, i, j] of u^-2 g from the conformally flat closed form.
-
-    The coordinate metric is e^{2 psi} delta with psi = -log(u w), so
-    Gamma^k_ij = d^k_i psi_j + d^k_j psi_i - delta_ij psi^k.
-    """
-    x = np.asarray(x, dtype=float)
-    m = space.dim
-    # psi = phi - log u with phi = -log w
-    ps = log_factor_gradient(space, x) - u.gradient(x) / float(u.value(x))
-    out = np.zeros((m, m, m))
-    eye = np.eye(m)
-    out += eye[:, :, None] * ps[None, None, :]
-    out += eye[:, None, :] * ps[None, :, None]
-    out -= ps[:, None, None] * eye[None, :, :]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +141,3 @@ def geodesic_curvature_residual(space: SpaceForm, u: ScalarField, x, N, kg) -> n
     """
     return kg + space.inner(x, grad_g(space, u, x), N) / u.value(x)
 
-
-def off_plane_component(space: SpaceForm, u: ScalarField, x, T, N) -> float:
-    """|grad u - proj_{span(T, N)} grad u|_g for g-orthonormal T, N.
-
-    Zero exactly when grad u stays in the osculating plane, the situation for
-    radial factors along curves through their center plane.
-    """
-    gu = grad_g(space, u, x)
-    cT = float(space.inner(x, gu, T))
-    cN = float(space.inner(x, gu, N))
-    rest = gu - cT * np.asarray(T, float) - cN * np.asarray(N, float)
-    return float(space.norm(x, rest))

@@ -1,11 +1,10 @@
 """Discrete curves in a conformally flat ambient model.
 
-A curve is a vertex polyline. Lengths and curve integrals use per-segment
-quadrature (midpoint by default, Simpson for high-accuracy certification
-runs) with nodes shared between the g and u^-2 g measures. Sharing nodes
-makes the duality
+A curve is a vertex polyline. Lengths use the midpoint rule on each
+segment, with the segment midpoints as nodes for both the g and the u^-2 g
+measure. Sharing nodes makes the duality
 
-    integral of u d(s-tilde)  ==  integral of 1 ds  ==  g-length
+    sum over segments of u(node) * (u^-2 g length)  ==  g-length
 
 exact to roundoff for any factor u, because u * 1/(u w) = 1/w pointwise.
 Several later identities telescope against this, so it is load-bearing.
@@ -95,17 +94,12 @@ def _stencil_derivative(values, order, h):
     return out / h**order
 
 
-_SIMPSON_OFFSETS = np.array([0.0, 0.5, 1.0])
-_SIMPSON_WEIGHTS = np.array([1.0, 4.0, 1.0]) / 6.0
-
-
 @dataclass
 class DiscreteCurve:
     """Open polyline with quadrature and discrete differential geometry."""
 
     space: SpaceForm
     points: np.ndarray
-    rule: str = "midpoint"
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -113,15 +107,13 @@ class DiscreteCurve:
             raise ValueError("points must be (N+1, dim)")
         if self.points.shape[0] < 2:
             raise ValueError("a curve needs at least two vertices")
-        if self.rule not in ("midpoint", "simpson"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         self.space.check_point(self.points)
 
     @classmethod
-    def from_function(cls, space, fn, t0, t1, n_segments, rule="midpoint"):
+    def from_function(cls, space, fn, t0, t1, n_segments):
         ts = np.linspace(t0, t1, n_segments + 1)
         pts = np.array([fn(t) for t in ts], dtype=float)
-        return cls(space, pts, rule=rule)
+        return cls(space, pts)
 
     @property
     def n_segments(self) -> int:
@@ -136,51 +128,22 @@ class DiscreteCurve:
         return np.linalg.norm(self.segment_vectors(), axis=1)
 
     def quad_nodes(self):
-        a = self.points[:-1]
-        d = self.segment_vectors()
-        if self.rule == "midpoint":
-            return a + 0.5 * d
-        nodes = a[:, None, :] + _SIMPSON_OFFSETS[None, :, None] * d[:, None, :]
-        return nodes.reshape(-1, self.points.shape[1])
+        """Segment midpoints, the quadrature nodes of both measures."""
+        return self.points[:-1] + 0.5 * self.segment_vectors()
 
-    def quad_base_weights(self):
-        chords = self.segment_chords()
-        if self.rule == "midpoint":
-            return chords
-        return (chords[:, None] * _SIMPSON_WEIGHTS[None, :]).reshape(-1)
+    def g_length(self) -> float:
+        """Length in the g metric."""
+        w0 = self.space.ambient_factor(self.quad_nodes())
+        return float(np.sum(self.segment_chords() / w0))
 
-    def _node_values(self, f):
-        nodes = self.quad_nodes()
-        if callable(f):
-            vals = np.asarray(f(nodes), dtype=float)
-        else:
-            vals = np.asarray(f, dtype=float)
-        if vals.shape != (nodes.shape[0],):
-            raise ValueError("node values have the wrong shape")
-        return vals
-
-    def integrate_ds(self, f=None) -> float:
-        """Integral of f over the curve in the g arclength measure."""
-        nodes = self.quad_nodes()
-        w0 = self.space.ambient_factor(nodes)
-        vals = np.ones(nodes.shape[0]) if f is None else self._node_values(f)
-        return float(np.sum(self.quad_base_weights() * vals / w0))
-
-    def integrate_ds_tilde(self, u, f=None) -> float:
-        """Integral of f in the u^-2 g arclength measure."""
+    def tilde_length(self, u) -> float:
+        """Length in the u^-2 g metric."""
         nodes = self.quad_nodes()
         w0 = self.space.ambient_factor(nodes)
         uv = np.asarray(u.value(nodes), dtype=float)
         if np.any(uv <= 0.0):
             raise ValueError("conformal factor must be positive along the curve")
-        vals = np.ones(nodes.shape[0]) if f is None else self._node_values(f)
-        return float(np.sum(self.quad_base_weights() * vals / (uv * w0)))
-
-    def g_length(self) -> float:
-        return self.integrate_ds()
-
-    def tilde_length(self, u) -> float:
-        return self.integrate_ds_tilde(u)
+        return float(np.sum(self.segment_chords() / (uv * w0)))
 
     def segment_lengths(self, u=None):
         """Per-segment lengths in g (u None) or u^-2 g."""
@@ -189,10 +152,7 @@ class DiscreteCurve:
         dens = 1.0 / w0
         if u is not None:
             dens = dens / np.asarray(u.value(nodes), dtype=float)
-        contrib = self.quad_base_weights() * dens
-        if self.rule == "midpoint":
-            return contrib
-        return contrib.reshape(-1, 3).sum(axis=1)
+        return self.segment_chords() * dens
 
     def vertex_s(self, u=None):
         """Cumulative arclength at the vertices, starting from zero."""
@@ -236,16 +196,6 @@ class DiscreteCurve:
         tang = self.space.inner(self.points, acc, T)
         return acc - tang[:, None] * T
 
-    def geodesic_curvature(self):
-        """Signed g-geodesic curvature at the vertices (dim 2 only), with the
-        normal obtained by rotating T a quarter turn counterclockwise."""
-        if self.space.dim != 2:
-            raise ValueError("geodesic curvature needs a two dimensional model")
-        T, _ = self.vertex_tangents()
-        N = np.stack([-T[:, 1], T[:, 0]], axis=1)
-        acc = self.vertex_acceleration()
-        return self.space.inner(self.points, acc, N)
-
     # -- reparameterization -------------------------------------------------
 
     def resample(self, n_segments, u=None):
@@ -258,4 +208,4 @@ class DiscreteCurve:
         pts = np.stack(cols, axis=1)
         pts[0] = self.points[0]
         pts[-1] = self.points[-1]
-        return DiscreteCurve(self.space, pts, rule=self.rule)
+        return DiscreteCurve(self.space, pts)

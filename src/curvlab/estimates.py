@@ -214,6 +214,8 @@ ENVELOPE_KINDS = ("sum-inverse-R", "fitted-inverse-R2", "hyperbolic-saturation")
 
 SCAN_CSV_HEADER = "R,inf_h1,inf_h2,sum,envelope,slack\n"
 
+SCAN_SLACK_FLOOR = -1e-12  # a scan passes when every slack stays above this
+
 
 def annulus_infima(fixture: Fixture, r_lo, r_hi) -> np.ndarray:
     """Per-piece infimum of inward mean curvature over the set of boundary
@@ -267,7 +269,7 @@ class DecayScan:
                              rather than decaying.
     """
 
-    def __init__(self, fixture, envelope_kind, R, inf1, inf2, *, slack_floor=-1e-12):
+    def __init__(self, fixture, envelope_kind, R, inf1, inf2):
         if envelope_kind not in ENVELOPE_KINDS:
             raise ValueError(f"unknown envelope kind {envelope_kind!r}")
         R = np.asarray(R, dtype=float)
@@ -310,7 +312,7 @@ class DecayScan:
                 -2.0 / 3.0
             )
         self.slack = self.envelope - self.total
-        self.passed = bool(np.all(self.slack >= slack_floor))
+        self.passed = bool(np.all(self.slack >= SCAN_SLACK_FLOOR))
 
     def to_csv(self, path) -> None:
         cols = (self.R, self.inf1, self.inf2, self.total, self.envelope, self.slack)
@@ -318,28 +320,6 @@ class DecayScan:
             f.write(SCAN_CSV_HEADER)
             for row in zip(*cols):
                 f.write(",".join("%.17g" % v for v in row) + "\n")
-
-    def to_dict(self) -> dict:
-        d = {
-            "fixture": self.fixture,
-            "envelope_kind": self.envelope_kind,
-            "kappa": self.kappa,
-            "n": self.n,
-            "start_R": self.start_R,
-            "R": self.R.tolist(),
-            "inf_h1": self.inf1.tolist(),
-            "inf_h2": self.inf2.tolist(),
-            "sum": self.total.tolist(),
-            "envelope": self.envelope.tolist(),
-            "slack": self.slack.tolist(),
-            "passed": self.passed,
-        }
-        if self.fitted_constant is not None:
-            d["fitted_constant"] = self.fitted_constant
-            d["fit_drift"] = self.fit_drift
-        if self.normalized is not None:
-            d["normalized"] = self.normalized.tolist()
-        return d
 
 
 def decay_scan(fixture: Fixture, R_grid, envelope_kind: str) -> DecayScan:
@@ -361,9 +341,11 @@ def decay_scan(fixture: Fixture, R_grid, envelope_kind: str) -> DecayScan:
 # ---------------------------------------------------------------------------
 
 
-def elementary_inequalities(
-    n_grid: int = 4096, r_max: float = 50.0, tolerance: float = 1e-12
-) -> VerificationReport:
+ELEMENTARY_N_GRID = 4096  # grid points per inequality (2 n + 1 for the second)
+ELEMENTARY_R_MAX = 50.0  # right end of the coth window's r grid
+
+
+def elementary_inequalities(tolerance: float = 1e-12) -> VerificationReport:
     """Grid checks of three scalar inequalities used by the estimate:
 
       (1 - m^2)^(-2) < 1 + (5/9) m        for m in (0, 1/4]
@@ -375,6 +357,7 @@ def elementary_inequalities(
     third one's value at r = 1.  The second has equality at x = 0, so
     the overall minimum slack is exactly zero.
     """
+    n_grid, r_max = ELEMENTARY_N_GRID, ELEMENTARY_R_MAX
     m = np.linspace(0.25 / n_grid, 0.25, n_grid)
     s1 = (1.0 + (5.0 / 9.0) * m) - (1.0 - m * m) ** -2
     k1 = int(np.argmin(s1))

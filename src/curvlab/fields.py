@@ -163,8 +163,9 @@ class ProductField:
 class RadialProfile:
     """Profile u(r) given through q-form callables u = qv(r^2).
 
-    kind is one of "quartic-cutoff" (the (1 - r^2 R^-2)^2 profile),
-    "constant" or "gaussian". R is the support radius when meaningful.
+    kind names the profile; "quartic-cutoff" (the (1 - r^2 R^-2)^2 profile
+    of ``quartic_cutoff_profile``) has a closed form for u'^2/u. R is the
+    support radius, None for a profile without compact support.
     """
 
     kind: str
@@ -228,29 +229,3 @@ def quartic_cutoff_profile(R: float) -> RadialProfile:
 
     return RadialProfile("quartic-cutoff", qv, qd1, qd2, R=R)
 
-
-def constant_profile(c: float = 1.0) -> RadialProfile:
-    def zero(q):
-        return np.zeros_like(np.asarray(q, dtype=float))
-
-    return RadialProfile(
-        "constant",
-        lambda q: np.full_like(np.asarray(q, dtype=float), c),
-        zero,
-        zero,
-    )
-
-
-def gaussian_profile(sigma: float = 1.0) -> RadialProfile:
-    s2 = sigma * sigma
-
-    def qv(q):
-        return np.exp(-np.asarray(q, dtype=float) / s2)
-
-    def qd1(q):
-        return -qv(q) / s2
-
-    def qd2(q):
-        return qv(q) / (s2 * s2)
-
-    return RadialProfile("gaussian", qv, qd1, qd2)

@@ -25,6 +25,10 @@ from .fields import BallFactorField
 from .spaceform import SpaceForm
 
 
+_PROJECT_TOL = 1e-13  # relative |F| at which ``Hypersurface.project`` stops
+_PROJECT_MAX_ITER = 60
+
+
 class ProjectionError(RuntimeError):
     """Newton projection onto a surface did not converge."""
 
@@ -34,7 +38,7 @@ class Hypersurface:
     """Implicit hypersurface {F = 0} with a chosen inward side.
 
     inward_sign fixes orientation: the inward g-unit normal is the g-unit
-    vector along inward_sign * gradF. ``side(x) > 0`` on the inward side.
+    vector along inward_sign * gradF.
     chart/chart_box give a reduced one-parameter sampling of the surface.
     """
 
@@ -47,9 +51,6 @@ class Hypersurface:
     chart_box: Optional[tuple] = None
     h_exact: Optional[Callable] = None
     label: str = ""
-
-    def side(self, x) -> np.ndarray:
-        return self.inward_sign * np.asarray(self.F(np.asarray(x, dtype=float)))
 
     def euclid_unit_normal(self, x) -> np.ndarray:
         """Inward normal of Euclidean unit length (coordinate direction)."""
@@ -85,13 +86,14 @@ class Hypersurface:
             x, He, self.euclid_unit_normal(x),
         )
 
-    def project(self, x, tol=1e-13, max_iter=60) -> np.ndarray:
-        """Newton projection x -> x - F gradF / |gradF|^2 onto the surface."""
+    def project(self, x) -> np.ndarray:
+        """Newton projection x -> x - F gradF / |gradF|^2 onto the surface,
+        to |F| < _PROJECT_TOL max(1, |x|) within _PROJECT_MAX_ITER steps."""
         y = np.array(x, dtype=float, copy=True)
         scale = max(1.0, float(np.linalg.norm(y)))
-        for _ in range(max_iter):
+        for _ in range(_PROJECT_MAX_ITER):
             f = float(self.F(y))
-            if abs(f) < tol * scale:
+            if abs(f) < _PROJECT_TOL * scale:
                 return y
             g = np.asarray(self.gradF(y), dtype=float)
             y = y - f * g / float(g @ g)
@@ -200,7 +202,6 @@ class Fixture:
     name: str
     space: SpaceForm
     pieces: List[Hypersurface]
-    contains: Callable
     distance: Optional[float] = None
     endpoints: Optional[np.ndarray] = None
     params: dict = field(default_factory=dict)
@@ -229,11 +230,6 @@ def _equidistant_fixture(a: float, dim: int) -> Fixture:
     piece2 = _sphere_piece(space, [-a] + [0.0] * (dim - 1), rho, H,
                            (-half + 1e-9, half - 1e-9), "sphere(-a)")
 
-    def contains(x):
-        x = np.asarray(x, dtype=float)
-        in_ball = np.sum(x * x, axis=-1) < 1.0
-        return in_ball & (piece1.side(x) > 0) & (piece2.side(x) > 0)
-
     ends = np.zeros((2, dim))
     ends[0, 0] = -b
     ends[1, 0] = b
@@ -241,7 +237,6 @@ def _equidistant_fixture(a: float, dim: int) -> Fixture:
         name="hyperbolic-equidistant",
         space=space,
         pieces=[piece1, piece2],
-        contains=contains,
         distance=4.0 * np.arctanh(b),
         endpoints=ends,
         params={"a": a, "rho": rho, "H": H, "b": b},
@@ -257,10 +252,6 @@ def _slab_fixture(d: float, dim: int) -> Fixture:
     piece1 = _plane_piece(space, 0, d / 2.0, 1, -1.0, box, "plane(+d/2)")
     piece2 = _plane_piece(space, 0, -d / 2.0, 1, 1.0, box, "plane(-d/2)")
 
-    def contains(x):
-        x0 = np.asarray(x, dtype=float)[..., 0]
-        return (x0 < d / 2.0) & (x0 > -d / 2.0)
-
     ends = np.zeros((2, dim))
     ends[0, 0] = -d / 2.0
     ends[1, 0] = d / 2.0
@@ -268,7 +259,6 @@ def _slab_fixture(d: float, dim: int) -> Fixture:
         name="euclid-slab",
         space=space,
         pieces=[piece1, piece2],
-        contains=contains,
         distance=d,
         endpoints=ends,
         params={"d": d},
@@ -338,15 +328,10 @@ def _log_graph_fixture(x_min: float = 3.0, x_max: float = 2.0e6) -> Fixture:
 
     axis = _plane_piece(space, 1, 0.0, 0, 1.0, (x_min, x_max), "x-axis")
 
-    def contains(x):
-        x = np.asarray(x, dtype=float)
-        return (x[..., 0] > x_min) & (x[..., 1] > 0.0) & (x[..., 1] < yfun(x[..., 0]))
-
     return Fixture(
         name="log-graph",
         space=space,
         pieces=[graph, axis],
-        contains=contains,
         distance=None,
         endpoints=None,
         params={"x_min": x_min, "x_max": x_max},
@@ -413,17 +398,10 @@ def _revolution_fixture(t_min: float = 0.5, t_max: float = 0.95) -> Fixture:
         label="revolution",
     )
 
-    def contains(x):
-        x = np.asarray(x, dtype=float)
-        t = x[..., 0]
-        inside = np.sum(x[..., 1:] ** 2, axis=-1) < prof(np.minimum(t, t_max)) ** 2
-        return inside & (t > t_min) & (t < t_max)
-
     return Fixture(
         name="revolution-r4",
         space=space,
         pieces=[trumpet],
-        contains=contains,
         distance=None,
         endpoints=None,
         params={"t_min": t_min, "t_max": t_max},

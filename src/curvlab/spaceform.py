@@ -57,12 +57,6 @@ class SpaceForm:
             return 0.5 * self.kappa * (1.0 - np.sum(x * x, axis=-1))
         return np.ones(x.shape[:-1])
 
-    def metric_matrix(self, x) -> np.ndarray:
-        """Coordinate components g_ij(x) = w(x)^-2 delta_ij."""
-        x = np.asarray(x, dtype=float)
-        w = self.ambient_factor(x)
-        return np.eye(self.dim) / (w[..., None, None] ** 2)
-
     def check_point(self, x) -> None:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
@@ -74,14 +68,10 @@ class SpaceForm:
 
     def inner(self, x, v, w) -> np.ndarray:
         fac = self.ambient_factor(x)
-        return np.sum(np.asarray(v) * np.asarray(w), axis=-1) / fac**2
+        return np.sum(np.asarray(v) * np.asarray(w), axis=-1) / (fac * fac)
 
     def norm(self, x, v) -> np.ndarray:
         return np.sqrt(np.maximum(self.inner(x, v, v), 0.0))
-
-    def unit(self, x, v) -> np.ndarray:
-        nv = self.norm(x, v)
-        return np.asarray(v) / nv[..., None]
 
     # -- distance -----------------------------------------------------------
 
@@ -128,19 +118,8 @@ def mobius_center(space: SpaceForm, center, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# radial quantities about a center
+# squared distance to a center
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RadialQuantities:
-    r: float
-    lam: float
-    lam_prime: float
-    grad_r: np.ndarray
-    laplacian_r: float
-    r_T: Optional[float] = None
-    r_TT: Optional[float] = None
 
 
 def _ball_chord_quantities(center, x):
@@ -220,50 +199,6 @@ def radial_map(space: SpaceForm, center, x):
     grad = a1[..., None] * dQ
     hess = a2[..., None, None] * dQ[..., :, None] * dQ[..., None, :] + a1[..., None, None] * d2Q
     return q, grad, hess
-
-
-def lambda_pair(space: SpaceForm, r):
-    """(lambda, lambda') with lambda = r (flat) or sinh(kappa r)/kappa."""
-    r = np.asarray(r, dtype=float)
-    if space.hyperbolic:
-        return np.sinh(space.kappa * r) / space.kappa, np.cosh(space.kappa * r)
-    return r, np.ones_like(r)
-
-
-def radial_quantities(space: SpaceForm, center, x, T=None) -> RadialQuantities:
-    """r, lambda, lambda', unit radial gradient, Laplacian of r, and the
-    second derivative r_TT = (1 - r_T^2) lambda'/lambda for a unit tangent T.
-    """
-    c = np.asarray(center, dtype=float)
-    x = np.asarray(x, dtype=float)
-    r = float(space.distance(c, x))
-    if r == 0.0:
-        raise ValueError("radial quantities undefined at the center")
-    q, dq, _ = radial_map(space, c, x)
-    # dq = 2 r dr, so the coordinate gradient of r is dq / (2r); raise the
-    # index with g^(ij) = w^2 delta to get the g-gradient.
-    w = float(space.ambient_factor(x))
-    grad_r = (w * w / (2.0 * r)) * dq
-    lam, lam_p = lambda_pair(space, r)
-    lam = float(lam)
-    lam_p = float(lam_p)
-    ratio = lam_p / lam
-    out = RadialQuantities(
-        r=r,
-        lam=lam,
-        lam_prime=lam_p,
-        grad_r=grad_r,
-        laplacian_r=space.n * ratio,
-    )
-    if T is not None:
-        T = np.asarray(T, dtype=float)
-        nT = float(space.norm(x, T))
-        if abs(nT - 1.0) > 1e-8:
-            raise ValueError("T must be a g-unit tangent vector")
-        r_T = float(space.inner(x, grad_r, T))
-        out.r_T = r_T
-        out.r_TT = (1.0 - r_T * r_T) * ratio
-    return out
 
 
 # ---------------------------------------------------------------------------

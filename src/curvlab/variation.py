@@ -35,6 +35,10 @@ from .spaceform import (
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
+BOUNDS_SLACK_FLOOR = -1e-12  # a J-bound scan passes when every slack stays above this
+RESIDUAL_TOL = 1e-6  # largest geodesic residual ``index_form_trace`` accepts
+LENGTH_RTOL = 1e-6  # relative mismatch allowed between a cosh weight's L and the g-length
+
 
 # ---------------------------------------------------------------------------
 # coth r - 1/r
@@ -307,7 +311,6 @@ def crucial_bounds_scan(
     model: str = "euclid",
     n_r: int = 1000,
     n_t: int = 100,
-    slack_floor: float = -1e-12,
 ) -> BoundsScan:
     """Grid-check the sharp pointwise bounds on J1 and J2.
 
@@ -318,7 +321,8 @@ def crucial_bounds_scan(
       * hyperbolic model:  J1 >= -8 n R^-2  and  J2 <= 16 n R^-2 - n u'(r).
 
     Slack is bound - value for upper bounds and value - bound for lower
-    bounds; the scan passes when every slack stays above ``slack_floor``.
+    bounds; the scan passes when every slack stays above
+    ``BOUNDS_SLACK_FLOOR``.
 
     The result is that of the full n_r x n_t grid, bit for bit, but most
     rows need only their r_T = -1 cell. On a row write t = r_T^2, so that
@@ -382,7 +386,7 @@ def crucial_bounds_scan(
             bound=float(picked[1][i]),
             value=float(picked[2][i]),
         )
-    scan.passed = all(c.min_slack >= slack_floor for c in scan.checks.values())
+    scan.passed = all(c.min_slack >= BOUNDS_SLACK_FLOOR for c in scan.checks.values())
     return scan
 
 
@@ -441,15 +445,13 @@ def index_form_trace(
     piece_start: Hypersurface,
     piece_end: Hypersurface,
     phi: Optional[TestFunction] = None,
-    residual_tol: float = 1e-6,
-    length_rtol: float = 1e-6,
 ) -> IndexFormReport:
     """Evaluate the traced second variation of conformal length term by term.
 
     The curve must already be a certified geodesic of the metric u^-2 g: its
-    pointwise geodesic residual is checked against ``residual_tol`` before
+    pointwise geodesic residual is checked against ``RESIDUAL_TOL`` before
     anything is integrated.  For a cosh-type weight the length parameter has
-    to match the curve's g-length to within ``length_rtol``.
+    to match the curve's g-length to within ``LENGTH_RTOL``.
 
     A minimizing curve has total >= 0 up to discretization error; the report
     keeps every named term so the inequality can be rearranged downstream.
@@ -474,16 +476,16 @@ def index_form_trace(
         + uv[:, None] * gu
     )
     max_residual = float(np.max(space.norm(pts, residual)))
-    if max_residual > residual_tol:
+    if max_residual > RESIDUAL_TOL:
         raise ValueError(
             f"curve is not stationary: residual {max_residual:.3e} exceeds "
-            f"{residual_tol:.3e}"
+            f"{RESIDUAL_TOL:.3e}"
         )
 
     s = curve.vertex_s()
     st = curve.vertex_s(u)
     L = float(s[-1])
-    if phi.kind == "cosh" and abs(phi.L - L) > length_rtol * max(1.0, L):
+    if phi.kind == "cosh" and abs(phi.L - L) > LENGTH_RTOL * max(1.0, L):
         raise ValueError(
             f"test function length {phi.L} does not match the curve's "
             f"g-length {L}"
@@ -557,7 +559,7 @@ def tanh_boundary_identity(
     n = float(space.n)
     s = curve.vertex_s()
     L = float(s[-1])
-    if abs(phi.L - L) > 1e-6 * max(1.0, L):
+    if abs(phi.L - L) > LENGTH_RTOL * max(1.0, L):
         raise ValueError("weight length does not match the curve's g-length")
     uv = np.asarray(u.value(pts), dtype=float)
     T, _ = curve.vertex_tangents()

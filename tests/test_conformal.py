@@ -6,19 +6,16 @@ import pytest
 
 from curvlab import fdcheck
 from curvlab.conformal import (
-    christoffels_formula,
     connection_difference,
     coordinate_metric,
     geodesic_curvature_residual,
     geodesic_residual,
     mean_curvature_formula,
-    off_plane_component,
     ricci_formula,
     sectional_numerator,
 )
 from curvlab.fields import BallFactorField, ExpQuadraticField
-from curvlab.spaceform import RadialField, SpaceForm, gram_schmidt_frame
-from curvlab.fields import quartic_cutoff_profile
+from curvlab.spaceform import SpaceForm, gram_schmidt_frame
 
 
 def positive_factor(rng, dim, scale=0.25):
@@ -28,18 +25,6 @@ def positive_factor(rng, dim, scale=0.25):
 
 
 SPACES = [SpaceForm(3, 0.0), SpaceForm(3, 1.0), SpaceForm(2, 2.0)]
-
-
-@pytest.mark.parametrize("space", SPACES, ids=["flat3", "ball3", "ball2k2"])
-def test_christoffels_formula_matches_fd(space):
-    rng = np.random.default_rng(space.dim * 7 + int(space.kappa))
-    u = positive_factor(rng, space.dim)
-    metric = coordinate_metric(space, u)
-    for _ in range(4):
-        x = rng.uniform(-0.35, 0.35, size=space.dim)
-        got = christoffels_formula(space, u, x)
-        ref = fdcheck.christoffels_fd(metric, x)
-        assert np.allclose(got, ref, rtol=1e-6, atol=1e-7)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=["flat3", "ball3", "ball2k2"])
@@ -131,7 +116,8 @@ def test_mean_curvature_law_batches_pointwise():
     u = positive_factor(rng, 3)
     x = rng.uniform(-0.5, 0.5, size=(7, 3))
     H_g = rng.normal(size=7)
-    nu = space.unit(x, rng.normal(size=(7, 3)))
+    nu = rng.normal(size=(7, 3))
+    nu /= space.norm(x, nu)[:, None]
     got = mean_curvature_formula(space, u, x, H_g, nu)
     assert got.shape == (7,)
     each = [mean_curvature_formula(space, u, p, h, v) for p, h, v in zip(x, H_g, nu)]
@@ -269,15 +255,3 @@ def test_non_orthogonal_circle_fails_residual():
     N = (c - x) / rho
     assert abs(geodesic_curvature_residual(space, u, x, N, kg=1.0 / rho)) > 1e-2
 
-
-def test_radial_gradient_stays_in_plane_through_center():
-    space = SpaceForm(3, 1.0)
-    center = np.array([0.3, 0.0, 0.0])
-    u = RadialField(space, center, quartic_cutoff_profile(2.5))
-    x = np.array([0.1, 0.35, 0.0])  # xy-plane contains origin and center
-    F = gram_schmidt_frame(space, x)  # coordinate-aligned frame: e0, e1 span xy
-    val = off_plane_component(space, u, x, F[0], F[1])
-    assert val < 1e-13
-    # a center off the plane breaks it
-    u2 = RadialField(space, np.array([0.2, 0.0, 0.25]), quartic_cutoff_profile(2.5))
-    assert off_plane_component(space, u2, x, F[0], F[1]) > 1e-3

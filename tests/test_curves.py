@@ -41,18 +41,18 @@ def test_fornberg_stacked_nodes_match_the_per_point_call(order):
         assert np.array_equal(w[idx], fornberg_weights(grid[idx], float(x0[idx]), order))
 
 
-@pytest.mark.parametrize("rule", ["midpoint", "simpson"])
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
-def test_length_duality_exact(rule, kappa):
-    """integral of u ds-tilde equals the g-length to roundoff, any factor."""
+def test_length_duality_exact(kappa):
+    """The u^-2 g segment lengths weighted by u at the shared nodes sum to
+    the g-length to roundoff, any factor."""
     space = SpaceForm(2, kappa)
     rng = np.random.default_rng(3)
     curve = wiggly_curve(space, rng, 57)
-    curve.rule = rule
     M = rng.normal(size=(2, 2)) * 0.4
     u = ExpQuadraticField(a=rng.normal(size=2) * 0.5, B=0.5 * (M + M.T), c=0.2)
     L = curve.g_length()
-    assert np.isclose(curve.integrate_ds_tilde(u, lambda x: u.value(x)), L, rtol=1e-14)
+    weighted = np.sum(u.value(curve.quad_nodes()) * curve.segment_lengths(u))
+    assert np.isclose(weighted, L, rtol=1e-14)
 
 
 def test_flat_arc_length():
@@ -64,15 +64,12 @@ def test_flat_arc_length():
     assert np.isclose(curve.g_length(), rho * theta, rtol=1e-5)
 
 
-def test_ball_diameter_length_both_rules():
+def test_ball_diameter_length():
     space = SpaceForm(2, 1.0)
     a, b = -0.3, 0.62
     exact = float(space.distance([a, 0.0], [b, 0.0]))
-    fn = lambda t: np.array([t, 0.0])
-    mid = DiscreteCurve.from_function(space, fn, a, b, 512, rule="midpoint")
-    simp = DiscreteCurve.from_function(space, fn, a, b, 512, rule="simpson")
-    assert np.isclose(mid.g_length(), exact, rtol=1e-5)
-    assert np.isclose(simp.g_length(), exact, rtol=1e-10)
+    curve = DiscreteCurve.from_function(space, lambda t: np.array([t, 0.0]), a, b, 512)
+    assert np.isclose(curve.g_length(), exact, rtol=1e-5)
 
 
 def test_tilde_length_recovers_hyperbolic_distance():
@@ -81,19 +78,9 @@ def test_tilde_length_recovers_hyperbolic_distance():
     space = SpaceForm(2, 0.0)
     u = BallFactorField(kappa=1.0)
     a, b = -0.45, 0.3
-    curve = DiscreteCurve.from_function(
-        space, lambda t: np.array([t, 0.0]), a, b, 1024, rule="simpson"
-    )
+    curve = DiscreteCurve.from_function(space, lambda t: np.array([t, 0.0]), a, b, 1024)
     exact = float(SpaceForm(2, 1.0).distance([a, 0.0], [b, 0.0]))
-    assert np.isclose(curve.tilde_length(u), exact, rtol=1e-11)
-
-
-def test_integrate_accepts_arrays_and_callables():
-    space = SpaceForm(2, 0.0)
-    curve = DiscreteCurve(space, np.array([[0.0, 0.0], [0.3, 0.0], [0.6, 0.1]]))
-    f = lambda x: x[:, 0] ** 2
-    vals = f(curve.quad_nodes())
-    assert np.isclose(curve.integrate_ds(f), curve.integrate_ds(vals), rtol=1e-15)
+    assert np.isclose(curve.tilde_length(u), exact, rtol=1e-6)
 
 
 def test_vertex_tangents_unit_and_accurate():
@@ -151,7 +138,9 @@ def test_geodesic_circle_curvature_matches_coth():
     curve = DiscreteCurve.from_function(
         space, lambda t: s * np.array([np.cos(t), np.sin(t)]), 0.0, 2.0, 256
     )
-    kg = curve.geodesic_curvature()
+    T, _ = curve.vertex_tangents()
+    N = np.stack([-T[:, 1], T[:, 0]], axis=1)  # T turned a quarter counterclockwise
+    kg = space.inner(curve.points, curve.vertex_acceleration(), N)
     expected = 1.0 / np.tanh(2.0 * np.arctanh(s))
     assert np.allclose(kg, expected, rtol=1e-6)
 
@@ -178,13 +167,11 @@ def test_curve_validation_errors():
         DiscreteCurve(space, np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError):
         DiscreteCurve(space, np.array([[0.0, 0.0], [1.2, 0.0]]))
-    with pytest.raises(ValueError):
-        DiscreteCurve(space, np.array([[0.0, 0.0], [0.5, 0.0]]), rule="gauss")
     curve = DiscreteCurve(space, np.array([[0.0, 0.0], [0.5, 0.0]]))
     from curvlab.fields import ConstantField
 
     with pytest.raises(ValueError):
-        curve.integrate_ds_tilde(ConstantField(-1.0))
+        curve.tilde_length(ConstantField(-1.0))
 
 
 def _stencil_reference(values, order):
@@ -239,7 +226,7 @@ def test_degenerate_curve_raises_naming_vertex():
     with pytest.raises(ValueError, match="at vertex 0"):
         curve.vertex_tangents()
     with pytest.raises(ValueError, match="at vertex 0"):
-        curve.geodesic_curvature()
+        curve.vertex_acceleration()
     # a NaN vertex poisons the stencils of its neighbours two either side
     pts = np.stack([np.linspace(0.0, 1.0, 12), np.zeros(12)], axis=1)
     pts[6, 1] = np.nan

@@ -347,16 +347,6 @@ def test_decay_scan_csv_roundtrip(tmp_path):
     assert np.array_equal(back[:, 5], scan.slack)
 
 
-def test_decay_scan_serialization():
-    fx = example_fixture("euclid-slab", d=1.0)
-    scan = decay_scan(fx, np.array([2.0, 4.0]), "sum-inverse-R")
-    d = scan.to_dict()
-    assert d["fixture"] == "euclid-slab"
-    assert d["envelope_kind"] == "sum-inverse-R"
-    assert d["start_R"] == 2.0
-    assert len(d["slack"]) == 2
-
-
 # ---------------------------------------------------------------------------
 # elementary inequalities
 # ---------------------------------------------------------------------------

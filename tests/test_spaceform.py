@@ -16,11 +16,9 @@ from curvlab.spaceform import (
     gram_schmidt_frame,
     hess_g_apply,
     hess_g_matrix,
-    lambda_pair,
     mobius_add,
     mobius_center,
     radial_map,
-    radial_quantities,
 )
 
 
@@ -28,6 +26,29 @@ def ball_point(rng, dim, rmax=0.85):
     v = rng.normal(size=dim)
     v /= np.linalg.norm(v)
     return v * rng.uniform(0.0, rmax)
+
+
+def metric_matrix(space, x):
+    """Coordinate components g_ij(x) = w(x)^-2 delta_ij."""
+    w = space.ambient_factor(x)
+    return np.eye(space.dim) / (w[..., None, None] ** 2)
+
+
+def radial_data(space, c, x, T=None):
+    """(r, g-gradient of r, lambda'/lambda, r_T, r_TT) at x for the distance
+    r to c, from ``radial_map``: dq = 2 r dr, and g^(ij) = w^2 delta raises
+    the index. lambda = r (flat) or sinh(kappa r)/kappa; r_T and r_TT =
+    (1 - r_T^2) lambda'/lambda along the g-unit tangent T (None without T)."""
+    r = float(space.distance(c, x))
+    _, dq, _ = radial_map(space, c, x)
+    w = float(space.ambient_factor(x))
+    grad_r = (w * w / (2.0 * r)) * dq
+    k = space.kappa
+    ratio = k / np.tanh(k * r) if space.hyperbolic else 1.0 / r
+    if T is None:
+        return r, grad_r, ratio, None, None
+    r_T = float(space.inner(x, grad_r, T))
+    return r, grad_r, ratio, r_T, (1.0 - r_T * r_T) * ratio
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +188,8 @@ def test_gradient_of_distance_is_unit(kappa):
     for _ in range(10):
         c = ball_point(rng, 4, rmax=0.4)
         x = ball_point(rng, 4, rmax=0.8)
-        rq = radial_quantities(space, c, x)
-        assert np.isclose(space.norm(x, rq.grad_r), 1.0, rtol=1e-10)
+        _, grad_r, _, _, _ = radial_data(space, c, x)
+        assert np.isclose(space.norm(x, grad_r), 1.0, rtol=1e-10)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
@@ -194,12 +215,12 @@ def test_distance_hessian_comparison_form(kappa):
     for _ in range(8):
         c = ball_point(rng, 3, rmax=0.4)
         x = ball_point(rng, 3, rmax=0.75)
-        rq = radial_quantities(space, c, x)
+        r, grad_r, ratio, _, _ = radial_data(space, c, x)
         H = hess_g_matrix(space, QField(c), x)
-        G = space.metric_matrix(x)
-        dr = G @ rq.grad_r  # lower-index components of dr
+        G = metric_matrix(space, x)
+        dr = G @ grad_r  # lower-index components of dr
         outer = np.outer(dr, dr)
-        expected = 2.0 * outer + 2.0 * rq.r * (rq.lam_prime / rq.lam) * (G - outer)
+        expected = 2.0 * outer + 2.0 * r * ratio * (G - outer)
         assert np.allclose(H, expected, rtol=1e-9, atol=1e-11)
 
 
@@ -236,30 +257,9 @@ def test_radial_second_derivative_along_geodesic(kappa):
     rr = [float(space.distance(c, gamma(t0 + k * h))) for k in (-1, 0, 1)]
     fd_first = (rr[2] - rr[0]) / (2 * h)
     fd_second = (rr[2] - 2 * rr[1] + rr[0]) / h**2
-    rq = radial_quantities(space, c, gamma(t0), T=gdot(t0))
-    assert np.isclose(rq.r_T, fd_first, rtol=1e-7, atol=1e-9)
-    assert np.isclose(rq.r_TT, fd_second, rtol=1e-4, atol=1e-6)
-
-
-def test_radial_quantities_validates_unit_tangent():
-    space = SpaceForm(dim=2, kappa=1.0)
-    with pytest.raises(ValueError):
-        radial_quantities(space, [0.0, 0.0], [0.3, 0.0], T=[1.0, 0.0])
-
-
-def test_radial_quantities_raises_at_center():
-    space = SpaceForm(dim=2, kappa=0.0)
-    with pytest.raises(ValueError):
-        radial_quantities(space, [0.1, 0.2], [0.1, 0.2])
-
-
-def test_lambda_pair_values():
-    space = SpaceForm(dim=3, kappa=2.0)
-    lam, lam_p = lambda_pair(space, 0.7)
-    assert np.isclose(lam, np.sinh(1.4) / 2.0)
-    assert np.isclose(lam_p, np.cosh(1.4))
-    lam0, lam0p = lambda_pair(SpaceForm(3, 0.0), 0.7)
-    assert lam0 == 0.7 and lam0p == 1.0
+    _, _, _, r_T, r_TT = radial_data(space, c, gamma(t0), T=gdot(t0))
+    assert np.isclose(r_T, fd_first, rtol=1e-7, atol=1e-9)
+    assert np.isclose(r_TT, fd_second, rtol=1e-4, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def test_gram_schmidt_frame_is_orthonormal():
     for space in (SpaceForm(3, 0.0), SpaceForm(4, 1.0)):
         x = ball_point(rng, space.dim, rmax=0.6)
         F = gram_schmidt_frame(space, x, seed=rng.normal(size=(space.dim, space.dim)))
-        G = space.metric_matrix(x)
+        G = metric_matrix(space, x)
         gram = F @ G @ F.T
         assert np.allclose(gram, np.eye(space.dim), atol=1e-11)
 
@@ -324,6 +324,18 @@ def test_conformal_factor_field_combines_ambient():
     assert np.isclose(W.value(x), field.value(x) * space.ambient_factor(x))
     flatW = conformal_factor_field(SpaceForm(2, 0.0), field)
     assert flatW is field
+
+
+def test_inner_rounds_the_same_alone_and_in_a_batch():
+    """Bitwise: each of 20,000 points of the curvature -4 disc gets from a
+    one-point call the value it gets inside the batch."""
+    space = SpaceForm(2, 2.0)
+    rng = np.random.default_rng(2002)
+    x = np.array([ball_point(rng, 2) for _ in range(20_000)])
+    v, w = rng.normal(size=(2, 20_000, 2))
+    batch = space.inner(x, v, w)
+    single = np.array([space.inner(p, a, b) for p, a, b in zip(x, v, w)])
+    assert np.array_equal(single, batch)
 
 
 def test_grad_norm2_matches_inner_product():
