@@ -6,6 +6,11 @@ and hyperbolic backgrounds, against finite-difference and brute-force
 oracles.
 """
 
+import os
+
+# Before numpy loads: an extra OpenBLAS worker would only spin here; a caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from curvlab.spaceform import SpaceForm
 from curvlab.fields import ConstantField, RadialProfile, quartic_cutoff_profile
 from curvlab.curves import DiscreteCurve

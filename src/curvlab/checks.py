@@ -864,7 +864,7 @@ CHECKS = {
     "crucial-bounds-hyperbolic": CheckSpec(("lemmas",),
                                            partial(_crucial_bounds, model="hyperbolic")),
     "elementary-inequalities": CheckSpec(("lemmas", "estimates"),
-                                         lambda ctx: elementary_inequalities(tolerance=1e-12)),
+                                         lambda ctx: elementary_inequalities()),
     "phi-calculus": CheckSpec(("lemmas",), _check_phi_calculus),
     "sharp-lens": CheckSpec(("examples",), _check_sharp_lens),
     "log-graph-curvature": CheckSpec(("examples",), _check_log_graph_curvature),

@@ -343,9 +343,10 @@ def decay_scan(fixture: Fixture, R_grid, envelope_kind: str) -> DecayScan:
 
 ELEMENTARY_N_GRID = 4096  # grid points per inequality (2 n + 1 for the second)
 ELEMENTARY_R_MAX = 50.0  # right end of the coth window's r grid
+ELEMENTARY_TOLERANCE = 1e-12  # the report's pass tolerance on the minimum slack
 
 
-def elementary_inequalities(tolerance: float = 1e-12) -> VerificationReport:
+def elementary_inequalities() -> VerificationReport:
     """Grid checks of three scalar inequalities used by the estimate:
 
       (1 - m^2)^(-2) < 1 + (5/9) m        for m in (0, 1/4]
@@ -392,7 +393,7 @@ def elementary_inequalities(tolerance: float = 1e-12) -> VerificationReport:
         "elementary-inequalities",
         0.0,
         worst,
-        tolerance=tolerance,
+        tolerance=ELEMENTARY_TOLERANCE,
         inputs={"n_grid": n_grid, "r_max": r_max},
         grid=mins,
     )
@@ -403,9 +404,10 @@ def elementary_inequalities(tolerance: float = 1e-12) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def sharpness_gap(a: float, R_grid, dim: int = 2, constants: str = "statement") -> dict:
+def sharpness_gap(a: float, R_grid) -> dict:
     """Track how fast the estimate's upper bound on c1 + c2 closes in on
-    the saturating bound for the equidistant fixture with parameter a.
+    the saturating bound for the planar equidistant fixture (dim 2, so
+    n = 1) with parameter a, under the statement's constants.
 
     The fixture attains the bound exactly (gap_measured is zero up to
     evaluation error); the estimate's bound, taken with the sharpest
@@ -414,8 +416,8 @@ def sharpness_gap(a: float, R_grid, dim: int = 2, constants: str = "statement") 
     """
     from .hypersurface import example_fixture
 
-    fx = example_fixture("hyperbolic-equidistant", a=a, dim=dim)
-    n = dim - 1
+    fx = example_fixture("hyperbolic-equidistant", a=a, dim=2)
+    n = 1
     d = float(fx.distance)
     c1 = float(fx.pieces[0].mean_curvature(fx.endpoints[0]))
     c2 = float(fx.pieces[1].mean_curvature(fx.endpoints[1]))
@@ -425,7 +427,7 @@ def sharpness_gap(a: float, R_grid, dim: int = 2, constants: str = "statement") 
     if np.any(Rs < 4.0 * d):
         raise ValueError("grid radii must satisfy L0 <= R/4 with L0 = d")
     a_min = _alpha_min(d, Rs)
-    ub = _hyperbolic_rhs(2.0 * n * a_min, c2, n, a_min, d, Rs, constants)
+    ub = _hyperbolic_rhs(2.0 * n * a_min, c2, n, a_min, d, Rs, "statement")
     return {
         "a": a,
         "n": n,

@@ -15,7 +15,6 @@ translation rather than re-deriving off-center formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -308,18 +307,14 @@ def grad_norm2_g(space: SpaceForm, u: ScalarField, x) -> np.ndarray:
     return w * w * np.sum(du * du, axis=-1)
 
 
-def gram_schmidt_frame(space: SpaceForm, x, seed: Optional[np.ndarray] = None) -> np.ndarray:
-    """g-orthonormal frame at x, rows = vectors, Gram-Schmidt from ``seed``
-    (defaults to the coordinate basis). Points x (..., m) with seeds
-    (..., m, m) give frames (..., m, m); one degenerate seed in the stack
-    raises."""
+def gram_schmidt_frame(space: SpaceForm, x, seed: np.ndarray) -> np.ndarray:
+    """g-orthonormal frame at x, rows = vectors, Gram-Schmidt from ``seed``.
+    Points x (..., m) with seeds (..., m, m) give frames (..., m, m); one
+    degenerate seed in the stack raises."""
     x = np.asarray(x, dtype=float)
-    m = space.dim
-    if seed is None:
-        seed = np.broadcast_to(np.eye(m), x.shape[:-1] + (m, m))
     basis = np.asarray(seed, dtype=float)
     out = np.zeros(basis.shape)
-    for i in range(m):
+    for i in range(space.dim):
         v = basis[..., i, :].copy()
         for j in range(i):
             v -= space.inner(x, v, out[..., j, :])[..., None] * out[..., j, :]

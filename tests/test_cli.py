@@ -226,12 +226,26 @@ def test_runner_calls_a_replaced_check_fn(tmp_path, monkeypatch):
     assert "saturating-bound: FAIL" in stdout.getvalue()
 
 
+def _child_env(**overrides):
+    """This process's environment without the OpenBLAS pin it inherited
+    from its own ``import curvlab``, with ``overrides`` on top."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(curvlab.__file__).resolve().parents[1])
+    return dict(env, **overrides)
+
+
 def test_checks_import_leaves_out_cli():
-    src = str(Path(curvlab.__file__).resolve().parents[1])
-    code = "import sys, curvlab.checks; print('curvlab.cli' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "False"
+    """Importing the checks loads no cli, and numpy starts no OpenBLAS
+    worker thread, because the package pins OpenBLAS before numpy loads."""
+    code = ("import os, sys, curvlab.checks; print('curvlab.cli' in sys.modules); "
+            "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else '-'); "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    in_cli, threads, pin = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                          text=True, check=True, env=_child_env()).stdout.split()
+    assert in_cli == "False"
+    if threads != "-":  # no per-thread listing outside Linux
+        assert threads == "1"
+    assert pin == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +586,14 @@ def test_unconverged_annulus_infimum_fails_scan_with_named_reason(tmp_path, monk
 
 
 def test_geodesic_suite_runs_without_scipy(tmp_path):
-    src = str(Path(curvlab.__file__).resolve().parents[1])
-    code = ("import sys, curvlab.cli; "
+    code = ("import os, sys, curvlab.cli; "
             f"status = curvlab.cli.main(['--suite', 'geodesic', '--out', {str(tmp_path)!r}]); "
-            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "os.environ['OPENBLAS_NUM_THREADS'])")
+    # A caller's OpenBLAS thread count outlives the package's pin.
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.splitlines()[-1] == "0 []"
+                         env=_child_env(OPENBLAS_NUM_THREADS="2")).stdout
+    assert out.splitlines()[-1] == "0 [] 2"
     assert (tmp_path / "lens-distance.json").is_file()
 
 
