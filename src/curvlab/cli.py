@@ -15,12 +15,12 @@ Exit status:
 
 import argparse
 import configparser
+import gc
 import hashlib
 import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +258,8 @@ def run(cfg, stdout=None, stderr=None):
         return "ok", (rep, scan)
 
     if cfg.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = dict(zip(ids, pool.map(job, ids)))
     else:
@@ -331,6 +333,9 @@ def main(argv=None):
         return 2
     return run(cfg)
 
+
+# The import-time heap lives as long as the process; frozen, exit's GC skips it.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

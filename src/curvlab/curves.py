@@ -25,6 +25,14 @@ import numpy as np
 from .spaceform import SpaceForm, christoffel_quadratic
 
 
+def _median(x):
+    """np.median of a non-empty 1-D array of finite values, to the bit, without
+    the NaN check that loads numpy.ma."""
+    k = x.size // 2
+    part = np.partition(x, (k - 1, k))
+    return part[k] if x.size % 2 else (part[k - 1] + part[k]) / 2.0
+
+
 def fornberg_weights(grid, x0, order):
     """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
 
@@ -172,7 +180,7 @@ class DiscreteCurve:
         w0 = self.space.ambient_factor(self.points)
         sigma = np.linalg.norm(v, axis=1) / w0
         finite = np.isfinite(sigma)
-        floor = 1e-8 * np.median(sigma[finite]) if finite.any() else 0.0
+        floor = 1e-8 * _median(sigma[finite]) if finite.any() else 0.0
         bad = np.flatnonzero(~(finite & (sigma > floor)))
         if bad.size:
             i = int(bad[0])

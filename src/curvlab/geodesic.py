@@ -88,7 +88,6 @@ class MinimizeResult:
     iterations: int
     converged: bool
     grad_norm: float
-    energy: float
     level_sizes: List[int] = field(default_factory=list)
     level_iterations: List[int] = field(default_factory=list)
     level_stops: List[str] = field(default_factory=list)
@@ -341,7 +340,6 @@ def minimize_free_boundary(
         iterations=sum(level_iterations),
         converged=all(stop == "gtol" for stop in level_stops),
         grad_norm=grad_inf,
-        energy=float(E),
         level_sizes=levels,
         level_iterations=level_iterations,
         level_stops=level_stops,

@@ -492,6 +492,13 @@ def _golden_section(f, a, x, b, fx):
         fx[live] = np.where(lower, fu, fk)
 
 
+def _union(a, b):
+    """np.union1d of two 1-D arrays of finite floats, not both empty, to the
+    bit, without the masked-array test in np.unique that loads numpy.ma."""
+    ts = np.sort(np.concatenate([a, b]))
+    return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
+
+
 def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[InfimumResult]]:
     """Infimum of the mean curvature over the part of the surface whose
     g-distance to the origin lies in the open annulus (r_lo[k], r_hi[k]), for
@@ -556,7 +563,7 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
         mine = ann == k
         cuts.append(t_in[mine])
         seeds = np.concatenate([ts_tab[inside[k]], cuts[k]])
-        tables.append(np.union1d(np.linspace(seeds.min(), seeds.max(), 513), cuts[k])
+        tables.append(_union(np.linspace(seeds.min(), seeds.max(), 513), cuts[k])
                       if seeds.size else np.empty(0))
         j = np.flatnonzero(wide[mine])
         missed.append(tuple(sorted((float(cuts[k][j[0]]), float(t_out[mine][j[0]]))))

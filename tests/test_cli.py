@@ -597,6 +597,31 @@ def test_geodesic_suite_runs_without_scipy(tmp_path):
     assert (tmp_path / "lens-distance.json").is_file()
 
 
+def test_serial_run_freezes_import_heap_and_loads_no_pool_or_masked_arrays(tmp_path):
+    """``import curvlab.cli`` freezes its heap, so exit's GC skips it; a
+    serial run loads neither numpy.ma nor concurrent.futures; a pooled run
+    still writes the same bytes."""
+    code = ("import gc, sys, curvlab.cli; "
+            "print('guard', gc.get_freeze_count() > 0); "
+            "lazy = lambda: sorted(m for m in sys.modules "
+            "if (m + '.').startswith(('numpy.ma.', 'concurrent.futures.'))); "
+            f"s1 = curvlab.cli.main(['--suite', 'all', '--workers', '1', '--out', {str(tmp_path / 'w1')!r}]); "
+            "print('guard', s1, lazy()); "
+            f"s2 = curvlab.cli.main(['--suite', 'all', '--workers', '2', '--out', {str(tmp_path / 'w2')!r}]); "
+            "print('guard', s2, 'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=_child_env()).stdout.splitlines()
+    assert [line for line in out if line.startswith("guard ")] == \
+        ["guard True", "guard 0 []", "guard 0 True"]
+    names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
+    assert len(names) == len(cli.CHECKS) + len(suite_checks("scan"))
+    stamp = re.compile(rb'"wall_time_s": [^,}]*')
+    for name in names:
+        a, b = ((tmp_path / w / name).read_bytes() for w in ("w1", "w2"))
+        assert stamp.sub(b"", a) == stamp.sub(b"", b), name
+
+
 def test_every_library_import_is_a_declared_dependency():
     tomllib = pytest.importorskip("tomllib")
     root = Path(curvlab.__file__).resolve().parents[2]

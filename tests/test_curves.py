@@ -234,6 +234,23 @@ def test_degenerate_curve_raises_naming_vertex():
         DiscreteCurve(space, pts).vertex_acceleration()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 33, 512, 513])
+def test_median_matches_numpy_median_bitwise(n):
+    """The speed floor's median has np.median's bits; np.median stays the reference."""
+    rng = np.random.default_rng(n)
+    cases = [
+        rng.uniform(0.5, 2.0, n),
+        rng.integers(0, 3, n) * 0.1 + 1.0,  # duplicate values
+        np.full(n, 0.87),
+        np.exp(rng.normal(0.0, 30.0, n)),  # widely spread magnitudes
+    ]
+    for x in cases:
+        before = x.copy()
+        got = curves._median(x)
+        assert np.float64(got).tobytes() == np.median(x).tobytes()
+        assert np.array_equal(x, before)
+
+
 def test_stalled_curve_raises_below_the_relative_speed_floor():
     """Five repeated vertices leave roundoff-sized stencil speeds (about
     1e-17) whose tangents are noise; the first such vertex is named."""

@@ -542,6 +542,27 @@ def test_infima_over_annuli_match_one_annulus_at_a_time(name):
                                                                   want.missed)
 
 
+def test_union_matches_numpy_union1d_bitwise():
+    """Each local table's union with its cut roots has np.union1d's bits;
+    np.union1d stays the reference."""
+    rng = np.random.default_rng(11)
+    nodes = np.linspace(0.3, 4.7, 513)
+    cases = [
+        np.empty(0),
+        rng.uniform(0.3, 4.7, 1),
+        rng.uniform(0.3, 4.7, 6),
+        nodes[[0, 17, 512]].copy(),  # cuts on linspace nodes, the ends included
+        np.array([nodes[40], nodes[40], 1.0, 1.0]),  # duplicate cuts
+        np.array([np.nextafter(nodes[99], 0.0), nodes[99], np.nextafter(nodes[99], 9.0)]),
+        np.array([-2.0, 0.3, 9.0]),  # outside the node range
+    ]
+    for cuts in cases:
+        for a, b in ((nodes, cuts), (cuts, nodes), (nodes[:1], cuts)):
+            got = hypersurface._union(a, b)
+            want = np.union1d(a, b)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_lockstep_golden_section_matches_one_search_at_a_time():
     rng = np.random.default_rng(7)
 
