@@ -476,11 +476,12 @@ def _check_sharp_lens(ctx):
                          grid={"per_a": per})
 
 
-def _fd_profile_derivatives(height, ts, steps, npts=9):
-    """First and second derivatives of a scalar profile by Fornberg stencils
-    on per-point step sizes, all points as one stack. Each row's weights are
-    contracted by a stacked matmul, which adds a row as ``w @ vals`` does."""
-    offsets = np.arange(npts) - (npts - 1) // 2
+def _fd_profile_derivatives(height, ts, steps):
+    """First and second derivatives of a scalar profile by 9-point Fornberg
+    stencils on per-point step sizes, all points as one stack. Each row's
+    weights are contracted by a stacked matmul, which adds a row as
+    ``w @ vals`` does."""
+    offsets = np.arange(9) - 4
     grid = ts[:, None] + offsets * steps[:, None]
     vals = height(grid)[:, :, None]
     return [(fornberg_weights(grid, ts, k)[:, None, :] @ vals)[:, 0, 0] for k in (1, 2)]
@@ -626,9 +627,10 @@ def _check_planar_curvature_law(ctx):
     return _ratio_report(ctx.cid, parts, inputs={"n_segments": n_segments}, grid=grid)
 
 
-def _fd_second_variation(curve, u, phi, directions, eps=1e-3):
+def _fd_second_variation(curve, u, phi, directions):
     """Brute-force quadratic coefficient of the conformal length under the
     frozen displacement fields phi(s) u(x) e."""
+    eps = 1e-3
     s = curve.vertex_s()
     w = (phi.phi(s) * np.asarray(u.value(curve.points), dtype=float))[:, None]
     L0 = curve.tilde_length(u)
@@ -729,7 +731,7 @@ def _check_curvature_sum_flat_probe(ctx):
     """Deliberately violating inputs: the inequality machinery must flag
     them, proving the harness can actually fail."""
     cfg = EstimateConfig(c1=1.0, c2=1.0, R=100.0, L0=1.0, n=2)
-    rep = main_estimate_euclid(cfg, tolerance=ctx.tol("default"), probe=True)
+    rep = main_estimate_euclid(cfg, tolerance=ctx.tol("default"))
     rep.check = ctx.cid
     return rep
 

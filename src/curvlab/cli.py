@@ -7,7 +7,8 @@ configuration, runs the registry and writes the outputs.
 
 Exit status:
     0   every non-probe check passed
-    1   at least one non-probe check failed
+    1   at least one non-probe check failed, or a check (probe or not)
+        raised
     2   configuration error (nothing is written in this case)
     3   an optimizer or refinement loop failed to converge; the offending
         check is named on stderr
@@ -170,18 +171,17 @@ def parse_config(path):
     return RunConfig(**kwargs)
 
 
-def load_config(args, env=None):
+def load_config(args):
     """Merge config file, environment and command-line flags.
 
     Precedence: flags over CURVLAB_* environment variables over the file.
     """
-    env = os.environ if env is None else env
-    path = args.config or env.get("CURVLAB_CONFIG")
+    path = args.config or os.environ.get("CURVLAB_CONFIG")
     cfg = parse_config(path) if path else RunConfig()
     for key in _RUN_KEYS:
         val = getattr(args, key, None)
         if val is None:
-            val = env.get(f"CURVLAB_{key.upper()}")
+            val = os.environ.get(f"CURVLAB_{key.upper()}")
         if val is not None:
             setattr(cfg, key, val)
     cfg.validate()
@@ -244,9 +244,10 @@ def run(cfg, stdout=None, stderr=None):
 
     def job(cid):
         started = time.perf_counter()
+        # looked up at call time, so a replaced ``fn`` is the one that runs
+        spec = CHECKS[cid]
         try:
-            # looked up at call time, so a replaced ``fn`` is the one that runs
-            out = CHECKS[cid].fn(CheckContext(cfg, cid))
+            out = spec.fn(CheckContext(cfg, cid))
         except NonConvergence as exc:
             return "nonconverged", str(exc)
         except Exception as exc:
@@ -254,6 +255,7 @@ def run(cfg, stdout=None, stderr=None):
         rep, scan = out if isinstance(out, tuple) else (out, None)
         if rep.check != cid:
             return "error", f"report id {rep.check!r} does not match registry id"
+        rep.probe = spec.probe
         rep.wall_time_s = time.perf_counter() - started
         return "ok", (rep, scan)
 

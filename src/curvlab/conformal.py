@@ -8,9 +8,10 @@ share no code path: formulas live here, derivatives of the coordinate metric
 live there.
 
 ``directional``, ``connection_difference``, ``sectional_numerator``,
-``ricci_formula`` and ``mean_curvature_formula`` take stacks: points x (..., m)
-with vectors (..., m) and, for a stacked ``ExpQuadraticField``, a factor whose
-parameter stack pairs with the leading axis of x, give one value per point.
+``ricci_formula``, ``mean_curvature_formula`` and ``geodesic_residual`` take
+stacks: points x (..., m) with vectors (..., m) and, for a stacked
+``ExpQuadraticField``, a factor whose parameter stack pairs with the leading
+axis of x, give one value per point.
 
 Conventions: vectors named e, ei, ej are g-unit (the corresponding
 tilde-metric unit vectors are u e); H denotes scalar mean curvature with
@@ -128,8 +129,8 @@ def geodesic_residual(space: SpaceForm, u: ScalarField, x, T, nabla_T_T) -> np.n
     tilde-geodesic equation directly.
     """
     T = np.asarray(T, dtype=float)
-    uv = float(u.value(x))
-    uT = directional(space, u, x, T)
+    uv = u.value(x)[..., None]
+    uT = directional(space, u, x, T)[..., None]
     return uv * uv * np.asarray(nabla_T_T, float) - uv * uT * T + uv * grad_g(space, u, x)
 
 

@@ -10,12 +10,9 @@ bound 2 n kappa tanh(kappa d / 2) it converges to, annulus decay scans
 with closed-form envelopes, and the elementary scalar inequalities the
 derivations lean on.
 
-Two constant families are exposed for the estimate's right-hand side:
-the "statement" family (5/2, 30, 8) for a caller-chosen ball, and the
-"quarter-ball" family (10, 480, 32) obtained by running the same bound
-on a ball of one quarter the radius, which is how the decay corollaries
-consume it.  Reports always record which family was used so the two
-cannot be mixed up silently.
+The estimate's right-hand side uses the statement's constants
+(A, B, C) = (5/2, 30, 8) for a caller-chosen ball; reports record them
+as "statement".
 """
 
 import numpy as np
@@ -24,10 +21,7 @@ from .hypersurface import Fixture, infima_over_annuli
 from .report import NonConvergence, VerificationReport, build_report
 from .variation import coth_minus_inv
 
-CONSTANT_FAMILIES = {
-    "statement": (2.5, 30.0, 8.0),
-    "quarter-ball": (10.0, 480.0, 32.0),
-}
+STATEMENT_CONSTANTS = (2.5, 30.0, 8.0)  # (A, B, C) of the estimate's right-hand side
 
 
 def _alpha_min(L0, R):
@@ -41,10 +35,10 @@ def alpha_interval(L0: float, R: float):
     return float(_alpha_min(L0, R)), 1.0
 
 
-def _hyperbolic_rhs(lead, c, n, alpha, L0, R, constants):
+def _hyperbolic_rhs(lead, c, n, alpha, L0, R):
     """lead + A L0/R |c - n alpha| + B n L0/R^2 + C n sqrt(L0)/R, summed left
     to right; alpha and R may be matching grids."""
-    A, B, C = CONSTANT_FAMILIES[constants]
+    A, B, C = STATEMENT_CONSTANTS
     return (
         lead
         + A * L0 / R * np.abs(c - n * alpha)
@@ -121,14 +115,12 @@ def theorem_bound(kappa: float, n: int, d: float) -> float:
 def main_estimate_euclid(
     cfg: EstimateConfig,
     *,
-    constants: str = "statement",
     tolerance: float = 1e-9,
-    probe: bool = False,
 ) -> VerificationReport:
     """Flat-space branch: c1 + c2 <= A L0/R |c_j| + B n L0/R^2."""
     if cfg.kappa != 0.0:
         raise ValueError("flat branch requires kappa = 0")
-    A, B, _ = CONSTANT_FAMILIES[constants]
+    A, B, _ = STATEMENT_CONSTANTS
     lhs = cfg.c1 + cfg.c2
     rhs = A * cfg.L0 / cfg.R * abs(cfg.c_side) + B * cfg.n * cfg.L0 / cfg.R**2
     return build_report(
@@ -137,17 +129,14 @@ def main_estimate_euclid(
         rhs,
         tolerance=tolerance,
         inputs=cfg.inputs(),
-        grid={"constants": constants},
-        probe=probe,
+        grid={"constants": "statement"},
     )
 
 
 def main_estimate_hyperbolic(
     cfg: EstimateConfig,
     *,
-    constants: str = "statement",
     tolerance: float = 1e-9,
-    probe: bool = False,
     R_grid=None,
     d: float = None,
 ) -> VerificationReport:
@@ -173,8 +162,8 @@ def main_estimate_hyperbolic(
         )
     n = cfg.n
     lhs = cfg.c1 + cfg.c2 - 2.0 * n * alpha
-    rhs = _hyperbolic_rhs(0.0, cfg.c_side, n, alpha, cfg.L0, cfg.R, constants)
-    grid = {"constants": constants, "alpha": alpha, "alpha_min": a_lo}
+    rhs = _hyperbolic_rhs(0.0, cfg.c_side, n, alpha, cfg.L0, cfg.R)
+    grid = {"constants": "statement", "alpha": alpha, "alpha_min": a_lo}
     if R_grid is not None:
         Rs = np.asarray(R_grid, dtype=float)
         if np.any(Rs < 4.0 * cfg.L0):
@@ -185,7 +174,7 @@ def main_estimate_hyperbolic(
         if d_ref is None:
             d_ref = cfg.L0
         a_min = _alpha_min(cfg.L0, Rs)
-        ub = _hyperbolic_rhs(2.0 * n * a_min, cfg.c_side, n, a_min, cfg.L0, Rs, constants)
+        ub = _hyperbolic_rhs(2.0 * n * a_min, cfg.c_side, n, a_min, cfg.L0, Rs)
         limit = theorem_bound(1.0, n, d_ref)
         grid.update(
             {
@@ -202,7 +191,6 @@ def main_estimate_hyperbolic(
         tolerance=tolerance,
         inputs=cfg.inputs(),
         grid=grid,
-        probe=probe,
     )
 
 
@@ -213,8 +201,6 @@ def main_estimate_hyperbolic(
 ENVELOPE_KINDS = ("sum-inverse-R", "fitted-inverse-R2", "hyperbolic-saturation")
 
 SCAN_CSV_HEADER = "R,inf_h1,inf_h2,sum,envelope,slack\n"
-
-SCAN_SLACK_FLOOR = -1e-12  # a scan passes when every slack stays above this
 
 
 def annulus_infima(fixture: Fixture, r_lo, r_hi) -> np.ndarray:
@@ -312,7 +298,6 @@ class DecayScan:
                 -2.0 / 3.0
             )
         self.slack = self.envelope - self.total
-        self.passed = bool(np.all(self.slack >= SCAN_SLACK_FLOOR))
 
     def to_csv(self, path) -> None:
         cols = (self.R, self.inf1, self.inf2, self.total, self.envelope, self.slack)
@@ -427,7 +412,7 @@ def sharpness_gap(a: float, R_grid) -> dict:
     if np.any(Rs < 4.0 * d):
         raise ValueError("grid radii must satisfy L0 <= R/4 with L0 = d")
     a_min = _alpha_min(d, Rs)
-    ub = _hyperbolic_rhs(2.0 * n * a_min, c2, n, a_min, d, Rs, "statement")
+    ub = _hyperbolic_rhs(2.0 * n * a_min, c2, n, a_min, d, Rs)
     return {
         "a": a,
         "n": n,

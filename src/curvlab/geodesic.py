@@ -375,7 +375,6 @@ def length_comparison(problem: GeodesicProblem, result: MinimizeResult) -> Lengt
 class ShortnessReport:
     sup_deviation: float
     bound: float
-    ok: bool
 
 
 def shortness_check(problem: GeodesicProblem, curve: DiscreteCurve, mu0: float) -> ShortnessReport:
@@ -383,8 +382,7 @@ def shortness_check(problem: GeodesicProblem, curve: DiscreteCurve, mu0: float) 
     uv = np.asarray(problem.u.value(curve.points), dtype=float)
     up = float(uv[0])
     dev = float(np.max(np.abs(uv / up - 1.0)))
-    bound = 2.5 * mu0
-    return ShortnessReport(dev, bound, dev <= bound)
+    return ShortnessReport(dev, 2.5 * mu0)
 
 
 def endpoint_orthogonality(problem: GeodesicProblem, curve: DiscreteCurve):

@@ -120,14 +120,14 @@ def sphere_mean_curvature(space: SpaceForm, R: float) -> float:
     return n * k * (1.0 + 2.0 / np.expm1(2.0 * k * R))
 
 
-def geodesic_sphere(space: SpaceForm, R: float, label="sphere") -> Hypersurface:
+def geodesic_sphere(space: SpaceForm, R: float) -> Hypersurface:
     """Geodesic sphere about the origin with inward orientation."""
     if space.hyperbolic:
         s = np.tanh(0.5 * space.kappa * R)
     else:
         s = R
     H = sphere_mean_curvature(space, R)
-    return _sphere_piece(space, np.zeros(space.dim), s, H, (0.0, 2.0 * np.pi), label)
+    return _sphere_piece(space, np.zeros(space.dim), s, H, (0.0, 2.0 * np.pi), "sphere")
 
 
 def _sphere_piece(space, center, rho, H, chart_box, label):
@@ -601,14 +601,3 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
         converged=m is None,
         missed=m,
     ) for b, ts, m in zip(best, tables, missed)]
-
-
-def infimum_over_annulus(piece: Hypersurface, r_lo: float, r_hi: float) -> InfimumResult:
-    """Infimum of the mean curvature over the part of the surface whose
-    g-distance to the origin lies in the open annulus (r_lo, r_hi): the
-    one-annulus case of ``infima_over_annuli``. Raises ValueError when the
-    annulus does not meet the surface chart."""
-    res = infima_over_annuli(piece, r_lo, r_hi)[0]
-    if res is None:
-        raise ValueError("annulus does not meet the surface chart")
-    return res

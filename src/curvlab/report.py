@@ -3,9 +3,9 @@
 Every quantitative check in the package reduces to comparing a left-hand
 side against a right-hand side; the report stores both, the signed slack
 rhs - lhs, and a pass flag defined uniformly as slack >= -tolerance.
-Probe reports (synthetic inputs constructed to violate an inequality on
-purpose) carry probe=True so batch drivers can exclude them from exit
-status while still writing them out.
+The runner sets ``probe`` from the check registry: a probe (synthetic
+inputs constructed to violate an inequality on purpose) is written out
+but left out of the exit status.
 """
 
 import hashlib
@@ -60,7 +60,6 @@ def build_report(
     tolerance: float,
     inputs: dict = None,
     grid: dict = None,
-    probe: bool = False,
 ) -> VerificationReport:
     """Assemble a report; slack = rhs - lhs, pass iff slack >= -tolerance."""
     if tolerance <= 0:
@@ -75,7 +74,6 @@ def build_report(
         slack=slack,
         tolerance=float(tolerance),
         passed=bool(slack >= -tolerance),
-        probe=probe,
         inputs_digest=digest_inputs(inputs or {}),
         grid=dict(grid or {}),
     )

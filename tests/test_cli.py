@@ -313,8 +313,8 @@ def test_workers_do_not_change_reports(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _single_check_registry(monkeypatch, fn, cid="fake-check"):
-    monkeypatch.setattr(cli, "CHECKS", {cid: CheckSpec(("lemmas",), fn)})
+def _single_check_registry(monkeypatch, fn, cid="fake-check", probe=False):
+    monkeypatch.setattr(cli, "CHECKS", {cid: CheckSpec(("lemmas",), fn, probe=probe)})
     return cid
 
 
@@ -362,6 +362,36 @@ def test_check_exception_gives_status_1_and_report(tmp_path, monkeypatch):
     rep = json.loads((out / f"{cid}.json").read_text())
     assert rep["passed"] is False
     assert "synthetic breakage" in rep["grid"]["error"]
+
+
+def test_probe_that_raises_still_fails_the_run(tmp_path, monkeypatch):
+    def fn(ctx):
+        raise ValueError("synthetic breakage")
+
+    cid = _single_check_registry(monkeypatch, fn, probe=True)
+    out = tmp_path / "out"
+    cfg = RunConfig(suite="lemmas", out=str(out))
+    stdout = io.StringIO()
+    assert cli.run(cfg, stdout=stdout, stderr=io.StringIO()) == 1
+    assert f"{cid}: ERROR" in stdout.getvalue()
+    rep = json.loads((out / f"{cid}.json").read_text())
+    assert rep["probe"] is False
+    assert rep["passed"] is False
+
+
+def test_registry_marks_a_failing_probe(tmp_path, monkeypatch):
+    def fn(ctx):
+        return build_report(ctx.cid, 2.0, 1.0, tolerance=1e-9)
+
+    cid = _single_check_registry(monkeypatch, fn, probe=True)
+    out = tmp_path / "out"
+    cfg = RunConfig(suite="lemmas", out=str(out))
+    stdout = io.StringIO()
+    assert cli.run(cfg, stdout=stdout, stderr=io.StringIO()) == 0
+    assert f"{cid}: FAIL (probe)" in stdout.getvalue()
+    rep = json.loads((out / f"{cid}.json").read_text())
+    assert rep["probe"] is True
+    assert rep["passed"] is False
 
 
 def test_report_id_mismatch_is_flagged(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from curvlab import estimates
 from curvlab.estimates import (
-    CONSTANT_FAMILIES,
+    STATEMENT_CONSTANTS,
     EstimateConfig,
     alpha_interval,
     decay_scan,
@@ -19,7 +19,8 @@ from curvlab.estimates import (
     sharpness_gap,
     theorem_bound,
 )
-from curvlab.hypersurface import example_fixture, infimum_over_annulus
+from curvlab.checks import CHECKS
+from curvlab.hypersurface import example_fixture, infima_over_annuli
 from curvlab.report import NonConvergence, build_report
 
 
@@ -103,8 +104,9 @@ def test_flat_branch_synthetic_probe_fails():
     # uniformly positive curvature bounds on a large ball violate the
     # estimate; that is the point of the probe, and it must not pass
     cfg = EstimateConfig(c1=1.0, c2=1.0, R=100.0, L0=1.0, n=2)
-    rep = main_estimate_euclid(cfg, probe=True)
-    assert rep.probe
+    rep = main_estimate_euclid(cfg)
+    # the registry, not the library, marks the check that runs it a probe
+    assert CHECKS["curvature-sum-flat-probe"].probe and not rep.probe
     assert not rep.passed
     assert np.isclose(rep.lhs, 2.0)
     assert np.isclose(rep.rhs, 2.5 / 100.0 + 60.0 / 10000.0, rtol=1e-13)
@@ -115,8 +117,9 @@ def test_flat_branch_measured_log_graph():
     fx = example_fixture("log-graph")
     graph, axis = fx.pieces
     R = np.exp(6.0)
-    c1 = infimum_over_annulus(graph, 0.0, R).value
-    c2 = infimum_over_annulus(axis, 0.0, R).value
+    [res1] = infima_over_annuli(graph, 0.0, R)
+    [res2] = infima_over_annuli(axis, 0.0, R)
+    c1, c2 = res1.value, res2.value
     # curvature on the graph increases from the chart edge past the zero
     # crossing, so the ball infimum sits at the inner chart endpoint
     assert np.isclose(c1, float(graph.h_exact(np.array([3.0]))[0]), rtol=1e-6)
@@ -131,16 +134,10 @@ def test_flat_branch_measured_log_graph():
 
 def test_constant_families():
     cfg = EstimateConfig(c1=0.5, c2=0.25, R=40.0, L0=3.0, n=2)
-    rs = main_estimate_euclid(cfg, constants="statement")
-    rq = main_estimate_euclid(cfg, constants="quarter-ball")
+    rs = main_estimate_euclid(cfg)
     assert rs.grid["constants"] == "statement"
-    assert rq.grid["constants"] == "quarter-ball"
-    A, B, _ = CONSTANT_FAMILIES["statement"]
+    A, B, _ = STATEMENT_CONSTANTS
     assert np.isclose(rs.rhs, A * 3.0 / 40.0 * 0.25 + B * 2 * 3.0 / 1600.0, rtol=1e-14)
-    # the quarter-ball family is the statement family with R -> R/4
-    assert np.isclose(
-        rq.rhs, A * 3.0 / 10.0 * 0.25 + B * 2 * 3.0 / 100.0, rtol=1e-14
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +213,7 @@ def test_sharpness_gap_rate():
 def test_decay_scan_slab_identically_zero():
     fx = example_fixture("euclid-slab", d=1.0)
     scan = decay_scan(fx, np.array([2.0, 4.0, 8.0, 16.0]), "sum-inverse-R")
-    assert scan.passed
+    assert np.all(scan.slack >= -1e-12)
     assert np.max(np.abs(scan.inf1)) < 1e-12
     assert np.max(np.abs(scan.inf2)) < 1e-12
     assert np.allclose(scan.envelope, 40.0 * 2 / scan.R)
@@ -271,7 +268,7 @@ def test_decay_scan_log_graph_envelope_and_cut_oracle():
     graph = fx.pieces[0]
     Rs = np.exp(np.linspace(4.0, 10.0, 7))
     scan = decay_scan(fx, Rs, "sum-inverse-R")
-    assert scan.passed
+    assert np.all(scan.slack >= -1e-12)
     assert np.all(scan.slack > 0.0)
     assert np.max(np.abs(scan.inf2)) < 1e-12
     # curvature decreases along the annuli here, so each infimum sits at
@@ -293,7 +290,7 @@ def test_decay_scan_revolution_fitted_envelope():
     fx = example_fixture("revolution-r4")
     Rs = np.exp(np.linspace(4.0, 10.0, 7))
     scan = decay_scan(fx, Rs, "fitted-inverse-R2")
-    assert scan.passed
+    assert np.all(scan.slack >= -1e-12)
     assert scan.fitted_constant is not None and np.isfinite(scan.fitted_constant)
     assert scan.fit_drift < 0.05
     assert np.all(scan.slack >= -1e-12)
@@ -307,7 +304,7 @@ def test_decay_scan_revolution_fitted_envelope():
 def test_decay_scan_hyperbolic_saturation():
     fx = example_fixture("hyperbolic-equidistant", a=1.0, dim=3)
     scan = decay_scan(fx, np.array([2.0, 4.0, 8.0, 16.0]), "hyperbolic-saturation")
-    assert scan.passed
+    assert np.all(scan.slack >= -1e-12)
     assert np.allclose(scan.total, 2.0 * 2 / np.sqrt(2.0), rtol=1e-8)
     assert np.allclose(scan.envelope, 4.0 + 26.0 * scan.R ** (-2.0 / 3.0))
 

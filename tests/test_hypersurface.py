@@ -11,7 +11,6 @@ from curvlab.hypersurface import (
     example_fixture,
     geodesic_sphere,
     infima_over_annuli,
-    infimum_over_annulus,
     sphere_mean_curvature,
 )
 from curvlab.spaceform import SpaceForm
@@ -356,18 +355,17 @@ def test_fixture_rejects_an_empty_or_singular_chart(name, kwargs):
 def test_annulus_infimum_constant_sphere():
     space = SpaceForm(3, 0.0)
     sph = geodesic_sphere(space, 2.0)
-    res = infimum_over_annulus(sph, 1.0, 3.0)
+    [res] = infima_over_annuli(sph, 1.0, 3.0)
     assert np.isclose(res.value, 1.0, rtol=1e-10)
     assert res.converged
-    with pytest.raises(ValueError):
-        infimum_over_annulus(sph, 3.0, 4.0)
+    assert infima_over_annuli(sph, 3.0, 4.0) == [None]
 
 
 def test_annulus_infimum_log_graph_matches_direct_scan():
     fx = example_fixture("log-graph", x_max=1e5)
     graph = fx.pieces[0]
     R = np.exp(4.0) * 3.0
-    res = infimum_over_annulus(graph, R / 3.0, R)
+    [res] = infima_over_annuli(graph, R / 3.0, R)
     # direct oracle: fine grid over the chart plus the exact annulus cut
     # (curvature decreases in x, so the infimum sits where |p| reaches R)
     from scipy.optimize import brentq
@@ -391,7 +389,7 @@ def test_annulus_infimum_log_graph_equals_exact_cut_value():
 
     graph = example_fixture("log-graph").pieces[0]
     R = np.exp(7.0)
-    res = infimum_over_annulus(graph, R / 3.0, R)
+    [res] = infima_over_annuli(graph, R / 3.0, R)
     # curvature decreases in x, so the infimum is the limit at the outer cut
     x_cut = brentq(lambda x: np.linalg.norm(graph.chart_points(np.array([x]))[0]) - R, 3.0, 2e6)
     oracle = float(graph.h_exact(np.array([x_cut]))[0])
@@ -402,7 +400,7 @@ def test_annulus_infimum_log_graph_equals_exact_cut_value():
 def test_annulus_infimum_revolution_takes_the_cut_value():
     trumpet = example_fixture("revolution-r4").pieces[0]
     for R in np.exp([4.0, 7.0, 10.0]):
-        res = infimum_over_annulus(trumpet, R / 3.0, R)
+        [res] = infima_over_annuli(trumpet, R / 3.0, R)
         assert R * (1.0 - 1e-9) <= np.linalg.norm(res.point) <= R
         assert res.value == float(trumpet.mean_curvature(res.point[None])[0])
         assert res.converged
@@ -421,7 +419,7 @@ def test_annulus_infimum_work_guard(monkeypatch):
 
     monkeypatch.setattr(SpaceForm, "distance", counting)
     R = np.exp(10.0)
-    res = infimum_over_annulus(graph, R / 3.0, R)
+    [res] = infima_over_annuli(graph, R / 3.0, R)
     assert sum(points) <= 8000
     assert res.converged
 
@@ -435,7 +433,7 @@ def test_annulus_infimum_two_intervals_hyperbolic_arc():
     d = fx.space.distance(origin, piece.chart_points(ts))
     inside = (d > r_lo) & (d < r_hi)
     assert np.count_nonzero(np.diff(inside.astype(int)) == 1) == 2  # two intervals
-    res = infimum_over_annulus(piece, r_lo, r_hi)
+    [res] = infima_over_annuli(piece, r_lo, r_hi)
     assert res.converged
     assert np.isclose(res.value, fx.params["H"], rtol=1e-12)
     assert r_lo <= float(fx.space.distance(origin, res.point)) <= r_hi

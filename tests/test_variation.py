@@ -57,12 +57,14 @@ def test_phi_endpoints_and_range():
 def test_phi_calculus_report():
     for L in (0.5, 2.0, 10.0):
         rep = phi_calculus(L)
-        assert rep.ok
         assert rep.endpoint_error < 1e-12
         assert rep.derivative_identity_error < 1e-7 * max(1.0, L)
         assert rep.phi_sq_closed <= 1.2
-        assert abs(rep.psi_left + math.tanh(L / 2.0)) < 1e-15
-        assert abs(rep.psi_right - math.tanh(L / 2.0)) < 1e-15
+        assert 0.0 < rep.phi_range[0]
+        assert rep.phi_range[1] <= 1.0 + 1e-15
+        psi_left, psi_right = TestFunction.cosh_type(L).endpoint_psi()
+        assert abs(psi_left + math.tanh(L / 2.0)) < 1e-15
+        assert abs(psi_right - math.tanh(L / 2.0)) < 1e-15
 
 
 def test_phi_sq_integral_closed_form_vs_quadrature():
@@ -272,7 +274,7 @@ def test_monotonicity_facts():
 
 def test_crucial_bounds_scan_euclid():
     scan = crucial_bounds_scan(n=2, R=10.0, model="euclid", n_r=1000, n_t=100)
-    assert scan.passed
+    assert all(c.min_slack >= -1e-12 for c in scan.checks.values())
     check = scan.checks["j2_upper"]
     assert check.min_slack >= -1e-12
     # the bound is attained at r = R, |r_T| = 1
@@ -284,7 +286,7 @@ def test_crucial_bounds_scan_euclid():
 
 def test_crucial_bounds_scan_hyperbolic():
     scan = crucial_bounds_scan(n=1, R=10.0, model="hyperbolic", n_r=1200, n_t=120)
-    assert scan.passed
+    assert all(c.min_slack >= -1e-12 for c in scan.checks.values())
     j1 = scan.checks["j1_lower"]
     assert j1.min_slack >= -1e-12
     assert abs(j1.bound + 0.08) < 1e-15
@@ -345,7 +347,6 @@ def _bounds_scan_reference(n, R, model, n_r, n_t):
         record("j1_lower", J1 - low, low, J1)
         bound2 = base - n * prof.d1(r[:, None])
         record("j2_upper", bound2 - J2, bound2, J2)
-    scan.passed = all(c.min_slack >= -1e-12 for c in scan.checks.values())
     return scan
 
 
