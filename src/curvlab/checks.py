@@ -30,15 +30,10 @@ from .estimates import (
     main_estimate_hyperbolic,
     sharpness_gap,
     theorem_bound,
+    upper_bound_along,
 )
 from .fields import BallFactorField, ConstantField, ExpQuadraticField, quartic_cutoff_profile
-from .geodesic import (
-    GeodesicProblem,
-    endpoint_orthogonality,
-    length_comparison,
-    minimize_free_boundary,
-    shortness_check,
-)
+from .geodesic import GeodesicProblem, endpoint_orthogonality, minimize_free_boundary
 from .hypersurface import example_fixture, geodesic_sphere
 from .report import NonConvergence, build_report
 from .spaceform import RadialField, SpaceForm, gram_schmidt_frame
@@ -111,6 +106,17 @@ def _require_converged(cid, res, where=""):
         f"{res.level_stops[i]} after {res.level_iterations[i]} iterations; "
         f"final gradient {res.grad_norm:.2e}",
     )
+
+
+def _length_ordering(problem, res):
+    """(L-tilde of the seed path, ordered) for L <= L-tilde <= L-tilde(seed
+    path), each within 1e-7 max(1, L-tilde): the first needs u <= 1, the
+    second is minimality against the ambient-geodesic competitor."""
+    seed = problem.initial_curve(max(res.curve.n_segments, 256))
+    Lt_seed = seed.tilde_length(problem.u)
+    Lt = res.tilde_length
+    tol = 1e-7 * max(1.0, Lt)
+    return Lt_seed, (res.g_length <= Lt + tol) and (Lt <= Lt_seed + tol)
 
 
 def _solver_grid(res):
@@ -352,20 +358,22 @@ def _check_curve_shortness(ctx):
     )
     res = minimize_free_boundary(problem, n_segments=ctx.grid("n_segments"), gtol=1e-8)
     _require_converged(ctx.cid, res)
-    comp = length_comparison(problem, res)
+    seed_length, ordered = _length_ordering(problem, res)
     mu0 = res.g_length / R_profile
-    short = shortness_check(problem, res.curve, mu0)
+    uv = np.asarray(u.value(res.curve.points), dtype=float)
+    sup_deviation = float(np.max(np.abs(uv / uv[0] - 1.0)))
+    budget = 2.5 * mu0
     parts = {
-        "deviation_within_budget": (short.sup_deviation, short.bound),
-        "length_ordering": _flag(comp.ordered),
+        "deviation_within_budget": (sup_deviation, budget),
+        "length_ordering": _flag(ordered),
     }
     grid = {
         "g_length": res.g_length,
         "tilde_length": res.tilde_length,
-        "seed_tilde_length": comp.tilde_length_seed,
+        "seed_tilde_length": seed_length,
         "mu0": mu0,
-        "sup_deviation": short.sup_deviation,
-        "budget": short.bound,
+        "sup_deviation": sup_deviation,
+        "budget": budget,
         **_solver_grid(res),
     }
     return _ratio_report(ctx.cid, parts, inputs={"n_segments": ctx.grid("n_segments")},
@@ -389,6 +397,13 @@ def _crucial_bounds(ctx, model):
         inputs={"n_r": n_r, "n_t": n_t, "model": model},
         grid={"min_slack": worst, "per_case": per},
     )
+
+
+def _check_elementary_inequalities(ctx):
+    """lhs 0 against the smallest slack of the three inequalities."""
+    worst, mins = elementary_inequalities()
+    return build_report(ctx.cid, 0.0, worst, tolerance=1e-12,
+                        inputs={"n_grid": mins["n_grid"], "r_max": mins["r_max"]}, grid=mins)
 
 
 def _check_phi_calculus(ctx):
@@ -578,14 +593,14 @@ def _check_lens_distance(ctx):
     _require_converged(ctx.cid, res)
     p, q = res.curve.points[0], res.curve.points[-1]
     orth = endpoint_orthogonality(problem, res.curve)
-    comp = length_comparison(problem, res)
+    _, ordered = _length_ordering(problem, res)
     parts = {
         "length_vs_distance": (abs(res.tilde_length - fx.distance) / fx.distance, 1e-4),
         "realizes_endpoint_distance": (
             abs(res.tilde_length - float(fx.space.distance(p, q))) / fx.distance, 1e-4),
         "mirror_symmetry": (np.maximum(abs(p[0] + q[0]), abs(p[1] - q[1])), 1e-2),
         "orthogonality_error": (np.max(np.abs(np.subtract(orth, 1.0))), 1e-4),
-        "length_ordering": _flag(comp.ordered),
+        "length_ordering": _flag(ordered),
     }
     grid = {
         "tilde_length": res.tilde_length,
@@ -722,32 +737,42 @@ def _measured_flat_config(ctx):
     return EstimateConfig(c1=c1, c2=c2, R=R, L0=L0, n=1, fixture=fx)
 
 
+def _estimate_report(ctx, cfg, sides):
+    """Report on the estimate's (lhs, rhs, grid) for the inputs ``cfg``."""
+    lhs, rhs, grid = sides
+    return build_report(ctx.cid, lhs, rhs, tolerance=ctx.tol("default"),
+                        inputs=cfg.inputs(), grid=grid)
+
+
 def _check_curvature_sum_flat(ctx):
     cfg = _measured_flat_config(ctx)
-    return main_estimate_euclid(cfg, tolerance=ctx.tol("default"))
+    return _estimate_report(ctx, cfg, main_estimate_euclid(cfg))
 
 
 def _check_curvature_sum_flat_probe(ctx):
     """Deliberately violating inputs: the inequality machinery must flag
     them, proving the harness can actually fail."""
     cfg = EstimateConfig(c1=1.0, c2=1.0, R=100.0, L0=1.0, n=2)
-    rep = main_estimate_euclid(cfg, tolerance=ctx.tol("default"))
-    rep.check = ctx.cid
-    return rep
+    return _estimate_report(ctx, cfg, main_estimate_euclid(cfg))
 
 
 def _check_curvature_sum_hyperbolic(ctx):
+    """The measured lens curvatures in the hyperbolic branch at R = 16, with
+    the branch's upper bound on c1 + c2 along a grid of radii against its
+    saturating limit."""
     kwargs = ctx.fixture_kwargs("poincare-circles")
     fx = example_fixture("poincare-circles", **kwargs)
     H_meas = [float(p.mean_curvature(q)) for p, q in zip(fx.pieces, fx.endpoints)]
-    d = fx.distance
     cfg = EstimateConfig(
-        c1=H_meas[0], c2=H_meas[1], R=16.0, L0=d, n=1, kappa=1.0, fixture=fx
+        c1=H_meas[0], c2=H_meas[1], R=16.0, L0=fx.distance, n=1, kappa=1.0, fixture=fx
     )
-    return main_estimate_hyperbolic(
-        cfg, tolerance=ctx.tol("default"),
-        R_grid=np.array([16.0, 32.0, 64.0, 128.0]), d=d,
-    )
+    lhs, rhs, grid = main_estimate_hyperbolic(cfg)
+    R_grid = np.array([16.0, 32.0, 64.0, 128.0])
+    ub = upper_bound_along(cfg.c_side, cfg.n, cfg.L0, R_grid)
+    limit = theorem_bound(1.0, cfg.n, fx.distance)
+    grid.update(R_grid=R_grid.tolist(), upper_bound=ub.tolist(), limit=limit,
+                gap=(ub - limit).tolist())
+    return _estimate_report(ctx, cfg, (lhs, rhs, grid))
 
 
 def _check_saturating_bound(ctx):
@@ -866,7 +891,7 @@ CHECKS = {
     "crucial-bounds-hyperbolic": CheckSpec(("lemmas",),
                                            partial(_crucial_bounds, model="hyperbolic")),
     "elementary-inequalities": CheckSpec(("lemmas", "estimates"),
-                                         lambda ctx: elementary_inequalities()),
+                                         _check_elementary_inequalities),
     "phi-calculus": CheckSpec(("lemmas",), _check_phi_calculus),
     "sharp-lens": CheckSpec(("examples",), _check_sharp_lens),
     "log-graph-curvature": CheckSpec(("examples",), _check_log_graph_curvature),

@@ -1,24 +1,26 @@
-"""Theorem-level inequality checks.
+"""Theorem-level inequalities, evaluated as numbers.
 
 The central object is the curvature-sum estimate: if two boundary pieces
 of a region in flat or hyperbolic space have inward mean curvature
 bounded below by c1 and c2 on a ball of radius R, and some curve of
 length L0 <= R/4 joins them inside the region, then c1 + c2 is bounded
 by an explicit error term that decays as R grows.  This module evaluates
-both branches of that estimate on fixtures, the saturating distance
-bound 2 n kappa tanh(kappa d / 2) it converges to, annulus decay scans
-with closed-form envelopes, and the elementary scalar inequalities the
-derivations lean on.
+both branches of that estimate on fixtures, the upper bound it gives
+along a grid of radii, the saturating distance bound
+2 n kappa tanh(kappa d / 2) it converges to, annulus decay scans with
+closed-form envelopes, and the elementary scalar inequalities the
+derivations lean on.  It returns the two sides of each inequality and
+its metadata; ``checks`` judges them and builds the reports.
 
 The estimate's right-hand side uses the statement's constants
-(A, B, C) = (5/2, 30, 8) for a caller-chosen ball; reports record them
-as "statement".
+(A, B, C) = (5/2, 30, 8) for a caller-chosen ball; the metadata records
+them as "statement".
 """
 
 import numpy as np
 
-from .hypersurface import Fixture, infima_over_annuli
-from .report import NonConvergence, VerificationReport, build_report
+from .hypersurface import Fixture, example_fixture, infima_over_annuli
+from .report import NonConvergence
 from .variation import coth_minus_inv
 
 STATEMENT_CONSTANTS = (2.5, 30.0, 8.0)  # (A, B, C) of the estimate's right-hand side
@@ -112,45 +114,28 @@ def theorem_bound(kappa: float, n: int, d: float) -> float:
     return 2.0 * n * kappa * np.tanh(0.5 * kappa * d)
 
 
-def main_estimate_euclid(
-    cfg: EstimateConfig,
-    *,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
-    """Flat-space branch: c1 + c2 <= A L0/R |c_j| + B n L0/R^2."""
+def main_estimate_euclid(cfg: EstimateConfig):
+    """Flat-space branch: c1 + c2 <= A L0/R |c_j| + B n L0/R^2.
+
+    Returns the sides (lhs, rhs) and the grid metadata {"constants": ...}.
+    """
     if cfg.kappa != 0.0:
         raise ValueError("flat branch requires kappa = 0")
     A, B, _ = STATEMENT_CONSTANTS
     lhs = cfg.c1 + cfg.c2
     rhs = A * cfg.L0 / cfg.R * abs(cfg.c_side) + B * cfg.n * cfg.L0 / cfg.R**2
-    return build_report(
-        "curvature-sum-flat",
-        lhs,
-        rhs,
-        tolerance=tolerance,
-        inputs=cfg.inputs(),
-        grid={"constants": "statement"},
-    )
+    return lhs, rhs, {"constants": "statement"}
 
 
-def main_estimate_hyperbolic(
-    cfg: EstimateConfig,
-    *,
-    tolerance: float = 1e-9,
-    R_grid=None,
-    d: float = None,
-) -> VerificationReport:
+def main_estimate_hyperbolic(cfg: EstimateConfig):
     """Hyperbolic branch, evaluated at kappa = 1:
 
         c1 + c2 - 2 n alpha <= A L0/R |c_j - n alpha|
                                + B n L0/R^2 + C n sqrt(L0)/R.
 
     alpha may be anything in [alpha_interval(L0, R)[0], 1]; when omitted
-    the lower endpoint (the sharpest admissible choice) is used.  If an
-    R grid is supplied, the report's grid metadata also tracks the
-    resulting upper bound on c1 + c2 along the grid together with its
-    saturating limit 2 n tanh(d/2), where d defaults to the fixture
-    distance and then to L0.
+    the lower endpoint (the sharpest admissible choice) is used.  Returns
+    the sides (lhs, rhs) and grid metadata naming the constants and alpha.
     """
     if cfg.kappa <= 0.0:
         raise ValueError("hyperbolic branch requires kappa > 0")
@@ -163,35 +148,18 @@ def main_estimate_hyperbolic(
     n = cfg.n
     lhs = cfg.c1 + cfg.c2 - 2.0 * n * alpha
     rhs = _hyperbolic_rhs(0.0, cfg.c_side, n, alpha, cfg.L0, cfg.R)
-    grid = {"constants": "statement", "alpha": alpha, "alpha_min": a_lo}
-    if R_grid is not None:
-        Rs = np.asarray(R_grid, dtype=float)
-        if np.any(Rs < 4.0 * cfg.L0):
-            raise ValueError("every grid R must satisfy L0 <= R/4")
-        d_ref = d
-        if d_ref is None and cfg.fixture is not None:
-            d_ref = cfg.fixture.distance
-        if d_ref is None:
-            d_ref = cfg.L0
-        a_min = _alpha_min(cfg.L0, Rs)
-        ub = _hyperbolic_rhs(2.0 * n * a_min, cfg.c_side, n, a_min, cfg.L0, Rs)
-        limit = theorem_bound(1.0, n, d_ref)
-        grid.update(
-            {
-                "R_grid": Rs.tolist(),
-                "upper_bound": ub.tolist(),
-                "limit": limit,
-                "gap": (ub - limit).tolist(),
-            }
-        )
-    return build_report(
-        "curvature-sum-hyperbolic",
-        lhs,
-        rhs,
-        tolerance=tolerance,
-        inputs=cfg.inputs(),
-        grid=grid,
-    )
+    return lhs, rhs, {"constants": "statement", "alpha": alpha, "alpha_min": a_lo}
+
+
+def upper_bound_along(c, n, L0, R_grid) -> np.ndarray:
+    """The hyperbolic branch's upper bound on c1 + c2 at each radius of
+    R_grid, with the sharpest admissible alpha there and c = c_j:
+    2 n alpha + A L0/R |c - n alpha| + B n L0/R^2 + C n sqrt(L0)/R."""
+    Rs = np.asarray(R_grid, dtype=float)
+    if np.any(Rs < 4.0 * L0):
+        raise ValueError("every grid R must satisfy L0 <= R/4")
+    a_min = _alpha_min(L0, Rs)
+    return _hyperbolic_rhs(2.0 * n * a_min, c, n, a_min, L0, Rs)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +241,6 @@ class DecayScan:
         if self.inf1.shape != R.shape or self.inf2.shape != R.shape:
             raise ValueError("infima arrays must match the R grid")
         self.total = self.inf1 + self.inf2
-        self.start_R = float(R[0])
         self.fitted_constant = None
         self.fit_drift = None
         self.normalized = None
@@ -328,20 +295,20 @@ def decay_scan(fixture: Fixture, R_grid, envelope_kind: str) -> DecayScan:
 
 ELEMENTARY_N_GRID = 4096  # grid points per inequality (2 n + 1 for the second)
 ELEMENTARY_R_MAX = 50.0  # right end of the coth window's r grid
-ELEMENTARY_TOLERANCE = 1e-12  # the report's pass tolerance on the minimum slack
 
 
-def elementary_inequalities() -> VerificationReport:
+def elementary_inequalities():
     """Grid checks of three scalar inequalities used by the estimate:
 
       (1 - m^2)^(-2) < 1 + (5/9) m        for m in (0, 1/4]
       |e^x - 1| <= (4/3)|x|               for |x| < 1/2
       0 < coth r - 1/r < 1                for r > 0
 
-    The report's grid metadata carries the minimum slack and its
-    location for each, the first inequality's slack at m = 1/4, and the
-    third one's value at r = 1.  The second has equality at x = 0, so
-    the overall minimum slack is exactly zero.
+    Returns (worst, mins): the smallest slack over all three, and per
+    inequality the minimum slack and its location, with the first one's
+    slack at m = 1/4, the third one's value at r = 1 and the grid
+    parameters.  The second has equality at x = 0, so the overall minimum
+    slack is exactly zero.
     """
     n_grid, r_max = ELEMENTARY_N_GRID, ELEMENTARY_R_MAX
     m = np.linspace(0.25 / n_grid, 0.25, n_grid)
@@ -373,15 +340,7 @@ def elementary_inequalities() -> VerificationReport:
         "n_grid": n_grid,
         "r_max": r_max,
     }
-    worst = float(np.min([s1[k1], s2[k2], s3[k3]]))
-    return build_report(
-        "elementary-inequalities",
-        0.0,
-        worst,
-        tolerance=ELEMENTARY_TOLERANCE,
-        inputs={"n_grid": n_grid, "r_max": r_max},
-        grid=mins,
-    )
+    return float(np.min([s1[k1], s2[k2], s3[k3]])), mins
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +358,6 @@ def sharpness_gap(a: float, R_grid) -> dict:
     admissible alpha at each radius, exceeds it by O(1/R), dominated by
     the C n sqrt(L0) / R term.
     """
-    from .hypersurface import example_fixture
-
     fx = example_fixture("hyperbolic-equidistant", a=a, dim=2)
     n = 1
     d = float(fx.distance)
@@ -409,10 +366,7 @@ def sharpness_gap(a: float, R_grid) -> dict:
     limit = theorem_bound(1.0, n, d)
 
     Rs = np.asarray(R_grid, dtype=float)
-    if np.any(Rs < 4.0 * d):
-        raise ValueError("grid radii must satisfy L0 <= R/4 with L0 = d")
-    a_min = _alpha_min(d, Rs)
-    ub = _hyperbolic_rhs(2.0 * n * a_min, c2, n, a_min, d, Rs)
+    ub = upper_bound_along(c2, n, d, Rs)
     return {
         "a": a,
         "n": n,

@@ -351,40 +351,6 @@ def minimize_free_boundary(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LengthComparison:
-    g_length: float
-    tilde_length: float
-    tilde_length_seed: float
-    ordered: bool
-
-
-def length_comparison(problem: GeodesicProblem, result: MinimizeResult) -> LengthComparison:
-    """L <= L-tilde <= L-tilde(seed path): the first needs u <= 1, the second
-    is minimality against the ambient-geodesic competitor."""
-    seed = problem.initial_curve(max(result.curve.n_segments, 256))
-    Lt_seed = seed.tilde_length(problem.u)
-    L = result.g_length
-    Lt = result.tilde_length
-    tol = 1e-7 * max(1.0, Lt)
-    ordered = (L <= Lt + tol) and (Lt <= Lt_seed + tol)
-    return LengthComparison(L, Lt, Lt_seed, ordered)
-
-
-@dataclass
-class ShortnessReport:
-    sup_deviation: float
-    bound: float
-
-
-def shortness_check(problem: GeodesicProblem, curve: DiscreteCurve, mu0: float) -> ShortnessReport:
-    """sup |u/u(p) - 1| along the curve against the 5/2 mu0 budget."""
-    uv = np.asarray(problem.u.value(curve.points), dtype=float)
-    up = float(uv[0])
-    dev = float(np.max(np.abs(uv / up - 1.0)))
-    return ShortnessReport(dev, 2.5 * mu0)
-
-
 def endpoint_orthogonality(problem: GeodesicProblem, curve: DiscreteCurve):
     """|<T, nu>_g| at both endpoints; 1 means the free-boundary right angle
     (conformal metrics share orthogonality)."""

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import BallFactorField, ConstantField, RadialProfile, ScalarField, _fold_dot
+from .fields import (BallFactorField, ConstantField, ProductField, RadialProfile, ScalarField,
+                     _fold_dot)
 
 
 @dataclass(frozen=True)
@@ -236,8 +237,6 @@ class RadialField:
 
 def conformal_factor_field(space: SpaceForm, u: ScalarField) -> ScalarField:
     """Coordinate factor W with u^-2 g = W^-2 delta; W = u * ambient factor."""
-    from .fields import ProductField
-
     if space.hyperbolic:
         return ProductField(u, space.ambient_field())
     return u

@@ -24,7 +24,7 @@ import numpy as np
 
 from .conformal import geodesic_residual
 from .curves import DiscreteCurve
-from .fields import RadialProfile, ScalarField
+from .fields import RadialProfile, ScalarField, quartic_cutoff_profile
 from .hypersurface import Hypersurface
 from .spaceform import (
     SpaceForm,
@@ -318,8 +318,6 @@ def crucial_bounds_scan(
     """
     if model not in ("euclid", "hyperbolic"):
         raise ValueError("model must be 'euclid' or 'hyperbolic'")
-    from .fields import quartic_cutoff_profile
-
     space = SpaceForm(n + 1, 0.0 if model == "euclid" else 1.0)
     prof = quartic_cutoff_profile(R)
     r = np.linspace(0.0, R, n_r)

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from curvlab import cli
 from curvlab.cli import RunConfig
-from curvlab.estimates import decay_scan, elementary_inequalities
+from curvlab.estimates import decay_scan
 from curvlab.fields import ConstantField
 from curvlab.geodesic import GeodesicProblem, minimize_free_boundary
 from curvlab.hypersurface import example_fixture
@@ -311,7 +311,7 @@ def test_criterion_09_revolution_formula():
 
 
 def test_criterion_10_elementary_inequalities():
-    rep = elementary_inequalities()
+    rep = _run("elementary-inequalities")
     slacks = {
         "shortness_factor": rep.grid["shortness_factor"]["min_slack"],
         "exp_linear": rep.grid["exp_linear"]["min_slack"],

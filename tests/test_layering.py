@@ -1,0 +1,74 @@
+"""Static guard on where check ids and reports live.
+
+Only ``checks`` may spell a check id: the library layers return
+measurements, and ``checks`` turns them into the report filed under the id.
+Only ``report`` (which defines them), ``checks`` (which builds every check's
+report), ``cli`` (which builds the runner's ERROR report) and the package's
+``__init__`` (which re-exports them) may name ``build_report`` or
+``VerificationReport``.
+"""
+
+import ast
+from pathlib import Path
+
+import curvlab
+from curvlab.checks import CHECKS
+
+SRC = Path(curvlab.__file__).resolve().parent
+
+ID_OWNERS = frozenset({"checks"})
+REPORT_NAMES = frozenset({"build_report", "VerificationReport"})
+REPORT_USERS = frozenset({"report", "checks", "cli", "__init__"})
+
+
+def _spelled(node):
+    """The name a node spells: a plain name, an attribute or an import."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def violations(source_dir=SRC, ids=tuple(CHECKS)):
+    """Sorted (module, line, what) of every check-id string literal outside
+    ``ID_OWNERS`` and every report name outside ``REPORT_USERS``."""
+    ids = frozenset(ids)
+    found = []
+    for path in sorted(source_dir.glob("*.py")):
+        mod = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if mod not in ID_OWNERS:
+            found += [(mod, node.lineno, node.value) for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and node.value in ids]
+        if mod not in REPORT_USERS:
+            found += [(mod, node.lineno, _spelled(node)) for node in ast.walk(tree)
+                      if _spelled(node) in REPORT_NAMES]
+    return sorted(found)
+
+
+def test_check_ids_and_reports_live_in_checks():
+    # a renamed owner would silently drop out of the allowlists
+    assert ID_OWNERS | REPORT_USERS <= {path.stem for path in SRC.glob("*.py")}
+    bad = violations()
+    assert not bad, f"check ids or report builders outside their owners: {bad}"
+
+
+def test_guard_flags_a_planted_id_and_report_import(tmp_path):
+    """An id literal and a report import in a library module are flagged;
+    the same in ``checks`` and a mere mention in a docstring are not."""
+    (tmp_path / "lib.py").write_text(
+        '"""Mentions demo-check inside a longer docstring."""\n'
+        "from .report import build_report\n"
+        "def f():\n    return build_report('demo-check', 0.0, 1.0, tolerance=1e-9)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "checks.py").write_text(
+        "from .report import VerificationReport\nCHECKS = {'demo-check': None}\n",
+        encoding="utf-8",
+    )
+    assert violations(tmp_path, ids=("demo-check",)) == [
+        ("lib", 2, "build_report"), ("lib", 4, "build_report"), ("lib", 4, "demo-check"),
+    ]
