@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import CHECKS, CONFIGURABLE_FIXTURES
+from .checks import CHECKS, CONFIGURABLE_FIXTURES, SLACK_FLOOR
 from .estimates import SCAN_CSV_HEADER
 from .hypersurface import example_fixture
 from .report import NonConvergence, build_report
@@ -41,17 +41,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-TOLERANCE_DEFAULTS = {
-    # slack floor for the inequality-style reports
-    "default": 1e-9,
-    # relative error allowed against finite-difference oracles
-    "fd_rel": 1e-4,
-    # agreement with closed forms in the sharp examples
-    "sharp": 1e-6,
-    # pointwise curvature-law residual along computed minimizers
-    "geodesic": 1e-5,
-}
 
 # an int default marks an integer grid size
 GRID_DEFAULTS = {
@@ -90,15 +79,11 @@ def _number(what, val, integer=False):
 class RunConfig:
     """Validated settings for one harness invocation."""
 
-    def __init__(self, suite="all", out="out", seed=1, workers=1,
-                 tolerances=None, grids=None, fixture=None):
+    def __init__(self, suite="all", out="out", seed=1, workers=1, grids=None, fixture=None):
         self.suite = suite
         self.out = out
         self.seed = seed
         self.workers = workers
-        self.tolerances = dict(TOLERANCE_DEFAULTS)
-        if tolerances:
-            self.tolerances.update(tolerances)
         self.grids = dict(GRID_DEFAULTS)
         if grids:
             self.grids.update(grids)
@@ -114,12 +99,6 @@ class RunConfig:
         self.workers = _number("workers", self.workers, integer=True)
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        for key, val in self.tolerances.items():
-            if key not in TOLERANCE_DEFAULTS:
-                raise ConfigError(f"unknown tolerance key {key!r}")
-            self.tolerances[key] = _number(f"tolerance {key}", val)
-            if not self.tolerances[key] > 0.0:
-                raise ConfigError(f"tolerance {key} must be positive, got {val!r}")
         for key, val in self.grids.items():
             if key not in GRID_DEFAULTS:
                 raise ConfigError(f"unknown grid key {key!r}")
@@ -145,8 +124,9 @@ class RunConfig:
 
 
 def parse_config(path):
-    """Read an INI file with [run], [tolerances], [grids], [fixture] sections;
-    RunConfig converts the values."""
+    """Read an INI file with [run], [grids], [fixture] sections; RunConfig
+    converts the values. Pass allowances are not configurable: they are
+    fixed in ``curvlab.checks``."""
     parser = configparser.ConfigParser()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -164,7 +144,7 @@ def parse_config(path):
                 if key not in _RUN_KEYS:
                     raise ConfigError(f"unknown key {key!r} in [run]")
             kwargs.update(values)
-        elif section in ("tolerances", "grids", "fixture"):
+        elif section in ("grids", "fixture"):
             kwargs[section] = values
         else:
             raise ConfigError(f"unknown config section [{section}]")
@@ -189,8 +169,8 @@ def load_config(args):
 
 
 class CheckContext:
-    """What one check may read: its id, a seeded rng, tolerances, grid sizes
-    and fixture overrides."""
+    """What one check may read: its id, a seeded rng, grid sizes and fixture
+    overrides."""
 
     def __init__(self, cfg, cid):
         self.cfg = cfg
@@ -200,9 +180,6 @@ class CheckContext:
         """Generator seeded from (run seed, check id); independent per check."""
         digest = hashlib.sha256(f"{self.cfg.seed}:{self.cid}".encode()).digest()
         return np.random.default_rng(int.from_bytes(digest[:8], "little"))
-
-    def tol(self, name):
-        return self.cfg.tolerances[name]
 
     def grid(self, name):
         return self.cfg.grids[name]
@@ -279,8 +256,7 @@ def run(cfg, stdout=None, stderr=None):
             print(f"non-convergence in check {cid}: {payload}", file=stderr)
             continue
         if kind == "error":
-            rep = build_report(cid, float("inf"), 0.0,
-                               tolerance=cfg.tolerances["default"],
+            rep = build_report(cid, float("inf"), 0.0, tolerance=SLACK_FLOOR,
                                grid={"error": payload})
             scan = None
         else:
@@ -315,7 +291,7 @@ def main(argv=None):
         description="Run the curvature verification checks and write reports.",
     )
     parser.add_argument("--config", default=None,
-                        help="INI file with [run], [tolerances], [grids], [fixture]")
+                        help="INI file with [run], [grids], [fixture]")
     parser.add_argument("--suite", default=None, choices=SUITES,
                         help="which check suite to run (default: all)")
     parser.add_argument("--out", default=None, help="output directory for reports")

@@ -117,12 +117,6 @@ class DiscreteCurve:
             raise ValueError("a curve needs at least two vertices")
         self.space.check_point(self.points)
 
-    @classmethod
-    def from_function(cls, space, fn, t0, t1, n_segments):
-        ts = np.linspace(t0, t1, n_segments + 1)
-        pts = np.array([fn(t) for t in ts], dtype=float)
-        return cls(space, pts)
-
     @property
     def n_segments(self) -> int:
         return self.points.shape[0] - 1

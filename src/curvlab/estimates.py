@@ -128,7 +128,7 @@ def main_estimate_euclid(cfg: EstimateConfig):
 
 
 def main_estimate_hyperbolic(cfg: EstimateConfig):
-    """Hyperbolic branch, evaluated at kappa = 1:
+    """Hyperbolic branch, written for kappa = 1 only:
 
         c1 + c2 - 2 n alpha <= A L0/R |c_j - n alpha|
                                + B n L0/R^2 + C n sqrt(L0)/R.
@@ -137,8 +137,8 @@ def main_estimate_hyperbolic(cfg: EstimateConfig):
     the lower endpoint (the sharpest admissible choice) is used.  Returns
     the sides (lhs, rhs) and grid metadata naming the constants and alpha.
     """
-    if cfg.kappa <= 0.0:
-        raise ValueError("hyperbolic branch requires kappa > 0")
+    if cfg.kappa != 1.0:
+        raise ValueError(f"hyperbolic branch requires kappa = 1, got {cfg.kappa:g}")
     a_lo, a_hi = alpha_interval(cfg.L0, cfg.R)
     alpha = a_lo if cfg.alpha is None else cfg.alpha
     if not (a_lo - 1e-12 <= alpha <= a_hi + 1e-12):
@@ -198,7 +198,8 @@ def annulus_infima(fixture: Fixture, r_lo, r_hi) -> np.ndarray:
 
 class DecayScan:
     """Curvature infima of a fixture over the annuli R/3 < |x| < R for a
-    grid of radii, against a closed-form envelope.
+    grid of radii, against a closed-form envelope; ``decay_scan`` builds it
+    and validates the grid and the envelope kind.
 
     Envelope kinds:
       sum-inverse-R          40 n / R, for the sum over two boundaries
@@ -224,22 +225,13 @@ class DecayScan:
     """
 
     def __init__(self, fixture, envelope_kind, R, inf1, inf2):
-        if envelope_kind not in ENVELOPE_KINDS:
-            raise ValueError(f"unknown envelope kind {envelope_kind!r}")
-        R = np.asarray(R, dtype=float)
-        if R.ndim != 1 or R.size == 0:
-            raise ValueError("R grid must be a nonempty 1-d array")
-        if np.any(np.diff(R) <= 0):
-            raise ValueError("R grid must be strictly increasing")
         self.fixture = fixture.name
         self.envelope_kind = envelope_kind
         self.kappa = float(fixture.space.kappa)
         self.n = fixture.space.dim - 1
         self.R = R
-        self.inf1 = np.asarray(inf1, dtype=float)
-        self.inf2 = np.asarray(inf2, dtype=float)
-        if self.inf1.shape != R.shape or self.inf2.shape != R.shape:
-            raise ValueError("infima arrays must match the R grid")
+        self.inf1 = inf1
+        self.inf2 = inf2
         self.total = self.inf1 + self.inf2
         self.fitted_constant = None
         self.fit_drift = None
@@ -277,11 +269,18 @@ class DecayScan:
 def decay_scan(fixture: Fixture, R_grid, envelope_kind: str) -> DecayScan:
     """Scan annulus infima of a fixture over an increasing grid of radii.
 
-    Raises if any annulus misses the charted boundary.  Fixtures with a
-    single boundary piece report inf_h2 = 0.
+    The envelope kind and the grid are checked before any infimum is
+    computed; then raises if any annulus misses the charted boundary.
+    Fixtures with a single boundary piece report inf_h2 = 0.
     """
+    if envelope_kind not in ENVELOPE_KINDS:
+        raise ValueError(f"unknown envelope kind {envelope_kind!r}")
     R_grid = np.asarray(R_grid, dtype=float)
-    if R_grid.ndim != 1 or np.any(np.diff(R_grid) <= 0):
+    if R_grid.size == 0:
+        raise ValueError("R grid must not be empty")
+    if R_grid.ndim != 1:
+        raise ValueError(f"R grid must be 1-d, got shape {R_grid.shape}")
+    if np.any(np.diff(R_grid) <= 0):
         raise ValueError("R grid must be strictly increasing")
     vals = annulus_infima(fixture, R_grid / 3.0, R_grid)
     inf2 = vals[:, 1] if vals.shape[1] > 1 else np.zeros(R_grid.size)
@@ -364,18 +363,12 @@ def sharpness_gap(a: float, R_grid) -> dict:
     c1 = float(fx.pieces[0].mean_curvature(fx.endpoints[0]))
     c2 = float(fx.pieces[1].mean_curvature(fx.endpoints[1]))
     limit = theorem_bound(1.0, n, d)
-
-    Rs = np.asarray(R_grid, dtype=float)
-    ub = upper_bound_along(c2, n, d, Rs)
+    ub = upper_bound_along(c2, n, d, R_grid)
     return {
-        "a": a,
-        "n": n,
         "d": d,
         "c1": c1,
         "c2": c2,
-        "limit": limit,
         "gap_measured": c1 + c2 - limit,
-        "R": Rs,
         "upper_bound": ub,
         "gap_bound": ub - limit,
     }

@@ -8,15 +8,16 @@ curvature of a parametric hypersurface comes out of the fundamental forms
 computed against G. The closed-form modules are then checked against these
 numbers in the test suite and the "conformal" CLI suite.
 
-Apart from the one-point ``fd_gradient`` and ``fd_hessian``, every function
-takes a stack: points (..., m), with vectors, Jacobians and chart parameters
-stacked the same way, give one result per point. Each central difference
-evaluates its 2m shifted points in one metric call, and ``riemann_fd`` takes
-the Christoffel symbols at the points and at their 2m neighbours from one
-batched ``christoffels_fd``: three metric calls per stack of Riemann or Ricci
-tensors, and three per stack of parametric mean curvatures. Every point keeps
-its own step h * max(1, |x|_inf). Contractions add their terms in index
-order, so a point gets the same bits alone and inside any stack.
+Every function takes a stack: points (..., m), with vectors, Jacobians and
+chart parameters stacked the same way, give one result per point. Each
+central difference evaluates its 2m shifted points in one metric call, and
+``riemann_fd`` takes the Christoffel symbols at the points and at their 2m
+neighbours from one batched ``christoffels_fd``: three metric calls per
+stack of Riemann or Ricci tensors, and three per stack of parametric mean
+curvatures. Every point keeps its own step h * max(1, |x|_inf).
+Contractions add their terms in index order, so a point gets the same bits
+alone and inside any stack. The tests' one-point gradient and Hessian
+oracles live with the tests, in ``tests/references.py``.
 
 Sign conventions (calibrated in tests against the ball model):
     R(X, Y, Y, X) = sectional curvature for g-orthonormal X, Y
@@ -62,39 +63,6 @@ def _central(values, hh):
     plus, minus = np.split(values, 2, axis=hh.ndim)
     scale = (2.0 * hh).reshape(hh.shape + (1,) * (values.ndim - hh.ndim))
     return (plus - minus) / scale
-
-
-def fd_gradient(f, x, h=DEFAULT_STEP):
-    x = np.asarray(x, dtype=float)
-    hh = _step(x, h)
-    out = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = hh
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * hh)
-    return out
-
-
-def fd_hessian(f, x, h=1e-4):
-    """Central second differences; default step coarser than first-order
-    stencils because the truncation/roundoff balance sits near 1e-4."""
-    x = np.asarray(x, dtype=float)
-    hh = _step(x, h)
-    m = x.size
-    out = np.zeros((m, m))
-    f0 = f(x)
-    for i in range(m):
-        ei = np.zeros_like(x)
-        ei[i] = hh
-        out[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / hh**2
-        for j in range(i + 1, m):
-            ej = np.zeros_like(x)
-            ej[j] = hh
-            val = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * hh**2)
-            out[i, j] = out[j, i] = val
-    return out
 
 
 def metric_dg(metric, x, h=DEFAULT_STEP):

@@ -48,7 +48,6 @@ def _args(**kw):
 def test_defaults_are_valid():
     cfg = RunConfig()
     assert cfg.suite == "all"
-    assert cfg.tolerances["fd_rel"] == 1e-4
     assert cfg.grids["samples"] == 50
 
 
@@ -56,7 +55,6 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(
         "[run]\nsuite = lemmas\nseed = 9\nworkers = 2\n"
-        "[tolerances]\nfd_rel = 2e-4\n"
         "[grids]\nsamples = 20\nr_exp_hi = 8\n"
         "[fixture]\nname = poincare-circles\na = 2.0\n",
         encoding="utf-8",
@@ -65,8 +63,6 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.suite == "lemmas"
     assert cfg.seed == 9
     assert cfg.workers == 2
-    assert cfg.tolerances["fd_rel"] == 2e-4
-    assert cfg.tolerances["default"] == 1e-9  # untouched default
     assert cfg.grids["samples"] == 20
     assert cfg.grids["r_exp_hi"] == 8.0
     assert cfg.fixture == {"name": "poincare-circles", "a": 2.0}
@@ -97,6 +93,7 @@ def test_config_file_round_trip(tmp_path):
         "[fixture]\nname = revolution-r4\nt_max = 1\n",
         "[fixture]\nname = revolution-r4\nt_min = 0.9\nt_max = 0.8\n",
         "[tolerances]\nfd_rel = inf\n",
+        "[tolerances]\nfd_rel = 1e-4\n",
         "[grids]\nr_exp_hi = inf\n",
         "no sections at all [",
     ],

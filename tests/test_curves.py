@@ -8,6 +8,7 @@ from curvlab import curves
 from curvlab.curves import DiscreteCurve, fornberg_weights
 from curvlab.fields import BallFactorField, ExpQuadraticField
 from curvlab.spaceform import SpaceForm
+from references import curve_points
 
 
 def wiggly_curve(space, rng, n):
@@ -58,8 +59,8 @@ def test_length_duality_exact(kappa):
 def test_flat_arc_length():
     space = SpaceForm(2, 0.0)
     rho, theta = 0.6, 1.8
-    curve = DiscreteCurve.from_function(
-        space, lambda t: rho * np.array([np.cos(t), np.sin(t)]), 0.0, theta, 256
+    curve = DiscreteCurve(
+        space, curve_points(lambda t: rho * np.array([np.cos(t), np.sin(t)]), 0.0, theta, 256)
     )
     assert np.isclose(curve.g_length(), rho * theta, rtol=1e-5)
 
@@ -68,7 +69,7 @@ def test_ball_diameter_length():
     space = SpaceForm(2, 1.0)
     a, b = -0.3, 0.62
     exact = float(space.distance([a, 0.0], [b, 0.0]))
-    curve = DiscreteCurve.from_function(space, lambda t: np.array([t, 0.0]), a, b, 512)
+    curve = DiscreteCurve(space, curve_points(lambda t: np.array([t, 0.0]), a, b, 512))
     assert np.isclose(curve.g_length(), exact, rtol=1e-5)
 
 
@@ -78,7 +79,7 @@ def test_tilde_length_recovers_hyperbolic_distance():
     space = SpaceForm(2, 0.0)
     u = BallFactorField(kappa=1.0)
     a, b = -0.45, 0.3
-    curve = DiscreteCurve.from_function(space, lambda t: np.array([t, 0.0]), a, b, 1024)
+    curve = DiscreteCurve(space, curve_points(lambda t: np.array([t, 0.0]), a, b, 1024))
     exact = float(SpaceForm(2, 1.0).distance([a, 0.0], [b, 0.0]))
     assert np.isclose(curve.tilde_length(u), exact, rtol=1e-6)
 
@@ -86,8 +87,8 @@ def test_tilde_length_recovers_hyperbolic_distance():
 def test_vertex_tangents_unit_and_accurate():
     space = SpaceForm(2, 1.0)
     rho = 0.4
-    curve = DiscreteCurve.from_function(
-        space, lambda t: rho * np.array([np.cos(t), np.sin(t)]), 0.0, np.pi / 2, 128
+    curve = DiscreteCurve(
+        space, curve_points(lambda t: rho * np.array([np.cos(t), np.sin(t)]), 0.0, np.pi / 2, 128)
     )
     T, sigma = curve.vertex_tangents()
     norms = space.norm(curve.points, T)
@@ -111,8 +112,8 @@ def test_straight_line_zero_acceleration_including_ends():
 def test_flat_circle_acceleration_points_inward():
     space = SpaceForm(2, 0.0)
     rho = 0.7
-    curve = DiscreteCurve.from_function(
-        space, lambda t: rho * np.array([np.cos(t), np.sin(t)]), 0.2, 1.9, 200
+    curve = DiscreteCurve(
+        space, curve_points(lambda t: rho * np.array([np.cos(t), np.sin(t)]), 0.2, 1.9, 200)
     )
     acc = curve.vertex_acceleration()
     expected = -curve.points / rho**2
@@ -122,9 +123,7 @@ def test_flat_circle_acceleration_points_inward():
 def test_hyperbolic_radial_line_is_geodesic():
     space = SpaceForm(2, 1.0)
     e = np.array([0.6, 0.8])
-    curve = DiscreteCurve.from_function(
-        space, lambda t: np.tanh(t / 2.0) * e, 0.1, 1.4, 160
-    )
+    curve = DiscreteCurve(space, curve_points(lambda t: np.tanh(t / 2.0) * e, 0.1, 1.4, 160))
     acc = curve.vertex_acceleration()
     assert np.max(space.norm(curve.points, acc)) < 1e-7
 
@@ -135,8 +134,8 @@ def test_geodesic_circle_curvature_matches_coth():
     inward quarter-turn normal."""
     space = SpaceForm(2, 1.0)
     s = 0.35
-    curve = DiscreteCurve.from_function(
-        space, lambda t: s * np.array([np.cos(t), np.sin(t)]), 0.0, 2.0, 256
+    curve = DiscreteCurve(
+        space, curve_points(lambda t: s * np.array([np.cos(t), np.sin(t)]), 0.0, 2.0, 256)
     )
     T, _ = curve.vertex_tangents()
     N = np.stack([-T[:, 1], T[:, 0]], axis=1)  # T turned a quarter counterclockwise

@@ -169,9 +169,10 @@ def test_hyperbolic_branch_alpha_validation():
     cfg = EstimateConfig(c1=0.0, c2=0.0, R=10.0, L0=1.7, n=2, kappa=1.0, alpha=1.2)
     with pytest.raises(ValueError):
         main_estimate_hyperbolic(cfg)
-    cfg = EstimateConfig(c1=0.0, c2=0.0, R=10.0, L0=1.7, n=2)
-    with pytest.raises(ValueError):
-        main_estimate_hyperbolic(cfg)  # kappa = 0
+    for kappa in (0.0, 0.5, 2.0):
+        cfg = EstimateConfig(c1=0.0, c2=0.0, R=10.0, L0=1.7, n=2, kappa=kappa)
+        with pytest.raises(ValueError, match=f"got {kappa:g}"):
+            main_estimate_hyperbolic(cfg)
 
 
 def test_hyperbolic_branch_alpha_one_trivial():
@@ -334,6 +335,28 @@ def test_decay_scan_rejects_bad_grids():
     # annuli beyond the charted part of the planes
     with pytest.raises(ValueError):
         decay_scan(fx, np.array([200.0, 400.0]), "sum-inverse-R")
+
+
+@pytest.mark.parametrize(
+    "R_grid, kind, message",
+    [
+        ([2.0, 4.0], "no-such-envelope", "unknown envelope kind"),
+        ([], "sum-inverse-R", "must not be empty"),
+        ([[2.0, 4.0], [8.0, 16.0]], "sum-inverse-R", "must be 1-d"),
+        (4.0, "sum-inverse-R", "must be 1-d"),
+        ([4.0, 2.0], "sum-inverse-R", "strictly increasing"),
+        ([2.0, 2.0], "sum-inverse-R", "strictly increasing"),
+    ],
+)
+def test_decay_scan_validates_before_any_infimum(monkeypatch, R_grid, kind, message):
+    """Each bad grid or envelope kind is named by its own message, and
+    raises before a single annulus infimum is computed."""
+    def no_infima(*args, **kwargs):
+        raise AssertionError("annulus infima computed before validation")
+
+    monkeypatch.setattr(estimates, "annulus_infima", no_infima)
+    with pytest.raises(ValueError, match=message):
+        decay_scan(example_fixture("euclid-slab", d=1.0), np.asarray(R_grid), kind)
 
 
 def test_decay_scan_requires_hyperbolic_space_for_saturation():

@@ -14,6 +14,7 @@ import pytest
 
 from curvlab import fdcheck
 from curvlab.spaceform import SpaceForm, gram_schmidt_frame, log_factor_gradient
+from references import fd_gradient, fd_hessian
 
 
 def ball_metric(kappa):
@@ -167,10 +168,10 @@ def test_fd_gradient_and_hessian_on_polynomial():
     f = lambda x: x[0] ** 3 + 2.0 * x[0] * x[1] - x[1] ** 2
     x = np.array([0.7, -0.4])
     assert np.allclose(
-        fdcheck.fd_gradient(f, x), [3 * 0.49 + 2 * (-0.4), 2 * 0.7 + 0.8], rtol=1e-8
+        fd_gradient(f, x), [3 * 0.49 + 2 * (-0.4), 2 * 0.7 + 0.8], rtol=1e-8
     )
     assert np.allclose(
-        fdcheck.fd_hessian(f, x), [[6 * 0.7, 2.0], [2.0, -2.0]], rtol=1e-6, atol=1e-6
+        fd_hessian(f, x), [[6 * 0.7, 2.0], [2.0, -2.0]], rtol=1e-6, atol=1e-6
     )
 
 
@@ -275,15 +276,25 @@ def test_sphere_mean_curvature_hyperbolic():
         assert np.isclose(H, expected, rtol=1e-5)
 
 
-def test_fdcheck_imports_no_curvlab_module():
-    """The oracle must stay independent of the formulas it audits."""
-    tree = ast.parse(Path(fdcheck.__file__).read_text(encoding="utf-8"))
+def _imports(path):
+    """Every module a source file imports, relative ones with their dots."""
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported.append("." * node.level + (node.module or ""))
+    return imported
+
+
+def test_fdcheck_imports_no_curvlab_module():
+    """The oracle must stay independent of the formulas it audits."""
+    imported = _imports(fdcheck.__file__)
     assert imported, "no imports found; is this the fdcheck source?"
     offending = [m for m in imported if m.startswith(".") or m.split(".")[0] == "curvlab"]
     assert not offending, f"fdcheck imports {offending}"
+
+
+def test_references_import_numpy_only():
+    """The tests' one-point oracles and curve sampler stay independent too."""
+    assert _imports(Path(__file__).with_name("references.py")) == ["numpy"]

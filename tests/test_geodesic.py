@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import solveh_banded
 
-from curvlab import checks, cli, fdcheck
+from curvlab import checks, cli
 from curvlab.fields import BallFactorField, ConstantField, quartic_cutoff_profile
 from curvlab.geodesic import (
     GeodesicProblem,
@@ -25,6 +25,7 @@ from curvlab.geodesic import (
 )
 from curvlab.hypersurface import ProjectionError, example_fixture
 from curvlab.spaceform import RadialField, SpaceForm, mobius_add, mobius_center
+from references import fd_gradient, fd_hessian
 
 
 def _midpoint_factor(W, points):
@@ -48,7 +49,7 @@ def test_energy_gradient_matches_fd():
     def efun(z):
         return _energy(problem, W, z.reshape(pts.shape))
 
-    ref = fdcheck.fd_gradient(efun, flat).reshape(pts.shape)
+    ref = fd_gradient(efun, flat).reshape(pts.shape)
     assert np.allclose(got, ref, rtol=1e-6, atol=1e-7)
 
 
@@ -199,7 +200,7 @@ def test_energy_hessian_blocks_match_fd(space, factor):
     pts = problem.initial_curve(6).points + rng.normal(scale=0.02, size=(7, dim))
     W = _coordinate_factor(problem)
     got = _dense(*_energy_hessian_blocks(pts, *_midpoint_factor(W, pts)))
-    ref = fdcheck.fd_hessian(lambda z: _energy(problem, W, z.reshape(pts.shape)), pts.ravel())
+    ref = fd_hessian(lambda z: _energy(problem, W, z.reshape(pts.shape)), pts.ravel())
     assert np.allclose(got, ref, rtol=1e-6, atol=1e-5 * np.max(np.abs(ref)))
 
 
@@ -230,10 +231,10 @@ def test_endpoint_blocks_match_fd_of_retracted_energy():
         return _energy(problem, W, _retract(problem, (pts.ravel() + B @ z).reshape(pts.shape)))
 
     z0 = np.zeros(B.shape[1])
-    H_ref = fdcheck.fd_hessian(reduced, z0)
+    H_ref = fd_hessian(reduced, z0)
     H = _dense(diag, upper)
     assert np.allclose(B.T @ H @ B, H_ref, rtol=1e-5, atol=1e-5 * np.max(np.abs(H_ref)))
-    assert np.allclose(B.T @ grad.ravel(), fdcheck.fd_gradient(reduced, z0), rtol=1e-6, atol=1e-7)
+    assert np.allclose(B.T @ grad.ravel(), fd_gradient(reduced, z0), rtol=1e-6, atol=1e-7)
     # the normal direction is decoupled and carries no gradient
     for idx, nu in ((0, normals[0]), (-1, normals[1])):
         assert np.allclose(diag[idx] @ nu, nu, atol=1e-12)

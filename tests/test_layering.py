@@ -5,7 +5,9 @@ measurements, and ``checks`` turns them into the report filed under the id.
 Only ``report`` (which defines them), ``checks`` (which builds every check's
 report), ``cli`` (which builds the runner's ERROR report) and the package's
 ``__init__`` (which re-exports them) may name ``build_report`` or
-``VerificationReport``.
+``VerificationReport``. Pass allowances are fixed in ``checks`` as well:
+outside ``report`` and ``checks``, a ``tolerance=`` keyword argument must be
+a plain name imported from ``checks``, so no run setting can move one.
 """
 
 import ast
@@ -19,6 +21,7 @@ SRC = Path(curvlab.__file__).resolve().parent
 ID_OWNERS = frozenset({"checks"})
 REPORT_NAMES = frozenset({"build_report", "VerificationReport"})
 REPORT_USERS = frozenset({"report", "checks", "cli", "__init__"})
+ALLOWANCE_OWNERS = frozenset({"report", "checks"})
 
 
 def _spelled(node):
@@ -49,6 +52,31 @@ def violations(source_dir=SRC, ids=tuple(CHECKS)):
     return sorted(found)
 
 
+def _from_checks(tree):
+    """Names a module imports from ``checks``, relatively or absolutely."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module, node.level) in {("checks", 1), ("curvlab.checks", 0)}
+            for alias in node.names}
+
+
+def allowance_violations(source_dir=SRC):
+    """Sorted (module, line, value) of every ``tolerance=`` keyword argument
+    outside ``ALLOWANCE_OWNERS`` whose value is not a name imported from
+    ``checks``."""
+    found = []
+    for path in sorted(source_dir.glob("*.py")):
+        mod = path.stem
+        if mod in ALLOWANCE_OWNERS:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fixed = _from_checks(tree)
+        found += [(mod, node.value.lineno, ast.unparse(node.value)) for node in ast.walk(tree)
+                  if isinstance(node, ast.keyword) and node.arg == "tolerance"
+                  and not (isinstance(node.value, ast.Name) and node.value.id in fixed)]
+    return sorted(found)
+
+
 def test_check_ids_and_reports_live_in_checks():
     # a renamed owner would silently drop out of the allowlists
     assert ID_OWNERS | REPORT_USERS <= {path.stem for path in SRC.glob("*.py")}
@@ -71,4 +99,37 @@ def test_guard_flags_a_planted_id_and_report_import(tmp_path):
     )
     assert violations(tmp_path, ids=("demo-check",)) == [
         ("lib", 2, "build_report"), ("lib", 4, "build_report"), ("lib", 4, "demo-check"),
+    ]
+
+
+def test_allowances_live_in_checks():
+    assert ALLOWANCE_OWNERS <= {path.stem for path in SRC.glob("*.py")}
+    bad = allowance_violations()
+    assert not bad, f"pass allowances set outside checks: {bad}"
+
+
+def test_guard_flags_a_planted_allowance(tmp_path):
+    """A literal, a config lookup and a local name are flagged as
+    ``tolerance=`` values; a name imported from ``checks`` and anything in
+    ``checks`` itself are not."""
+    (tmp_path / "runner.py").write_text(
+        "from .checks import SLACK_FLOOR\n"
+        "from .report import build_report\n"
+        "FLOOR = 1e-9\n"
+        "def f(cfg):\n"
+        "    build_report('x', 0.0, 1.0, tolerance=SLACK_FLOOR)\n"
+        "    build_report('x', 0.0, 1.0, tolerance=1e-9)\n"
+        "    build_report('x', 0.0, 1.0, tolerance=cfg.tolerances['default'])\n"
+        "    build_report('x', 0.0, 1.0, tolerance=FLOOR)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "checks.py").write_text(
+        "SLACK_FLOOR = 1e-9\n"
+        "def g(ctx):\n    return build_report('x', 0.0, 1.0, tolerance=ctx.tol('default'))\n",
+        encoding="utf-8",
+    )
+    assert allowance_violations(tmp_path) == [
+        ("runner", 6, "1e-09"),
+        ("runner", 7, "cfg.tolerances['default']"),
+        ("runner", 8, "FLOOR"),
     ]

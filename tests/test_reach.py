@@ -20,9 +20,6 @@ SRC = Path(curvlab.__file__).resolve().parent
 
 # reached only from the tests, each kept for a stated reason
 ALLOWED = {
-    "curves.DiscreteCurve.from_function": "builds the tests' parametric curves",
-    "fdcheck.fd_gradient": "one-point FD oracle for analytic gradients in the tests",
-    "fdcheck.fd_hessian": "one-point FD oracle for analytic Hessians in the tests",
     "variation.j_values": "the pointwise J formula the J-bound tests evaluate",
 }
 # methods of the ScalarField protocol, called through the protocol

@@ -35,6 +35,8 @@ from curvlab.variation import (
     tanh_boundary_identity,
 )
 
+from references import curve_points
+
 
 # ---------------------------------------------------------------------------
 # test-function calculus
@@ -421,7 +423,7 @@ def _slab_axis_curve(space, half, n_segments):
         out[..., 0] = t
         return out
 
-    return DiscreteCurve.from_function(space, fn, -half, half, n_segments)
+    return DiscreteCurve(space, curve_points(fn, -half, half, n_segments))
 
 
 def _fd_traced_second_variation(curve, u, phi, directions, eps=1e-3):
@@ -546,7 +548,7 @@ def test_tanh_identity_holds_on_bent_curves():
         t = np.asarray(t, dtype=float)
         return np.stack([t, 0.2 * (b * b - t * t)], axis=-1)
 
-    arc = DiscreteCurve.from_function(fx.space, bent, -b, b, 16384)
+    arc = DiscreteCurve(fx.space, curve_points(bent, -b, b, 16384))
     phi = TestFunction.cosh_type(arc.g_length())
     lhs, rhs = tanh_boundary_identity(arc, u, phi)
     assert abs(lhs - rhs) < 1e-7
@@ -571,7 +573,7 @@ def test_index_form_rejects_bad_input():
         out[..., 1] = 0.1 * (0.36 - t * t)
         return out
 
-    bad = DiscreteCurve.from_function(space, bent, -0.6, 0.6, 512)
+    bad = DiscreteCurve(space, curve_points(bent, -0.6, 0.6, 512))
     with pytest.raises(ValueError):
         index_form_trace(bad, u, fx.pieces[1], fx.pieces[0])
     # endpoint off the boundary piece
