@@ -2,10 +2,12 @@
 
 A check is a callable ``fn(ctx)`` registered in ``CHECKS`` under its id.
 The context gives it that id (``ctx.cid``), a generator seeded from the run
-seed and the id (``ctx.rng()``), grid sizes (``ctx.grid``) and fixture
-overrides (``ctx.fixture_kwargs``). It returns one report whose ``check`` is
-the id, or, for a decay scan, the pair (report, scan). Every pass allowance
-is fixed here; no run configuration can change one.
+seed and the id (``ctx.rng()``), grid sizes (``ctx.grid``), fixture
+overrides (``ctx.fixture_kwargs``) and the results the run's checks share
+(``ctx.once``, for a solve or a trace that two checks read). It returns one
+report whose ``check`` is the id, or, for a decay scan, the pair (report,
+scan). Every pass allowance is fixed here; no run configuration can change
+one.
 
 Most reports use a normalized convention: lhs is the worst observed error
 divided by its allowance, rhs is 1, so slack > 0 means every sub-check
@@ -444,6 +446,9 @@ def _check_phi_calculus(ctx):
 
 
 def _solve_lens(a, n_segments):
+    """(fixture, problem, result) of the free-boundary solve between the
+    ``poincare-circles`` pieces for parameter a; ``sharp-lens`` and
+    ``lens-distance`` both read the a = 1 solve through ``ctx.once``."""
     fx = example_fixture("poincare-circles", a=a)
     seeds = np.stack(
         [
@@ -471,7 +476,7 @@ def _check_sharp_lens(ctx):
              "tanh_identity_error": 0.0, "bound_gap": 0.0}
     per = {}
     for a in (0.5, 1.0, 2.0):
-        fx, problem, res = _solve_lens(a, 256)
+        fx, problem, res = ctx.once(_solve_lens, a, 256)
         _require_converged(ctx.cid, res, where=f"a={a:g}: ")
         H_expect = 1.0 / np.sqrt(1.0 + a * a)
         H_meas = [float(p.mean_curvature(q)) for p, q in zip(fx.pieces, fx.endpoints)]
@@ -595,7 +600,7 @@ def _check_slab_perpendicular(ctx):
 def _check_lens_distance(ctx):
     """Free-boundary solve between the equidistant circles: the minimizer
     family is degenerate, so check the invariants every member satisfies."""
-    fx, problem, res = _solve_lens(1.0, 256)
+    fx, problem, res = ctx.once(_solve_lens, 1.0, 256)
     _require_converged(ctx.cid, res)
     p, q = res.curve.points[0], res.curve.points[-1]
     orth = endpoint_orthogonality(problem, res.curve)
@@ -671,14 +676,23 @@ def _axis_curve(space, half, n_segments):
     return DiscreteCurve(space, pts)
 
 
+def _slab_cosh_trace():
+    """(fixture, factor, curve, weight, trace): the slab's 2048-segment axis
+    curve through a radial bump, and its second variation traced with the
+    cosh weight; both index-form checks read it through ``ctx.once``."""
+    fx = example_fixture("euclid-slab", d=1.2, dim=3)
+    u = RadialField(fx.space, np.zeros(3), quartic_cutoff_profile(2.0))
+    curve = _axis_curve(fx.space, 0.6, 2048)
+    phi = TestFunction.cosh_type(curve.g_length())
+    return fx, u, curve, phi, index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], phi)
+
+
 def _check_index_form_flat_slab(ctx):
     """Traced second variation on the slab axis through a radial bump,
     against the closed form and against the brute-force displacement
     oracle; with the cosh weight, both sides of the tanh and f identities
     agree to the closed-form allowance."""
-    fx = example_fixture("euclid-slab", d=1.2, dim=3)
-    u = RadialField(fx.space, np.zeros(3), quartic_cutoff_profile(2.0))
-    curve = _axis_curve(fx.space, 0.6, 2048)
+    fx, u, curve, phi, rep_w = ctx.once(_slab_cosh_trace)
     rep = index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], TestFunction.one())
     exact = 2.0 * (1.2 + 0.75 * 2.0 * 0.6**3 / 3.0)
     fd = _fd_second_variation(curve, u, TestFunction.one(), [np.eye(3)[1], np.eye(3)[2]])
@@ -686,8 +700,6 @@ def _check_index_form_flat_slab(ctx):
         rep.boundary_start + rep.boundary_end + rep.ricci_integral
         + rep.cross_term + rep.j1_integral + rep.j2_integral
     )
-    phi = TestFunction.cosh_type(curve.g_length())
-    rep_w = index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], phi)
     fd_w = _fd_second_variation(curve, u, phi, [np.eye(3)[1], np.eye(3)[2]])
     tanh_lhs, tanh_rhs = tanh_boundary_identity(curve, u, phi)
     parts = {
@@ -709,11 +721,7 @@ def _check_index_form_nonnegative(ctx):
     """Stability of the known minimizers: the traced second variation with
     the admissible weight is nonnegative, and vanishes on the borderline
     equidistant configuration."""
-    fx_s = example_fixture("euclid-slab", d=1.2, dim=3)
-    u_s = RadialField(fx_s.space, np.zeros(3), quartic_cutoff_profile(2.0))
-    curve_s = _axis_curve(fx_s.space, 0.6, 2048)
-    phi_s = TestFunction.cosh_type(curve_s.g_length())
-    total_s = index_form_trace(curve_s, u_s, fx_s.pieces[1], fx_s.pieces[0], phi_s).total
+    total_s = ctx.once(_slab_cosh_trace)[-1].total
 
     fx_l = example_fixture("poincare-circles", a=1.0)
     b = fx_l.params["b"]

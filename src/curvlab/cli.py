@@ -5,6 +5,11 @@ CSV table) under the output directory, plus a PASS/FAIL line on stdout.
 The checks themselves live in ``curvlab.checks``; this module resolves the
 configuration, runs the registry and writes the outputs.
 
+The checks run one after another on one thread, which lets them share
+results through a per-run memo (``CheckContext.once``). ``--workers``,
+``CURVLAB_WORKERS`` and the ``[run] workers`` key are still accepted and
+validated (an integer, at least 1), but change nothing.
+
 Exit status:
     0   every non-probe check passed
     1   at least one non-probe check failed, or a check (probe or not)
@@ -169,12 +174,26 @@ def load_config(args):
 
 
 class CheckContext:
-    """What one check may read: its id, a seeded rng, grid sizes and fixture
-    overrides."""
+    """What one check may read: its id, a seeded rng, grid sizes, fixture
+    overrides, and the results the checks of one run share.
 
-    def __init__(self, cfg, cid):
+    ``run`` hands every context it builds one memo, so ``once`` computes a
+    result two checks need a single time per run; a context built on its
+    own gets an empty memo. A run is single-threaded, so the memo takes no
+    lock, and a check only reads what ``once`` returns.
+    """
+
+    def __init__(self, cfg, cid, memo=None):
         self.cfg = cfg
         self.cid = cid
+        self._memo = {} if memo is None else memo
+
+    def once(self, fn, *args):
+        """fn(*args), computed at most once per memo for each (fn, args)."""
+        key = (fn, args)
+        if key not in self._memo:
+            self._memo[key] = fn(*args)
+        return self._memo[key]
 
     def rng(self):
         """Generator seeded from (run seed, check id); independent per check."""
@@ -219,12 +238,14 @@ def run(cfg, stdout=None, stderr=None):
     stderr = stderr or sys.stderr
     ids = suite_checks(cfg.suite)
 
+    memo = {}
+
     def job(cid):
         started = time.perf_counter()
         # looked up at call time, so a replaced ``fn`` is the one that runs
         spec = CHECKS[cid]
         try:
-            out = spec.fn(CheckContext(cfg, cid))
+            out = spec.fn(CheckContext(cfg, cid, memo))
         except NonConvergence as exc:
             return "nonconverged", str(exc)
         except Exception as exc:
@@ -236,13 +257,7 @@ def run(cfg, stdout=None, stderr=None):
         rep.wall_time_s = time.perf_counter() - started
         return "ok", (rep, scan)
 
-    if cfg.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = dict(zip(ids, pool.map(job, ids)))
-    else:
-        outcomes = {cid: job(cid) for cid in ids}
+    outcomes = {cid: job(cid) for cid in ids}
 
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -297,7 +312,8 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="output directory for reports")
     parser.add_argument("--seed", type=int, default=None, help="base seed for sampling")
     parser.add_argument("--workers", type=int, default=None,
-                        help="thread pool size for independent checks")
+                        help="ignored, and to be removed: the checks always run one "
+                             "after another on one thread (still an integer, at least 1)")
     parser.add_argument("--list-checks", action="store_true",
                         help="print the registry and exit")
     args = parser.parse_args(argv)

@@ -251,8 +251,6 @@ class DecayScan:
             self.fit_drift = (hi - lo) / hi if hi > 0 else 0.0
             self.normalized = self.total * R**2 * np.log(R) ** 2
         else:
-            if kappa <= 0:
-                raise ValueError("hyperbolic-saturation needs kappa > 0")
             self.envelope = 2.0 * n * kappa + 13.0 * n * kappa ** (1.0 / 3.0) * R ** (
                 -2.0 / 3.0
             )
@@ -269,12 +267,15 @@ class DecayScan:
 def decay_scan(fixture: Fixture, R_grid, envelope_kind: str) -> DecayScan:
     """Scan annulus infima of a fixture over an increasing grid of radii.
 
-    The envelope kind and the grid are checked before any infimum is
+    The envelope kind, that a fixture under the hyperbolic-saturation
+    envelope has kappa > 0, and the grid are checked before any infimum is
     computed; then raises if any annulus misses the charted boundary.
     Fixtures with a single boundary piece report inf_h2 = 0.
     """
     if envelope_kind not in ENVELOPE_KINDS:
         raise ValueError(f"unknown envelope kind {envelope_kind!r}")
+    if envelope_kind == "hyperbolic-saturation" and fixture.space.kappa <= 0:
+        raise ValueError("hyperbolic-saturation needs kappa > 0")
     R_grid = np.asarray(R_grid, dtype=float)
     if R_grid.size == 0:
         raise ValueError("R grid must not be empty")

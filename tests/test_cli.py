@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -73,8 +74,8 @@ def test_config_file_round_trip(tmp_path):
     [
         "[run]\nfrobnicate = 1\n",
         "[bogus]\nx = 1\n",
-        "[tolerances]\ndefault = -1\n",
-        "[tolerances]\nmystery = 1e-3\n",
+        "[grids]\nsamples = 1\n",
+        "[run]\nworkers = 1.5\n",
         "[grids]\nsamples = 2.5\n",
         "[grids]\nunknown_grid = 7\n",
         "[grids]\nr_exp_lo = 11\n",
@@ -92,7 +93,7 @@ def test_config_file_round_trip(tmp_path):
         "[fixture]\nname = log-graph\nx_min = 1\n",
         "[fixture]\nname = revolution-r4\nt_max = 1\n",
         "[fixture]\nname = revolution-r4\nt_min = 0.9\nt_max = 0.8\n",
-        "[tolerances]\nfd_rel = inf\n",
+        "[grids]\nr_exp_lo = nan\n",
         "[tolerances]\nfd_rel = 1e-4\n",
         "[grids]\nr_exp_hi = inf\n",
         "no sections at all [",
@@ -303,6 +304,75 @@ def test_workers_do_not_change_reports(tmp_path):
         r2 = json.loads((outs[1] / f"{cid}.json").read_text())
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         assert r1 == r2
+
+
+_WALL_TIME = re.compile(rb'"wall_time_s": [^,}]*')
+
+
+@pytest.fixture(scope="module")
+def counted_full_run(tmp_path_factory):
+    """Output directory and solver and trace call counts of one ``--suite
+    all`` run."""
+    calls = Counter()
+    out = tmp_path_factory.mktemp("all")
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("minimize_free_boundary", "index_form_trace"):
+            real = getattr(checks, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            mp.setattr(checks, name, counted)
+        assert cli.run(RunConfig(out=str(out)), stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    return out, calls
+
+
+def test_one_run_solves_the_lens_and_traces_the_slab_once(counted_full_run):
+    """sharp-lens and lens-distance share the a = 1 lens solve, and the two
+    index-form checks share the slab's cosh-weighted trace."""
+    _, calls = counted_full_run
+    assert calls == {"minimize_free_boundary": 6, "index_form_trace": 3}
+
+
+def test_shared_results_write_the_same_reports_as_a_suite_alone(tmp_path, counted_full_run):
+    """The checks that read a shared result write the same bytes whether
+    their suite runs alone, computing it, or within ``--suite all``."""
+    full, _ = counted_full_run
+    out = tmp_path / "geodesic"
+    assert cli.run(RunConfig(suite="geodesic", out=str(out)),
+                   stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    for cid in ("lens-distance", "index-form-nonnegative"):
+        alone, within = ((d / f"{cid}.json").read_bytes() for d in (out, full))
+        assert _WALL_TIME.sub(b"", alone) == _WALL_TIME.sub(b"", within), cid
+
+
+def test_once_shares_a_result_within_a_run_only(tmp_path, monkeypatch):
+    """Two contexts of one run share a result; two built directly, or one
+    asked for other arguments, compute it again."""
+    computed = []
+
+    def compute(x):
+        computed.append(x)
+        return [x]
+
+    seen = {}
+
+    def check(ctx):
+        seen[ctx.cid] = ctx.once(compute, 2.0)
+        return build_report(ctx.cid, 0.0, 1.0, tolerance=1e-9)
+
+    monkeypatch.setattr(cli, "CHECKS", {cid: CheckSpec(("lemmas",), check)
+                                        for cid in ("first", "second")})
+    cfg = RunConfig(suite="lemmas", out=str(tmp_path / "out"))
+    assert cli.run(cfg, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    assert computed == [2.0]
+    assert seen["first"] is seen["second"]
+    first, second = (cli.CheckContext(cfg, cid) for cid in ("first", "second"))
+    assert first.once(compute, 2.0) is not second.once(compute, 2.0)
+    assert first.once(compute, 2.0) is first.once(compute, 2.0)
+    first.once(compute, 3.0)
+    assert computed == [2.0, 2.0, 2.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +695,9 @@ def test_geodesic_suite_runs_without_scipy(tmp_path):
 
 
 def test_serial_run_freezes_import_heap_and_loads_no_pool_or_masked_arrays(tmp_path):
-    """``import curvlab.cli`` freezes its heap, so exit's GC skips it; a
-    serial run loads neither numpy.ma nor concurrent.futures; a pooled run
-    still writes the same bytes."""
+    """``import curvlab.cli`` freezes its heap, so exit's GC skips it; a run
+    loads neither numpy.ma nor concurrent.futures, and ``--workers 2``
+    changes neither that nor a byte of the outputs."""
     code = ("import gc, sys, curvlab.cli; "
             "print('guard', gc.get_freeze_count() > 0); "
             "lazy = lambda: sorted(m for m in sys.modules "
@@ -639,14 +709,13 @@ def test_serial_run_freezes_import_heap_and_loads_no_pool_or_masked_arrays(tmp_p
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=_child_env()).stdout.splitlines()
     assert [line for line in out if line.startswith("guard ")] == \
-        ["guard True", "guard 0 []", "guard 0 True"]
+        ["guard True", "guard 0 []", "guard 0 False"]
     names = sorted(p.name for p in (tmp_path / "w1").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
     assert len(names) == len(cli.CHECKS) + len(suite_checks("scan"))
-    stamp = re.compile(rb'"wall_time_s": [^,}]*')
     for name in names:
         a, b = ((tmp_path / w / name).read_bytes() for w in ("w1", "w2"))
-        assert stamp.sub(b"", a) == stamp.sub(b"", b), name
+        assert _WALL_TIME.sub(b"", a) == _WALL_TIME.sub(b"", b), name
 
 
 def test_every_library_import_is_a_declared_dependency():

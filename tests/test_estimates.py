@@ -346,23 +346,19 @@ def test_decay_scan_rejects_bad_grids():
         (4.0, "sum-inverse-R", "must be 1-d"),
         ([4.0, 2.0], "sum-inverse-R", "strictly increasing"),
         ([2.0, 2.0], "sum-inverse-R", "strictly increasing"),
+        ([2.0, 4.0], "hyperbolic-saturation", "needs kappa > 0"),
     ],
 )
 def test_decay_scan_validates_before_any_infimum(monkeypatch, R_grid, kind, message):
-    """Each bad grid or envelope kind is named by its own message, and
-    raises before a single annulus infimum is computed."""
+    """Each bad grid or envelope kind, and the flat slab under the
+    hyperbolic envelope, is named by its own message, and raises before a
+    single annulus infimum is computed."""
     def no_infima(*args, **kwargs):
         raise AssertionError("annulus infima computed before validation")
 
     monkeypatch.setattr(estimates, "annulus_infima", no_infima)
     with pytest.raises(ValueError, match=message):
         decay_scan(example_fixture("euclid-slab", d=1.0), np.asarray(R_grid), kind)
-
-
-def test_decay_scan_requires_hyperbolic_space_for_saturation():
-    fx = example_fixture("euclid-slab", d=1.0)
-    with pytest.raises(ValueError):
-        decay_scan(fx, np.array([2.0, 4.0]), "hyperbolic-saturation")
 
 
 def test_decay_scan_csv_roundtrip(tmp_path):

@@ -8,6 +8,9 @@ report), ``cli`` (which builds the runner's ERROR report) and the package's
 ``VerificationReport``. Pass allowances are fixed in ``checks`` as well:
 outside ``report`` and ``checks``, a ``tolerance=`` keyword argument must be
 a plain name imported from ``checks``, so no run setting can move one.
+No module imports ``concurrent``, ``threading`` or ``multiprocessing``: a
+run is single-threaded, which is what lets its checks share results
+through a memo without a lock.
 """
 
 import ast
@@ -22,6 +25,7 @@ ID_OWNERS = frozenset({"checks"})
 REPORT_NAMES = frozenset({"build_report", "VerificationReport"})
 REPORT_USERS = frozenset({"report", "checks", "cli", "__init__"})
 ALLOWANCE_OWNERS = frozenset({"report", "checks"})
+THREAD_MODULES = frozenset({"concurrent", "threading", "multiprocessing"})
 
 
 def _spelled(node):
@@ -74,6 +78,23 @@ def allowance_violations(source_dir=SRC):
         found += [(mod, node.value.lineno, ast.unparse(node.value)) for node in ast.walk(tree)
                   if isinstance(node, ast.keyword) and node.arg == "tolerance"
                   and not (isinstance(node.value, ast.Name) and node.value.id in fixed)]
+    return sorted(found)
+
+
+def thread_imports(source_dir=SRC):
+    """Sorted (module, line, name) of every absolute import of a package in
+    ``THREAD_MODULES``, at any depth of the module."""
+    found = []
+    for path in sorted(source_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.stem, node.lineno, name) for name in names
+                      if name.split(".")[0] in THREAD_MODULES]
     return sorted(found)
 
 
@@ -132,4 +153,31 @@ def test_guard_flags_a_planted_allowance(tmp_path):
         ("runner", 6, "1e-09"),
         ("runner", 7, "cfg.tolerances['default']"),
         ("runner", 8, "FLOOR"),
+    ]
+
+
+def test_runs_stay_single_threaded():
+    bad = thread_imports()
+    assert not bad, f"thread or process modules imported under src/: {bad}"
+
+
+def test_guard_flags_a_planted_thread_import(tmp_path):
+    """Plain, dotted, aliased and function-level imports of the three
+    packages are flagged; a docstring mention, a relative import and a
+    package that merely shares a prefix are not."""
+    (tmp_path / "runner.py").write_text(
+        '"""Says threading and concurrent.futures in a docstring."""\n'
+        "import threading\n"
+        "import os, multiprocessing.pool as mp\n"
+        "from .concurrent import helper\n"
+        "import threadpoolctl\n"
+        "def run(jobs):\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+        "    return ThreadPoolExecutor, jobs\n",
+        encoding="utf-8",
+    )
+    assert thread_imports(tmp_path) == [
+        ("runner", 2, "threading"),
+        ("runner", 3, "multiprocessing.pool"),
+        ("runner", 7, "concurrent.futures"),
     ]
