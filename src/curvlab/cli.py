@@ -5,10 +5,13 @@ CSV table) under the output directory, plus a PASS/FAIL line on stdout.
 The checks themselves live in ``curvlab.checks``; this module resolves the
 configuration, runs the registry and writes the outputs.
 
+A run is configured by its flags (``--suite``, ``--out``, ``--seed``), plus
+an optional INI file (``--config``) that holds only ``[grids]`` and
+``[fixture]``; the module reads no environment variable.
+
 The checks run one after another on one thread, which lets them share
-results through a per-run memo (``CheckContext.once``). ``--workers``,
-``CURVLAB_WORKERS`` and the ``[run] workers`` key are still accepted and
-validated (an integer, at least 1), but change nothing.
+results through a per-run memo (``CheckContext.once``). ``--workers`` is
+still accepted and validated (an integer, at least 1), but changes nothing.
 
 Exit status:
     0   every non-probe check passed
@@ -23,7 +26,6 @@ import argparse
 import configparser
 import gc
 import hashlib
-import os
 import sys
 import time
 import warnings
@@ -59,9 +61,6 @@ GRID_DEFAULTS = {
     "r_exp_hi": 10.0,
 }
 
-# [run] keys, each also read from CURVLAB_<KEY> and from the --<key> flag
-_RUN_KEYS = ("suite", "out", "seed", "workers")
-
 
 def _number(what, val, integer=False):
     """val, possibly a string, as a finite float, or as an int when
@@ -84,11 +83,10 @@ def _number(what, val, integer=False):
 class RunConfig:
     """Validated settings for one harness invocation."""
 
-    def __init__(self, suite="all", out="out", seed=1, workers=1, grids=None, fixture=None):
+    def __init__(self, suite="all", out="out", seed=1, grids=None, fixture=None):
         self.suite = suite
         self.out = out
         self.seed = seed
-        self.workers = workers
         self.grids = dict(GRID_DEFAULTS)
         if grids:
             self.grids.update(grids)
@@ -97,13 +95,10 @@ class RunConfig:
 
     def validate(self):
         """Convert every value to its type and range-check it; values may
-        arrive as the strings of an INI file or the environment."""
+        arrive as the strings of an INI file."""
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
         self.seed = _number("seed", self.seed, integer=True)
-        self.workers = _number("workers", self.workers, integer=True)
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         for key, val in self.grids.items():
             if key not in GRID_DEFAULTS:
                 raise ConfigError(f"unknown grid key {key!r}")
@@ -128,11 +123,15 @@ class RunConfig:
                 raise ConfigError(f"fixture {name}: {exc}")
 
 
-def parse_config(path):
-    """Read an INI file with [run], [grids], [fixture] sections; RunConfig
-    converts the values. Pass allowances are not configurable: they are
-    fixed in ``curvlab.checks``."""
-    parser = configparser.ConfigParser()
+def parse_config(path, **run):
+    """The RunConfig of an INI file's [grids] and [fixture] sections, with
+    the run settings ``run`` (suite, out, seed) over the defaults.
+
+    Values are taken literally (no ``%`` interpolation); any other section,
+    ``[DEFAULT]`` included, is a ConfigError. Pass allowances are not
+    configurable: they are fixed in ``curvlab.checks``.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -140,37 +139,26 @@ def parse_config(path):
         raise ConfigError(f"cannot read config file {path}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}")
-
-    kwargs = {}
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
+    sections = {}
     for section in parser.sections():
-        values = dict(parser.items(section))
-        if section == "run":
-            for key in values:
-                if key not in _RUN_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [run]")
-            kwargs.update(values)
-        elif section in ("grids", "fixture"):
-            kwargs[section] = values
-        else:
+        if section not in ("grids", "fixture"):
             raise ConfigError(f"unknown config section [{section}]")
-    return RunConfig(**kwargs)
+        sections[section] = dict(parser.items(section))
+    return RunConfig(**run, **sections)
 
 
 def load_config(args):
-    """Merge config file, environment and command-line flags.
-
-    Precedence: flags over CURVLAB_* environment variables over the file.
-    """
-    path = args.config or os.environ.get("CURVLAB_CONFIG")
-    cfg = parse_config(path) if path else RunConfig()
-    for key in _RUN_KEYS:
-        val = getattr(args, key, None)
-        if val is None:
-            val = os.environ.get(f"CURVLAB_{key.upper()}")
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.validate()
-    return cfg
+    """The RunConfig of parsed command-line flags: the defaults, then the
+    ``--config`` file's [grids] and [fixture], then ``--suite``, ``--out``
+    and ``--seed``. ``--workers`` must be an integer of at least 1 and is
+    then dropped."""
+    if args.workers is not None and _number("workers", args.workers, integer=True) < 1:
+        raise ConfigError("workers must be at least 1")
+    run = {key: getattr(args, key) for key in ("suite", "out", "seed")
+           if getattr(args, key) is not None}
+    return parse_config(args.config, **run) if args.config else RunConfig(**run)
 
 
 class CheckContext:
@@ -233,64 +221,52 @@ def emit_scan_csv(scan, path):
 
 
 def run(cfg, stdout=None, stderr=None):
-    """Execute the configured suite; returns the process exit status."""
+    """Execute the configured suite, writing and printing each check's
+    outcome before the next check starts; returns the process exit status."""
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    ids = suite_checks(cfg.suite)
-
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     memo = {}
-
-    def job(cid):
+    status = 0
+    nonconverged = False
+    for cid in suite_checks(cfg.suite):
         started = time.perf_counter()
         # looked up at call time, so a replaced ``fn`` is the one that runs
         spec = CHECKS[cid]
+        error = None
         try:
             out = spec.fn(CheckContext(cfg, cid, memo))
         except NonConvergence as exc:
-            return "nonconverged", str(exc)
-        except Exception as exc:
-            return "error", f"{type(exc).__name__}: {exc}"
-        rep, scan = out if isinstance(out, tuple) else (out, None)
-        if rep.check != cid:
-            return "error", f"report id {rep.check!r} does not match registry id"
-        rep.probe = spec.probe
-        rep.wall_time_s = time.perf_counter() - started
-        return "ok", (rep, scan)
-
-    outcomes = {cid: job(cid) for cid in ids}
-
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    status = 0
-    nonconverged = []
-    for cid in ids:
-        kind, payload = outcomes[cid]
-        if kind == "nonconverged":
-            nonconverged.append(cid)
-            print(f"{cid}: NONCONVERGED ({payload})", file=stdout)
-            print(f"non-convergence in check {cid}: {payload}", file=stderr)
+            nonconverged = True
+            print(f"{cid}: NONCONVERGED ({exc})", file=stdout)
+            print(f"non-convergence in check {cid}: {exc}", file=stderr)
             continue
-        if kind == "error":
-            rep = build_report(cid, float("inf"), 0.0, tolerance=SLACK_FLOOR,
-                               grid={"error": payload})
-            scan = None
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
         else:
-            rep, scan = payload
+            rep, scan = out if isinstance(out, tuple) else (out, None)
+            if rep.check != cid:
+                error = f"report id {rep.check!r} does not match registry id"
+        if error is None:
+            rep.probe = spec.probe
+            rep.wall_time_s = time.perf_counter() - started
+        else:
+            rep = build_report(cid, float("inf"), 0.0, tolerance=SLACK_FLOOR,
+                               grid={"error": error})
+            scan = None
         (outdir / f"{cid}.json").write_text(rep.to_json() + "\n", encoding="utf-8")
         if scan is not None or cid.startswith("scan-"):
             emit_scan_csv(scan, outdir / f"{cid}.csv")
-        tag = "PASS" if rep.passed else "FAIL"
-        if rep.probe:
-            tag += " (probe)"
-        if kind == "error":
+        if error is None:
+            tag = ("PASS" if rep.passed else "FAIL") + (" (probe)" if rep.probe else "")
+        else:
             tag = "ERROR"
-            print(f"check {cid} raised: {payload}", file=stderr)
+            print(f"check {cid} raised: {error}", file=stderr)
         print(f"{cid}: {tag} slack={rep.slack:.6g}", file=stdout)
         if not rep.passed and not rep.probe:
             status = 1
-    if nonconverged:
-        return 3
-    return status
+    return 3 if nonconverged else status
 
 
 def _list_checks(stdout):
@@ -306,14 +282,15 @@ def main(argv=None):
         description="Run the curvature verification checks and write reports.",
     )
     parser.add_argument("--config", default=None,
-                        help="INI file with [run], [grids], [fixture]")
+                        help="INI file with [grids] and [fixture] sections")
     parser.add_argument("--suite", default=None, choices=SUITES,
                         help="which check suite to run (default: all)")
     parser.add_argument("--out", default=None, help="output directory for reports")
     parser.add_argument("--seed", type=int, default=None, help="base seed for sampling")
     parser.add_argument("--workers", type=int, default=None,
-                        help="ignored, and to be removed: the checks always run one "
-                             "after another on one thread (still an integer, at least 1)")
+                        help="ignored: the checks always run one after another on one "
+                             "thread (still an integer, at least 1); to be removed "
+                             "with the benchmark's suite-pooled workload (ROADMAP direction 5)")
     parser.add_argument("--list-checks", action="store_true",
                         help="print the registry and exit")
     args = parser.parse_args(argv)

@@ -10,7 +10,9 @@ outside ``report`` and ``checks``, a ``tolerance=`` keyword argument must be
 a plain name imported from ``checks``, so no run setting can move one.
 No module imports ``concurrent``, ``threading`` or ``multiprocessing``: a
 run is single-threaded, which is what lets its checks share results
-through a memo without a lock.
+through a memo without a lock. Only the package's ``__init__``, which pins
+OpenBLAS to one thread before numpy loads, touches the process
+environment: a run is configured by its flags and config file alone.
 """
 
 import ast
@@ -26,6 +28,8 @@ REPORT_NAMES = frozenset({"build_report", "VerificationReport"})
 REPORT_USERS = frozenset({"report", "checks", "cli", "__init__"})
 ALLOWANCE_OWNERS = frozenset({"report", "checks"})
 THREAD_MODULES = frozenset({"concurrent", "threading", "multiprocessing"})
+ENV_OWNERS = frozenset({"__init__"})
+ENV_NAMES = frozenset({"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"})
 
 
 def _spelled(node):
@@ -95,6 +99,29 @@ def thread_imports(source_dir=SRC):
                 continue
             found += [(path.stem, node.lineno, name) for name in names
                       if name.split(".")[0] in THREAD_MODULES]
+    return sorted(found)
+
+
+def environment_access(source_dir=SRC):
+    """Sorted (module, line, name) of every ``os`` environment accessor in
+    ``ENV_NAMES`` that a module outside ``ENV_OWNERS`` imports from ``os``
+    or reads off ``os`` (under any alias)."""
+    found = []
+    for path in sorted(source_dir.glob("*.py")):
+        if path.stem in ENV_OWNERS:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names if alias.name == "os"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os" and node.level == 0:
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.stem, node.lineno, name) for name in names if name in ENV_NAMES]
     return sorted(found)
 
 
@@ -180,4 +207,34 @@ def test_guard_flags_a_planted_thread_import(tmp_path):
         ("runner", 2, "threading"),
         ("runner", 3, "multiprocessing.pool"),
         ("runner", 7, "concurrent.futures"),
+    ]
+
+
+def test_only_the_package_init_reads_the_environment():
+    assert ENV_OWNERS <= {path.stem for path in SRC.glob("*.py")}
+    bad = environment_access()
+    assert not bad, f"environment read or written outside {sorted(ENV_OWNERS)}: {bad}"
+
+
+def test_guard_flags_a_planted_environment_access(tmp_path):
+    """Reads and writes through ``os``, an alias of it and a name imported
+    from it are flagged; ``os.path``, a docstring mention, another object's
+    ``environ`` and anything in ``__init__`` are not."""
+    (tmp_path / "runner.py").write_text(
+        '"""Reads CURVLAB_SUITE through os.environ, says the docstring."""\n'
+        "import os\n"
+        "import os as system\n"
+        "from os import getenv, path\n"
+        "def settings(cfg):\n"
+        "    suite = os.environ.get('CURVLAB_SUITE')\n"
+        "    system.putenv('CURVLAB_SEED', '1')\n"
+        "    return suite, os.path.join('a', 'b'), cfg.environ, path\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "__init__.py").write_text(
+        "import os\nos.environ.setdefault('OPENBLAS_NUM_THREADS', '1')\n", encoding="utf-8")
+    assert environment_access(tmp_path) == [
+        ("runner", 4, "getenv"),
+        ("runner", 6, "environ"),
+        ("runner", 7, "putenv"),
     ]
