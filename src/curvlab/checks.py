@@ -2,12 +2,12 @@
 
 A check is a callable ``fn(ctx)`` registered in ``CHECKS`` under its id.
 The context gives it that id (``ctx.cid``), a generator seeded from the run
-seed and the id (``ctx.rng()``), grid sizes (``ctx.grid``), fixture
-overrides (``ctx.fixture_kwargs``) and the results the run's checks share
-(``ctx.once``, for a solve or a trace that two checks read). It returns one
-report whose ``check`` is the id, or, for a decay scan, the pair (report,
-scan). Every pass allowance is fixed here; no run configuration can change
-one.
+seed and the id (``ctx.rng()``), grid sizes (``ctx.grid``) and the results
+the run's checks share (``ctx.once``, for a solve or a trace that two checks
+read). It returns one report whose ``check`` is the id, or, for a decay
+scan, the pair (report, scan). A report's inputs determine the seed and every
+grid size it reads, so its ``inputs_digest`` moves with them. Every fixture
+and pass allowance is fixed here; no run configuration can change one.
 
 Most reports use a normalized convention: lhs is the worst observed error
 divided by its allowance, rhs is 1, so slack > 0 means every sub-check
@@ -312,7 +312,7 @@ def _check_poincare_recovery(ctx):
             "ricci_constant_error": (worst_ric, 1e-10),
             "sphere_mean_curvature_error": (worst_sph, 1e-10),
         },
-        inputs={"seed": ctx.cfg.seed},
+        inputs={"samples": ctx.grid("samples"), "seed": ctx.cfg.seed},
     )
 
 
@@ -417,7 +417,8 @@ def _check_phi_calculus(ctx):
     """Endpoint values, derivative identity, the 6/5 integral bound over a
     wide range of lengths, and the closed form against Gauss-Legendre
     quadrature at orders 32 and 16, whose difference is the error term."""
-    rep = phi_calculus(2.0, n_grid=ctx.grid("phi_points"))
+    n_grid = 2001
+    rep = phi_calculus(2.0, n_grid=n_grid)
     Ls = np.geomspace(1e-2, 50.0, 80)
     closed = np.array([TestFunction.cosh_type(L).phi_sq_integral() for L in Ls])
     tf = TestFunction.cosh_type(2.0)
@@ -436,8 +437,7 @@ def _check_phi_calculus(ctx):
         "max_integral_over_L": float(closed.max()),
         "argmax_L": float(Ls[int(np.argmax(closed))]),
     }
-    return _ratio_report(ctx.cid, parts, inputs={"phi_points": ctx.grid("phi_points")},
-                         grid=grid)
+    return _ratio_report(ctx.cid, parts, inputs={"phi_points": n_grid}, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +516,7 @@ def _fd_profile_derivatives(height, ts, steps):
 def _check_log_graph_curvature(ctx):
     """The displayed curvature of the logarithmic graph against the implicit
     computation and against stencil derivatives of the height function."""
-    fx = example_fixture("log-graph", **ctx.fixture_kwargs("log-graph"))
+    fx = example_fixture("log-graph")
     graph = fx.pieces[0]
     xs = np.geomspace(10.0, 1.0e4, ctx.grid("samples"))
     H_disp = np.asarray(graph.h_exact(xs), dtype=float)
@@ -539,7 +539,7 @@ def _check_revolution_curvature(ctx):
     """The displayed curvature of the exponential trumpet against the
     principal-curvature formula with exact profile derivatives, the implicit
     computation, and stencil derivatives of the profile."""
-    fx = example_fixture("revolution-r4", **ctx.fixture_kwargs("revolution-r4"))
+    fx = example_fixture("revolution-r4")
     piece = fx.pieces[0]
     t_min, t_max = piece.chart_box
     ts = np.linspace(t_min, t_max, ctx.grid("samples"), endpoint=False)
@@ -745,7 +745,7 @@ def _check_index_form_nonnegative(ctx):
 
 
 def _measured_flat_config(ctx):
-    fx = example_fixture("log-graph", **ctx.fixture_kwargs("log-graph"))
+    fx = example_fixture("log-graph")
     R = float(np.exp(6.0))
     c1, c2 = annulus_infima(fx, 0.0, R)
     L0 = 20.0 / np.log(20.0)
@@ -775,8 +775,7 @@ def _check_curvature_sum_hyperbolic(ctx):
     """The measured lens curvatures in the hyperbolic branch at R = 16, with
     the branch's upper bound on c1 + c2 along a grid of radii against its
     saturating limit."""
-    kwargs = ctx.fixture_kwargs("poincare-circles")
-    fx = example_fixture("poincare-circles", **kwargs)
+    fx = example_fixture("poincare-circles")
     H_meas = [float(p.mean_curvature(q)) for p, q in zip(fx.pieces, fx.endpoints)]
     cfg = EstimateConfig(
         c1=H_meas[0], c2=H_meas[1], R=16.0, L0=fx.distance, n=1, kappa=1.0, fixture=fx
@@ -844,11 +843,10 @@ def _check_sharpness_rate(ctx):
 
 def _scan_check(ctx, fixture_name, kind, R_grid=None):
     """Decay scan of the named fixture against the ``kind`` envelope, over
-    R_grid or by default exp(linspace(r_exp_lo, r_exp_hi, scan_points))."""
+    R_grid or by default exp(linspace(4, 10, scan_points))."""
     if R_grid is None:
-        R_grid = np.exp(np.linspace(ctx.grid("r_exp_lo"), ctx.grid("r_exp_hi"),
-                                    ctx.grid("scan_points")))
-    fx = example_fixture(fixture_name, **ctx.fixture_kwargs(fixture_name))
+        R_grid = np.exp(np.linspace(4.0, 10.0, ctx.grid("scan_points")))
+    fx = example_fixture(fixture_name)
     scan = decay_scan(fx, R_grid, kind)
     parts = {
         "envelope_excess": (np.maximum(0.0, np.max(scan.total - scan.envelope)), 1e-12),
@@ -889,10 +887,6 @@ class CheckSpec:
     fn: Callable
     probe: bool = False
 
-
-# the fixtures a run config may set parameters of: those some check builds
-# through ``ctx.fixture_kwargs``
-CONFIGURABLE_FIXTURES = ("poincare-circles", "euclid-slab", "log-graph", "revolution-r4")
 
 CHECKS = {
     "connection-law-fd": CheckSpec(("conformal",), partial(_fd_law_check, errors=_connection_error)),

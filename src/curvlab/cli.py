@@ -6,8 +6,9 @@ The checks themselves live in ``curvlab.checks``; this module resolves the
 configuration, runs the registry and writes the outputs.
 
 A run is configured by its flags (``--suite``, ``--out``, ``--seed``), plus
-an optional INI file (``--config``) that holds only ``[grids]`` and
-``[fixture]``; the module reads no environment variable.
+an optional INI file (``--config``) that holds only ``[grids]``, the five
+integer grid sizes; the module reads no environment variable. Each report
+records, in its ``inputs_digest``, the seed and grid sizes it reads.
 
 The checks run one after another on one thread, which lets them share
 results through a per-run memo (``CheckContext.once``). ``--workers`` is
@@ -33,9 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import CHECKS, CONFIGURABLE_FIXTURES, SLACK_FLOOR
+from .checks import CHECKS, SLACK_FLOOR
 from .estimates import SCAN_CSV_HEADER
-from .hypersurface import example_fixture
 from .report import NonConvergence, build_report
 
 SUITES = ("conformal", "lemmas", "examples", "geodesic", "estimates", "scan", "all")
@@ -49,31 +49,24 @@ class ConfigError(ValueError):
 # configuration
 # ---------------------------------------------------------------------------
 
-# an int default marks an integer grid size
 GRID_DEFAULTS = {
     "samples": 50,
     "r_points": 2000,
     "t_points": 200,
     "scan_points": 7,
     "n_segments": 512,
-    "phi_points": 2001,
-    "r_exp_lo": 4.0,
-    "r_exp_hi": 10.0,
 }
 
 
-def _number(what, val, integer=False):
-    """val, possibly a string, as a finite float, or as an int when
-    ``integer``; ConfigError when it is neither."""
+def _integer(what, val):
+    """val, possibly a string, as an int; ConfigError when it is not a
+    finite integer."""
     try:
         num = float(val)
     except (TypeError, ValueError):
         num = np.nan
-    if not np.isfinite(num) or (integer and not num.is_integer()):
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{what} must be {kind}, got {val!r}")
-    if not integer:
-        return num
+    if not np.isfinite(num) or not num.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {val!r}")
     try:
         return int(val)  # exact for ints and integer strings
     except ValueError:
@@ -83,14 +76,13 @@ def _number(what, val, integer=False):
 class RunConfig:
     """Validated settings for one harness invocation."""
 
-    def __init__(self, suite="all", out="out", seed=1, grids=None, fixture=None):
+    def __init__(self, suite="all", out="out", seed=1, grids=None):
         self.suite = suite
         self.out = out
         self.seed = seed
         self.grids = dict(GRID_DEFAULTS)
         if grids:
             self.grids.update(grids)
-        self.fixture = dict(fixture or {})
         self.validate()
 
     def validate(self):
@@ -98,38 +90,22 @@ class RunConfig:
         arrive as the strings of an INI file."""
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
-        self.seed = _number("seed", self.seed, integer=True)
+        self.seed = _integer("seed", self.seed)
         for key, val in self.grids.items():
             if key not in GRID_DEFAULTS:
                 raise ConfigError(f"unknown grid key {key!r}")
-            integer = isinstance(GRID_DEFAULTS[key], int)
-            self.grids[key] = _number(f"grid {key}", val, integer)
-            if integer and self.grids[key] < 2:
+            self.grids[key] = _integer(f"grid {key}", val)
+            if self.grids[key] < 2:
                 raise ConfigError(f"grid {key} must be at least 2, got {val!r}")
-        if not self.grids["r_exp_lo"] < self.grids["r_exp_hi"]:
-            raise ConfigError("grid r_exp_lo must be below r_exp_hi")
-        if self.fixture:
-            name = self.fixture.get("name")
-            if name not in CONFIGURABLE_FIXTURES:
-                raise ConfigError(f"fixture name must be one of {', '.join(CONFIGURABLE_FIXTURES)}, "
-                                  f"got {name!r}")
-            for key, val in self.fixture.items():
-                if key != "name":
-                    self.fixture[key] = _number(f"fixture {key}", val, integer=key == "dim")
-            # the builder rejects unknown keys and values no check could run with
-            try:
-                example_fixture(**self.fixture)
-            except ValueError as exc:
-                raise ConfigError(f"fixture {name}: {exc}")
 
 
 def parse_config(path, **run):
-    """The RunConfig of an INI file's [grids] and [fixture] sections, with
-    the run settings ``run`` (suite, out, seed) over the defaults.
+    """The RunConfig of an INI file's [grids] section, with the run
+    settings ``run`` (suite, out, seed) over the defaults.
 
     Values are taken literally (no ``%`` interpolation); any other section,
-    ``[DEFAULT]`` included, is a ConfigError. Pass allowances are not
-    configurable: they are fixed in ``curvlab.checks``.
+    ``[DEFAULT]`` included, is a ConfigError. Pass allowances and fixtures
+    are not configurable: they are fixed in ``curvlab.checks``.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -143,7 +119,7 @@ def parse_config(path, **run):
         raise ConfigError(f"unknown config section [{parser.default_section}]")
     sections = {}
     for section in parser.sections():
-        if section not in ("grids", "fixture"):
+        if section != "grids":
             raise ConfigError(f"unknown config section [{section}]")
         sections[section] = dict(parser.items(section))
     return RunConfig(**run, **sections)
@@ -151,10 +127,10 @@ def parse_config(path, **run):
 
 def load_config(args):
     """The RunConfig of parsed command-line flags: the defaults, then the
-    ``--config`` file's [grids] and [fixture], then ``--suite``, ``--out``
+    ``--config`` file's [grids], then ``--suite``, ``--out``
     and ``--seed``. ``--workers`` must be an integer of at least 1 and is
     then dropped."""
-    if args.workers is not None and _number("workers", args.workers, integer=True) < 1:
+    if args.workers is not None and _integer("workers", args.workers) < 1:
         raise ConfigError("workers must be at least 1")
     run = {key: getattr(args, key) for key in ("suite", "out", "seed")
            if getattr(args, key) is not None}
@@ -162,8 +138,8 @@ def load_config(args):
 
 
 class CheckContext:
-    """What one check may read: its id, a seeded rng, grid sizes, fixture
-    overrides, and the results the checks of one run share.
+    """What one check may read: its id, a seeded rng, grid sizes, and the
+    results the checks of one run share.
 
     ``run`` hands every context it builds one memo, so ``once`` computes a
     result two checks need a single time per run; a context built on its
@@ -190,14 +166,6 @@ class CheckContext:
 
     def grid(self, name):
         return self.cfg.grids[name]
-
-    def fixture_kwargs(self, name):
-        """Config overrides for the named fixture, empty unless it matches."""
-        if name not in CONFIGURABLE_FIXTURES:
-            raise ValueError(f"fixture {name!r} is not in CONFIGURABLE_FIXTURES")
-        if self.cfg.fixture.get("name") != name:
-            return {}
-        return {k: v for k, v in self.cfg.fixture.items() if k != "name"}
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +250,7 @@ def main(argv=None):
         description="Run the curvature verification checks and write reports.",
     )
     parser.add_argument("--config", default=None,
-                        help="INI file with [grids] and [fixture] sections")
+                        help="INI file with a [grids] section of integer grid sizes")
     parser.add_argument("--suite", default=None, choices=SUITES,
                         help="which check suite to run (default: all)")
     parser.add_argument("--out", default=None, help="output directory for reports")

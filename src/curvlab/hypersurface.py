@@ -207,7 +207,7 @@ class Fixture:
     params: dict = field(default_factory=dict)
 
 
-def _equidistant_fixture(a: float, dim: int) -> Fixture:
+def _equidistant_fixture(a: float = 1.0, dim: int = 3) -> Fixture:
     """Two spheres |x -+ a e0|^2 = 1 + a^2 in the ball model (kappa = 1).
 
     Each meets the ideal boundary orthogonally off-axis, has constant inward
@@ -243,7 +243,7 @@ def _equidistant_fixture(a: float, dim: int) -> Fixture:
     )
 
 
-def _slab_fixture(d: float, dim: int) -> Fixture:
+def _slab_fixture(d: float = 1.0, dim: int = 3) -> Fixture:
     """Parallel planes x0 = -+ d/2 in flat space; both totally geodesic."""
     if d <= 0:
         raise ValueError("slab width must be positive")
@@ -408,37 +408,29 @@ def _revolution_fixture(t_min: float = 0.5, t_max: float = 0.95) -> Fixture:
     )
 
 
-# the parameters each named fixture takes; ``dim`` is an integer, the rest floats
-FIXTURE_PARAMS = {
-    "hyperbolic-equidistant": ("a", "dim"),
-    "poincare-circles": ("a",),
-    "euclid-slab": ("d", "dim"),
-    "log-graph": ("x_min", "x_max"),
-    "revolution-r4": ("t_min", "t_max"),
+def _poincare_fixture(a: float = 1.0) -> Fixture:
+    """The equidistant pair in the Poincare disk (dim = 2)."""
+    fx = _equidistant_fixture(a, 2)
+    fx.name = "poincare-circles"
+    return fx
+
+
+# the builder of each named fixture; its signature holds the defaults
+FIXTURES = {
+    "hyperbolic-equidistant": _equidistant_fixture,
+    "poincare-circles": _poincare_fixture,
+    "euclid-slab": _slab_fixture,
+    "log-graph": _log_graph_fixture,
+    "revolution-r4": _revolution_fixture,
 }
 
 
 def example_fixture(name: str, **kwargs) -> Fixture:
-    """Build a named boundary configuration from the parameters that
-    ``FIXTURE_PARAMS`` lists for it; any other keyword raises."""
-    if name not in FIXTURE_PARAMS:
+    """Build a named boundary configuration; a keyword its builder does not
+    take raises TypeError."""
+    if name not in FIXTURES:
         raise ValueError(f"unknown fixture {name!r}")
-    for key in kwargs:
-        if key not in FIXTURE_PARAMS[name]:
-            raise ValueError(f"fixture {name!r} takes no parameter {key!r}")
-    if name == "hyperbolic-equidistant":
-        return _equidistant_fixture(kwargs.get("a", 1.0), kwargs.get("dim", 3))
-    if name == "poincare-circles":
-        fx = _equidistant_fixture(kwargs.get("a", 1.0), 2)
-        fx.name = "poincare-circles"
-        return fx
-    if name == "euclid-slab":
-        return _slab_fixture(kwargs.get("d", 1.0), kwargs.get("dim", 3))
-    if name == "log-graph":
-        return _log_graph_fixture(
-            kwargs.get("x_min", 3.0), kwargs.get("x_max", 2.0e6)
-        )
-    return _revolution_fixture(kwargs.get("t_min", 0.5), kwargs.get("t_max", 0.95))
+    return FIXTURES[name](**kwargs)
 
 
 # ---------------------------------------------------------------------------

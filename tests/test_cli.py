@@ -21,6 +21,7 @@ import curvlab
 from curvlab import checks, cli, estimates
 from curvlab.checks import CheckSpec
 from curvlab.cli import (
+    GRID_DEFAULTS,
     ConfigError,
     NonConvergence,
     RunConfig,
@@ -54,20 +55,26 @@ def test_defaults_are_valid():
 
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text(
-        "[grids]\nsamples = 20\nr_exp_hi = 8\n"
-        "[fixture]\nname = poincare-circles\na = 2.0\n",
-        encoding="utf-8",
-    )
+    path.write_text("[grids]\nsamples = 20\nscan_points = 5\n", encoding="utf-8")
     cfg = parse_config(path)
-    assert cfg.grids["samples"] == 20
-    assert cfg.grids["r_exp_hi"] == 8.0
-    assert cfg.fixture == {"name": "poincare-circles", "a": 2.0}
-    # the flags set the run, the file its grids and fixture
+    assert cfg.grids == dict(GRID_DEFAULTS, samples=20, scan_points=5)
+    # the flags set the run, the file its grids
     flags = dict(suite="lemmas", out="reports", seed=9)
-    expected = RunConfig(grids={"samples": 20, "r_exp_hi": 8},
-                         fixture={"name": "poincare-circles", "a": 2.0}, **flags)
+    expected = RunConfig(grids={"samples": 20, "scan_points": 5}, **flags)
     assert vars(load_config(_args(config=str(path), **flags))) == vars(expected)
+
+
+def test_bench_dense_grids_are_a_grids_file(tmp_path):
+    """The grids that ``bench/run.py`` writes for its dense workload parse
+    as a config file, so a grid key it sets cannot be deleted unnoticed."""
+    bench = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    dense = next(ast.literal_eval(node.value)
+                 for node in ast.parse(bench.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "DENSE_GRIDS")
+    path = tmp_path / "dense.ini"
+    path.write_text("[grids]\n" + "".join(f"{k} = {v}\n" for k, v in dense.items()),
+                    encoding="utf-8")
+    assert parse_config(path).grids == dict(GRID_DEFAULTS, **dense)
 
 
 @pytest.mark.parametrize(
@@ -78,12 +85,10 @@ def test_config_file_round_trip(tmp_path):
         "[grids]\nsamples = 1\n",
         "[grids]\nsamples = 2.5\n",
         "[grids]\nunknown_grid = 7\n",
+        # not grid keys: phi-calculus and the default scan range fix these
         "[grids]\nr_exp_lo = 11\n",
-        # the flags set the run now, so a [run] section is refused whatever it holds
-        "[run]\nworkers = 1.5\n",
-        "[run]\nsuite = nonsense\n",
-        "[run]\nworkers = 0\n",
-        "[run]\nseed = not-a-number\n",
+        "[grids]\nphi_points = 2001\n",
+        # fixtures are fixed in the checks, so a [fixture] section is refused
         "[fixture]\nname = klein-bottle\n",
         "[fixture]\nwhatever = 1\n",
         "[fixture]\nname = euclid-slab\ndim = 2.5\n",
@@ -98,6 +103,8 @@ def test_config_file_round_trip(tmp_path):
         "[grids]\nr_exp_lo = nan\n",
         "[tolerances]\nfd_rel = 1e-4\n",
         "[grids]\nr_exp_hi = inf\n",
+        "[grids]\nsamples = nan\n",
+        "[grids]\nr_points = inf\n",
         "no sections at all [",
         "[grids]\nsamples = 5%\n",
         "[DEFAULT]\nfrobnicate = 1\n",
@@ -115,17 +122,6 @@ def test_bad_config_rejected(tmp_path, body):
 def test_unconvertible_value_raises_config_error(kwargs):
     with pytest.raises(ConfigError):
         RunConfig(**kwargs)
-
-
-def test_fixture_no_check_can_run_is_a_config_error(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="ambient dimension"):
-        RunConfig(fixture={"name": "euclid-slab", "dim": 1})
-    path = tmp_path / "slab.ini"
-    path.write_text("[fixture]\nname = euclid-slab\ndim = 1\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert cli.main(["--config", str(path), "--suite", "scan", "--out", str(out)]) == 2
-    assert not out.exists()
-    assert "config error: fixture euclid-slab" in capsys.readouterr().err
 
 
 def test_missing_config_file_rejected(tmp_path):
@@ -157,13 +153,15 @@ def test_workers_do_not_change_reports():
 
 
 def test_config_error_exit_status_and_no_outputs(tmp_path, capsys):
-    path = tmp_path / "bad.ini"
-    path.write_text("[run]\nfrobnicate = 1\n", encoding="utf-8")
     out = tmp_path / "out"
-    status = cli.main(["--config", str(path), "--out", str(out)])
-    assert status == 2
-    assert not out.exists()
-    assert "config error" in capsys.readouterr().err
+    for body in ("[run]\nfrobnicate = 1\n", "[fixture]\nname = log-graph\nx_min = 20\n",
+                 "[grids]\nphi_points = 101\n", "[grids]\nr_exp_lo = 3\nr_exp_hi = 9\n"):
+        path = tmp_path / "bad.ini"
+        path.write_text(body, encoding="utf-8")
+        status = cli.main(["--config", str(path), "--out", str(out)])
+        assert status == 2, body
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
 
 
 def test_bad_workers_flag_exit_status_and_no_outputs(tmp_path, capsys):
@@ -338,6 +336,34 @@ def test_shared_results_write_the_same_reports_as_a_suite_alone(tmp_path, counte
     for cid in ("lens-distance", "index-form-nonnegative"):
         alone, within = ((d / f"{cid}.json").read_bytes() for d in (out, full))
         assert _WALL_TIME.sub(b"", alone) == _WALL_TIME.sub(b"", within), cid
+
+
+# one cheap value other than the default for the seed and each grid size
+_OTHER_INPUTS = {"seed": 2, "samples": 300, "r_points": 500, "t_points": 50,
+                 "scan_points": 5, "n_segments": 128}
+
+
+def test_other_inputs_cover_every_run_input():
+    assert set(_OTHER_INPUTS) == {"seed", *GRID_DEFAULTS}
+
+
+@pytest.mark.parametrize("key, value", _OTHER_INPUTS.items())
+def test_a_run_input_moves_no_report_unrecorded(tmp_path, counted_full_run, key, value):
+    """A report whose bytes (``wall_time_s`` masked) change with the seed or
+    a grid size has a different ``inputs_digest``: the report records every
+    run input it reads. A CSV table counts with its check's report."""
+    full, _ = counted_full_run
+    out = tmp_path / "out"
+    cfg = RunConfig(seed=value, out=str(out)) if key == "seed" else \
+        RunConfig(grids={key: value}, out=str(out))
+    assert cli.run(cfg, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in full.iterdir())
+    moved = {p.stem for p in full.iterdir()
+             if _WALL_TIME.sub(b"", p.read_bytes()) != _WALL_TIME.sub(b"", (out / p.name).read_bytes())}
+    assert moved, f"no report reads {key}"
+    digest = lambda d, cid: json.loads((d / f"{cid}.json").read_text())["inputs_digest"]
+    unrecorded = sorted(cid for cid in moved if digest(full, cid) == digest(out, cid))
+    assert not unrecorded, f"{key} = {value} moves {unrecorded} without their inputs_digest"
 
 
 def test_once_shares_a_result_within_a_run_only(tmp_path, monkeypatch):
