@@ -12,7 +12,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from curvlab.spaceform import SpaceForm
-from curvlab.fields import ConstantField, RadialProfile, quartic_cutoff_profile
+from curvlab.fields import ConstantField, QuarticCutoff
 from curvlab.curves import DiscreteCurve
 from curvlab.hypersurface import example_fixture, geodesic_sphere
 from curvlab.geodesic import GeodesicProblem, minimize_free_boundary
@@ -31,8 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SpaceForm",
     "ConstantField",
-    "RadialProfile",
-    "quartic_cutoff_profile",
+    "QuarticCutoff",
     "DiscreteCurve",
     "example_fixture",
     "geodesic_sphere",

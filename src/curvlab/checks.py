@@ -34,13 +34,13 @@ from .estimates import (
     theorem_bound,
     upper_bound_along,
 )
-from .fields import BallFactorField, ConstantField, ExpQuadraticField, quartic_cutoff_profile
+from .fields import BallFactorField, ConstantField, ExpQuadraticField, QuarticCutoff
 from .geodesic import GeodesicProblem, endpoint_orthogonality, minimize_free_boundary
 from .hypersurface import example_fixture, geodesic_sphere
 from .report import NonConvergence, build_report
 from .spaceform import RadialField, SpaceForm, gram_schmidt_frame
 from .variation import (
-    TestFunction,
+    CoshWeight,
     crucial_bounds_scan,
     index_form_trace,
     phi_calculus,
@@ -356,7 +356,7 @@ def _check_curve_shortness(ctx):
     the length ordering and the 5/2 mu0 budget on the factor's deviation."""
     space = SpaceForm(2, 0.0)
     R_profile = 2.0
-    u = RadialField(space, np.zeros(2), quartic_cutoff_profile(R_profile))
+    u = RadialField(space, np.zeros(2), QuarticCutoff(R_profile))
     fx = example_fixture("euclid-slab", d=1.2, dim=2)
     problem = GeodesicProblem(
         space, u,
@@ -420,8 +420,8 @@ def _check_phi_calculus(ctx):
     n_grid = 2001
     rep = phi_calculus(2.0, n_grid=n_grid)
     Ls = np.geomspace(1e-2, 50.0, 80)
-    closed = np.array([TestFunction.cosh_type(L).phi_sq_integral() for L in Ls])
-    tf = TestFunction.cosh_type(2.0)
+    closed = np.array([CoshWeight(L).phi_sq_integral() for L in Ls])
+    tf = CoshWeight(2.0)
     val, coarse = (float(w @ tf.phi(1.0 + x) ** 2)
                    for x, w in map(np.polynomial.legendre.leggauss, (32, 16)))
     parts = {
@@ -627,7 +627,7 @@ def _check_planar_curvature_law(ctx):
     discrete curvature must match the normal logarithmic derivative of the
     factor at every vertex where the curvature is resolvable."""
     space = SpaceForm(2, 0.0)
-    u = RadialField(space, np.zeros(2), quartic_cutoff_profile(2.0))
+    u = RadialField(space, np.zeros(2), QuarticCutoff(2.0))
     problem = GeodesicProblem(space, u, endpoints=np.array([[-0.5, 0.05], [0.5, 0.35]]))
     n_segments = ctx.grid("n_segments")
     res = minimize_free_boundary(problem, n_segments=n_segments, gtol=1e-8)
@@ -656,10 +656,10 @@ def _check_planar_curvature_law(ctx):
 
 def _fd_second_variation(curve, u, phi, directions):
     """Brute-force quadratic coefficient of the conformal length under the
-    frozen displacement fields phi(s) u(x) e."""
+    frozen displacement fields phi(s) u(x) e; phi None is the constant 1."""
     eps = 1e-3
-    s = curve.vertex_s()
-    w = (phi.phi(s) * np.asarray(u.value(curve.points), dtype=float))[:, None]
+    weight = 1.0 if phi is None else phi.phi(curve.vertex_s())
+    w = (weight * np.asarray(u.value(curve.points), dtype=float))[:, None]
     L0 = curve.tilde_length(u)
     total = 0.0
     for e in directions:
@@ -681,9 +681,9 @@ def _slab_cosh_trace():
     curve through a radial bump, and its second variation traced with the
     cosh weight; both index-form checks read it through ``ctx.once``."""
     fx = example_fixture("euclid-slab", d=1.2, dim=3)
-    u = RadialField(fx.space, np.zeros(3), quartic_cutoff_profile(2.0))
+    u = RadialField(fx.space, np.zeros(3), QuarticCutoff(2.0))
     curve = _axis_curve(fx.space, 0.6, 2048)
-    phi = TestFunction.cosh_type(curve.g_length())
+    phi = CoshWeight(curve.g_length())
     return fx, u, curve, phi, index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], phi)
 
 
@@ -693,9 +693,9 @@ def _check_index_form_flat_slab(ctx):
     oracle; with the cosh weight, both sides of the tanh and f identities
     agree to the closed-form allowance."""
     fx, u, curve, phi, rep_w = ctx.once(_slab_cosh_trace)
-    rep = index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], TestFunction.one())
+    rep = index_form_trace(curve, u, fx.pieces[1], fx.pieces[0])
     exact = 2.0 * (1.2 + 0.75 * 2.0 * 0.6**3 / 3.0)
-    fd = _fd_second_variation(curve, u, TestFunction.one(), [np.eye(3)[1], np.eye(3)[2]])
+    fd = _fd_second_variation(curve, u, None, [np.eye(3)[1], np.eye(3)[2]])
     term_sum = (
         rep.boundary_start + rep.boundary_end + rep.ricci_integral
         + rep.cross_term + rep.j1_integral + rep.j2_integral
@@ -726,7 +726,7 @@ def _check_index_form_nonnegative(ctx):
     fx_l = example_fixture("poincare-circles", a=1.0)
     b = fx_l.params["b"]
     curve_l = _axis_curve(fx_l.space, b, 8192)
-    phi_l = TestFunction.cosh_type(curve_l.g_length())
+    phi_l = CoshWeight(curve_l.g_length())
     rep_l = index_form_trace(curve_l, ConstantField(1.0), fx_l.pieces[0], fx_l.pieces[1], phi_l)
 
     parts = {
@@ -744,14 +744,6 @@ def _check_index_form_nonnegative(ctx):
 # ---------------------------------------------------------------------------
 
 
-def _measured_flat_config(ctx):
-    fx = example_fixture("log-graph")
-    R = float(np.exp(6.0))
-    c1, c2 = annulus_infima(fx, 0.0, R)
-    L0 = 20.0 / np.log(20.0)
-    return EstimateConfig(c1=c1, c2=c2, R=R, L0=L0, n=1, fixture=fx)
-
-
 def _estimate_report(ctx, cfg, sides):
     """Report on the estimate's (lhs, rhs, grid) for the inputs ``cfg``."""
     lhs, rhs, grid = sides
@@ -760,7 +752,11 @@ def _estimate_report(ctx, cfg, sides):
 
 
 def _check_curvature_sum_flat(ctx):
-    cfg = _measured_flat_config(ctx)
+    fx = example_fixture("log-graph")
+    R = float(np.exp(6.0))
+    c1, c2 = annulus_infima(fx, 0.0, R)
+    L0 = 20.0 / np.log(20.0)
+    cfg = EstimateConfig(c1=c1, c2=c2, R=R, L0=L0, n=1, fixture=fx)
     return _estimate_report(ctx, cfg, main_estimate_euclid(cfg))
 
 

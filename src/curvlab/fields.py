@@ -12,15 +12,16 @@ B (S, m, m) and c (S,) is S fields at once, and its points (S, ..., m) pair
 field s with the points x[s]. Its sums run in index order, so a point gets the
 same bits alone, inside a batch and inside a stack.
 
-Radial profiles are stored as smooth functions of q = r^2. That single choice
-removes every removable singularity at r = 0: u'(r)/r = 2*du/dq is a plain
-evaluation, and coordinate Hessians of radial fields never divide by r.
+The one radial profile, the quartic cutoff ``QuarticCutoff``, is stored as a
+smooth function of q = r^2. That single choice removes every removable
+singularity at r = 0: u'(r)/r = 2*du/dq is a plain evaluation, and coordinate
+Hessians of radial fields never divide by r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -155,24 +156,40 @@ class ProductField:
 
 
 # ---------------------------------------------------------------------------
-# radial profiles
+# the radial profile
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RadialProfile:
-    """Profile u(r) given through q-form callables u = qv(r^2).
+@dataclass(frozen=True)
+class QuarticCutoff:
+    """The quartic cutoff u(r) = (1 - r^2 R^-2)^2, extended by zero past r = R.
 
-    kind names the profile; "quartic-cutoff" (the (1 - r^2 R^-2)^2 profile
-    of ``quartic_cutoff_profile``) has a closed form for u'^2/u. R is the
-    support radius, None for a profile without compact support.
+    The q-form methods give u and its derivatives as functions of q = r^2;
+    the r-form accessors are built on them.
     """
 
-    kind: str
-    q_value: Callable[[np.ndarray], np.ndarray]
-    q_d1: Callable[[np.ndarray], np.ndarray]
-    q_d2: Callable[[np.ndarray], np.ndarray]
-    R: Optional[float] = None
+    R: float
+
+    def __post_init__(self):
+        if self.R <= 0:
+            raise ValueError("R must be positive")
+
+    # q-form ----------------------------------------------------------------
+
+    def q_value(self, q):
+        R2 = self.R * self.R
+        t = np.maximum(1.0 - np.asarray(q, dtype=float) / R2, 0.0)
+        return t * t
+
+    def q_d1(self, q):
+        R2 = self.R * self.R
+        t = np.maximum(1.0 - np.asarray(q, dtype=float) / R2, 0.0)
+        return -2.0 * t / R2
+
+    def q_d2(self, q):
+        R2 = self.R * self.R
+        q = np.asarray(q, dtype=float)
+        return np.where(q < R2, 2.0 / (R2 * R2), 0.0)
 
     # r-form accessors ------------------------------------------------------
 
@@ -195,37 +212,9 @@ class RadialProfile:
         return 2.0 * self.q_d1(r * r)
 
     def d1_sq_over_value(self, r):
-        """u'(r)^2 / u(r); closed form 16 r^2 R^-4 for the quartic cutoff.
+        """u'(r)^2 / u(r) = 16 r^2 R^-4 for r <= R.
 
         The closed form stays finite at r = R where value and d1 both vanish.
         """
         r = np.asarray(r, dtype=float)
-        if self.kind == "quartic-cutoff":
-            return 16.0 * r * r / self.R**4
-        q = r * r
-        v = self.q_value(q)
-        if np.any(v <= 0.0):
-            raise ValueError("profile vanishes inside its domain; u'^2/u undefined")
-        return (2.0 * r * self.q_d1(q)) ** 2 / v
-
-
-def quartic_cutoff_profile(R: float) -> RadialProfile:
-    """The quartic cutoff u(r) = (1 - r^2 R^-2)^2, extended by zero past r = R."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    R2 = R * R
-
-    def qv(q):
-        t = np.maximum(1.0 - np.asarray(q, dtype=float) / R2, 0.0)
-        return t * t
-
-    def qd1(q):
-        t = np.maximum(1.0 - np.asarray(q, dtype=float) / R2, 0.0)
-        return -2.0 * t / R2
-
-    def qd2(q):
-        q = np.asarray(q, dtype=float)
-        return np.where(q < R2, 2.0 / (R2 * R2), 0.0)
-
-    return RadialProfile("quartic-cutoff", qv, qd1, qd2, R=R)
-
+        return 16.0 * r * r / self.R**4

@@ -55,13 +55,11 @@ class GeodesicProblem:
 
     space: SpaceForm
     u: ScalarField
+    endpoints: np.ndarray  # seeds when pieces exist, else fixed
     piece_start: Optional[Hypersurface] = None
     piece_end: Optional[Hypersurface] = None
-    endpoints: Optional[np.ndarray] = None  # seeds when pieces exist, else fixed
 
     def __post_init__(self):
-        if self.endpoints is None:
-            raise ValueError("need endpoints: fixed, or seeds for the two pieces")
         self.endpoints = np.asarray(self.endpoints, dtype=float)
 
     def initial_curve(self, n_segments: int) -> DiscreteCurve:

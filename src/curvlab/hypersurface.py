@@ -4,7 +4,7 @@ boundary configurations used throughout the estimate checks.
 A surface is stored implicitly (F with analytic gradient and Hessian, plus a
 sign picking the inward normal); mean curvature under the ambient metric
 comes from the Euclidean divergence formula pushed through the conformal law.
-Most surfaces also carry a one-parameter reduced chart (curvature and
+Every surface also carries a one-parameter reduced chart (curvature and
 distance to the origin depend on a single parameter for every configuration
 here), which drives sampling and annulus infima.
 
@@ -39,7 +39,8 @@ class Hypersurface:
 
     inward_sign fixes orientation: the inward g-unit normal is the g-unit
     vector along inward_sign * gradF.
-    chart/chart_box give a reduced one-parameter sampling of the surface.
+    chart/chart_box give a reduced one-parameter sampling of the surface,
+    and h_exact its closed-form mean curvature along the chart.
     """
 
     space: SpaceForm
@@ -47,10 +48,10 @@ class Hypersurface:
     gradF: Callable
     hessF: Callable
     inward_sign: float
-    chart: Optional[Callable] = None
-    chart_box: Optional[tuple] = None
-    h_exact: Optional[Callable] = None
-    label: str = ""
+    chart: Callable
+    chart_box: tuple
+    h_exact: Callable
+    label: str
 
     def euclid_unit_normal(self, x) -> np.ndarray:
         """Inward normal of Euclidean unit length (coordinate direction)."""
@@ -100,8 +101,6 @@ class Hypersurface:
         raise ProjectionError("surface projection did not converge")
 
     def chart_points(self, ts) -> np.ndarray:
-        if self.chart is None:
-            raise ValueError("surface has no chart")
         return np.asarray(self.chart(np.asarray(ts, dtype=float)), dtype=float)
 
 
@@ -514,8 +513,6 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
     and mean curvature act point by point, so the other points of a batch
     do not change a point's value.
     """
-    if piece.chart is None or piece.chart_box is None:
-        raise ValueError("annulus infimum needs a charted surface")
     r_lo = np.atleast_1d(np.asarray(r_lo, dtype=float))
     r_hi = np.atleast_1d(np.asarray(r_hi, dtype=float))
     origin = np.zeros(piece.space.dim)

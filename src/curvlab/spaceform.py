@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (BallFactorField, ConstantField, ProductField, RadialProfile, ScalarField,
+from .fields import (BallFactorField, ConstantField, ProductField, QuarticCutoff, ScalarField,
                      _fold_dot)
 
 
@@ -212,7 +212,7 @@ class RadialField:
 
     space: SpaceForm
     center: np.ndarray
-    profile: RadialProfile
+    profile: QuarticCutoff
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)

@@ -8,10 +8,11 @@ u_T, and two curvature-substitution integrals built from the quantities
     J1 = (n |u_N|^2 - n u u_TT) / u,
     J2 = (n |u_T|^2 - (lap u - u_TT) u) / u,
 
-all integrated in the conformal arclength.  For radial factors u = u(r) the
-J's collapse to one-dimensional expressions in (r, r_T) through the warping
-function lambda(r) = r or sinh(kappa r)/kappa; those closed forms, their
-sharp grid bounds, and the hyperbolic test-function calculus live here too.
+all integrated in the conformal arclength, with a weight phi that is either
+the constant 1 or the cosh-type ``CoshWeight``.  For the quartic cutoff
+u = u(r) the J's collapse to one-dimensional expressions in (r, r_T) through
+the warping function lambda(r) = r or sinh(kappa r)/kappa; those closed
+forms, their sharp grid bounds, and the cosh weight's calculus live here too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .conformal import geodesic_residual
 from .curves import DiscreteCurve
-from .fields import RadialProfile, ScalarField, quartic_cutoff_profile
+from .fields import QuarticCutoff, ScalarField
 from .hypersurface import Hypersurface
 from .spaceform import (
     SpaceForm,
@@ -69,15 +70,13 @@ def coth_minus_inv(x):
 
 
 # ---------------------------------------------------------------------------
-# test functions on [0, L]
+# the cosh weight on [0, L]
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """Weight phi(s) multiplying the parallel normal frame, s the g-arclength.
-
-    kind "one" is the constant function.  kind "cosh" is
+class CoshWeight:
+    """The cosh-type weight phi(s) on [0, L], s the g-arclength:
 
         phi(s) = (e^(s-L) + e^(-s)) / (1 + e^(-L)),
 
@@ -87,40 +86,21 @@ class TestFunction:
     are nonpositive on [0, L], so the forms below never overflow.
     """
 
-    kind: str = "one"
-    L: Optional[float] = None
-
-    # not a pytest test class, despite the name
-    __test__ = False
+    L: float
 
     def __post_init__(self):
-        if self.kind not in ("one", "cosh"):
-            raise ValueError("kind must be 'one' or 'cosh'")
-        if self.kind == "cosh":
-            if self.L is None or not self.L > 0.0:
-                raise ValueError("cosh test function needs a length L > 0")
-
-    @classmethod
-    def one(cls) -> "TestFunction":
-        return cls(kind="one")
-
-    @classmethod
-    def cosh_type(cls, L: float) -> "TestFunction":
-        return cls(kind="cosh", L=float(L))
+        if not self.L > 0.0:
+            raise ValueError("cosh weight needs a length L > 0")
 
     # -- pointwise values ----------------------------------------------------
 
     def phi(self, s):
         s = np.asarray(s, dtype=float)
-        if self.kind == "one":
-            return np.ones_like(s)
         den = 1.0 + math.exp(-self.L)
         return (np.exp(s - self.L) + np.exp(-s)) / den
 
     def dphi(self, s):
         s = np.asarray(s, dtype=float)
-        if self.kind == "one":
-            return np.zeros_like(s)
         den = 1.0 + math.exp(-self.L)
         return (np.exp(s - self.L) - np.exp(-s)) / den
 
@@ -129,25 +109,18 @@ class TestFunction:
         return self.phi(s) * self.dphi(s)
 
     def dpsi(self, s):
-        """psi' along the family; equals phi'^2 + phi^2 for the cosh kind."""
-        s = np.asarray(s, dtype=float)
-        if self.kind == "one":
-            return np.zeros_like(s)
+        """psi' = phi'^2 + phi^2."""
         return self.dphi(s) ** 2 + self.phi(s) ** 2
 
     # -- closed forms --------------------------------------------------------
 
     def endpoint_psi(self) -> Tuple[float, float]:
-        """(psi(0), psi(L)) = (-tanh(L/2), tanh(L/2)) for the cosh kind."""
-        if self.kind == "one":
-            return 0.0, 0.0
+        """(psi(0), psi(L)) = (-tanh(L/2), tanh(L/2))."""
         t = math.tanh(self.L / 2.0)
         return -t, t
 
     def phi_sq_integral(self) -> float:
         """Closed form of the integral of phi^2 over [0, L]."""
-        if self.kind == "one":
-            raise ValueError("constant weight has no closed phi^2 integral")
         L = self.L
         den = 1.0 + math.exp(-L)
         return (1.0 - math.exp(-2.0 * L) + 2.0 * L * math.exp(-L)) / (den * den)
@@ -171,7 +144,7 @@ def phi_calculus(L: float, n_grid: int = 2001) -> PhiCalculusReport:
     """
     if not L > 0.0:
         raise ValueError("L must be positive")
-    tf = TestFunction.cosh_type(L)
+    tf = CoshWeight(L)
     s = np.linspace(0.0, L, n_grid)
     p0, p1 = tf.endpoint_psi()
     endpoint_error = float(np.maximum(
@@ -195,63 +168,32 @@ def phi_calculus(L: float, n_grid: int = 2001) -> PhiCalculusReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class JInputs:
-    """Point data for the radial curvature-substitution quantities.
+def _radial_terms(space: SpaceForm, profile: QuarticCutoff, r, r_T):
+    """(n, S, P, D, r_T^2, r_N^2) for the radial J quantities.
 
     r is the geodesic distance to the profile center, r_T the tangential
-    component of its unit gradient along the curve (so r_N^2 = 1 - r_T^2).
-    The space supplies the dimension and the warping function.
-    """
-
-    space: SpaceForm
-    profile: RadialProfile
-    r: np.ndarray
-    r_T: np.ndarray
-
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.r_T = np.asarray(self.r_T, dtype=float)
-        if np.any(self.r < 0.0):
-            raise ValueError("r must be nonnegative")
-        if np.any(np.abs(self.r_T) > 1.0 + 1e-12):
-            raise ValueError("r_T must lie in [-1, 1]")
-        if self.profile.R is not None and np.any(self.r > self.profile.R * (1 + 1e-12)):
-            raise ValueError("r exceeds the profile support radius")
-
-
-def j_values(inputs: JInputs) -> Tuple[np.ndarray, np.ndarray]:
-    """(J1, J2) from the one-dimensional radial data.
-
-    With S = u'^2/u, P = u' lambda'/lambda and D = u'' - u' lambda'/lambda,
+    component of its unit gradient along the curve (so r_N^2 = 1 - r_T^2);
+    the space supplies the dimension and the warping function.  With
+    S = u'^2/u, P = u' lambda'/lambda and D = u'' - u' lambda'/lambda,
 
         J1 = n (S r_N^2 - P) - n D r_T^2,
         J2 = n (S r_T^2 - P) - D r_N^2.
 
     P and D are assembled through u'/r and coth(kappa r) - 1/(kappa r), so
     the expressions stay finite at r = 0 where both J's tend to the common
-    value -n u''(0) (= 4 n R^-2 for the quartic cutoff).
+    value -n u''(0) = 4 n R^-2.  S, P, D depend on r alone.
     """
-    terms = _radial_terms(inputs)
-    return _j1(*terms), _j2(*terms)
-
-
-def _radial_terms(inputs: JInputs):
-    """(n, S, P, D, r_T^2, r_N^2) of ``j_values``; S, P, D depend on r alone."""
-    space = inputs.space
-    prof = inputs.profile
-    r = inputs.r
-    rT2 = np.clip(inputs.r_T, -1.0, 1.0) ** 2
+    rT2 = np.clip(r_T, -1.0, 1.0) ** 2
     rN2 = 1.0 - rT2
     n = float(space.n)
 
-    S = prof.d1_sq_over_value(r)
-    P = prof.d1_over_r(r)
-    d2 = prof.d2(r)
+    S = profile.d1_sq_over_value(r)
+    P = profile.d1_over_r(r)
+    d2 = profile.d2(r)
     D = d2 - P
     if space.hyperbolic:
         k = space.kappa
-        extra = prof.d1(r) * k * coth_minus_inv(k * r)
+        extra = profile.d1(r) * k * coth_minus_inv(k * r)
         P = P + extra
         D = D - extra
     return n, S, P, D, rT2, rN2
@@ -319,10 +261,10 @@ def crucial_bounds_scan(
     if model not in ("euclid", "hyperbolic"):
         raise ValueError("model must be 'euclid' or 'hyperbolic'")
     space = SpaceForm(n + 1, 0.0 if model == "euclid" else 1.0)
-    prof = quartic_cutoff_profile(R)
+    prof = QuarticCutoff(R)
     r = np.linspace(0.0, R, n_r)
     rt = np.linspace(-1.0, 1.0, n_t)
-    nf, S, P, D, rT2, rN2 = _radial_terms(JInputs(space, prof, r[:, None], rt))
+    nf, S, P, D, rT2, rN2 = _radial_terms(space, prof, r[:, None], rt)
     base = 16.0 * n / R**2
     low = -8.0 * n / R**2
     # the hyperbolic J2 bound depends on r alone; only that model bounds J1
@@ -421,21 +363,20 @@ def index_form_trace(
     u: ScalarField,
     piece_start: Hypersurface,
     piece_end: Hypersurface,
-    phi: Optional[TestFunction] = None,
+    phi: Optional[CoshWeight] = None,
 ) -> IndexFormReport:
     """Evaluate the traced second variation of conformal length term by term.
 
     The curve must already be a certified geodesic of the metric u^-2 g: its
     pointwise geodesic residual is checked against ``RESIDUAL_TOL`` before
-    anything is integrated.  For a cosh-type weight the length parameter has
-    to match the curve's g-length to within ``LENGTH_RTOL``.
+    anything is integrated.  ``phi=None`` is the constant weight phi = 1; a
+    ``CoshWeight``'s length has to match the curve's g-length to within
+    ``LENGTH_RTOL``.
 
     A minimizing curve has total >= 0 up to discretization error; the report
     keeps every named term so the inequality can be rearranged downstream.
     """
     space = curve.space
-    if phi is None:
-        phi = TestFunction.one()
     pts = curve.points
     n = float(space.n)
 
@@ -457,14 +398,14 @@ def index_form_trace(
     s = curve.vertex_s()
     st = curve.vertex_s(u)
     L = float(s[-1])
-    if phi.kind == "cosh" and abs(phi.L - L) > LENGTH_RTOL * max(1.0, L):
+    if phi is None:
+        pv, dpv = np.ones_like(s), np.zeros_like(s)
+    elif abs(phi.L - L) > LENGTH_RTOL * max(1.0, L):
         raise ValueError(
-            f"test function length {phi.L} does not match the curve's "
-            f"g-length {L}"
+            f"weight length {phi.L} does not match the curve's g-length {L}"
         )
-
-    pv = phi.phi(s)
-    dpv = phi.dphi(s)
+    else:
+        pv, dpv = phi.phi(s), phi.dphi(s)
     u_N2 = np.maximum(grad_norm2_g(space, u, pts) - u_T * u_T, 0.0)
     u_TT = hess_g_apply(space, u, pts, T, T)
     lap = laplacian_g(space, u, pts)
@@ -515,7 +456,7 @@ def index_form_trace(
 
 
 def tanh_boundary_identity(
-    curve: DiscreteCurve, u: ScalarField, phi: TestFunction
+    curve: DiscreteCurve, u: ScalarField, phi: CoshWeight
 ) -> Tuple[float, float]:
     """Both sides of n (u(p) + u(q)) tanh(L/2) = int n (psi' u + psi u_T) ds.
 
@@ -524,8 +465,6 @@ def tanh_boundary_identity(
     weight's L; no geodesic property is needed.  Returns (lhs, rhs) with the
     right side a composite-trapezoid quadrature on the vertex table.
     """
-    if phi.kind != "cosh":
-        raise ValueError("the tanh identity needs the cosh-type weight")
     space = curve.space
     pts = curve.points
     n = float(space.n)

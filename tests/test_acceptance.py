@@ -14,7 +14,7 @@ from curvlab.estimates import decay_scan
 from curvlab.fields import ConstantField
 from curvlab.geodesic import GeodesicProblem, minimize_free_boundary
 from curvlab.hypersurface import example_fixture
-from curvlab.variation import TestFunction, crucial_bounds_scan, phi_calculus
+from curvlab.variation import CoshWeight, crucial_bounds_scan, phi_calculus
 
 
 def _run(cid):
@@ -197,8 +197,8 @@ def test_criterion_06_index_form_consistency():
 def test_criterion_07_weight_calculus():
     rep = phi_calculus(2.0)
     Ls = np.geomspace(1e-2, 50.0, 120)
-    closed = np.array([TestFunction.cosh_type(L).phi_sq_integral() for L in Ls])
-    tf = TestFunction.cosh_type(2.0)
+    closed = np.array([CoshWeight(L).phi_sq_integral() for L in Ls])
+    tf = CoshWeight(2.0)
     val, _ = quad(lambda s: float(tf.phi(np.asarray(s))) ** 2, 0.0, 2.0, limit=200)
     quad_err = abs(tf.phi_sq_integral() - val)
     ok = (

@@ -33,7 +33,7 @@ from curvlab.cli import (
 from curvlab.hypersurface import example_fixture
 from curvlab.report import build_report
 from curvlab.spaceform import SpaceForm
-from curvlab.variation import TestFunction
+from curvlab.variation import CoshWeight
 
 
 def _args(**kw):
@@ -648,12 +648,12 @@ def _nan_min_slack(monkeypatch):
 
 
 def _nan_psi_at_end(monkeypatch):
-    real = TestFunction.psi
+    real = CoshWeight.psi
 
     def psi(self, s):
         return np.where(np.asarray(s) == self.L, np.nan, real(self, s))
 
-    monkeypatch.setattr(TestFunction, "psi", psi)
+    monkeypatch.setattr(CoshWeight, "psi", psi)
 
 
 @pytest.mark.parametrize(

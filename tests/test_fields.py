@@ -1,5 +1,5 @@
 """Analytic derivatives of scalar fields against central differences, and
-closed-form properties of the radial profiles."""
+closed-form properties of the quartic cutoff profile."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from curvlab.fields import (
     ConstantField,
     ExpQuadraticField,
     ProductField,
-    RadialProfile,
-    quartic_cutoff_profile,
+    QuarticCutoff,
 )
 from references import fd_gradient, fd_hessian
 
@@ -86,22 +85,7 @@ def test_exp_quadratic_point_rounds_the_same_alone_and_in_a_batch(dim, stacked):
             assert np.array_equal(hesses[s, j], one.hessian(x))
 
 
-def gaussian_profile(sigma):
-    """u = exp(-r^2 / sigma^2), a profile without compact support, for the
-    generic branches of RadialProfile."""
-    s2 = sigma * sigma
-
-    def qv(q):
-        return np.exp(-np.asarray(q, dtype=float) / s2)
-
-    return RadialProfile("gaussian", qv, lambda q: -qv(q) / s2, lambda q: qv(q) / (s2 * s2))
-
-
-@pytest.mark.parametrize(
-    "profile",
-    [quartic_cutoff_profile(3.0), gaussian_profile(1.3)],
-    ids=["quartic", "gaussian"],
-)
+@pytest.mark.parametrize("profile", [QuarticCutoff(3.0)], ids=["quartic"])
 def test_profile_r_derivatives_match_fd(profile):
     rs = np.linspace(0.05, 2.6, 40)
     h = 1e-6
@@ -113,7 +97,7 @@ def test_profile_r_derivatives_match_fd(profile):
 
 def test_quartic_cutoff_endpoint_values():
     R = 2.0
-    prof = quartic_cutoff_profile(R)
+    prof = QuarticCutoff(R)
     assert prof.value(0.0) == 1.0
     assert prof.value(R) == 0.0
     assert prof.value(1.5 * R) == 0.0
@@ -126,7 +110,7 @@ def test_quartic_cutoff_endpoint_values():
 
 def test_quartic_cutoff_monotone_and_gradient_bound():
     R = 1.7
-    prof = quartic_cutoff_profile(R)
+    prof = QuarticCutoff(R)
     rs = np.linspace(0.0, R, 10_001)
     d1 = prof.d1(rs)
     assert np.all(d1 <= 1e-15)
@@ -142,17 +126,9 @@ def test_quartic_cutoff_monotone_and_gradient_bound():
 
 def test_quartic_cutoff_d1_sq_over_value_closed_form():
     R = 2.5
-    prof = quartic_cutoff_profile(R)
+    prof = QuarticCutoff(R)
     rs = np.linspace(0.0, R - 1e-6, 512)
     direct = prof.d1(rs) ** 2 / prof.value(rs)
     assert np.allclose(prof.d1_sq_over_value(rs), direct, rtol=1e-9)
     # stays finite (and correct) at the cutoff radius itself
     assert np.isclose(prof.d1_sq_over_value(R), 16.0 / R**2)
-
-
-def test_generic_profile_d1_sq_over_value():
-    prof = gaussian_profile(0.9)
-    rs = np.linspace(0.1, 2.0, 17)
-    expected = prof.d1(rs) ** 2 / prof.value(rs)
-    assert np.allclose(prof.d1_sq_over_value(rs), expected, rtol=1e-12)
-

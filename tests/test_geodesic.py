@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import solveh_banded
 
 from curvlab import checks, cli
-from curvlab.fields import BallFactorField, ConstantField, quartic_cutoff_profile
+from curvlab.fields import BallFactorField, ConstantField, QuarticCutoff
 from curvlab.geodesic import (
     GeodesicProblem,
     endpoint_orthogonality,
@@ -35,7 +35,7 @@ def _midpoint_factor(W, points):
 
 def test_energy_gradient_matches_fd():
     space = SpaceForm(2, 1.0)
-    u = RadialField(space, np.zeros(2), quartic_cutoff_profile(3.0))
+    u = RadialField(space, np.zeros(2), QuarticCutoff(3.0))
     problem = GeodesicProblem(space, u, endpoints=np.array([[-0.3, 0.1], [0.35, 0.2]]))
     rng = np.random.default_rng(12)
     curve = problem.initial_curve(8)
@@ -187,7 +187,7 @@ def _lens_problem(a=1.0, t_start=np.pi + 0.25, t_end=-0.2):
 @pytest.mark.parametrize(
     "space, factor",
     [
-        (SpaceForm(2, 1.0), lambda sp: RadialField(sp, np.array([0.1, -0.05]), quartic_cutoff_profile(3.0))),
+        (SpaceForm(2, 1.0), lambda sp: RadialField(sp, np.array([0.1, -0.05]), QuarticCutoff(3.0))),
         (SpaceForm(3, 0.0), lambda sp: BallFactorField(kappa=1.0)),
     ],
     ids=["hyperbolic-radial", "flat-ball-factor"],
@@ -277,7 +277,7 @@ def test_failed_trial_retraction_rejects_the_step(R, x0):
     fx = example_fixture("log-graph")
     graph, axis = fx.pieces
     seeds = np.stack([graph.chart_points(np.array([x0]))[0], np.array([x0, 0.0])])
-    problem = GeodesicProblem(fx.space, RadialField(fx.space, np.zeros(2), quartic_cutoff_profile(R)),
+    problem = GeodesicProblem(fx.space, RadialField(fx.space, np.zeros(2), QuarticCutoff(R)),
                               piece_start=graph, piece_end=axis, endpoints=seeds)
     res = minimize_free_boundary(problem, n_segments=128)
     assert res.converged
@@ -337,7 +337,7 @@ def _log_graph_chain(x_c):
     fx = example_fixture("log-graph")
     graph, axis = fx.pieces
     seeds = np.stack([graph.chart_points(np.array([x_c]))[0], np.array([x_c, 0.0])])
-    u = RadialField(fx.space, np.array([x_c, 0.0]), quartic_cutoff_profile(x_c / 2.0))
+    u = RadialField(fx.space, np.array([x_c, 0.0]), QuarticCutoff(x_c / 2.0))
     problem = GeodesicProblem(fx.space, u, piece_start=graph, piece_end=axis, endpoints=seeds)
     return problem, {"n_segments": 512}
 
@@ -414,7 +414,7 @@ def test_radial_bump_slab_against_quadrature():
     segment, and its conformal length is a plain one-dimensional integral."""
     fx = example_fixture("euclid-slab", d=1.2, dim=2)
     space = fx.space
-    u = RadialField(space, np.zeros(2), quartic_cutoff_profile(2.0))
+    u = RadialField(space, np.zeros(2), QuarticCutoff(2.0))
     problem = GeodesicProblem(
         space,
         u,
@@ -501,10 +501,11 @@ def test_nonconvergence_reported():
 
 
 def test_problem_validation():
+    """Endpoints are required: fixed ends, or seeds for the two pieces."""
     space = SpaceForm(2, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         GeodesicProblem(space, ConstantField(1.0))
     fx = example_fixture("euclid-slab", d=1.0, dim=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         GeodesicProblem(fx.space, ConstantField(1.0),
                         piece_start=fx.pieces[1], piece_end=fx.pieces[0])

@@ -18,10 +18,6 @@ import curvlab
 
 SRC = Path(curvlab.__file__).resolve().parent
 
-# reached only from the tests, each kept for a stated reason
-ALLOWED = {
-    "variation.j_values": "the pointwise J formula the J-bound tests evaluate",
-}
 # methods of the ScalarField protocol, called through the protocol
 PROTOCOL = frozenset({"value", "gradient", "hessian"})
 
@@ -63,9 +59,8 @@ def _definitions(source_dir):
     return defs, _uses(roots)
 
 
-def unreached(source_dir=SRC, exported=tuple(curvlab.__all__), allowed=ALLOWED):
-    """Sorted keys of the public definitions no root reaches, counting the
-    ``allowed`` keys as roots."""
+def unreached(source_dir=SRC, exported=tuple(curvlab.__all__)):
+    """Sorted keys of the public definitions no root reaches."""
     defs, (names, attrs) = _definitions(source_dir)
     names = names | set(exported)
     reached = set()
@@ -80,7 +75,7 @@ def unreached(source_dir=SRC, exported=tuple(curvlab.__all__), allowed=ALLOWED):
                 hit = name in attrs or (implicit and key.rsplit(".", 1)[0] in reached)
             else:
                 hit = name in names or name in attrs
-            if hit or key in allowed:
+            if hit:
                 new.add(key)
         if not new:
             break
@@ -98,13 +93,6 @@ def unreached(source_dir=SRC, exported=tuple(curvlab.__all__), allowed=ALLOWED):
 def test_every_public_definition_is_reached():
     missing = unreached()
     assert not missing, f"unreached public definitions: {missing}"
-
-
-def test_allowlist_names_existing_definitions():
-    defs, _ = _definitions(SRC)
-    assert set(ALLOWED) <= set(defs)
-    # a stale entry, one the roots reach without the allowlist, fails here
-    assert unreached(allowed=()) == sorted(ALLOWED)
 
 
 def test_guard_names_a_definition_only_unreached_code_uses(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from curvlab.fields import ExpQuadraticField, quartic_cutoff_profile
+from curvlab.fields import ExpQuadraticField, QuarticCutoff
 from curvlab.spaceform import (
     RadialField,
     SpaceForm,
@@ -307,7 +307,7 @@ def test_gram_schmidt_frame_stacks_points_and_seeds():
 
 def test_radial_field_is_analytic_scalar_field():
     space = SpaceForm(dim=3, kappa=1.0)
-    field = RadialField(space, np.array([0.2, 0.0, -0.1]), quartic_cutoff_profile(1.5))
+    field = RadialField(space, np.array([0.2, 0.0, -0.1]), QuarticCutoff(1.5))
     rng = np.random.default_rng(17)
     for _ in range(6):
         x = ball_point(rng, 3, rmax=0.5)
@@ -318,7 +318,7 @@ def test_radial_field_is_analytic_scalar_field():
 
 def test_conformal_factor_field_combines_ambient():
     space = SpaceForm(dim=2, kappa=1.0)
-    field = RadialField(space, np.zeros(2), quartic_cutoff_profile(2.0))
+    field = RadialField(space, np.zeros(2), QuarticCutoff(2.0))
     W = conformal_factor_field(space, field)
     x = np.array([0.3, 0.1])
     assert np.isclose(W.value(x), field.value(x) * space.ambient_factor(x))
@@ -340,7 +340,7 @@ def test_inner_rounds_the_same_alone_and_in_a_batch():
 
 def test_grad_norm2_matches_inner_product():
     space = SpaceForm(dim=3, kappa=1.0)
-    field = RadialField(space, np.array([0.1, 0.2, 0.0]), quartic_cutoff_profile(2.0))
+    field = RadialField(space, np.array([0.1, 0.2, 0.0]), QuarticCutoff(2.0))
     x = np.array([0.25, -0.3, 0.2])
     w = space.ambient_factor(x)
     gr = (w * w) * field.gradient(x)

@@ -4,7 +4,7 @@ The index-form decomposition is checked against a brute-force quadratic
 coefficient: perturb the polyline by eps * phi * u * e_i for the transverse
 coordinate directions, measure the conformal length, and fit the second
 derivative by central differences.  The J quantities are checked against
-direct evaluation of the defining field expressions, and the test-function
+direct evaluation of the defining field expressions, and the cosh weight's
 calculus against closed forms and quadrature.
 """
 
@@ -17,20 +17,19 @@ import pytest
 from scipy.integrate import quad
 
 from curvlab.curves import DiscreteCurve
-from curvlab.fields import ConstantField, quartic_cutoff_profile
+from curvlab.fields import ConstantField, QuarticCutoff
 from curvlab.hypersurface import example_fixture
 from curvlab.spaceform import RadialField, SpaceForm, radial_map
 from curvlab.spaceform import grad_g, grad_norm2_g, hess_g_apply, laplacian_g
 from curvlab import variation
+from curvlab.checks import _fd_second_variation
 from curvlab.variation import (
     BoundCheck,
     BoundsScan,
-    JInputs,
-    TestFunction,
+    CoshWeight,
     coth_minus_inv,
     crucial_bounds_scan,
     index_form_trace,
-    j_values,
     phi_calculus,
     tanh_boundary_identity,
 )
@@ -39,13 +38,13 @@ from references import curve_points
 
 
 # ---------------------------------------------------------------------------
-# test-function calculus
+# cosh-weight calculus
 # ---------------------------------------------------------------------------
 
 
 def test_phi_endpoints_and_range():
     for L in (0.1, 1.0, 2.0, 10.0, 50.0):
-        tf = TestFunction.cosh_type(L)
+        tf = CoshWeight(L)
         s = np.linspace(0.0, L, 501)
         vals = tf.phi(s)
         assert abs(float(tf.phi(np.asarray(0.0))) - 1.0) < 1e-14
@@ -64,21 +63,21 @@ def test_phi_calculus_report():
         assert rep.phi_sq_closed <= 1.2
         assert 0.0 < rep.phi_range[0]
         assert rep.phi_range[1] <= 1.0 + 1e-15
-        psi_left, psi_right = TestFunction.cosh_type(L).endpoint_psi()
+        psi_left, psi_right = CoshWeight(L).endpoint_psi()
         assert abs(psi_left + math.tanh(L / 2.0)) < 1e-15
         assert abs(psi_right - math.tanh(L / 2.0)) < 1e-15
 
 
 def test_phi_sq_integral_closed_form_vs_quadrature():
     for L in (0.1, 2.0, 10.0, 50.0):
-        tf = TestFunction.cosh_type(L)
+        tf = CoshWeight(L)
         val, err = quad(lambda s: float(tf.phi(np.asarray(s))) ** 2, 0.0, L, limit=200)
         assert err < 1e-9
         assert abs(tf.phi_sq_integral() - val) < 1e-10
 
 
 def test_phi_sq_integral_value_at_L2():
-    tf = TestFunction.cosh_type(2.0)
+    tf = CoshWeight(2.0)
     exact = (math.e**4 - 1.0 + 4.0 * math.e**2) / (1.0 + math.e**2) ** 2
     assert abs(tf.phi_sq_integral() - exact) < 1e-14
     assert abs(exact - 1.18157) < 5e-6
@@ -86,7 +85,7 @@ def test_phi_sq_integral_value_at_L2():
 
 def test_phi_sq_integral_sup_below_six_fifths():
     Ls = np.linspace(0.01, 60.0, 12000)
-    vals = np.array([TestFunction.cosh_type(L).phi_sq_integral() for L in Ls])
+    vals = np.array([CoshWeight(L).phi_sq_integral() for L in Ls])
     assert vals.max() < 1.2
     peak = float(Ls[np.argmax(vals)])
     assert abs(peak - 2.4) < 0.1
@@ -98,20 +97,16 @@ def test_phi_sq_integral_sup_below_six_fifths():
 
 def test_psi_endpoint_jump():
     for L in (0.1, 1.0, 10.0):
-        tf = TestFunction.cosh_type(L)
+        tf = CoshWeight(L)
         lo, hi = tf.endpoint_psi()
         assert abs((hi - lo) - 2.0 * math.tanh(L / 2.0)) < 1e-15
 
 
 def test_phi_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        TestFunction.cosh_type(0.0)
-    with pytest.raises(ValueError):
-        TestFunction(kind="gauss")
+        CoshWeight(0.0)
     with pytest.raises(ValueError):
         phi_calculus(-1.0)
-    with pytest.raises(ValueError):
-        TestFunction.one().phi_sq_integral()
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +160,12 @@ def test_coth_minus_inv_past_cosh_overflow():
 # ---------------------------------------------------------------------------
 
 
+def j_values(space, profile, r, r_T):
+    """(J1, J2) of the quartic cutoff at distance r with tangential part r_T."""
+    terms = variation._radial_terms(space, profile, r, r_T)
+    return variation._j1(*terms), variation._j2(*terms)
+
+
 def _direct_j(space, u, x, T):
     """J1, J2 straight from the defining field expressions."""
     n = float(space.n)
@@ -194,7 +195,7 @@ def test_j_values_match_direct_field_evaluation(kappa):
     rng = np.random.default_rng(20240817)
     dim = 3
     space = SpaceForm(dim, kappa)
-    prof = quartic_cutoff_profile(5.0)
+    prof = QuarticCutoff(5.0)
     u = RadialField(space, np.zeros(dim), prof)
     for _ in range(25):
         x = rng.uniform(-0.55, 0.55, size=dim)
@@ -203,7 +204,7 @@ def test_j_values_match_direct_field_evaluation(kappa):
         T = rng.normal(size=dim)
         T /= space.norm(x, T)
         r, r_T = _radial_r_and_r_T(space, np.zeros(dim), x, T)
-        J1, J2 = j_values(JInputs(space, prof, r, r_T))
+        J1, J2 = j_values(space, prof, r, r_T)
         J1d, J2d = _direct_j(space, u, x, T)
         assert abs(float(J1) - J1d) < 1e-10 * max(1.0, abs(J1d))
         assert abs(float(J2) - J2d) < 1e-10 * max(1.0, abs(J2d))
@@ -214,13 +215,13 @@ def test_j_values_center_limit(kappa):
     n = 2
     R = 3.0
     space = SpaceForm(n + 1, kappa)
-    prof = quartic_cutoff_profile(R)
+    prof = QuarticCutoff(R)
     for rT in (0.0, 0.3, 1.0):
-        J1, J2 = j_values(JInputs(space, prof, 0.0, rT))
+        J1, J2 = j_values(space, prof, 0.0, rT)
         assert abs(float(J1) - 4.0 * n / R**2) < 1e-14
         assert abs(float(J2) - 4.0 * n / R**2) < 1e-14
         # approach along r -> 0 is continuous
-        J1e, J2e = j_values(JInputs(space, prof, 1e-9, rT))
+        J1e, J2e = j_values(space, prof, 1e-9, rT)
         assert abs(float(J1e) - float(J1)) < 1e-8
         assert abs(float(J2e) - float(J2)) < 1e-8
 
@@ -229,10 +230,10 @@ def test_j2_flat_equality_case():
     n = 2
     R = 10.0
     space = SpaceForm(n + 1, 0.0)
-    prof = quartic_cutoff_profile(R)
-    _, J2 = j_values(JInputs(space, prof, R, 1.0))
+    prof = QuarticCutoff(R)
+    _, J2 = j_values(space, prof, R, 1.0)
     assert abs(float(J2) - 16.0 * n / R**2) < 1e-15
-    _, J2m = j_values(JInputs(space, prof, R, -1.0))
+    _, J2m = j_values(space, prof, R, -1.0)
     assert abs(float(J2m) - 16.0 * n / R**2) < 1e-15
     # the sharp intermediate identity u'^2/u - u'/r = 4 R^-4 (3 r^2 + R^2)
     r = np.linspace(0.0, R, 500)
@@ -242,20 +243,9 @@ def test_j2_flat_equality_case():
     assert np.all(lhs <= 16.0 / R**2 + 1e-15)
 
 
-def test_j_inputs_validation():
-    space = SpaceForm(3, 0.0)
-    prof = quartic_cutoff_profile(2.0)
-    with pytest.raises(ValueError):
-        JInputs(space, prof, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        JInputs(space, prof, 2.5, 0.0)
-    with pytest.raises(ValueError):
-        JInputs(space, prof, 1.0, 1.5)
-
-
 def test_monotonicity_facts():
     R = 7.0
-    prof = quartic_cutoff_profile(R)
+    prof = QuarticCutoff(R)
     r = np.linspace(1e-3, R - 1e-3, 4000)
     h = 1e-6
     # (u'/r)' = 8 r R^-4 exactly for the quartic cutoff
@@ -298,7 +288,7 @@ def test_crucial_bounds_scan_hyperbolic():
 
 def test_hyperbolic_j2_bound_reduces_where_u_prime_vanishes():
     n, R = 3, 5.0
-    prof = quartic_cutoff_profile(R)
+    prof = QuarticCutoff(R)
     base = 16.0 * n / R**2
     for r in (0.0, R):
         assert abs((base - n * float(prof.d1(r))) - base) < 1e-15
@@ -321,10 +311,10 @@ def test_scan_rejects_unknown_model():
 def _bounds_scan_reference(n, R, model, n_r, n_t):
     """The full n_r x n_t grid: every cell evaluated, one argmin per check."""
     space = SpaceForm(n + 1, 0.0 if model == "euclid" else 1.0)
-    prof = quartic_cutoff_profile(R)
+    prof = QuarticCutoff(R)
     r = np.linspace(0.0, R, n_r)
     rt = np.linspace(-1.0, 1.0, n_t)
-    terms = variation._radial_terms(JInputs(space, prof, r[:, None], rt[None, :]))
+    terms = variation._radial_terms(space, prof, r[:, None], rt[None, :])
     J2 = variation._j2(*terms)
     scan = BoundsScan(model=model, n=n, R=R, n_r=n_r, n_t=n_t)
     scan.j2_max = float(J2.max())
@@ -374,12 +364,12 @@ def test_bounds_scan_rows_failing_the_sign_test_get_the_full_grid(monkeypatch, m
     radial_terms = variation._radial_terms
     r_bad = 7.5
 
-    def patched(inputs):
-        n, S, P, D, rT2, rN2 = radial_terms(inputs)
+    def patched(space, profile, r, r_T):
+        n, S, P, D, rT2, rN2 = radial_terms(space, profile, r, r_T)
         if row == "negative-D":
-            D = np.where(inputs.r == r_bad, -1e3, D)
+            D = np.where(r == r_bad, -1e3, D)
         else:
-            S = np.where(inputs.r == r_bad, np.nan, S)
+            S = np.where(r == r_bad, np.nan, S)
         return n, S, P, D, rT2, rN2
 
     monkeypatch.setattr(variation, "_radial_terms", patched)
@@ -426,21 +416,6 @@ def _slab_axis_curve(space, half, n_segments):
     return DiscreteCurve(space, curve_points(fn, -half, half, n_segments))
 
 
-def _fd_traced_second_variation(curve, u, phi, directions, eps=1e-3):
-    """Sum of central-difference second derivatives of the conformal length
-    under the frozen displacement fields phi(s) u(x) e_i."""
-    s = curve.vertex_s()
-    w = (phi.phi(s) * np.asarray(u.value(curve.points), dtype=float))[:, None]
-    L0 = curve.tilde_length(u)
-    total = 0.0
-    for e in directions:
-        disp = w * np.asarray(e, dtype=float)[None, :]
-        Lp = DiscreteCurve(curve.space, curve.points + eps * disp).tilde_length(u)
-        Lm = DiscreteCurve(curve.space, curve.points - eps * disp).tilde_length(u)
-        total += (Lp - 2.0 * L0 + Lm) / eps**2
-    return total
-
-
 def test_index_form_all_terms_zero_for_trivial_slab():
     fx = example_fixture("euclid-slab", d=1.0, dim=3)
     curve = _slab_axis_curve(fx.space, 0.5, 256)
@@ -461,16 +436,14 @@ def test_index_form_all_terms_zero_for_trivial_slab():
 def test_index_form_slab_matches_fd_oracle():
     fx = example_fixture("euclid-slab", d=1.2, dim=3)
     space = fx.space
-    u = RadialField(space, np.zeros(3), quartic_cutoff_profile(2.0))
+    u = RadialField(space, np.zeros(3), QuarticCutoff(2.0))
     curve = _slab_axis_curve(space, 0.6, 2048)
-    rep = index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], TestFunction.one())
+    rep = index_form_trace(curve, u, fx.pieces[1], fx.pieces[0])
     # closed form: total = n * int (u'^2/u - u'/r) dt = n (d + 3 d^3/16) here
     exact = 2.0 * (1.2 + 0.75 * 2.0 * 0.6**3 / 3.0)
     assert rep.total >= 0.0
     assert abs(rep.total - exact) < 1e-6
-    fd = _fd_traced_second_variation(
-        curve, u, TestFunction.one(), [np.eye(3)[1], np.eye(3)[2]]
-    )
+    fd = _fd_second_variation(curve, u, None, [np.eye(3)[1], np.eye(3)[2]])
     assert abs(fd - rep.total) < 1e-4 * abs(rep.total)
     # the report total is the plain sum of its parts
     parts = (
@@ -487,23 +460,23 @@ def test_index_form_slab_matches_fd_oracle():
 def test_index_form_slab_with_cosh_weight_matches_fd_oracle():
     fx = example_fixture("euclid-slab", d=1.2, dim=3)
     space = fx.space
-    u = RadialField(space, np.zeros(3), quartic_cutoff_profile(2.0))
+    u = RadialField(space, np.zeros(3), QuarticCutoff(2.0))
     curve = _slab_axis_curve(space, 0.6, 2048)
-    phi = TestFunction.cosh_type(curve.g_length())
+    phi = CoshWeight(curve.g_length())
     rep = index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], phi)
-    fd = _fd_traced_second_variation(curve, u, phi, [np.eye(3)[1], np.eye(3)[2]])
+    fd = _fd_second_variation(curve, u, phi, [np.eye(3)[1], np.eye(3)[2]])
     assert abs(fd - rep.total) < 1e-4 * max(1.0, abs(rep.total))
 
 
 def test_index_form_f_identity_on_slab():
     fx = example_fixture("euclid-slab", d=1.2, dim=3)
     space = fx.space
-    u = RadialField(space, np.zeros(3), quartic_cutoff_profile(2.0))
+    u = RadialField(space, np.zeros(3), QuarticCutoff(2.0))
     curve = _slab_axis_curve(space, 0.6, 4096)
-    phi = TestFunction.cosh_type(curve.g_length())
+    phi = CoshWeight(curve.g_length())
     rep = index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], phi)
     # exact endpoint jump: n (u_T(q) - u_T(p)) = 2 n u'(d/2)
-    exact = 2.0 * 2.0 * float(quartic_cutoff_profile(2.0).d1(0.6))
+    exact = 2.0 * 2.0 * float(QuarticCutoff(2.0).d1(0.6))
     assert abs(rep.f_identity_lhs - exact) < 1e-10
     assert abs(rep.f_identity_rhs - rep.f_identity_lhs) < 1e-6
 
@@ -512,7 +485,7 @@ def test_index_form_sharp_fixture_vanishes():
     fx = example_fixture("poincare-circles", a=1.0)
     b = fx.params["b"]
     curve = _slab_axis_curve(fx.space, b, 8192)
-    phi = TestFunction.cosh_type(curve.g_length())
+    phi = CoshWeight(curve.g_length())
     rep = index_form_trace(curve, ConstantField(1.0), fx.pieces[0], fx.pieces[1], phi)
     assert abs(rep.boundary_start + 1.0 / math.sqrt(2.0)) < 1e-12
     assert abs(rep.boundary_end + 1.0 / math.sqrt(2.0)) < 1e-12
@@ -526,10 +499,10 @@ def test_index_form_sharp_fixture_vanishes():
 def test_index_form_profile_boundary_and_tanh_identity():
     fx = example_fixture("poincare-circles", a=1.0)
     b = fx.params["b"]
-    prof = quartic_cutoff_profile(10.0)
+    prof = QuarticCutoff(10.0)
     u = RadialField(fx.space, np.zeros(2), prof)
     curve = _slab_axis_curve(fx.space, b, 16384)
-    phi = TestFunction.cosh_type(curve.g_length())
+    phi = CoshWeight(curve.g_length())
     rep = index_form_trace(curve, u, fx.pieces[0], fx.pieces[1], phi)
     expect = -float(prof.value(fx.distance / 2.0)) / math.sqrt(2.0)
     assert abs(rep.boundary_start - expect) < 1e-9
@@ -542,14 +515,14 @@ def test_index_form_profile_boundary_and_tanh_identity():
 def test_tanh_identity_holds_on_bent_curves():
     fx = example_fixture("poincare-circles", a=1.0)
     b = fx.params["b"]
-    u = RadialField(fx.space, np.zeros(2), quartic_cutoff_profile(10.0))
+    u = RadialField(fx.space, np.zeros(2), QuarticCutoff(10.0))
 
     def bent(t):
         t = np.asarray(t, dtype=float)
         return np.stack([t, 0.2 * (b * b - t * t)], axis=-1)
 
     arc = DiscreteCurve(fx.space, curve_points(bent, -b, b, 16384))
-    phi = TestFunction.cosh_type(arc.g_length())
+    phi = CoshWeight(arc.g_length())
     lhs, rhs = tanh_boundary_identity(arc, u, phi)
     assert abs(lhs - rhs) < 1e-7
 
@@ -557,12 +530,12 @@ def test_tanh_identity_holds_on_bent_curves():
 def test_index_form_rejects_bad_input():
     fx = example_fixture("euclid-slab", d=1.2, dim=3)
     space = fx.space
-    u = RadialField(space, np.zeros(3), quartic_cutoff_profile(2.0))
+    u = RadialField(space, np.zeros(3), QuarticCutoff(2.0))
     curve = _slab_axis_curve(space, 0.6, 512)
     # mismatched weight length
     with pytest.raises(ValueError):
         index_form_trace(
-            curve, u, fx.pieces[1], fx.pieces[0], TestFunction.cosh_type(2.5)
+            curve, u, fx.pieces[1], fx.pieces[0], CoshWeight(2.5)
         )
 
     # a visibly bent curve is not stationary
