@@ -18,7 +18,6 @@ from curvlab.hypersurface import example_fixture, geodesic_sphere
 from curvlab.geodesic import GeodesicProblem, minimize_free_boundary
 from curvlab.variation import crucial_bounds_scan, index_form_trace, phi_calculus
 from curvlab.estimates import (
-    EstimateConfig,
     decay_scan,
     main_estimate_euclid,
     main_estimate_hyperbolic,
@@ -40,7 +39,6 @@ __all__ = [
     "crucial_bounds_scan",
     "index_form_trace",
     "phi_calculus",
-    "EstimateConfig",
     "decay_scan",
     "main_estimate_euclid",
     "main_estimate_hyperbolic",

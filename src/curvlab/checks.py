@@ -24,7 +24,6 @@ import numpy as np
 from . import conformal, fdcheck
 from .curves import DiscreteCurve, fornberg_weights
 from .estimates import (
-    EstimateConfig,
     annulus_infima,
     decay_scan,
     elementary_inequalities,
@@ -744,27 +743,34 @@ def _check_index_form_nonnegative(ctx):
 # ---------------------------------------------------------------------------
 
 
-def _estimate_report(ctx, cfg, sides):
-    """Report on the estimate's (lhs, rhs, grid) for the inputs ``cfg``."""
+def _estimate_report(ctx, sides, c1, c2, R, L0, n, kappa, fixture=None):
+    """Report on the estimate's (lhs, rhs, grid) for its numbers (c1, c2, R
+    and L0 as floats: json writes 1 and 1.0 differently), filed with the
+    sharpest alpha (None; its value is in the grid) and j = 2 (c2 enters
+    the error term)."""
     lhs, rhs, grid = sides
+    inputs = {"c1": c1, "c2": c2, "R": R, "L0": L0, "n": n, "kappa": kappa,
+              "alpha": None, "j": 2}
+    if fixture is not None:
+        inputs["fixture"] = fixture.name
     return build_report(ctx.cid, lhs, rhs, tolerance=SLACK_FLOOR,
-                        inputs=cfg.inputs(), grid=grid)
+                        inputs=inputs, grid=grid)
 
 
 def _check_curvature_sum_flat(ctx):
     fx = example_fixture("log-graph")
     R = float(np.exp(6.0))
-    c1, c2 = annulus_infima(fx, 0.0, R)
-    L0 = 20.0 / np.log(20.0)
-    cfg = EstimateConfig(c1=c1, c2=c2, R=R, L0=L0, n=1, fixture=fx)
-    return _estimate_report(ctx, cfg, main_estimate_euclid(cfg))
+    c1, c2 = (float(c) for c in annulus_infima(fx, 0.0, R))
+    L0 = float(20.0 / np.log(20.0))
+    sides = main_estimate_euclid(c1, c2, R, L0, 1)
+    return _estimate_report(ctx, sides, c1, c2, R, L0, 1, 0.0, fx)
 
 
 def _check_curvature_sum_flat_probe(ctx):
     """Deliberately violating inputs: the inequality machinery must flag
     them, proving the harness can actually fail."""
-    cfg = EstimateConfig(c1=1.0, c2=1.0, R=100.0, L0=1.0, n=2)
-    return _estimate_report(ctx, cfg, main_estimate_euclid(cfg))
+    sides = main_estimate_euclid(1.0, 1.0, 100.0, 1.0, 2)
+    return _estimate_report(ctx, sides, 1.0, 1.0, 100.0, 1.0, 2, 0.0)
 
 
 def _check_curvature_sum_hyperbolic(ctx):
@@ -772,17 +778,15 @@ def _check_curvature_sum_hyperbolic(ctx):
     the branch's upper bound on c1 + c2 along a grid of radii against its
     saturating limit."""
     fx = example_fixture("poincare-circles")
-    H_meas = [float(p.mean_curvature(q)) for p, q in zip(fx.pieces, fx.endpoints)]
-    cfg = EstimateConfig(
-        c1=H_meas[0], c2=H_meas[1], R=16.0, L0=fx.distance, n=1, kappa=1.0, fixture=fx
-    )
-    lhs, rhs, grid = main_estimate_hyperbolic(cfg)
+    c1, c2 = (float(p.mean_curvature(q)) for p, q in zip(fx.pieces, fx.endpoints))
+    L0 = float(fx.distance)
+    lhs, rhs, grid = main_estimate_hyperbolic(c1, c2, 16.0, L0, 1)
     R_grid = np.array([16.0, 32.0, 64.0, 128.0])
-    ub = upper_bound_along(cfg.c_side, cfg.n, cfg.L0, R_grid)
-    limit = theorem_bound(1.0, cfg.n, fx.distance)
+    ub = upper_bound_along(c2, 1, L0, R_grid)
+    limit = theorem_bound(1.0, 1, fx.distance)
     grid.update(R_grid=R_grid.tolist(), upper_bound=ub.tolist(), limit=limit,
                 gap=(ub - limit).tolist())
-    return _estimate_report(ctx, cfg, (lhs, rhs, grid))
+    return _estimate_report(ctx, (lhs, rhs, grid), c1, c2, 16.0, L0, 1, 1.0, fx)
 
 
 def _check_saturating_bound(ctx):

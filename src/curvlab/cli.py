@@ -224,7 +224,7 @@ def run(cfg, stdout=None, stderr=None):
                                grid={"error": error})
             scan = None
         (outdir / f"{cid}.json").write_text(rep.to_json() + "\n", encoding="utf-8")
-        if scan is not None or cid.startswith("scan-"):
+        if scan is not None or "scan" in spec.suites:
             emit_scan_csv(scan, outdir / f"{cid}.csv")
         if error is None:
             tag = ("PASS" if rep.passed else "FAIL") + (" (probe)" if rep.probe else "")

@@ -4,17 +4,20 @@ The central object is the curvature-sum estimate: if two boundary pieces
 of a region in flat or hyperbolic space have inward mean curvature
 bounded below by c1 and c2 on a ball of radius R, and some curve of
 length L0 <= R/4 joins them inside the region, then c1 + c2 is bounded
-by an explicit error term that decays as R grows.  This module evaluates
-both branches of that estimate on fixtures, the upper bound it gives
-along a grid of radii, the saturating distance bound
+by an explicit error term that decays as R grows.  Each branch is one
+inequality in the five numbers (c1, c2, R, L0, n): ``main_estimate_euclid``
+for flat space and ``main_estimate_hyperbolic`` for curvature -1
+(kappa = 1), taken with its sharpest admissible alpha.  Both put c2 in the
+error term.  This module also evaluates the upper bound the hyperbolic
+branch gives along a grid of radii, the saturating distance bound
 2 n kappa tanh(kappa d / 2) it converges to, annulus decay scans with
 closed-form envelopes, and the elementary scalar inequalities the
 derivations lean on.  It returns the two sides of each inequality and
 its metadata; ``checks`` judges them and builds the reports.
 
 The estimate's right-hand side uses the statement's constants
-(A, B, C) = (5/2, 30, 8) for a caller-chosen ball; the metadata records
-them as "statement".
+(A, B, C) = (5/2, 30, 8), read from ``STATEMENT_CONSTANTS`` at call time;
+the metadata records them as "statement".
 """
 
 import numpy as np
@@ -26,15 +29,21 @@ from .variation import coth_minus_inv
 STATEMENT_CONSTANTS = (2.5, 30.0, 8.0)  # (A, B, C) of the estimate's right-hand side
 
 
+def _check_radii(R, L0, n):
+    """The estimate's hypotheses on its numbers: R, L0 > 0, L0 <= R/4 and
+    n >= 1; R may be a grid, and every radius in it must satisfy them."""
+    if np.any(R <= 0) or L0 <= 0:
+        raise ValueError("R and L0 must be positive")
+    if np.any(L0 > R / 4.0):
+        raise ValueError("reference length L0 exceeds R/4")
+    if n < 1:
+        raise ValueError("boundary dimension n must be at least 1")
+
+
 def _alpha_min(L0, R):
-    """Lower endpoint tanh((1 + 5 L0 / 9 R) L0 / 2) of the admissible alpha
-    range; R may be a grid."""
+    """tanh((1 + 5 L0 / 9 R) L0 / 2), the sharpest admissible alpha of the
+    hyperbolic branch (the admissible range runs up to 1); R may be a grid."""
     return np.tanh(0.5 * (1.0 + (5.0 / 9.0) * L0 / R) * L0)
-
-
-def alpha_interval(L0: float, R: float):
-    """Admissible range for the hyperbolic branch parameter alpha."""
-    return float(_alpha_min(L0, R)), 1.0
 
 
 def _hyperbolic_rhs(lead, c, n, alpha, L0, R):
@@ -47,57 +56,6 @@ def _hyperbolic_rhs(lead, c, n, alpha, L0, R):
         + B * n * L0 / R**2
         + C * n * np.sqrt(L0) / R
     )
-
-
-class EstimateConfig:
-    """Inputs for one evaluation of the curvature-sum estimate.
-
-    c1, c2 are inward mean-curvature lower bounds for the two boundary
-    pieces on the ball of radius R; L0 is the length of a reference
-    curve joining them inside the region; j picks which side's |c_j|
-    enters the error term.  An optional fixture records where measured
-    bounds came from.
-    """
-
-    def __init__(self, c1, c2, R, L0, n, kappa=0.0, alpha=None, j=2, fixture=None):
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-        self.R = float(R)
-        self.L0 = float(L0)
-        self.n = int(n)
-        self.kappa = float(kappa)
-        self.alpha = None if alpha is None else float(alpha)
-        self.j = int(j)
-        self.fixture = fixture
-        if self.R <= 0 or self.L0 <= 0:
-            raise ValueError("R and L0 must be positive")
-        if self.L0 > self.R / 4.0:
-            raise ValueError("reference length L0 exceeds R/4")
-        if self.n < 1:
-            raise ValueError("boundary dimension n must be at least 1")
-        if self.j not in (1, 2):
-            raise ValueError("side selector j must be 1 or 2")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-
-    @property
-    def c_side(self) -> float:
-        return self.c1 if self.j == 1 else self.c2
-
-    def inputs(self) -> dict:
-        d = {
-            "c1": self.c1,
-            "c2": self.c2,
-            "R": self.R,
-            "L0": self.L0,
-            "n": self.n,
-            "kappa": self.kappa,
-            "alpha": self.alpha,
-            "j": self.j,
-        }
-        if self.fixture is not None:
-            d["fixture"] = self.fixture.name
-        return d
 
 
 def theorem_bound(kappa: float, n: int, d: float) -> float:
@@ -114,50 +72,41 @@ def theorem_bound(kappa: float, n: int, d: float) -> float:
     return 2.0 * n * kappa * np.tanh(0.5 * kappa * d)
 
 
-def main_estimate_euclid(cfg: EstimateConfig):
-    """Flat-space branch: c1 + c2 <= A L0/R |c_j| + B n L0/R^2.
+def main_estimate_euclid(c1, c2, R, L0, n):
+    """Flat-space branch: c1 + c2 <= A L0/R |c2| + B n L0/R^2.
 
     Returns the sides (lhs, rhs) and the grid metadata {"constants": ...}.
     """
-    if cfg.kappa != 0.0:
-        raise ValueError("flat branch requires kappa = 0")
+    _check_radii(R, L0, n)
     A, B, _ = STATEMENT_CONSTANTS
-    lhs = cfg.c1 + cfg.c2
-    rhs = A * cfg.L0 / cfg.R * abs(cfg.c_side) + B * cfg.n * cfg.L0 / cfg.R**2
+    lhs = c1 + c2
+    rhs = A * L0 / R * abs(c2) + B * n * L0 / R**2
     return lhs, rhs, {"constants": "statement"}
 
 
-def main_estimate_hyperbolic(cfg: EstimateConfig):
-    """Hyperbolic branch, written for kappa = 1 only:
+def main_estimate_hyperbolic(c1, c2, R, L0, n):
+    """Hyperbolic branch, for curvature -1 (kappa = 1), with the sharpest
+    admissible alpha = _alpha_min(L0, R):
 
-        c1 + c2 - 2 n alpha <= A L0/R |c_j - n alpha|
+        c1 + c2 - 2 n alpha <= A L0/R |c2 - n alpha|
                                + B n L0/R^2 + C n sqrt(L0)/R.
 
-    alpha may be anything in [alpha_interval(L0, R)[0], 1]; when omitted
-    the lower endpoint (the sharpest admissible choice) is used.  Returns
-    the sides (lhs, rhs) and grid metadata naming the constants and alpha.
+    Returns the sides (lhs, rhs) and grid metadata naming the constants
+    and alpha (also under "alpha_min").
     """
-    if cfg.kappa != 1.0:
-        raise ValueError(f"hyperbolic branch requires kappa = 1, got {cfg.kappa:g}")
-    a_lo, a_hi = alpha_interval(cfg.L0, cfg.R)
-    alpha = a_lo if cfg.alpha is None else cfg.alpha
-    if not (a_lo - 1e-12 <= alpha <= a_hi + 1e-12):
-        raise ValueError(
-            f"alpha {alpha:.6g} outside admissible interval [{a_lo:.6g}, 1]"
-        )
-    n = cfg.n
-    lhs = cfg.c1 + cfg.c2 - 2.0 * n * alpha
-    rhs = _hyperbolic_rhs(0.0, cfg.c_side, n, alpha, cfg.L0, cfg.R)
-    return lhs, rhs, {"constants": "statement", "alpha": alpha, "alpha_min": a_lo}
+    _check_radii(R, L0, n)
+    alpha = float(_alpha_min(L0, R))
+    lhs = c1 + c2 - 2.0 * n * alpha
+    rhs = _hyperbolic_rhs(0.0, c2, n, alpha, L0, R)
+    return lhs, rhs, {"constants": "statement", "alpha": alpha, "alpha_min": alpha}
 
 
 def upper_bound_along(c, n, L0, R_grid) -> np.ndarray:
     """The hyperbolic branch's upper bound on c1 + c2 at each radius of
-    R_grid, with the sharpest admissible alpha there and c = c_j:
+    R_grid, with the sharpest admissible alpha there and c = c2:
     2 n alpha + A L0/R |c - n alpha| + B n L0/R^2 + C n sqrt(L0)/R."""
     Rs = np.asarray(R_grid, dtype=float)
-    if np.any(Rs < 4.0 * L0):
-        raise ValueError("every grid R must satisfy L0 <= R/4")
+    _check_radii(Rs, L0, n)
     a_min = _alpha_min(L0, Rs)
     return _hyperbolic_rhs(2.0 * n * a_min, c, n, a_min, L0, Rs)
 

@@ -10,8 +10,6 @@ from scipy.optimize import brentq
 from curvlab import estimates
 from curvlab.estimates import (
     STATEMENT_CONSTANTS,
-    EstimateConfig,
-    alpha_interval,
     decay_scan,
     main_estimate_euclid,
     main_estimate_hyperbolic,
@@ -67,29 +65,20 @@ def test_theorem_bound_rejects_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
-# estimate configuration
+# the estimate's hypotheses
 # ---------------------------------------------------------------------------
 
 
 def test_config_validation():
-    EstimateConfig(c1=0.0, c2=0.0, R=8.0, L0=2.0, n=2)
-    with pytest.raises(ValueError):
-        EstimateConfig(c1=0.0, c2=0.0, R=8.0, L0=2.1, n=2)
-    with pytest.raises(ValueError):
-        EstimateConfig(c1=0.0, c2=0.0, R=8.0, L0=1.0, n=2, j=3)
-    with pytest.raises(ValueError):
-        EstimateConfig(c1=0.0, c2=0.0, R=8.0, L0=1.0, n=0)
-    with pytest.raises(ValueError):
-        EstimateConfig(c1=0.0, c2=0.0, R=0.0, L0=1.0, n=2)
-    with pytest.raises(ValueError):
-        EstimateConfig(c1=0.0, c2=0.0, R=8.0, L0=1.0, n=2, kappa=-1.0)
-
-
-def test_side_selector():
-    cfg = EstimateConfig(c1=3.0, c2=7.0, R=100.0, L0=1.0, n=2, j=1)
-    assert cfg.c_side == 3.0
-    cfg = EstimateConfig(c1=3.0, c2=7.0, R=100.0, L0=1.0, n=2, j=2)
-    assert cfg.c_side == 7.0
+    """Both branches, and the bound along a grid, hold R, L0 > 0,
+    L0 <= R/4 and n >= 1."""
+    for branch in (main_estimate_euclid, main_estimate_hyperbolic):
+        branch(0.0, 0.0, 8.0, 2.0, 2)
+        for R, L0, n in ((8.0, 2.1, 2), (8.0, 1.0, 0), (0.0, 1.0, 2), (8.0, 0.0, 2)):
+            with pytest.raises(ValueError):
+                branch(0.0, 0.0, R, L0, n)
+    with pytest.raises(ValueError, match="at least 1"):
+        upper_bound_along(0.0, 0, 1.0, [8.0, 16.0])
 
 
 # ---------------------------------------------------------------------------
@@ -98,24 +87,16 @@ def test_side_selector():
 
 
 def test_flat_branch_totally_geodesic_slab():
-    cfg = EstimateConfig(c1=0.0, c2=0.0, R=10.0, L0=1.2, n=2)
-    lhs, rhs, _ = main_estimate_euclid(cfg)
+    lhs, rhs, _ = main_estimate_euclid(0.0, 0.0, 10.0, 1.2, 2)
     assert _passes(lhs, rhs)
     assert np.isclose(rhs, 30.0 * 2 * 1.2 / 100.0, rtol=1e-15)
     assert rhs - lhs == rhs
 
 
-def test_flat_branch_rejects_hyperbolic_config():
-    cfg = EstimateConfig(c1=0.0, c2=0.0, R=10.0, L0=1.0, n=2, kappa=1.0)
-    with pytest.raises(ValueError):
-        main_estimate_euclid(cfg)
-
-
 def test_flat_branch_synthetic_probe_fails():
     # uniformly positive curvature bounds on a large ball violate the
     # estimate; that is the point of the probe, and it must not pass
-    cfg = EstimateConfig(c1=1.0, c2=1.0, R=100.0, L0=1.0, n=2)
-    lhs, rhs, _ = main_estimate_euclid(cfg)
+    lhs, rhs, _ = main_estimate_euclid(1.0, 1.0, 100.0, 1.0, 2)
     assert not _passes(lhs, rhs)
     assert np.isclose(lhs, 2.0)
     assert np.isclose(rhs, 2.5 / 100.0 + 60.0 / 10000.0, rtol=1e-13)
@@ -141,46 +122,27 @@ def test_flat_branch_measured_log_graph():
     assert abs(c2) < 1e-12
     x0 = 20.0
     L0 = x0 / np.log(x0)
-    cfg = EstimateConfig(c1=c1, c2=c2, R=R, L0=L0, n=1, fixture=fx)
-    lhs, rhs, _ = main_estimate_euclid(cfg)
+    lhs, rhs, _ = main_estimate_euclid(c1, c2, R, L0, 1)
     assert _passes(lhs, rhs)
     assert rhs - lhs > 0.2
 
 
 def test_constant_families():
-    cfg = EstimateConfig(c1=0.5, c2=0.25, R=40.0, L0=3.0, n=2)
-    _, rhs, grid = main_estimate_euclid(cfg)
+    # in both branches the error term reads c2, not c1
+    _, rhs, grid = main_estimate_euclid(0.5, 0.25, 40.0, 3.0, 2)
     assert grid["constants"] == "statement"
-    A, B, _ = STATEMENT_CONSTANTS
+    A, B, C = STATEMENT_CONSTANTS
     assert np.isclose(rhs, A * 3.0 / 40.0 * 0.25 + B * 2 * 3.0 / 1600.0, rtol=1e-14)
+    _, rhs, grid = main_estimate_hyperbolic(0.5, 0.25, 40.0, 3.0, 2)
+    assert grid["constants"] == "statement"
+    a = grid["alpha"]
+    assert np.isclose(rhs, A * 3.0 / 40.0 * abs(0.25 - 2 * a) + B * 2 * 3.0 / 1600.0
+                      + C * 2 * np.sqrt(3.0) / 40.0, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic branch
 # ---------------------------------------------------------------------------
-
-
-def test_hyperbolic_branch_alpha_validation():
-    lo, hi = alpha_interval(1.7, 10.0)
-    assert 0.0 < lo < hi == 1.0
-    cfg = EstimateConfig(c1=0.0, c2=0.0, R=10.0, L0=1.7, n=2, kappa=1.0, alpha=0.5)
-    with pytest.raises(ValueError):
-        main_estimate_hyperbolic(cfg)
-    cfg = EstimateConfig(c1=0.0, c2=0.0, R=10.0, L0=1.7, n=2, kappa=1.0, alpha=1.2)
-    with pytest.raises(ValueError):
-        main_estimate_hyperbolic(cfg)
-    for kappa in (0.0, 0.5, 2.0):
-        cfg = EstimateConfig(c1=0.0, c2=0.0, R=10.0, L0=1.7, n=2, kappa=kappa)
-        with pytest.raises(ValueError, match=f"got {kappa:g}"):
-            main_estimate_hyperbolic(cfg)
-
-
-def test_hyperbolic_branch_alpha_one_trivial():
-    cfg = EstimateConfig(c1=0.0, c2=0.0, R=10.0, L0=1.7, n=2, kappa=1.0, alpha=1.0)
-    lhs, rhs, _ = main_estimate_hyperbolic(cfg)
-    assert lhs == -4.0
-    assert rhs > 0.0
-    assert _passes(lhs, rhs)
 
 
 def test_hyperbolic_branch_equidistant_with_limit_grid():
@@ -189,12 +151,14 @@ def test_hyperbolic_branch_equidistant_with_limit_grid():
     c2 = float(fx.pieces[1].mean_curvature(fx.endpoints[1]))
     assert np.isclose(c1 + c2, np.sqrt(2.0), rtol=1e-10)
     d = float(fx.distance)
-    cfg = EstimateConfig(
-        c1=c1, c2=c2, R=16.0, L0=d, n=1, kappa=1.0, fixture=fx
-    )
-    lhs, rhs, _ = main_estimate_hyperbolic(cfg)
+    lhs, rhs, grid = main_estimate_hyperbolic(c1, c2, 16.0, d, 1)
     assert _passes(lhs, rhs)
-    ub = upper_bound_along(cfg.c_side, cfg.n, cfg.L0, [16.0, 32.0, 64.0, 128.0])
+    # the sharpest admissible alpha, tanh((1 + 5 d / 144) d / 2), in (0, 1)
+    alpha = np.tanh(0.5 * (1.0 + 5.0 * d / 144.0) * d)
+    assert grid["alpha"] == grid["alpha_min"]
+    assert np.isclose(grid["alpha"], alpha, rtol=1e-15) and 0.0 < alpha < 1.0
+    assert lhs == c1 + c2 - 2.0 * grid["alpha"]
+    ub = upper_bound_along(c2, 1, d, [16.0, 32.0, 64.0, 128.0])
     limit = theorem_bound(1.0, 1, fx.distance)
     assert np.isclose(limit, np.sqrt(2.0), rtol=1e-10)
     gap = ub - limit
@@ -204,9 +168,8 @@ def test_hyperbolic_branch_equidistant_with_limit_grid():
 
 
 def test_hyperbolic_branch_grid_requires_admissible_radii():
-    cfg = EstimateConfig(c1=0.0, c2=0.0, R=16.0, L0=2.0, n=1, kappa=1.0)
-    with pytest.raises(ValueError):
-        upper_bound_along(cfg.c_side, cfg.n, cfg.L0, [4.0, 16.0])
+    with pytest.raises(ValueError, match="R/4"):
+        upper_bound_along(0.0, 1, 2.0, [4.0, 16.0])
 
 
 def test_sharpness_gap_rate():

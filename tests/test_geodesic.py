@@ -505,7 +505,3 @@ def test_problem_validation():
     space = SpaceForm(2, 0.0)
     with pytest.raises(TypeError):
         GeodesicProblem(space, ConstantField(1.0))
-    fx = example_fixture("euclid-slab", d=1.0, dim=2)
-    with pytest.raises(TypeError):
-        GeodesicProblem(fx.space, ConstantField(1.0),
-                        piece_start=fx.pieces[1], piece_end=fx.pieces[0])

@@ -1,7 +1,8 @@
 """Static guard on where check ids and reports live.
 
-Only ``checks`` may spell a check id: the library layers return
-measurements, and ``checks`` turns them into the report filed under the id.
+Only ``checks`` may spell a check id, or a prefix of one that ends in ``-``
+(as in ``"scan-"``): the library layers return measurements, and ``checks``
+turns them into the report filed under the id.
 Only ``report`` (which defines them), ``checks`` (which builds every check's
 report), ``cli`` (which builds the runner's ERROR report) and the package's
 ``__init__`` (which re-exports them) may name ``build_report`` or
@@ -43,9 +44,16 @@ def _spelled(node):
     return None
 
 
+def _spells_id(value, ids):
+    """A check id, or a prefix of one that ends in '-'."""
+    return isinstance(value, str) and (
+        value in ids or (value.endswith("-") and any(i.startswith(value) for i in ids)))
+
+
 def violations(source_dir=SRC, ids=tuple(CHECKS)):
-    """Sorted (module, line, what) of every check-id string literal outside
-    ``ID_OWNERS`` and every report name outside ``REPORT_USERS``."""
+    """Sorted (module, line, what) of every check-id string literal (or
+    id prefix ending in '-') outside ``ID_OWNERS`` and every report name
+    outside ``REPORT_USERS``."""
     ids = frozenset(ids)
     found = []
     for path in sorted(source_dir.glob("*.py")):
@@ -53,7 +61,7 @@ def violations(source_dir=SRC, ids=tuple(CHECKS)):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if mod not in ID_OWNERS:
             found += [(mod, node.lineno, node.value) for node in ast.walk(tree)
-                      if isinstance(node, ast.Constant) and node.value in ids]
+                      if isinstance(node, ast.Constant) and _spells_id(node.value, ids)]
         if mod not in REPORT_USERS:
             found += [(mod, node.lineno, _spelled(node)) for node in ast.walk(tree)
                       if _spelled(node) in REPORT_NAMES]
@@ -133,20 +141,27 @@ def test_check_ids_and_reports_live_in_checks():
 
 
 def test_guard_flags_a_planted_id_and_report_import(tmp_path):
-    """An id literal and a report import in a library module are flagged;
-    the same in ``checks`` and a mere mention in a docstring are not."""
+    """An id literal, an id prefix ending in '-' and a report import in a
+    library module are flagged; the same in ``checks``, a mere mention in a
+    docstring, a prefix without the '-' and a '-'-ended string that starts
+    no id are not."""
     (tmp_path / "lib.py").write_text(
         '"""Mentions demo-check inside a longer docstring."""\n'
         "from .report import build_report\n"
-        "def f():\n    return build_report('demo-check', 0.0, 1.0, tolerance=1e-9)\n",
+        "def f():\n    return build_report('demo-check', 0.0, 1.0, tolerance=1e-9)\n"
+        "def g(cid):\n"
+        "    return cid.startswith('scan-') or cid.startswith('scan') or cid == 'log-'\n",
         encoding="utf-8",
     )
     (tmp_path / "checks.py").write_text(
-        "from .report import VerificationReport\nCHECKS = {'demo-check': None}\n",
+        "from .report import VerificationReport\n"
+        "CHECKS = {'demo-check': None, 'scan-demo': None}\n"
+        "SCANS = [c for c in CHECKS if c.startswith('scan-')]\n",
         encoding="utf-8",
     )
-    assert violations(tmp_path, ids=("demo-check",)) == [
+    assert violations(tmp_path, ids=("demo-check", "scan-demo")) == [
         ("lib", 2, "build_report"), ("lib", 4, "build_report"), ("lib", 4, "demo-check"),
+        ("lib", 6, "scan-"),
     ]
 
 
