@@ -5,8 +5,10 @@ The context gives it that id (``ctx.cid``), a generator seeded from the run
 seed and the id (``ctx.rng()``), grid sizes (``ctx.grid``) and the results
 the run's checks share (``ctx.once``, for a solve or a trace that two checks
 read). It returns one report whose ``check`` is the id, or, for a decay
-scan, the pair (report, scan). A report's inputs determine the seed and every
-grid size it reads, so its ``inputs_digest`` moves with them. Every fixture
+scan, the pair (report, columns): the annulus infima judged against an
+envelope computed here, and the table ``cli`` writes (R, inf1, inf2, sum,
+envelope, slack). A report's inputs determine the seed and every grid size
+it reads, so its ``inputs_digest`` moves with them. Every fixture
 and pass allowance is fixed here; no run configuration can change one.
 
 Most reports use a normalized convention: lhs is the worst observed error
@@ -841,39 +843,83 @@ def _check_sharpness_rate(ctx):
 # ---------------------------------------------------------------------------
 
 
-def _scan_check(ctx, fixture_name, kind, R_grid=None):
-    """Decay scan of the named fixture against the ``kind`` envelope, over
-    R_grid or by default exp(linspace(4, 10, scan_points))."""
+def _scan(ctx, fixture_name, R_grid=None):
+    """(fixture, scan, sum of the infima) of the named fixture over R_grid,
+    by default exp(linspace(4, 10, scan_points))."""
     if R_grid is None:
         R_grid = np.exp(np.linspace(4.0, 10.0, ctx.grid("scan_points")))
     fx = example_fixture(fixture_name)
-    scan = decay_scan(fx, R_grid, kind)
-    parts = {
-        "envelope_excess": (np.maximum(0.0, np.max(scan.total - scan.envelope)), 1e-12),
-    }
-    if kind == "fitted-inverse-R2":
-        parts["fit_drift"] = (scan.fit_drift, 0.05)
-    grid = {
-        "fixture": fx.name,
-        "envelope_kind": kind,
-        "R": scan.R.tolist(),
-        "min_slack": float(np.min(scan.slack)),
-    }
-    if scan.normalized is not None:
-        grid["normalized"] = scan.normalized.tolist()
-    rep = _ratio_report(ctx.cid, parts, inputs={"R_grid": np.asarray(R_grid).tolist()},
-                        grid=grid)
-    return rep, scan
+    scan = decay_scan(fx, R_grid)
+    return fx, scan, scan.inf1 + scan.inf2
+
+
+def _inverse_R_envelope(fx, R):
+    """40 n / R."""
+    return 40.0 * (fx.space.dim - 1) / R
+
+
+def _fitted_inverse_R2(total, R):
+    """(C', drift) of the envelope C'/R^2, with C' the largest total * R^2
+    on the grid and drift the relative spread of its running maximum over
+    the top decade of the grid."""
+    product = total * R**2
+    prefix = np.maximum.accumulate(product)
+    top = R >= R[-1] / 10.0
+    lo, hi = float(np.min(prefix[top])), float(np.max(prefix[top]))
+    return float(np.max(product)), (hi - lo) / hi if hi > 0 else 0.0
+
+
+def _saturation_envelope(fx, R):
+    """2 n kappa + 13 n kappa^(1/3) R^(-2/3): saturates, does not decay."""
+    n, kappa = fx.space.dim - 1, float(fx.space.kappa)
+    return 2.0 * n * kappa + 13.0 * n * kappa ** (1.0 / 3.0) * R ** (-2.0 / 3.0)
+
+
+def _scan_report(ctx, fx, scan, total, kind, envelope, parts=None, normalized=None):
+    """(report, columns): the sum of the infima must stay under the ``kind``
+    envelope to 1e-12, plus ``parts``; ``normalized`` is the sum rescaled by
+    the decay rate under test. Columns: R, inf1, inf2, sum, envelope, slack."""
+    slack = envelope - total
+    parts = {"envelope_excess": (np.maximum(0.0, np.max(total - envelope)), 1e-12),
+             **(parts or {})}
+    grid = {"fixture": fx.name, "envelope_kind": kind, "R": scan.R.tolist(),
+            "min_slack": float(np.min(slack))}
+    if normalized is not None:
+        grid["normalized"] = normalized.tolist()
+    rep = _ratio_report(ctx.cid, parts, inputs={"R_grid": scan.R.tolist()}, grid=grid)
+    return rep, (scan.R, scan.inf1, scan.inf2, total, envelope, slack)
+
+
+def _check_scan_inverse_R(ctx, fixture_name, R_grid=None):
+    """Two boundaries against 40 n / R. ``normalized`` is total R log^2 R;
+    for the log graph it tends to 1 like 1 - 2/log R (about 0.8 at e^10)."""
+    fx, scan, total = _scan(ctx, fixture_name, R_grid)
+    return _scan_report(ctx, fx, scan, total, "sum-inverse-R", _inverse_R_envelope(fx, scan.R),
+                        normalized=total * scan.R * np.log(scan.R) ** 2)
+
+
+def _check_scan_revolution(ctx):
+    """The trumpet against C'/R^2 fitted to its own scan; C' may drift by 5%
+    over the top decade. ``normalized`` is total R^2 log^2 R, about
+    1 - 2/log R."""
+    fx, scan, total = _scan(ctx, "revolution-r4")
+    R = scan.R
+    constant, drift = _fitted_inverse_R2(total, R)
+    return _scan_report(ctx, fx, scan, total, "fitted-inverse-R2", constant / R**2,
+                        parts={"fit_drift": (drift, 0.05)},
+                        normalized=total * R**2 * np.log(R) ** 2)
 
 
 def _check_scan_equidistant(ctx):
     R_grid = np.geomspace(2.0, 16.0, max(4, ctx.grid("scan_points")))
-    return _scan_check(ctx, "poincare-circles", "hyperbolic-saturation", R_grid)
+    fx, scan, total = _scan(ctx, "poincare-circles", R_grid)
+    return _scan_report(ctx, fx, scan, total, "hyperbolic-saturation",
+                        _saturation_envelope(fx, scan.R))
 
 
 def _check_scan_slab(ctx):
     R_grid = np.geomspace(2.0, 32.0, max(4, ctx.grid("scan_points")))
-    return _scan_check(ctx, "euclid-slab", "sum-inverse-R", R_grid)
+    return _check_scan_inverse_R(ctx, "euclid-slab", R_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -916,10 +962,9 @@ CHECKS = {
     "curvature-sum-hyperbolic": CheckSpec(("estimates",), _check_curvature_sum_hyperbolic),
     "saturating-bound": CheckSpec(("estimates",), _check_saturating_bound),
     "sharpness-rate": CheckSpec(("estimates",), _check_sharpness_rate),
-    "scan-log-graph": CheckSpec(("scan",), partial(_scan_check, fixture_name="log-graph",
-                                                   kind="sum-inverse-R")),
-    "scan-revolution": CheckSpec(("scan",), partial(_scan_check, fixture_name="revolution-r4",
-                                                    kind="fitted-inverse-R2")),
+    "scan-log-graph": CheckSpec(("scan",), partial(_check_scan_inverse_R,
+                                                   fixture_name="log-graph")),
+    "scan-revolution": CheckSpec(("scan",), _check_scan_revolution),
     "scan-equidistant": CheckSpec(("scan",), _check_scan_equidistant),
     "scan-slab": CheckSpec(("scan",), _check_scan_slab),
 }

@@ -2,8 +2,10 @@
 
 Each check produces one JSON report (and the decay scans additionally one
 CSV table) under the output directory, plus a PASS/FAIL line on stdout.
-The checks themselves live in ``curvlab.checks``; this module resolves the
-configuration, runs the registry and writes the outputs.
+The checks themselves live in ``curvlab.checks``, where a decay scan
+returns (report, columns); this module resolves the configuration, runs
+the registry and writes the outputs, the scan tables included. It is the
+only module that reads or writes a file.
 
 A run is configured by its flags (``--suite``, ``--out``, ``--seed``), plus
 an optional INI file (``--config``) that holds only ``[grids]``, the five
@@ -35,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .checks import CHECKS, SLACK_FLOOR
-from .estimates import SCAN_CSV_HEADER
 from .report import NonConvergence, build_report
 
 SUITES = ("conformal", "lemmas", "examples", "geodesic", "estimates", "scan", "all")
@@ -179,13 +180,18 @@ def suite_checks(suite):
     return [cid for cid, spec in CHECKS.items() if suite in spec.suites]
 
 
-def emit_scan_csv(scan, path):
-    """Write a decay scan table; a missing scan leaves a header-only file."""
-    if scan is None:
-        Path(path).write_text(SCAN_CSV_HEADER, encoding="utf-8")
+SCAN_CSV_HEADER = "R,inf_h1,inf_h2,sum,envelope,slack\n"
+
+
+def emit_scan_csv(columns, path):
+    """Write a decay scan's columns as a table with LF line ends, one row
+    per radius and every value in ``%.17g``; without columns (a scan check
+    that raised), a header-only file and a warning."""
+    rows = () if columns is None else zip(*columns)
+    text = SCAN_CSV_HEADER + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    if columns is None:
         warnings.warn(f"no scan data, wrote header only: {path}")
-        return
-    scan.to_csv(path)
 
 
 def run(cfg, stdout=None, stderr=None):
@@ -213,7 +219,7 @@ def run(cfg, stdout=None, stderr=None):
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         else:
-            rep, scan = out if isinstance(out, tuple) else (out, None)
+            rep, columns = out if isinstance(out, tuple) else (out, None)
             if rep.check != cid:
                 error = f"report id {rep.check!r} does not match registry id"
         if error is None:
@@ -222,10 +228,10 @@ def run(cfg, stdout=None, stderr=None):
         else:
             rep = build_report(cid, float("inf"), 0.0, tolerance=SLACK_FLOOR,
                                grid={"error": error})
-            scan = None
+            columns = None
         (outdir / f"{cid}.json").write_text(rep.to_json() + "\n", encoding="utf-8")
-        if scan is not None or "scan" in spec.suites:
-            emit_scan_csv(scan, outdir / f"{cid}.csv")
+        if columns is not None or "scan" in spec.suites:
+            emit_scan_csv(columns, outdir / f"{cid}.csv")
         if error is None:
             tag = ("PASS" if rep.passed else "FAIL") + (" (probe)" if rep.probe else "")
         else:

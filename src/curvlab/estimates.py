@@ -10,15 +10,18 @@ for flat space and ``main_estimate_hyperbolic`` for curvature -1
 (kappa = 1), taken with its sharpest admissible alpha.  Both put c2 in the
 error term.  This module also evaluates the upper bound the hyperbolic
 branch gives along a grid of radii, the saturating distance bound
-2 n kappa tanh(kappa d / 2) it converges to, annulus decay scans with
-closed-form envelopes, and the elementary scalar inequalities the
-derivations lean on.  It returns the two sides of each inequality and
-its metadata; ``checks`` judges them and builds the reports.
+2 n kappa tanh(kappa d / 2) it converges to, the annulus infima of a
+decay scan, and the elementary scalar inequalities the derivations lean
+on.  It returns the two sides of each inequality and its metadata, and
+each scan's infima; ``checks`` judges them against their bounds and
+envelopes and builds the reports.
 
 The estimate's right-hand side uses the statement's constants
 (A, B, C) = (5/2, 30, 8), read from ``STATEMENT_CONSTANTS`` at call time;
 the metadata records them as "statement".
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,11 +118,6 @@ def upper_bound_along(c, n, L0, R_grid) -> np.ndarray:
 # annulus scans
 # ---------------------------------------------------------------------------
 
-ENVELOPE_KINDS = ("sum-inverse-R", "fitted-inverse-R2", "hyperbolic-saturation")
-
-SCAN_CSV_HEADER = "R,inf_h1,inf_h2,sum,envelope,slack\n"
-
-
 def annulus_infima(fixture: Fixture, r_lo, r_hi) -> np.ndarray:
     """Per-piece infimum of inward mean curvature over the set of boundary
     points whose distance to the origin lies in (r_lo, r_hi).
@@ -145,86 +143,23 @@ def annulus_infima(fixture: Fixture, r_lo, r_hi) -> np.ndarray:
     return values.reshape(r_lo.shape + (len(fixture.pieces),))
 
 
+@dataclass
 class DecayScan:
     """Curvature infima of a fixture over the annuli R/3 < |x| < R for a
-    grid of radii, against a closed-form envelope; ``decay_scan`` builds it
-    and validates the grid and the envelope kind.
+    grid of radii R: ``inf1`` of the first boundary piece, ``inf2`` of the
+    second (zeros for a fixture with a single piece)."""
 
-    Envelope kinds:
-      sum-inverse-R          40 n / R, for the sum over two boundaries
-      fitted-inverse-R2      C'/R^2 with C' = max over the grid of
-                             (infimum sum) * R^2; the scan reports how
-                             much the running fit drifts over the top
-                             decade of the grid
-      hyperbolic-saturation  2 n kappa + 13 n kappa^(1/3) R^(-2/3)
-
-    ``normalized`` is the infimum sum rescaled by the decay rate under
-    test, one value per radius:
-      sum-inverse-R          total * R * log(R)^2, finite and positive
-                             in the limit for a decay like
-                             1/(R log^2 R).  For the log-graph fixture it
-                             tends to 1, but only like 1 - 2/log R, so it
-                             is still about 0.8 at R = e^10.
-      fitted-inverse-R2      total * R^2 * log(R)^2, finite and positive
-                             in the limit for a decay like
-                             1/(R^2 log^2 R).  For the revolution-r4
-                             fixture it is about 1 - 2/log R, tending to 1.
-      hyperbolic-saturation  None; the total saturates at 2 n kappa
-                             rather than decaying.
-    """
-
-    def __init__(self, fixture, envelope_kind, R, inf1, inf2):
-        self.fixture = fixture.name
-        self.envelope_kind = envelope_kind
-        self.kappa = float(fixture.space.kappa)
-        self.n = fixture.space.dim - 1
-        self.R = R
-        self.inf1 = inf1
-        self.inf2 = inf2
-        self.total = self.inf1 + self.inf2
-        self.fitted_constant = None
-        self.fit_drift = None
-        self.normalized = None
-
-        n, kappa = self.n, self.kappa
-        if envelope_kind == "sum-inverse-R":
-            self.envelope = 40.0 * n / R
-            self.normalized = self.total * R * np.log(R) ** 2
-        elif envelope_kind == "fitted-inverse-R2":
-            product = self.total * R**2
-            self.fitted_constant = float(np.max(product))
-            self.envelope = self.fitted_constant / R**2
-            prefix = np.maximum.accumulate(product)
-            top = R >= R[-1] / 10.0
-            lo, hi = float(np.min(prefix[top])), float(np.max(prefix[top]))
-            self.fit_drift = (hi - lo) / hi if hi > 0 else 0.0
-            self.normalized = self.total * R**2 * np.log(R) ** 2
-        else:
-            self.envelope = 2.0 * n * kappa + 13.0 * n * kappa ** (1.0 / 3.0) * R ** (
-                -2.0 / 3.0
-            )
-        self.slack = self.envelope - self.total
-
-    def to_csv(self, path) -> None:
-        cols = (self.R, self.inf1, self.inf2, self.total, self.envelope, self.slack)
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(SCAN_CSV_HEADER)
-            for row in zip(*cols):
-                f.write(",".join("%.17g" % v for v in row) + "\n")
+    R: np.ndarray
+    inf1: np.ndarray
+    inf2: np.ndarray
 
 
-def decay_scan(fixture: Fixture, R_grid, envelope_kind: str) -> DecayScan:
+def decay_scan(fixture: Fixture, R_grid) -> DecayScan:
     """Scan annulus infima of a fixture over an increasing grid of radii.
 
-    The envelope kind, that a fixture under the hyperbolic-saturation
-    envelope has kappa > 0, and the grid are checked before any infimum is
-    computed; then raises if any annulus misses the charted boundary.
-    Fixtures with a single boundary piece report inf_h2 = 0.
+    The grid is checked before any infimum is computed; then raises if any
+    annulus misses the charted boundary.
     """
-    if envelope_kind not in ENVELOPE_KINDS:
-        raise ValueError(f"unknown envelope kind {envelope_kind!r}")
-    if envelope_kind == "hyperbolic-saturation" and fixture.space.kappa <= 0:
-        raise ValueError("hyperbolic-saturation needs kappa > 0")
     R_grid = np.asarray(R_grid, dtype=float)
     if R_grid.size == 0:
         raise ValueError("R grid must not be empty")
@@ -234,7 +169,7 @@ def decay_scan(fixture: Fixture, R_grid, envelope_kind: str) -> DecayScan:
         raise ValueError("R grid must be strictly increasing")
     vals = annulus_infima(fixture, R_grid / 3.0, R_grid)
     inf2 = vals[:, 1] if vals.shape[1] > 1 else np.zeros(R_grid.size)
-    return DecayScan(fixture, envelope_kind, R_grid, vals[:, 0], inf2)
+    return DecayScan(R_grid, vals[:, 0], inf2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ still reports its measured numbers.
 import numpy as np
 from scipy.integrate import quad
 
-from curvlab import cli
+from curvlab import checks, cli
 from curvlab.cli import RunConfig
 from curvlab.estimates import decay_scan
 from curvlab.fields import ConstantField
@@ -233,33 +233,31 @@ def test_criterion_08_decay_scans():
     normalized ~ a + b/log R over the top half of the grid must give a in
     [0.8, 1.2] and b within 10% of -2.
     """
-    R_log = np.exp(np.linspace(4.0, 10.0, 7))
-    log_scan = decay_scan(example_fixture("log-graph"), R_log, "sum-inverse-R")
+    # The registered scans at the default config: 7 radii, e^4 to e^10.
+    log_rep, _ = _run("scan-log-graph")
+    rev_rep, _ = _run("scan-revolution")
+    assert log_rep.grid["R"] == rev_rep.grid["R"] == np.exp(np.linspace(4.0, 10.0, 7)).tolist()
     # Top half of the grid, R = e^7..e^10, selected by index so that the
     # point set does not hinge on the rounding of exp.
-    top_R = log_scan.R[3:]
-    top_vals = log_scan.normalized[3:]
+    top_R = np.array(log_rep.grid["R"][3:])
+    top_vals = np.array(log_rep.grid["normalized"][3:])
     window_lo = float(np.min(top_vals))
     window_hi = float(np.max(top_vals))
     rate, limit = np.polyfit(1.0 / np.log(top_R), top_vals, 1)
     limit_ok = 0.8 <= limit <= 1.2
     rate_ok = abs(rate + 2.0) <= 0.2
 
-    rev_scan = decay_scan(
-        example_fixture("revolution-r4"), R_log, "fitted-inverse-R2"
-    )
-    hyp_scan = decay_scan(
-        example_fixture("hyperbolic-equidistant"),
-        np.geomspace(2.0, 16.0, 5),
-        "hyperbolic-saturation",
-    )
-    log_passed, rev_passed, hyp_passed = (
-        bool(np.all(scan.slack >= -1e-12)) for scan in (log_scan, rev_scan, hyp_scan)
-    )
+    hyp_fx = example_fixture("hyperbolic-equidistant")
+    hyp_scan = decay_scan(hyp_fx, np.geomspace(2.0, 16.0, 5))
+    hyp_slack = (checks._saturation_envelope(hyp_fx, hyp_scan.R)
+                 - (hyp_scan.inf1 + hyp_scan.inf2))
+    log_passed, rev_passed = log_rep.passed, rev_rep.passed
+    hyp_passed = bool(np.all(hyp_slack >= -1e-12))
+    fit_drift = _observed(rev_rep, "fit_drift")
     ok = (
         log_passed
         and rev_passed
-        and rev_scan.fit_drift <= 0.05
+        and fit_drift <= 0.05
         and hyp_passed
         and limit_ok
         and rate_ok
@@ -272,11 +270,11 @@ def test_criterion_08_decay_scans():
     _line(
         8, ok,
         f"envelopes passed ({log_passed}, {rev_passed}, {hyp_passed}), "
-        f"fit drift {rev_scan.fit_drift:.4f}, {fit}",
+        f"fit drift {fit_drift:.4f}, {fit}",
     )
     assert log_passed
     assert rev_passed
-    assert rev_scan.fit_drift <= 0.05
+    assert fit_drift <= 0.05
     assert hyp_passed
     assert limit_ok and rate_ok, (
         "normalized decay of the logarithmic graph does not approach a limit "

@@ -281,6 +281,12 @@ def test_probe_fails_without_affecting_exit(tmp_path, capsys):
     assert rep["slack"] < 0.0
 
 
+def _read_scan_csv(raw):
+    """The rows of a scan table's bytes under its header, as floats."""
+    lines = raw.decode("utf-8").splitlines()
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
 def test_scan_suite_emits_deterministic_tables(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["--suite", "scan", "--out", str(out1), "--seed", "3"]) == 0
@@ -292,6 +298,9 @@ def test_scan_suite_emits_deterministic_tables(tmp_path):
         assert csv1.startswith(b"R,inf_h1,inf_h2,sum,envelope,slack\n")
         r1 = json.loads((out1 / f"{cid}.json").read_text())
         r2 = json.loads((out2 / f"{cid}.json").read_text())
+        table = _read_scan_csv(csv1)
+        assert table[:, 0].tolist() == r1["grid"]["R"]
+        assert float(np.min(table[:, 5])) == r1["grid"]["min_slack"]
         assert r1["wall_time_s"] > 0 and r2["wall_time_s"] > 0
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         assert r1 == r2
@@ -765,3 +774,19 @@ def test_emit_scan_csv_without_data_writes_header(tmp_path):
     with pytest.warns(UserWarning):
         emit_scan_csv(None, path)
     assert path.read_text(encoding="utf-8") == "R,inf_h1,inf_h2,sum,envelope,slack\n"
+
+
+def test_decay_scan_csv_roundtrip(tmp_path):
+    Rs = np.exp(np.linspace(4.0, 7.0, 4))
+    ctx = cli.CheckContext(RunConfig(), "scan-log-graph")
+    _, columns = checks._check_scan_inverse_R(ctx, "log-graph", Rs)
+    path = tmp_path / "scan.csv"
+    emit_scan_csv(columns, path)
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    assert raw.decode("utf-8").splitlines()[0] == "R,inf_h1,inf_h2,sum,envelope,slack"
+    back = _read_scan_csv(raw)
+    assert back.shape == (len(Rs), 6)
+    assert np.array_equal(back[:, 0], Rs)
+    for k, column in enumerate(columns):
+        assert np.array_equal(back[:, k], column)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from curvlab import estimates
+from curvlab import checks, estimates
 from curvlab.estimates import (
     STATEMENT_CONSTANTS,
     decay_scan,
@@ -192,11 +192,12 @@ def test_sharpness_gap_rate():
 
 def test_decay_scan_slab_identically_zero():
     fx = example_fixture("euclid-slab", d=1.0)
-    scan = decay_scan(fx, np.array([2.0, 4.0, 8.0, 16.0]), "sum-inverse-R")
-    assert np.all(scan.slack >= -1e-12)
+    scan = decay_scan(fx, np.array([2.0, 4.0, 8.0, 16.0]))
+    envelope = checks._inverse_R_envelope(fx, scan.R)
+    assert np.all(envelope - (scan.inf1 + scan.inf2) >= -1e-12)
     assert np.max(np.abs(scan.inf1)) < 1e-12
     assert np.max(np.abs(scan.inf2)) < 1e-12
-    assert np.allclose(scan.envelope, 40.0 * 2 / scan.R)
+    assert np.allclose(envelope, 40.0 * 2 / scan.R)
     assert scan.R[0] == 2.0
 
 
@@ -223,7 +224,7 @@ def test_decay_scan_names_the_unconverged_radius(monkeypatch):
     want = (f"x-axis: annulus infimum over ({Rs[1] / 3.0:.6g}, {Rs[1]:.6g}): "
             "chart bracket (0.5, 0.625) hit the step cap")
     with pytest.raises(NonConvergence) as info:
-        decay_scan(example_fixture("log-graph"), Rs, "sum-inverse-R")
+        decay_scan(example_fixture("log-graph"), Rs)
     assert str(info.value) == want
 
 
@@ -239,17 +240,18 @@ def test_decay_scan_names_the_unconverged_radius(monkeypatch):
 def test_decay_scan_raises_for_the_first_radius_then_piece(monkeypatch, failures, error):
     _inject(monkeypatch, failures)
     with pytest.raises(error, match="annulus"):
-        decay_scan(example_fixture("log-graph"), np.exp(np.linspace(4.0, 10.0, 7)),
-                   "sum-inverse-R")
+        decay_scan(example_fixture("log-graph"), np.exp(np.linspace(4.0, 10.0, 7)))
 
 
 def test_decay_scan_log_graph_envelope_and_cut_oracle():
     fx = example_fixture("log-graph")
     graph = fx.pieces[0]
     Rs = np.exp(np.linspace(4.0, 10.0, 7))
-    scan = decay_scan(fx, Rs, "sum-inverse-R")
-    assert np.all(scan.slack >= -1e-12)
-    assert np.all(scan.slack > 0.0)
+    scan = decay_scan(fx, Rs)
+    total = scan.inf1 + scan.inf2
+    slack = checks._inverse_R_envelope(fx, scan.R) - total
+    assert np.all(slack >= -1e-12)
+    assert np.all(slack > 0.0)
     assert np.max(np.abs(scan.inf2)) < 1e-12
     # curvature decreases along the annuli here, so each infimum sits at
     # the outer cut; check one against the closed form at that cut
@@ -262,84 +264,75 @@ def test_decay_scan_log_graph_envelope_and_cut_oracle():
     oracle = float(graph.h_exact(np.array([x_cut]))[0])
     assert np.isclose(scan.inf1[3], oracle, rtol=1e-6)
     # the normalized product total * R * log(R)^2 creeps up toward 1
-    assert np.all(np.diff(scan.normalized) > 0.0)
-    assert np.all(scan.normalized < 1.0)
+    rep, _ = _run("scan-log-graph")  # the same grid by default
+    assert rep.grid["R"] == Rs.tolist()
+    normalized = np.array(rep.grid["normalized"])
+    assert np.all(np.diff(normalized) > 0.0)
+    assert np.all(normalized < 1.0)
 
 
 def test_decay_scan_revolution_fitted_envelope():
     fx = example_fixture("revolution-r4")
     Rs = np.exp(np.linspace(4.0, 10.0, 7))
-    scan = decay_scan(fx, Rs, "fitted-inverse-R2")
-    assert np.all(scan.slack >= -1e-12)
-    assert scan.fitted_constant is not None and np.isfinite(scan.fitted_constant)
-    assert scan.fit_drift < 0.05
-    assert np.all(scan.slack >= -1e-12)
+    scan = decay_scan(fx, Rs)
+    total = scan.inf1 + scan.inf2
+    constant, drift = checks._fitted_inverse_R2(total, scan.R)
+    assert np.all(constant / scan.R**2 - total >= -1e-12)
+    assert np.isfinite(constant)
+    assert drift < 0.05
     # product total * R^2 log(R)^2 tracks (log R - 2)/log R: bounded
-    assert np.all(scan.normalized > 0.0)
-    assert np.all(scan.normalized < 1.0)
+    rep, _ = _run("scan-revolution")  # the same grid by default
+    assert rep.grid["R"] == Rs.tolist()
+    normalized = np.array(rep.grid["normalized"])
+    assert np.all(normalized > 0.0)
+    assert np.all(normalized < 1.0)
     # single boundary piece: second column identically zero
     assert np.all(scan.inf2 == 0.0)
 
 
 def test_decay_scan_hyperbolic_saturation():
     fx = example_fixture("hyperbolic-equidistant", a=1.0, dim=3)
-    scan = decay_scan(fx, np.array([2.0, 4.0, 8.0, 16.0]), "hyperbolic-saturation")
-    assert np.all(scan.slack >= -1e-12)
-    assert np.allclose(scan.total, 2.0 * 2 / np.sqrt(2.0), rtol=1e-8)
-    assert np.allclose(scan.envelope, 4.0 + 26.0 * scan.R ** (-2.0 / 3.0))
+    scan = decay_scan(fx, np.array([2.0, 4.0, 8.0, 16.0]))
+    total = scan.inf1 + scan.inf2
+    envelope = checks._saturation_envelope(fx, scan.R)
+    assert np.all(envelope - total >= -1e-12)
+    assert np.allclose(total, 2.0 * 2 / np.sqrt(2.0), rtol=1e-8)
+    assert np.allclose(envelope, 4.0 + 26.0 * scan.R ** (-2.0 / 3.0))
 
 
 def test_decay_scan_rejects_bad_grids():
     fx = example_fixture("euclid-slab", d=1.0)
     with pytest.raises(ValueError):
-        decay_scan(fx, np.array([4.0, 2.0]), "sum-inverse-R")
-    with pytest.raises(ValueError):
-        decay_scan(fx, np.array([2.0, 4.0]), "no-such-envelope")
+        decay_scan(fx, np.array([4.0, 2.0]))
     # annuli beyond the charted part of the planes
     with pytest.raises(ValueError):
-        decay_scan(fx, np.array([200.0, 400.0]), "sum-inverse-R")
+        decay_scan(fx, np.array([200.0, 400.0]))
 
 
+# The ids still name the envelope kind that decay_scan took until the
+# envelopes moved to ``checks``, so each case keeps its id.
 @pytest.mark.parametrize(
-    "R_grid, kind, message",
+    "R_grid, message",
     [
-        ([2.0, 4.0], "no-such-envelope", "unknown envelope kind"),
-        ([], "sum-inverse-R", "must not be empty"),
-        ([[2.0, 4.0], [8.0, 16.0]], "sum-inverse-R", "must be 1-d"),
-        (4.0, "sum-inverse-R", "must be 1-d"),
-        ([4.0, 2.0], "sum-inverse-R", "strictly increasing"),
-        ([2.0, 2.0], "sum-inverse-R", "strictly increasing"),
-        ([2.0, 4.0], "hyperbolic-saturation", "needs kappa > 0"),
+        pytest.param([], "must not be empty", id="R_grid1-sum-inverse-R-must not be empty"),
+        pytest.param([[2.0, 4.0], [8.0, 16.0]], "must be 1-d",
+                     id="R_grid2-sum-inverse-R-must be 1-d"),
+        pytest.param(4.0, "must be 1-d", id="4.0-sum-inverse-R-must be 1-d"),
+        pytest.param([4.0, 2.0], "strictly increasing",
+                     id="R_grid4-sum-inverse-R-strictly increasing"),
+        pytest.param([2.0, 2.0], "strictly increasing",
+                     id="R_grid5-sum-inverse-R-strictly increasing"),
     ],
 )
-def test_decay_scan_validates_before_any_infimum(monkeypatch, R_grid, kind, message):
-    """Each bad grid or envelope kind, and the flat slab under the
-    hyperbolic envelope, is named by its own message, and raises before a
+def test_decay_scan_validates_before_any_infimum(monkeypatch, R_grid, message):
+    """Each bad grid is named by its own message, and raises before a
     single annulus infimum is computed."""
     def no_infima(*args, **kwargs):
         raise AssertionError("annulus infima computed before validation")
 
     monkeypatch.setattr(estimates, "annulus_infima", no_infima)
     with pytest.raises(ValueError, match=message):
-        decay_scan(example_fixture("euclid-slab", d=1.0), np.asarray(R_grid), kind)
-
-
-def test_decay_scan_csv_roundtrip(tmp_path):
-    fx = example_fixture("log-graph")
-    Rs = np.exp(np.linspace(4.0, 7.0, 4))
-    scan = decay_scan(fx, Rs, "sum-inverse-R")
-    path = tmp_path / "scan.csv"
-    scan.to_csv(path)
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    lines = raw.decode("utf-8").splitlines()
-    assert lines[0] == "R,inf_h1,inf_h2,sum,envelope,slack"
-    assert len(lines) == 1 + len(Rs)
-    back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(back[:, 0], scan.R)
-    assert np.array_equal(back[:, 1], scan.inf1)
-    assert np.array_equal(back[:, 4], scan.envelope)
-    assert np.array_equal(back[:, 5], scan.slack)
+        decay_scan(example_fixture("euclid-slab", d=1.0), np.asarray(R_grid))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ run is single-threaded, which is what lets its checks share results
 through a memo without a lock. Only the package's ``__init__``, which pins
 OpenBLAS to one thread before numpy loads, touches the process
 environment: a run is configured by its flags and config file alone.
+Only ``cli`` names ``open``, ``write_text`` or ``write_bytes``: it alone
+reads the config file and writes the outputs, the scan tables included.
 """
 
 import ast
@@ -31,6 +33,8 @@ ALLOWANCE_OWNERS = frozenset({"report", "checks"})
 THREAD_MODULES = frozenset({"concurrent", "threading", "multiprocessing"})
 ENV_OWNERS = frozenset({"__init__"})
 ENV_NAMES = frozenset({"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"})
+FILE_OWNERS = frozenset({"cli"})
+FILE_NAMES = frozenset({"open", "write_text", "write_bytes"})
 
 
 def _spelled(node):
@@ -130,6 +134,19 @@ def environment_access(source_dir=SRC):
             else:
                 continue
             found += [(path.stem, node.lineno, name) for name in names if name in ENV_NAMES]
+    return sorted(found)
+
+
+def file_access(source_dir=SRC):
+    """Sorted (module, line, name) of every name, attribute or import in
+    ``FILE_NAMES`` in a module outside ``FILE_OWNERS``."""
+    found = []
+    for path in sorted(source_dir.glob("*.py")):
+        if path.stem in FILE_OWNERS:
+            continue
+        found += [(path.stem, node.lineno, _spelled(node))
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if _spelled(node) in FILE_NAMES]
     return sorted(found)
 
 
@@ -252,4 +269,33 @@ def test_guard_flags_a_planted_environment_access(tmp_path):
         ("runner", 4, "getenv"),
         ("runner", 6, "environ"),
         ("runner", 7, "putenv"),
+    ]
+
+
+def test_only_cli_reads_or_writes_files():
+    assert FILE_OWNERS <= {path.stem for path in SRC.glob("*.py")}
+    bad = file_access()
+    assert not bad, f"files opened or written outside {sorted(FILE_OWNERS)}: {bad}"
+
+
+def test_guard_flags_a_planted_file_write(tmp_path):
+    """The builtin ``open``, ``Path.write_text``, ``write_bytes`` and an
+    imported ``open`` are flagged; a docstring mention, a name that merely
+    contains one and anything in ``cli`` are not."""
+    (tmp_path / "lib.py").write_text(
+        '"""Says open and write_text in a docstring."""\n'
+        "from io import open as io_open\n"
+        "def save(path, text, blob):\n"
+        "    with open(path, 'w') as f:\n"
+        "        f.write(text)\n"
+        "    path.write_text(text)\n"
+        "    path.write_bytes(blob)\n"
+        "    return is_open(path), path.opened\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "cli.py").write_text(
+        "from pathlib import Path\nPath('out.csv').write_text('R\\n')\n", encoding="utf-8")
+    assert file_access(tmp_path) == [
+        ("lib", 2, "open"), ("lib", 4, "open"), ("lib", 6, "write_text"),
+        ("lib", 7, "write_bytes"),
     ]
