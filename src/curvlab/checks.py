@@ -41,6 +41,7 @@ from .hypersurface import example_fixture, geodesic_sphere
 from .report import NonConvergence, build_report
 from .spaceform import RadialField, SpaceForm, gram_schmidt_frame
 from .variation import (
+    PHI_GRID_POINTS,
     CoshWeight,
     crucial_bounds_scan,
     index_form_trace,
@@ -418,8 +419,7 @@ def _check_phi_calculus(ctx):
     """Endpoint values, derivative identity, the 6/5 integral bound over a
     wide range of lengths, and the closed form against Gauss-Legendre
     quadrature at orders 32 and 16, whose difference is the error term."""
-    n_grid = 2001
-    rep = phi_calculus(2.0, n_grid=n_grid)
+    rep = phi_calculus(2.0)
     Ls = np.geomspace(1e-2, 50.0, 80)
     closed = np.array([CoshWeight(L).phi_sq_integral() for L in Ls])
     tf = CoshWeight(2.0)
@@ -438,7 +438,7 @@ def _check_phi_calculus(ctx):
         "max_integral_over_L": float(closed.max()),
         "argmax_L": float(Ls[int(np.argmax(closed))]),
     }
-    return _ratio_report(ctx.cid, parts, inputs={"phi_points": n_grid}, grid=grid)
+    return _ratio_report(ctx.cid, parts, inputs={"phi_points": PHI_GRID_POINTS}, grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ still accepted and validated (an integer, at least 1), but changes nothing.
 Exit status:
     0   every non-probe check passed
     1   at least one non-probe check failed, or a check (probe or not)
-        raised
+        raised or returned a report that is not JSON
     2   configuration error (nothing is written in this case)
     3   an optimizer or refinement loop failed to converge; the offending
         check is named on stderr
@@ -31,7 +31,6 @@ import gc
 import hashlib
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,12 +185,10 @@ SCAN_CSV_HEADER = "R,inf_h1,inf_h2,sum,envelope,slack\n"
 def emit_scan_csv(columns, path):
     """Write a decay scan's columns as a table with LF line ends, one row
     per radius and every value in ``%.17g``; without columns (a scan check
-    that raised), a header-only file and a warning."""
+    that raised), a header-only file."""
     rows = () if columns is None else zip(*columns)
     text = SCAN_CSV_HEADER + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
     Path(path).write_text(text, encoding="utf-8", newline="\n")
-    if columns is None:
-        warnings.warn(f"no scan data, wrote header only: {path}")
 
 
 def run(cfg, stdout=None, stderr=None):
@@ -211,6 +208,13 @@ def run(cfg, stdout=None, stderr=None):
         error = None
         try:
             out = spec.fn(CheckContext(cfg, cid, memo))
+            rep, columns = out if isinstance(out, tuple) else (out, None)
+            if rep.check != cid:
+                error = f"report id {rep.check!r} does not match registry id"
+            else:
+                rep.probe = spec.probe
+                rep.wall_time_s = time.perf_counter() - started
+                text = rep.to_json()
         except NonConvergence as exc:
             nonconverged = True
             print(f"{cid}: NONCONVERGED ({exc})", file=stdout)
@@ -218,20 +222,17 @@ def run(cfg, stdout=None, stderr=None):
             continue
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-        else:
-            rep, columns = out if isinstance(out, tuple) else (out, None)
-            if rep.check != cid:
-                error = f"report id {rep.check!r} does not match registry id"
-        if error is None:
-            rep.probe = spec.probe
-            rep.wall_time_s = time.perf_counter() - started
-        else:
+        if error is not None:
             rep = build_report(cid, float("inf"), 0.0, tolerance=SLACK_FLOOR,
                                grid={"error": error})
             columns = None
-        (outdir / f"{cid}.json").write_text(rep.to_json() + "\n", encoding="utf-8")
+            text = rep.to_json()
+        (outdir / f"{cid}.json").write_text(text + "\n", encoding="utf-8")
         if columns is not None or "scan" in spec.suites:
-            emit_scan_csv(columns, outdir / f"{cid}.csv")
+            path = outdir / f"{cid}.csv"
+            emit_scan_csv(columns, path)
+            if columns is None:
+                print(f"no scan data, wrote header only: {path}", file=stderr)
         if error is None:
             tag = ("PASS" if rep.passed else "FAIL") + (" (probe)" if rep.probe else "")
         else:

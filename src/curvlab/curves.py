@@ -74,8 +74,9 @@ def _uniform_stencil(npts: int, pos: int, order: int):
     return fornberg_weights(np.arange(npts, dtype=float), float(pos), order)
 
 
-def _stencil_derivative(values, order, h):
-    """Apply clipped five-point stencils along axis 0 of ``values``.
+def _stencil_derivative(values, order):
+    """Apply clipped five-point stencils along axis 0 of ``values``: the
+    derivative in the unit-spaced vertex index.
 
     Windows are five consecutive indices clamped to the array; near the ends
     the evaluation point sits off-center and the weights adjust accordingly.
@@ -99,7 +100,7 @@ def _stencil_derivative(values, order, h):
         start = min(max(i - 2, 0), n - npts)
         w = _uniform_stencil(npts, i - start, order)
         out[i] = np.tensordot(w, values[start : start + npts], axes=(0, 0))
-    return out / h**order
+    return out
 
 
 @dataclass
@@ -170,7 +171,7 @@ class DiscreteCurve:
         or at most 1e-8 (about sqrt(eps)) of the median, where no tangent can
         be trusted: a stalled curve (five repeated vertices) has roundoff
         speeds, 1e-17 relative, while the checks' curves stay above 0.87."""
-        v = _stencil_derivative(self.points, 1, 1.0)
+        v = _stencil_derivative(self.points, 1)
         w0 = self.space.ambient_factor(self.points)
         sigma = np.linalg.norm(v, axis=1) / w0
         finite = np.isfinite(sigma)
@@ -191,7 +192,7 @@ class DiscreteCurve:
     def vertex_acceleration(self):
         """nabla_T T at each vertex (g-covariant, arclength gauge)."""
         v, sigma = self._velocity()
-        a = _stencil_derivative(self.points, 2, 1.0)
+        a = _stencil_derivative(self.points, 2)
         acc = (a + christoffel_quadratic(self.space, self.points, v)) / (sigma**2)[:, None]
         T = v / sigma[:, None]
         # remove the tangential reparameterization component

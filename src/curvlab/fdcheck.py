@@ -14,7 +14,7 @@ central difference evaluates its 2m shifted points in one metric call, and
 ``riemann_fd`` takes the Christoffel symbols at the points and at their 2m
 neighbours from one batched ``christoffels_fd``: three metric calls per
 stack of Riemann or Ricci tensors, and three per stack of parametric mean
-curvatures. Every point keeps its own step h * max(1, |x|_inf).
+curvatures. Every point keeps its own step DEFAULT_STEP * max(1, |x|_inf).
 Contractions add their terms in index order, so a point gets the same bits
 alone and inside any stack. The tests' one-point gradient and Hessian
 oracles live with the tests, in ``tests/references.py``.
@@ -31,9 +31,9 @@ import numpy as np
 DEFAULT_STEP = 1e-5
 
 
-def _step(x, h):
-    """Step h * max(1, |x|_inf) for each point of x (..., m)."""
-    return h * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+def _step(x):
+    """Step DEFAULT_STEP * max(1, |x|_inf) for each point of x (..., m)."""
+    return DEFAULT_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1))
 
 
 def _shifted(x, hh):
@@ -65,37 +65,37 @@ def _central(values, hh):
     return (plus - minus) / scale
 
 
-def metric_dg(metric, x, h=DEFAULT_STEP):
+def metric_dg(metric, x):
     """dG[..., i, :, :] = partial_i G at points x (..., m)."""
     x = np.asarray(x, dtype=float)
-    hh = _step(x, h)
+    hh = _step(x)
     return _central(metric(_shifted(x, hh)), hh)
 
 
-def christoffels_fd(metric, x, h=DEFAULT_STEP):
+def christoffels_fd(metric, x):
     """Gamma[..., k, i, j] = Gamma^k_ij at points x (..., m), from finite
     differences of the metric."""
     x = np.asarray(x, dtype=float)
     Ginv = np.linalg.inv(metric(x))
-    dG = metric_dg(metric, x, h)
+    dG = metric_dg(metric, x)
     # 0.5 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}); dG[i, a, b] = d_i g_{ab},
     # and term[i, j, l] is the bracket
     term = dG + np.einsum("...jil->...ijl", dG) - np.einsum("...lij->...ijl", dG)
     return 0.5 * _fold(Ginv[..., :, None, None, :] * term[..., None, :, :, :])
 
 
-def riemann_fd(metric, x, h=DEFAULT_STEP):
+def riemann_fd(metric, x):
     """R[..., i, j, k, l] = g( R(d_i, d_j) d_k , d_l ) at points x (..., m)."""
-    return _riemann_and_metric(metric, x, h)[0]
+    return _riemann_and_metric(metric, x)[0]
 
 
-def _riemann_and_metric(metric, x, h):
+def _riemann_and_metric(metric, x):
     """(R, G) at points x; see ``riemann_fd``."""
     x = np.asarray(x, dtype=float)
-    hh = _step(x, h)
+    hh = _step(x)
     G = metric(x)
     # Gamma at each point and at its 2m neighbours in one batch
-    Gam_all = christoffels_fd(metric, np.concatenate([x[..., None, :], _shifted(x, hh)], axis=-2), h)
+    Gam_all = christoffels_fd(metric, np.concatenate([x[..., None, :], _shifted(x, hh)], axis=-2))
     Gam = Gam_all[..., 0, :, :, :]
     dGam = _central(Gam_all[..., 1:, :, :, :], hh)
     # R^l_{kij} = d_i Gam^l_{jk} - d_j Gam^l_{ik} + Gam^l_{im} Gam^m_{jk} - Gam^l_{jm} Gam^m_{ik}
@@ -114,9 +114,9 @@ def _riemann_and_metric(metric, x, h):
     return _fold(up[..., None, :] * np.einsum("...al->...la", G)[..., None, None, None, :, :]), G
 
 
-def sectional_fd(metric, x, X, Y, h=DEFAULT_STEP):
+def sectional_fd(metric, x, X, Y):
     """R(X, Y, Y, X); equals sectional curvature when X, Y are g-orthonormal."""
-    R = riemann_fd(metric, x, h)
+    R = riemann_fd(metric, x)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     XYYX = (X[..., :, None, None, None] * Y[..., None, :, None, None]
@@ -124,16 +124,16 @@ def sectional_fd(metric, x, X, Y, h=DEFAULT_STEP):
     return _fold(_flat(R, 4) * _flat(XYYX, 4))
 
 
-def ricci_fd(metric, x, h=DEFAULT_STEP):
+def ricci_fd(metric, x):
     """Ric[..., j, k] with the trace Ric(X, X) = sum_a R(e_a, X, X, e_a)."""
-    R, G = _riemann_and_metric(metric, x, h)
+    R, G = _riemann_and_metric(metric, x)
     # sum over a, b of g^{ab} R[a, j, k, b]
     Rjk = np.einsum("...ajkb->...jkab", R)
     return _fold(_flat(Rjk, 2) * _flat(np.linalg.inv(G), 2)[..., None, None, :])
 
 
-def ricci_quadratic_fd(metric, x, X, h=DEFAULT_STEP):
-    ric = ricci_fd(metric, x, h)
+def ricci_quadratic_fd(metric, x, X):
+    ric = ricci_fd(metric, x)
     X = np.asarray(X, dtype=float)
     return _fold(_flat(ric, 2) * _flat(X[..., :, None] * X[..., None, :], 2))
 
@@ -167,7 +167,7 @@ def metric_normal(G, jacobian, inward_ref):
     return np.where(flip[..., None], -nu, nu)
 
 
-def parametric_mean_curvature(metric, chart, dchart, d2chart, theta, inward_ref, h=DEFAULT_STEP):
+def parametric_mean_curvature(metric, chart, dchart, d2chart, theta, inward_ref):
     """(H . nu, nu) for the chart at parameters ``theta``, nu oriented by
     inward_ref. Parameters (..., k) give curvatures (...) and normals (..., m);
     chart, dchart and d2chart map them to points (..., m), Jacobians
@@ -185,7 +185,7 @@ def parametric_mean_curvature(metric, chart, dchart, d2chart, theta, inward_ref,
     # I[a, b] = J_a . G J_b
     I = _fold(Jt[..., :, None, :] * _apply(G[..., None, :, :], Jt)[..., None, :, :])
     nu = metric_normal(G, J, inward_ref)
-    Gam = christoffels_fd(metric, p, h)
+    Gam = christoffels_fd(metric, p)
     # covariant second derivative: D2_ab + Gamma(J_a, J_b)
     JJ = Jt[..., :, None, :, None] * Jt[..., None, :, None, :]  # (a, b, i, j)
     cov = D2 + _fold(_flat(Gam, 2)[..., None, None, :, :] * _flat(JJ, 2)[..., None, :])

@@ -46,6 +46,8 @@ U_FLOOR = 1e-9
 # Levenberg-Marquardt damping, relative to the Hessian's largest diagonal entry
 LAM_START = 1e-3
 LAM_MIN = 1e-12
+COARSE_SEGMENTS = 8  # segments of the first level of the coarse-to-fine ladder
+MAX_ITER_PER_LEVEL = 200  # Newton iterations before a level stops on "max-iter"
 
 
 @dataclass
@@ -268,20 +270,18 @@ def _trial_energy(problem, W, points):
 
 def minimize_free_boundary(
     problem: GeodesicProblem,
-    n_segments: int = 256,
-    coarse: int = 8,
+    n_segments: int,
     gtol: Optional[float] = None,
-    max_iter_per_level: int = 200,
 ) -> MinimizeResult:
     """Coarse-to-fine damped Newton descent on the length energy.
 
     Each level stops on ``"gtol"`` (gradient at most ``gtol * n_segments / M``
     on a level of M segments), ``"line-search"`` (Armijo backtracking found no
-    decrease) or ``"max-iter"``; the result converged only when every level
-    stopped on ``"gtol"``.
+    decrease) or ``"max-iter"`` (MAX_ITER_PER_LEVEL iterations); the result
+    converged only when every level stopped on ``"gtol"``.
     """
     W = _coordinate_factor(problem)
-    levels = [min(coarse, n_segments)]
+    levels = [min(COARSE_SEGMENTS, n_segments)]
     while levels[-1] < n_segments:
         levels.append(min(2 * levels[-1], n_segments))
 
@@ -308,7 +308,7 @@ def minimize_free_boundary(
             if grad_inf <= gtol * (n_segments / M):
                 stop = "gtol"
                 break
-            if iters == max_iter_per_level:
+            if iters == MAX_ITER_PER_LEVEL:
                 stop = "max-iter"
                 break
             s, lam = _damped_newton_step(diag, upper, g, lam)

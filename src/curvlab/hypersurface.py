@@ -443,12 +443,12 @@ _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
 @dataclass
 class InfimumResult:
-    """See ``infima_over_annuli``; ``missed`` is the chart bracket of the
-    first search that hit the step cap, None when ``converged``."""
+    """See ``infima_over_annuli``; ``param`` is the chart parameter where
+    the infimum sits, and ``missed`` is the chart bracket of the first search
+    that hit the step cap, None when ``converged``."""
 
     value: float
     param: float
-    point: np.ndarray
     n_grid: int
     converged: bool
     missed: Optional[tuple] = None
@@ -585,7 +585,6 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
     return [None if b is None else InfimumResult(
         value=b[0],
         param=b[1],
-        point=piece.chart_points(np.array([b[1]]))[0],
         n_grid=int(ts.size),
         converged=m is None,
         missed=m,

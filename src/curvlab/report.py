@@ -5,7 +5,8 @@ side against a right-hand side; the report stores both, the signed slack
 rhs - lhs, and a pass flag defined uniformly as slack >= -tolerance.
 The runner sets ``probe`` from the check registry: a probe (synthetic
 inputs constructed to violate an inequality on purpose) is written out
-but left out of the exit status.
+but left out of the exit status. Inputs and grids hold plain JSON values;
+``json`` raises TypeError on anything else, numpy scalars included.
 """
 
 import hashlib
@@ -21,17 +22,9 @@ class NonConvergence(RuntimeError):
         super().__init__(f"{where}: {detail}")
 
 
-def _jsonable(x):
-    if hasattr(x, "tolist"):
-        return x.tolist()
-    if hasattr(x, "item"):
-        return x.item()
-    return str(x)
-
-
 def digest_inputs(inputs: dict) -> str:
     """Short stable hash of a check's input dictionary."""
-    blob = json.dumps(inputs, sort_keys=True, default=_jsonable)
+    blob = json.dumps(inputs, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -49,7 +42,7 @@ class VerificationReport:
     wall_time_s: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, default=_jsonable)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def build_report(

@@ -39,6 +39,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 RESIDUAL_TOL = 1e-6  # largest geodesic residual ``index_form_trace`` accepts
 LENGTH_RTOL = 1e-6  # relative mismatch allowed between a cosh weight's L and the g-length
+PHI_GRID_POINTS = 2001  # points of the [0, L] grid ``phi_calculus`` measures on
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +135,18 @@ class PhiCalculusReport:
     phi_range: Tuple[float, float]
 
 
-def phi_calculus(L: float, n_grid: int = 2001) -> PhiCalculusReport:
+def phi_calculus(L: float) -> PhiCalculusReport:
     """Measure the cosh weight's calculus at length L.
 
     Reports the error of the endpoint values of psi against -+tanh(L/2),
     the error of the derivative identity psi' = phi'^2 + phi^2 against a
     central difference of psi, the closed form of the phi^2 integral, and
-    the range of phi on the grid.
+    the range of phi, all on a grid of PHI_GRID_POINTS points.
     """
     if not L > 0.0:
         raise ValueError("L must be positive")
     tf = CoshWeight(L)
-    s = np.linspace(0.0, L, n_grid)
+    s = np.linspace(0.0, L, PHI_GRID_POINTS)
     p0, p1 = tf.endpoint_psi()
     endpoint_error = float(np.maximum(
         abs(float(tf.psi(0.0)) - p0), abs(float(tf.psi(np.asarray(L))) - p1)
@@ -231,9 +232,9 @@ class BoundsScan:
 def crucial_bounds_scan(
     n: int,
     R: float,
-    model: str = "euclid",
-    n_r: int = 1000,
-    n_t: int = 100,
+    model: str,
+    n_r: int,
+    n_t: int,
 ) -> BoundsScan:
     """Grid-check the sharp pointwise bounds on J1 and J2.
 

@@ -489,6 +489,29 @@ def test_registry_marks_a_failing_probe(tmp_path, monkeypatch):
     assert rep["passed"] is False
 
 
+def test_report_that_is_not_json_gives_an_error_report(tmp_path, monkeypatch):
+    """A numpy scalar in a grid is not JSON: that check gets an ERROR report
+    naming the type, and the run goes on to the next check."""
+    def bad(ctx):
+        return build_report(ctx.cid, 0.0, 1.0, tolerance=1e-9, grid={"count": np.int64(3)})
+
+    def good(ctx):
+        return build_report(ctx.cid, 0.0, 1.0, tolerance=1e-9)
+
+    monkeypatch.setattr(cli, "CHECKS", {"bad-check": CheckSpec(("lemmas",), bad),
+                                        "good-check": CheckSpec(("lemmas",), good)})
+    out = tmp_path / "out"
+    stdout = io.StringIO()
+    assert cli.run(RunConfig(suite="lemmas", out=str(out)), stdout=stdout,
+                   stderr=io.StringIO()) == 1
+    lines = stdout.getvalue().splitlines()
+    assert lines[0].startswith("bad-check: ERROR") and lines[1].startswith("good-check: PASS")
+    rep = json.loads((out / "bad-check.json").read_text())
+    assert rep["passed"] is False
+    assert rep["grid"]["error"].startswith("TypeError: ") and "int64" in rep["grid"]["error"]
+    assert json.loads((out / "good-check.json").read_text())["passed"] is True
+
+
 def test_report_id_mismatch_is_flagged(tmp_path, monkeypatch):
     def fn(ctx):
         return build_report("some-other-id", 0.0, 1.0, tolerance=1e-9)
@@ -769,11 +792,23 @@ def test_saturating_bound_report_carries_grid():
     assert abs(rep.grid["saturation_value"] - 4.0) < 1e-3
 
 
-def test_emit_scan_csv_without_data_writes_header(tmp_path):
+def test_emit_scan_csv_without_data_writes_header(tmp_path, monkeypatch):
+    """A scan check that raises leaves a header-only table, and the run
+    says so on its own stderr in a line that names no source file."""
     path = tmp_path / "empty.csv"
-    with pytest.warns(UserWarning):
-        emit_scan_csv(None, path)
+    emit_scan_csv(None, path)
     assert path.read_text(encoding="utf-8") == "R,inf_h1,inf_h2,sum,envelope,slack\n"
+
+    def fn(ctx):
+        raise ValueError("synthetic breakage")
+
+    monkeypatch.setattr(cli, "CHECKS", {"fake-scan": CheckSpec(("scan",), fn)})
+    out = tmp_path / "out"
+    stderr = io.StringIO()
+    assert cli.run(RunConfig(suite="scan", out=str(out)), stdout=io.StringIO(), stderr=stderr) == 1
+    assert stderr.getvalue() == (f"no scan data, wrote header only: {out / 'fake-scan.csv'}\n"
+                                 "check fake-scan raised: ValueError: synthetic breakage\n")
+    assert (out / "fake-scan.csv").read_text(encoding="utf-8") == cli.SCAN_CSV_HEADER
 
 
 def test_decay_scan_csv_roundtrip(tmp_path):

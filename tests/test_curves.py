@@ -194,9 +194,9 @@ def test_stencil_derivative_matches_per_vertex_loop(n, order, dim):
     values = np.random.default_rng(n * 10 + order + dim).normal(size=(n, dim))
     if n <= order:
         with pytest.raises(ValueError, match="too few vertices"):
-            curves._stencil_derivative(values, order, 1.0)
+            curves._stencil_derivative(values, order)
         return
-    got = curves._stencil_derivative(values, order, 1.0)
+    got = curves._stencil_derivative(values, order)
     assert np.array_equal(got, _stencil_reference(values, order))
 
 
@@ -213,7 +213,7 @@ def test_stencil_derivative_work_does_not_grow_with_vertices(monkeypatch):
     for n in (7, 33, 8193):
         calls.clear()
         values = np.linspace(0.0, 1.0, 2 * n).reshape(n, 2)
-        curves._stencil_derivative(values, 2, 1.0)
+        curves._stencil_derivative(values, 2)
         counts.append(len(calls))
     assert counts == [counts[0]] * 3
     assert counts[0] <= 4

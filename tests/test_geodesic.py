@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import solveh_banded
 
-from curvlab import checks, cli
+from curvlab import checks, cli, geodesic
 from curvlab.fields import BallFactorField, ConstantField, QuarticCutoff
 from curvlab.geodesic import (
     GeodesicProblem,
@@ -255,7 +255,7 @@ def test_fixed_endpoint_blocks_are_decoupled():
         assert np.array_equal(grad[idx], np.zeros(2))
 
 
-def test_free_boundary_newton_step_stays_on_surfaces():
+def test_free_boundary_newton_step_stays_on_surfaces(monkeypatch):
     problem = _lens_problem(a=1.0, t_start=np.pi + 0.4, t_end=-0.3)
     pts = _retract(problem, problem.initial_curve(16).points.copy())
     grad, diag, upper = _newton_system(problem, _coordinate_factor(problem), pts)
@@ -264,7 +264,8 @@ def test_free_boundary_newton_step_stays_on_surfaces():
         nu = piece.euclid_unit_normal(pts[idx])
         assert abs(step[idx] @ nu) <= 1e-12 * np.linalg.norm(step[idx])
         assert np.linalg.norm(step[idx]) > 0.0
-    res = minimize_free_boundary(problem, n_segments=64, max_iter_per_level=1)
+    monkeypatch.setattr(geodesic, "MAX_ITER_PER_LEVEL", 1)
+    res = minimize_free_boundary(problem, n_segments=64)
     for idx, piece in ((0, problem.piece_start), (-1, problem.piece_end)):
         assert abs(float(piece.F(res.curve.points[idx]))) < 1e-12
 
@@ -296,7 +297,8 @@ def test_line_search_stop_when_every_retraction_fails(failure, monkeypatch):
         return np.full_like(x, np.nan)
 
     monkeypatch.setattr(problem.piece_end, "project", project)
-    res = minimize_free_boundary(problem, n_segments=32, coarse=32)
+    monkeypatch.setattr(geodesic, "COARSE_SEGMENTS", 32)
+    res = minimize_free_boundary(problem, n_segments=32)
     assert not res.converged
     assert res.level_stops == ["line-search"]
     assert res.iterations == 0
@@ -351,7 +353,9 @@ def test_ladder_start_does_not_move_the_minimizer(monkeypatch):
     cases += [_log_graph_chain(x_c) for x_c in (50.0, 400.0, 3000.0, 20000.0)]
     for problem, kwargs in cases:
         default = minimize_free_boundary(problem, **kwargs)
-        start32 = minimize_free_boundary(problem, **dict(kwargs, coarse=32))
+        with monkeypatch.context() as m:
+            m.setattr(geodesic, "COARSE_SEGMENTS", 32)
+            start32 = minimize_free_boundary(problem, **kwargs)
         for res in (default, start32):
             assert res.level_stops == ["gtol"] * len(res.level_sizes)
         assert abs(default.g_length - start32.g_length) <= 1e-9 * start32.g_length
@@ -480,7 +484,7 @@ def test_ball_initial_curve_matches_the_per_point_loop(n_segments):
         assert np.array_equal(problem.initial_curve(n_segments).points, ref)
 
 
-def test_nonconvergence_reported():
+def test_nonconvergence_reported(monkeypatch):
     fx = example_fixture("poincare-circles", a=1.0)
     seeds = np.stack(
         [
@@ -495,7 +499,8 @@ def test_nonconvergence_reported():
         piece_end=fx.pieces[1],
         endpoints=seeds,
     )
-    res = minimize_free_boundary(problem, n_segments=64, max_iter_per_level=1)
+    monkeypatch.setattr(geodesic, "MAX_ITER_PER_LEVEL", 1)
+    res = minimize_free_boundary(problem, n_segments=64)
     assert not res.converged
     assert "max-iter" in res.level_stops
 

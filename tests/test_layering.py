@@ -16,12 +16,17 @@ OpenBLAS to one thread before numpy loads, touches the process
 environment: a run is configured by its flags and config file alone.
 Only ``cli`` names ``open``, ``write_text`` or ``write_bytes``: it alone
 reads the config file and writes the outputs, the scan tables included.
+The library entry points take no parameter that every caller leaves at one
+value (a finite-difference step, a ladder start, an iteration cap, a grid
+size): each is a module constant, and their signatures are pinned here.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import curvlab
+from curvlab import curves, fdcheck, geodesic, variation
 from curvlab.checks import CHECKS
 
 SRC = Path(curvlab.__file__).resolve().parent
@@ -299,3 +304,30 @@ def test_guard_flags_a_planted_file_write(tmp_path):
         ("lib", 2, "open"), ("lib", 4, "open"), ("lib", 6, "write_text"),
         ("lib", 7, "write_bytes"),
     ]
+
+
+# parameters of each entry point, with the defaults a caller may leave out
+SIGNATURES = {
+    fdcheck.metric_dg: "metric, x",
+    fdcheck.christoffels_fd: "metric, x",
+    fdcheck.riemann_fd: "metric, x",
+    fdcheck._riemann_and_metric: "metric, x",
+    fdcheck.sectional_fd: "metric, x, X, Y",
+    fdcheck.ricci_fd: "metric, x",
+    fdcheck.ricci_quadratic_fd: "metric, x, X",
+    fdcheck.parametric_mean_curvature: "metric, chart, dchart, d2chart, theta, inward_ref",
+    geodesic.minimize_free_boundary: "problem, n_segments, gtol=None",
+    variation.phi_calculus: "L",
+    variation.crucial_bounds_scan: "n, R, model, n_r, n_t",
+    curves._stencil_derivative: "values, order",
+}
+
+
+def _parameters(fn):
+    return ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                     for p in inspect.signature(fn).parameters.values())
+
+
+def test_entry_points_take_no_fixed_knob():
+    got = {fn.__qualname__: _parameters(fn) for fn in SIGNATURES}
+    assert got == {fn.__qualname__: want for fn, want in SIGNATURES.items()}

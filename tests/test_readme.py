@@ -19,7 +19,8 @@ def test_readme_has_a_python_example():
     assert _blocks()
 
 
+# ids count the blocks in order, so prose edits above a block keep its id
 @pytest.mark.parametrize("line, source",
-                         [pytest.param(*block, id=f"line{block[0]}") for block in _blocks()])
+                         [pytest.param(*block, id=f"block{k}") for k, block in enumerate(_blocks())])
 def test_readme_python_block_runs(line, source):
     exec(compile(source, f"{README.name}:{line}", "exec"), {"__name__": "__readme__"})

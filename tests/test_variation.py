@@ -305,7 +305,7 @@ def test_scan_serialization_round_trip():
 
 def test_scan_rejects_unknown_model():
     with pytest.raises(ValueError):
-        crucial_bounds_scan(n=1, R=4.0, model="spherical")
+        crucial_bounds_scan(n=1, R=4.0, model="spherical", n_r=50, n_t=11)
 
 
 def _bounds_scan_reference(n, R, model, n_r, n_t):
