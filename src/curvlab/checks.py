@@ -33,7 +33,6 @@ from .estimates import (
     main_estimate_hyperbolic,
     sharpness_gap,
     theorem_bound,
-    upper_bound_along,
 )
 from .fields import BallFactorField, ConstantField, ExpQuadraticField, QuarticCutoff
 from .geodesic import GeodesicProblem, endpoint_orthogonality, minimize_free_boundary
@@ -446,10 +445,14 @@ def _check_phi_calculus(ctx):
 # ---------------------------------------------------------------------------
 
 
-def _solve_lens(a, n_segments):
-    """(fixture, problem, result) of the free-boundary solve between the
-    ``poincare-circles`` pieces for parameter a; ``sharp-lens`` and
-    ``lens-distance`` both read the a = 1 solve through ``ctx.once``."""
+LENS_SEGMENTS = 256  # segments of the lens solves, recorded by the checks that read them
+
+
+def _solve_lens(a):
+    """(fixture, problem, result) of the LENS_SEGMENTS-segment free-boundary
+    solve between the ``poincare-circles`` pieces for parameter a;
+    ``sharp-lens`` and ``lens-distance`` both read the a = 1 solve through
+    ``ctx.once``."""
     fx = example_fixture("poincare-circles", a=a)
     seeds = np.stack(
         [
@@ -462,7 +465,7 @@ def _solve_lens(a, n_segments):
         piece_start=fx.pieces[0], piece_end=fx.pieces[1],
         endpoints=seeds,
     )
-    res = minimize_free_boundary(problem, n_segments=n_segments)
+    res = minimize_free_boundary(problem, n_segments=LENS_SEGMENTS)
     return fx, problem, res
 
 
@@ -477,7 +480,7 @@ def _check_sharp_lens(ctx):
              "tanh_identity_error": 0.0, "bound_gap": 0.0}
     per = {}
     for a in (0.5, 1.0, 2.0):
-        fx, problem, res = ctx.once(_solve_lens, a, 256)
+        fx, problem, res = ctx.once(_solve_lens, a)
         _require_converged(ctx.cid, res, where=f"a={a:g}: ")
         H_expect = 1.0 / np.sqrt(1.0 + a * a)
         H_meas = [float(p.mean_curvature(q)) for p, q in zip(fx.pieces, fx.endpoints)]
@@ -499,7 +502,7 @@ def _check_sharp_lens(ctx):
         "tanh_identity_error": (worst["tanh_identity_error"], 1e-6),
         "bound_gap": (worst["bound_gap"], 1e-10),
     }
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": 256},
+    return _ratio_report(ctx.cid, parts, inputs={"n_segments": LENS_SEGMENTS},
                          grid={"per_a": per})
 
 
@@ -586,22 +589,23 @@ def _check_slab_perpendicular(ctx):
         piece_start=fx.pieces[1], piece_end=fx.pieces[0],
         endpoints=np.array([[-0.5, 0.3, 0.1], [0.5, -0.2, 0.25]]),
     )
-    res = minimize_free_boundary(problem, n_segments=128, gtol=1e-10)
+    n_segments = 128
+    res = minimize_free_boundary(problem, n_segments=n_segments, gtol=1e-10)
     _require_converged(ctx.cid, res)
     orth = endpoint_orthogonality(problem, res.curve)
     parts = {
-        "length_error": (abs(res.tilde_length - fx.params["d"]), 1e-8),
+        "length_error": (abs(res.tilde_length - fx.distance), 1e-8),
         "orthogonality_error": (np.max(np.abs(np.subtract(orth, 1.0))), 1e-6),
     }
     grid = {"tilde_length": res.tilde_length, "orthogonality": list(map(float, orth)),
             **_solver_grid(res)}
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": 128}, grid=grid)
+    return _ratio_report(ctx.cid, parts, inputs={"n_segments": n_segments}, grid=grid)
 
 
 def _check_lens_distance(ctx):
     """Free-boundary solve between the equidistant circles: the minimizer
     family is degenerate, so check the invariants every member satisfies."""
-    fx, problem, res = ctx.once(_solve_lens, 1.0, 256)
+    fx, problem, res = ctx.once(_solve_lens, 1.0)
     _require_converged(ctx.cid, res)
     p, q = res.curve.points[0], res.curve.points[-1]
     orth = endpoint_orthogonality(problem, res.curve)
@@ -620,7 +624,8 @@ def _check_lens_distance(ctx):
         "endpoints": [list(map(float, p)), list(map(float, q))],
         **_solver_grid(res),
     }
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": 256, "a": 1.0}, grid=grid)
+    return _ratio_report(ctx.cid, parts, inputs={"n_segments": LENS_SEGMENTS, "a": 1.0},
+                         grid=grid)
 
 
 def _check_planar_curvature_law(ctx):
@@ -677,13 +682,17 @@ def _axis_curve(space, half, n_segments):
     return DiscreteCurve(space, pts)
 
 
+SLAB_TRACE_SEGMENTS = 2048  # segments of the slab axis curve both index-form checks read
+
+
 def _slab_cosh_trace():
-    """(fixture, factor, curve, weight, trace): the slab's 2048-segment axis
-    curve through a radial bump, and its second variation traced with the
-    cosh weight; both index-form checks read it through ``ctx.once``."""
+    """(fixture, factor, curve, weight, trace): the slab's axis curve on
+    SLAB_TRACE_SEGMENTS segments through a radial bump, and its second
+    variation traced with the cosh weight; both index-form checks read it
+    through ``ctx.once``."""
     fx = example_fixture("euclid-slab", d=1.2, dim=3)
     u = RadialField(fx.space, np.zeros(3), QuarticCutoff(2.0))
-    curve = _axis_curve(fx.space, 0.6, 2048)
+    curve = _axis_curve(fx.space, 0.6, SLAB_TRACE_SEGMENTS)
     phi = CoshWeight(curve.g_length())
     return fx, u, curve, phi, index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], phi)
 
@@ -715,7 +724,7 @@ def _check_index_form_flat_slab(ctx):
     grid = {"total": rep.total, "total_cosh": rep_w.total, "fd": fd, "fd_cosh": fd_w,
             "tanh_identity": [tanh_lhs, tanh_rhs],
             "f_identity": [rep_w.f_identity_lhs, rep_w.f_identity_rhs]}
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": 2048}, grid=grid)
+    return _ratio_report(ctx.cid, parts, inputs={"n_segments": SLAB_TRACE_SEGMENTS}, grid=grid)
 
 
 def _check_index_form_nonnegative(ctx):
@@ -725,8 +734,8 @@ def _check_index_form_nonnegative(ctx):
     total_s = ctx.once(_slab_cosh_trace)[-1].total
 
     fx_l = example_fixture("poincare-circles", a=1.0)
-    b = fx_l.params["b"]
-    curve_l = _axis_curve(fx_l.space, b, 8192)
+    axis_segments = 8192
+    curve_l = _axis_curve(fx_l.space, fx_l.endpoints[1, 0], axis_segments)
     phi_l = CoshWeight(curve_l.g_length())
     rep_l = index_form_trace(curve_l, ConstantField(1.0), fx_l.pieces[0], fx_l.pieces[1], phi_l)
 
@@ -737,7 +746,8 @@ def _check_index_form_nonnegative(ctx):
     }
     grid = {"slab_total": total_s, "lens_total": rep_l.total,
             "lens_boundary_term": rep_l.boundary_start}
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": [2048, 8192]}, grid=grid)
+    return _ratio_report(ctx.cid, parts,
+                         inputs={"n_segments": [SLAB_TRACE_SEGMENTS, axis_segments]}, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -745,18 +755,19 @@ def _check_index_form_nonnegative(ctx):
 # ---------------------------------------------------------------------------
 
 
-def _estimate_report(ctx, sides, c1, c2, R, L0, n, kappa, fixture=None):
-    """Report on the estimate's (lhs, rhs, grid) for its numbers (c1, c2, R
-    and L0 as floats: json writes 1 and 1.0 differently), filed with the
-    sharpest alpha (None; its value is in the grid) and j = 2 (c2 enters
-    the error term)."""
-    lhs, rhs, grid = sides
+def _estimate_report(ctx, branch, c1, c2, R, L0, n, kappa, fixture_name=None, **grid_extra):
+    """Report on the sides branch(c1, c2, R, L0, n) of an estimate branch,
+    filed with its numbers (c1, c2, R and L0 as floats: json writes 1 and
+    1.0 differently), kappa, the sharpest alpha (None; its value is in the
+    grid), j = 2 (c2 enters the error term) and the fixture the numbers
+    come from, if any; ``grid_extra`` follows the branch's own grid."""
+    lhs, rhs, grid = branch(c1, c2, R, L0, n)
     inputs = {"c1": c1, "c2": c2, "R": R, "L0": L0, "n": n, "kappa": kappa,
               "alpha": None, "j": 2}
-    if fixture is not None:
-        inputs["fixture"] = fixture.name
+    if fixture_name is not None:
+        inputs["fixture"] = fixture_name
     return build_report(ctx.cid, lhs, rhs, tolerance=SLACK_FLOOR,
-                        inputs=inputs, grid=grid)
+                        inputs=inputs, grid={**grid, **grid_extra})
 
 
 def _check_curvature_sum_flat(ctx):
@@ -764,31 +775,31 @@ def _check_curvature_sum_flat(ctx):
     R = float(np.exp(6.0))
     c1, c2 = (float(c) for c in annulus_infima(fx, 0.0, R))
     L0 = float(20.0 / np.log(20.0))
-    sides = main_estimate_euclid(c1, c2, R, L0, 1)
-    return _estimate_report(ctx, sides, c1, c2, R, L0, 1, 0.0, fx)
+    return _estimate_report(ctx, main_estimate_euclid, c1, c2, R, L0, 1, 0.0, fx.name)
 
 
 def _check_curvature_sum_flat_probe(ctx):
     """Deliberately violating inputs: the inequality machinery must flag
     them, proving the harness can actually fail."""
-    sides = main_estimate_euclid(1.0, 1.0, 100.0, 1.0, 2)
-    return _estimate_report(ctx, sides, 1.0, 1.0, 100.0, 1.0, 2, 0.0)
+    return _estimate_report(ctx, main_estimate_euclid, 1.0, 1.0, 100.0, 1.0, 2, 0.0)
+
+
+# radii at which the estimate's upper bound on c1 + c2 is tracked
+SHARPNESS_RADII = (16.0, 32.0, 64.0, 128.0)
 
 
 def _check_curvature_sum_hyperbolic(ctx):
-    """The measured lens curvatures in the hyperbolic branch at R = 16, with
-    the branch's upper bound on c1 + c2 along a grid of radii against its
-    saturating limit."""
-    fx = example_fixture("poincare-circles")
-    c1, c2 = (float(p.mean_curvature(q)) for p, q in zip(fx.pieces, fx.endpoints))
-    L0 = float(fx.distance)
-    lhs, rhs, grid = main_estimate_hyperbolic(c1, c2, 16.0, L0, 1)
-    R_grid = np.array([16.0, 32.0, 64.0, 128.0])
-    ub = upper_bound_along(c2, 1, L0, R_grid)
-    limit = theorem_bound(1.0, 1, fx.distance)
-    grid.update(R_grid=R_grid.tolist(), upper_bound=ub.tolist(), limit=limit,
-                gap=(ub - limit).tolist())
-    return _estimate_report(ctx, (lhs, rhs, grid), c1, c2, 16.0, L0, 1, 1.0, fx)
+    """The ``poincare-circles`` (a = 1) curvatures in the hyperbolic branch
+    at the first of SHARPNESS_RADII, with L0 the lens distance; and, from
+    ``sharpness_gap``, the branch's upper bound on c1 + c2 at each of the
+    radii against its saturating limit."""
+    R_grid = np.array(SHARPNESS_RADII)
+    out = sharpness_gap(1.0, R_grid)
+    return _estimate_report(
+        ctx, main_estimate_hyperbolic, out["c1"], out["c2"], SHARPNESS_RADII[0], out["d"], 1,
+        1.0, "poincare-circles", R_grid=R_grid.tolist(), upper_bound=out["upper_bound"].tolist(),
+        limit=out["limit"], gap=out["gap_bound"].tolist(),
+    )
 
 
 def _check_saturating_bound(ctx):
@@ -814,7 +825,7 @@ def _check_saturating_bound(ctx):
 def _check_sharpness_rate(ctx):
     """The equidistant configurations attain the saturating bound, and the
     estimate's upper bound closes onto it at a first-order rate in 1/R."""
-    R_grid = np.array([16.0, 32.0, 64.0, 128.0])
+    R_grid = np.array(SHARPNESS_RADII)
     worst_gap = 0.0
     worst_ratio = 0.0
     worst_consistency = 0.0

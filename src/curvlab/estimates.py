@@ -234,15 +234,18 @@ def elementary_inequalities():
 
 def sharpness_gap(a: float, R_grid) -> dict:
     """Track how fast the estimate's upper bound on c1 + c2 closes in on
-    the saturating bound for the planar equidistant fixture (dim 2, so
+    the saturating bound for the ``poincare-circles`` fixture (dim 2, so
     n = 1) with parameter a, under the statement's constants.
 
-    The fixture attains the bound exactly (gap_measured is zero up to
-    evaluation error); the estimate's bound, taken with the sharpest
-    admissible alpha at each radius, exceeds it by O(1/R), dominated by
-    the C n sqrt(L0) / R term.
+    Returns the fixture's distance ``d``, its curvatures ``c1`` and ``c2``
+    at the endpoints, the saturating bound ``limit``, ``gap_measured`` =
+    c1 + c2 - limit, and along R_grid the ``upper_bound`` with the
+    sharpest admissible alpha at each radius and ``gap_bound`` =
+    upper_bound - limit. The fixture attains the bound exactly
+    (gap_measured is zero up to evaluation error); the estimate's bound
+    exceeds it by O(1/R), dominated by the C n sqrt(L0) / R term.
     """
-    fx = example_fixture("hyperbolic-equidistant", a=a, dim=2)
+    fx = example_fixture("poincare-circles", a=a)
     n = 1
     d = float(fx.distance)
     c1 = float(fx.pieces[0].mean_curvature(fx.endpoints[0]))
@@ -253,6 +256,7 @@ def sharpness_gap(a: float, R_grid) -> dict:
         "d": d,
         "c1": c1,
         "c2": c2,
+        "limit": limit,
         "gap_measured": c1 + c2 - limit,
         "upper_bound": ub,
         "gap_bound": ub - limit,

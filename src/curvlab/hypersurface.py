@@ -15,7 +15,7 @@ implicit machinery and the fundamental-form oracle in ``fdcheck``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -196,14 +196,19 @@ def _plane_piece(space, axis, offset, along, inward_sign, chart_box, label):
 
 @dataclass
 class Fixture:
-    """Two boundary pieces enclosing a region, with known exact data."""
+    """Boundary pieces enclosing a region, with known exact data.
 
-    name: str
+    For a pair of pieces at a known distance, ``distance`` is that distance
+    and ``endpoints`` the ends of a shortest segment between them; both are
+    None otherwise. ``name`` is the fixture's key in ``FIXTURES``, set by
+    ``example_fixture``. The builder's arguments, the pieces' charts and
+    their ``h_exact`` hold the rest of the fixture's data."""
+
     space: SpaceForm
     pieces: List[Hypersurface]
     distance: Optional[float] = None
     endpoints: Optional[np.ndarray] = None
-    params: dict = field(default_factory=dict)
+    name: str = ""
 
 
 def _equidistant_fixture(a: float = 1.0, dim: int = 3) -> Fixture:
@@ -232,14 +237,7 @@ def _equidistant_fixture(a: float = 1.0, dim: int = 3) -> Fixture:
     ends = np.zeros((2, dim))
     ends[0, 0] = -b
     ends[1, 0] = b
-    return Fixture(
-        name="hyperbolic-equidistant",
-        space=space,
-        pieces=[piece1, piece2],
-        distance=4.0 * np.arctanh(b),
-        endpoints=ends,
-        params={"a": a, "rho": rho, "H": H, "b": b},
-    )
+    return Fixture(space, [piece1, piece2], distance=4.0 * np.arctanh(b), endpoints=ends)
 
 
 def _slab_fixture(d: float = 1.0, dim: int = 3) -> Fixture:
@@ -254,14 +252,7 @@ def _slab_fixture(d: float = 1.0, dim: int = 3) -> Fixture:
     ends = np.zeros((2, dim))
     ends[0, 0] = -d / 2.0
     ends[1, 0] = d / 2.0
-    return Fixture(
-        name="euclid-slab",
-        space=space,
-        pieces=[piece1, piece2],
-        distance=d,
-        endpoints=ends,
-        params={"d": d},
-    )
+    return Fixture(space, [piece1, piece2], distance=d, endpoints=ends)
 
 
 def _log_graph_fixture(x_min: float = 3.0, x_max: float = 2.0e6) -> Fixture:
@@ -327,14 +318,7 @@ def _log_graph_fixture(x_min: float = 3.0, x_max: float = 2.0e6) -> Fixture:
 
     axis = _plane_piece(space, 1, 0.0, 0, 1.0, (x_min, x_max), "x-axis")
 
-    return Fixture(
-        name="log-graph",
-        space=space,
-        pieces=[graph, axis],
-        distance=None,
-        endpoints=None,
-        params={"x_min": x_min, "x_max": x_max},
-    )
+    return Fixture(space, [graph, axis])
 
 
 def _revolution_fixture(t_min: float = 0.5, t_max: float = 0.95) -> Fixture:
@@ -397,21 +381,12 @@ def _revolution_fixture(t_min: float = 0.5, t_max: float = 0.95) -> Fixture:
         label="revolution",
     )
 
-    return Fixture(
-        name="revolution-r4",
-        space=space,
-        pieces=[trumpet],
-        distance=None,
-        endpoints=None,
-        params={"t_min": t_min, "t_max": t_max},
-    )
+    return Fixture(space, [trumpet])
 
 
 def _poincare_fixture(a: float = 1.0) -> Fixture:
     """The equidistant pair in the Poincare disk (dim = 2)."""
-    fx = _equidistant_fixture(a, 2)
-    fx.name = "poincare-circles"
-    return fx
+    return _equidistant_fixture(a, 2)
 
 
 # the builder of each named fixture; its signature holds the defaults
@@ -425,11 +400,13 @@ FIXTURES = {
 
 
 def example_fixture(name: str, **kwargs) -> Fixture:
-    """Build a named boundary configuration; a keyword its builder does not
-    take raises TypeError."""
+    """Build a named boundary configuration and give it its name; a keyword
+    its builder does not take raises TypeError."""
     if name not in FIXTURES:
         raise ValueError(f"unknown fixture {name!r}")
-    return FIXTURES[name](**kwargs)
+    fx = FIXTURES[name](**kwargs)
+    fx.name = name
+    return fx
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,9 @@ def phi_calculus(L: float) -> PhiCalculusReport:
     Reports the error of the endpoint values of psi against -+tanh(L/2),
     the error of the derivative identity psi' = phi'^2 + phi^2 against a
     central difference of psi, the closed form of the phi^2 integral, and
-    the range of phi, all on a grid of PHI_GRID_POINTS points.
+    the range of phi, all on a grid of PHI_GRID_POINTS points. ``CoshWeight``
+    raises ValueError unless L > 0.
     """
-    if not L > 0.0:
-        raise ValueError("L must be positive")
     tf = CoshWeight(L)
     s = np.linspace(0.0, L, PHI_GRID_POINTS)
     p0, p1 = tf.endpoint_psi()

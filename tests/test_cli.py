@@ -85,8 +85,7 @@ def test_bench_dense_grids_are_a_grids_file(tmp_path):
         "[grids]\nsamples = 1\n",
         "[grids]\nsamples = 2.5\n",
         "[grids]\nunknown_grid = 7\n",
-        # not grid keys: phi-calculus and the default scan range fix these
-        "[grids]\nr_exp_lo = 11\n",
+        # not a grid key: phi-calculus fixes it
         "[grids]\nphi_points = 2001\n",
         # fixtures are fixed in the checks, so a [fixture] section is refused
         "[fixture]\nname = klein-bottle\n",
@@ -100,9 +99,7 @@ def test_bench_dense_grids_are_a_grids_file(tmp_path):
         "[fixture]\nname = log-graph\nx_min = 1\n",
         "[fixture]\nname = revolution-r4\nt_max = 1\n",
         "[fixture]\nname = revolution-r4\nt_min = 0.9\nt_max = 0.8\n",
-        "[grids]\nr_exp_lo = nan\n",
         "[tolerances]\nfd_rel = 1e-4\n",
-        "[grids]\nr_exp_hi = inf\n",
         "[grids]\nsamples = nan\n",
         "[grids]\nr_points = inf\n",
         "no sections at all [",

@@ -308,7 +308,7 @@ def test_lens_solve_work_guard():
     """The three 256-segment sharp-lens solves cross their degenerate valleys
     on the 8-segment level in 66 Newton steps together; a 32-segment start
     took 171 and a first-order method thousands."""
-    results = [checks._solve_lens(a, 256)[2] for a in (0.5, 1.0, 2.0)]
+    results = [checks._solve_lens(a)[2] for a in (0.5, 1.0, 2.0)]
     for res in results:
         assert res.level_sizes[0] == 8
         assert res.level_stops == ["gtol"] * len(res.level_sizes)

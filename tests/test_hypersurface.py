@@ -87,15 +87,17 @@ def test_equidistant_fixture_sharpness_identity():
         for dim in (2, 3, 4):
             fx = example_fixture("hyperbolic-equidistant", a=a, dim=dim)
             n = dim - 1
-            H = fx.params["H"]
-            assert np.isclose(np.tanh(fx.distance / 2.0), 1.0 / fx.params["rho"], rtol=1e-14)
+            rho = np.sqrt(1.0 + a * a)
+            H = n / rho
+            assert np.isclose(np.tanh(fx.distance / 2.0), 1.0 / rho, rtol=1e-14)
             assert np.isclose(2.0 * H, 2.0 * n * np.tanh(fx.distance / 2.0), rtol=1e-14)
 
 
 def test_equidistant_fixture_geometry():
     fx = example_fixture("hyperbolic-equidistant", a=1.0, dim=3)
-    b = fx.params["b"]
-    assert np.isclose(fx.distance, 4.0 * np.arctanh(np.sqrt(2.0) - 1.0), rtol=1e-14)
+    b = np.sqrt(2.0) - 1.0  # rho - a
+    assert np.isclose(fx.distance, 4.0 * np.arctanh(b), rtol=1e-14)
+    assert np.allclose(fx.endpoints, [[-b, 0.0, 0.0], [b, 0.0, 0.0]], rtol=1e-14, atol=0.0)
     # endpoints sit on their pieces, on the axis, and the inward normals
     # there are axis-aligned (the axis meets both pieces orthogonally)
     for i, piece in enumerate(fx.pieces):
@@ -119,10 +121,11 @@ def test_poincare_circles_alias():
 def test_equidistant_curvature_against_parametric_fd():
     """Offset sphere in the ball metric: implicit-plus-conformal pipeline vs
     the fundamental-form oracle."""
-    fx = example_fixture("poincare-circles", a=1.0)
+    a = 1.0
+    fx = example_fixture("poincare-circles", a=a)
     piece = fx.pieces[0]
-    rho = fx.params["rho"]
-    c = np.array([fx.params["a"], 0.0])
+    rho = np.sqrt(1.0 + a * a)
+    c = np.array([a, 0.0])
 
     def metric(x):
         w = 0.5 * (1.0 - np.sum(x * x, axis=-1))
@@ -138,7 +141,7 @@ def test_equidistant_curvature_against_parametric_fd():
             metric, chart, dchart, d2chart, th, inward_ref=c - x
         )
         assert np.isclose(float(piece.mean_curvature(x)), H_fd, rtol=1e-5)
-        assert np.isclose(H_fd, fx.params["H"], rtol=1e-5)
+        assert np.isclose(H_fd, 1.0 / rho, rtol=1e-5)  # (dim - 1) / rho
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +326,14 @@ def test_revolution_curvature_against_parametric_fd():
 def test_fixture_names_cover_registry():
     for name in FIXTURES:
         fx = example_fixture(name)
+        assert fx.name == name
         assert fx.pieces
     with pytest.raises(ValueError):
         example_fixture("klein-bottle")
 
 
 def test_fixture_rejects_parameters_it_does_not_take():
-    assert example_fixture("euclid-slab", d=1.5, dim=2).params["d"] == 1.5
+    assert example_fixture("euclid-slab", d=1.5, dim=2).distance == 1.5
     with pytest.raises(TypeError, match="'x_min'"):
         example_fixture("euclid-slab", x_min=7.0)
     with pytest.raises(TypeError, match="'dim'"):
@@ -441,7 +445,7 @@ def test_annulus_infimum_two_intervals_hyperbolic_arc():
     assert np.count_nonzero(np.diff(inside.astype(int)) == 1) == 2  # two intervals
     [res] = infima_over_annuli(piece, r_lo, r_hi)
     assert res.converged
-    assert np.isclose(res.value, fx.params["H"], rtol=1e-12)
+    assert np.isclose(res.value, 2.0 / np.sqrt(2.0), rtol=1e-12)  # (dim - 1) / rho
     assert r_lo <= float(fx.space.distance(origin, _point(piece, res))) <= r_hi
 
 

@@ -26,7 +26,7 @@ import inspect
 from pathlib import Path
 
 import curvlab
-from curvlab import curves, fdcheck, geodesic, variation
+from curvlab import checks, curves, fdcheck, geodesic, variation
 from curvlab.checks import CHECKS
 
 SRC = Path(curvlab.__file__).resolve().parent
@@ -320,6 +320,7 @@ SIGNATURES = {
     variation.phi_calculus: "L",
     variation.crucial_bounds_scan: "n, R, model, n_r, n_t",
     curves._stencil_derivative: "values, order",
+    checks._solve_lens: "a",
 }
 
 

@@ -483,7 +483,7 @@ def test_index_form_f_identity_on_slab():
 
 def test_index_form_sharp_fixture_vanishes():
     fx = example_fixture("poincare-circles", a=1.0)
-    b = fx.params["b"]
+    b = math.sqrt(2.0) - 1.0  # rho - a
     curve = _slab_axis_curve(fx.space, b, 8192)
     phi = CoshWeight(curve.g_length())
     rep = index_form_trace(curve, ConstantField(1.0), fx.pieces[0], fx.pieces[1], phi)
@@ -498,7 +498,7 @@ def test_index_form_sharp_fixture_vanishes():
 
 def test_index_form_profile_boundary_and_tanh_identity():
     fx = example_fixture("poincare-circles", a=1.0)
-    b = fx.params["b"]
+    b = math.sqrt(2.0) - 1.0  # rho - a
     prof = QuarticCutoff(10.0)
     u = RadialField(fx.space, np.zeros(2), prof)
     curve = _slab_axis_curve(fx.space, b, 16384)
@@ -514,7 +514,7 @@ def test_index_form_profile_boundary_and_tanh_identity():
 
 def test_tanh_identity_holds_on_bent_curves():
     fx = example_fixture("poincare-circles", a=1.0)
-    b = fx.params["b"]
+    b = math.sqrt(2.0) - 1.0  # rho - a
     u = RadialField(fx.space, np.zeros(2), QuarticCutoff(10.0))
 
     def bent(t):
