@@ -755,13 +755,15 @@ def _check_index_form_nonnegative(ctx):
 # ---------------------------------------------------------------------------
 
 
-def _estimate_report(ctx, branch, c1, c2, R, L0, n, kappa, fixture_name=None, **grid_extra):
+def _estimate_report(ctx, branch, c1, c2, R, L0, n, fixture_name=None, **grid_extra):
     """Report on the sides branch(c1, c2, R, L0, n) of an estimate branch,
     filed with its numbers (c1, c2, R and L0 as floats: json writes 1 and
-    1.0 differently), kappa, the sharpest alpha (None; its value is in the
-    grid), j = 2 (c2 enters the error term) and the fixture the numbers
-    come from, if any; ``grid_extra`` follows the branch's own grid."""
+    1.0 differently), the branch's kappa (1 for the hyperbolic branch, 0 for
+    the flat one), the sharpest alpha (None; its value is in the grid),
+    j = 2 (c2 enters the error term) and the fixture the numbers come from,
+    if any; ``grid_extra`` follows the branch's own grid."""
     lhs, rhs, grid = branch(c1, c2, R, L0, n)
+    kappa = 1.0 if branch is main_estimate_hyperbolic else 0.0
     inputs = {"c1": c1, "c2": c2, "R": R, "L0": L0, "n": n, "kappa": kappa,
               "alpha": None, "j": 2}
     if fixture_name is not None:
@@ -775,13 +777,13 @@ def _check_curvature_sum_flat(ctx):
     R = float(np.exp(6.0))
     c1, c2 = (float(c) for c in annulus_infima(fx, 0.0, R))
     L0 = float(20.0 / np.log(20.0))
-    return _estimate_report(ctx, main_estimate_euclid, c1, c2, R, L0, 1, 0.0, fx.name)
+    return _estimate_report(ctx, main_estimate_euclid, c1, c2, R, L0, 1, fx.name)
 
 
 def _check_curvature_sum_flat_probe(ctx):
     """Deliberately violating inputs: the inequality machinery must flag
     them, proving the harness can actually fail."""
-    return _estimate_report(ctx, main_estimate_euclid, 1.0, 1.0, 100.0, 1.0, 2, 0.0)
+    return _estimate_report(ctx, main_estimate_euclid, 1.0, 1.0, 100.0, 1.0, 2)
 
 
 # radii at which the estimate's upper bound on c1 + c2 is tracked
@@ -797,7 +799,7 @@ def _check_curvature_sum_hyperbolic(ctx):
     out = sharpness_gap(1.0, R_grid)
     return _estimate_report(
         ctx, main_estimate_hyperbolic, out["c1"], out["c2"], SHARPNESS_RADII[0], out["d"], 1,
-        1.0, "poincare-circles", R_grid=R_grid.tolist(), upper_bound=out["upper_bound"].tolist(),
+        "poincare-circles", R_grid=R_grid.tolist(), upper_bound=out["upper_bound"].tolist(),
         limit=out["limit"], gap=out["gap_bound"].tolist(),
     )
 

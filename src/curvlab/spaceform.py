@@ -149,30 +149,22 @@ def _ball_chord_quantities(center, x):
     return Q, dQ, d2Q
 
 
-def _arccosh_sq_d1(Q):
-    """d/dQ arccosh(Q)^2 = 2 r / sinh r with r = arccosh Q; smooth at Q = 1."""
+def _arccosh_sq_derivatives(Q):
+    """First and second derivatives of arccosh(Q)^2 in Q.
+
+    The first is 2 r / sinh r with r = arccosh Q, the second has limit -2/3;
+    both are smooth at Q = 1, where a series replaces the direct forms.
+    """
     Q = np.asarray(Q, dtype=float)
     e = np.maximum(Q - 1.0, 0.0)
     small = e < 1e-6
     e_safe = np.where(small, 1.0, e)
     r = np.arccosh(1.0 + e_safe)
     s = np.sqrt(e_safe * (e_safe + 2.0))
-    direct = 2.0 * r / s
-    series = 2.0 * (1.0 - e / 3.0 + 2.0 * e * e / 15.0)
-    return np.where(small, series, direct)
-
-
-def _arccosh_sq_d2(Q):
-    """Second derivative of arccosh(Q)^2; limit -2/3 at Q = 1."""
-    Q = np.asarray(Q, dtype=float)
-    e = np.maximum(Q - 1.0, 0.0)
-    small = e < 1e-6
-    e_safe = np.where(small, 1.0, e)
-    r = np.arccosh(1.0 + e_safe)
-    s = np.sqrt(e_safe * (e_safe + 2.0))
-    direct = 2.0 * (s - r * (1.0 + e_safe)) / s**3
-    series = -2.0 / 3.0 + 8.0 * e / 15.0
-    return np.where(small, series, direct)
+    d1 = np.where(small, 2.0 * (1.0 - e / 3.0 + 2.0 * e * e / 15.0), 2.0 * r / s)
+    d2 = np.where(small, -2.0 / 3.0 + 8.0 * e / 15.0,
+                  2.0 * (s - r * (1.0 + e_safe)) / s**3)
+    return d1, d2
 
 
 def radial_map(space: SpaceForm, center, x):
@@ -193,8 +185,7 @@ def radial_map(space: SpaceForm, center, x):
     space.check_point(x)
     Q, dQ, d2Q = _ball_chord_quantities(c, x)
     k2 = space.kappa**2
-    a1 = _arccosh_sq_d1(Q) / k2
-    a2 = _arccosh_sq_d2(Q) / k2
+    a1, a2 = (d / k2 for d in _arccosh_sq_derivatives(Q))
     q = np.arccosh(np.maximum(Q, 1.0)) ** 2 / k2
     grad = a1[..., None] * dQ
     hess = a2[..., None, None] * dQ[..., :, None] * dQ[..., None, :] + a1[..., None, None] * d2Q

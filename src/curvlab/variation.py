@@ -246,65 +246,59 @@ def crucial_bounds_scan(
     Slack is bound - value for upper bounds and value - bound for lower
     bounds.
 
-    The result is that of the full n_r x n_t grid, bit for bit, but most
-    rows need only their r_T = -1 cell. On a row write t = r_T^2, so that
-    J2 = n (S t - P) - D (1 - t) and J1 = n (S (1 - t) - P) - n D t.
+    Only the r_T = -1 column of n_r radii is evaluated, and its result is
+    that of the full n_r x n_t grid, bit for bit. On a row write t = r_T^2,
+    so that J2 = n (S t - P) - D (1 - t) and J1 = n (S (1 - t) - P) - n D t.
     Round-to-nearest is monotone, so an IEEE operation with one operand fixed
     is monotone in the other. Where the computed S and D are nonnegative
-    (true of the quartic cutoff in both models) the computed J2 is therefore
-    nondecreasing in t and J1 nonincreasing, and every slack is nonincreasing
-    in t. Each row's smallest slack and largest J2 then sit at t = 1, and
-    its first such cell, the one ``np.argmin`` picks, is r_T = -1. A row
-    whose S, P, D, bounds or r_T = -1 values fail that sign and finiteness
-    test is evaluated in full.
+    the computed J2 is therefore nondecreasing in t and J1 nonincreasing,
+    and every slack is nonincreasing in t. Each row's smallest slack and
+    largest J2 then sit at t = 1, and its first such cell, the one
+    ``np.argmin`` picks, is r_T = -1. That holds for the quartic cutoff in
+    both models; a radius where S < 0, D < 0, or S + P + D or a slack,
+    bound or value is not finite raises ``ValueError``.
+
+    ``n_t`` (the ``t_points`` grid size) is only recorded in the result,
+    where the reports and the bench tracer read it; ``BoundCheck.at_r_T``
+    is always -1.0.
     """
     if model not in ("euclid", "hyperbolic"):
         raise ValueError("model must be 'euclid' or 'hyperbolic'")
     space = SpaceForm(n + 1, 0.0 if model == "euclid" else 1.0)
     prof = QuarticCutoff(R)
     r = np.linspace(0.0, R, n_r)
-    rt = np.linspace(-1.0, 1.0, n_t)
-    nf, S, P, D, rT2, rN2 = _radial_terms(space, prof, r[:, None], rt)
+    terms = _radial_terms(space, prof, r, -1.0)
+    _, S, P, D, _, _ = terms
+    J2 = _j2(*terms)
     base = 16.0 * n / R**2
-    low = -8.0 * n / R**2
-    # the hyperbolic J2 bound depends on r alone; only that model bounds J1
-    bound2 = base - n * prof.d1(r[:, None]) if model == "hyperbolic" else base
-
-    def cells(rows, cols):
-        """J2 and each check's (slack, bound, value) on the cells rows x cols."""
-        terms = (nf, S[rows], P[rows], D[rows], rT2[cols], rN2[cols])
-        J2 = _j2(*terms)
-        if model == "euclid":
-            return J2, {"j2_upper": (base - J2, base, J2)}
+    if model == "euclid":
+        checks = {"j2_upper": (base - J2, base, J2)}
+    else:
+        # the hyperbolic J2 bound depends on r alone; only that model bounds J1
+        low = -8.0 * n / R**2
         J1 = _j1(*terms)
-        b2 = bound2[rows]
-        return J2, {"j1_lower": (J1 - low, low, J1), "j2_upper": (b2 - J2, b2, J2)}
+        bound2 = base - n * prof.d1(r)
+        checks = {"j1_lower": (J1 - low, low, J1), "j2_upper": (bound2 - J2, bound2, J2)}
 
-    J2_col, col = cells(slice(None), slice(0, 1))
     monotone = (S >= 0.0) & (D >= 0.0) & np.isfinite(S + P + D)
-    for slack, bound, value in col.values():
+    for slack, bound, value in checks.values():
         monotone &= np.isfinite(slack + bound + value)
-    full = np.flatnonzero(~monotone)
-    J2_full, rows = cells(full, slice(None))
+    bad = r[~monotone]
+    if bad.size:
+        raise ValueError(f"J-bounds column fails the sign test at r = {float(bad[0])!r}: "
+                         "S and D must be nonnegative and every term finite")
 
     scan = BoundsScan(model=model, n=n, R=R, n_r=n_r, n_t=n_t)
-    scan.j2_max = float(np.max(np.concatenate([J2_col.ravel(), J2_full.ravel()])))
-    for name, parts in col.items():
-        # per row: the first minimum of the slack, with its bound and value
-        picked = [np.broadcast_to(a, (n_r, 1))[:, 0].copy() for a in parts]
-        at = np.zeros(n_r, dtype=int)
-        slack = rows[name][0]
-        at[full] = np.argmin(slack, axis=1)
-        for dst, a in zip(picked, rows[name]):
-            dst[full] = np.broadcast_to(a, slack.shape)[np.arange(full.size), at[full]]
-        i = int(np.argmin(picked[0]))
+    scan.j2_max = float(np.max(J2))
+    for name, (slack, bound, value) in checks.items():
+        i = int(np.argmin(slack))
         scan.checks[name] = BoundCheck(
             name=name,
-            min_slack=float(picked[0][i]),
+            min_slack=float(slack[i]),
             at_r=float(r[i]),
-            at_r_T=float(rt[at[i]]),
-            bound=float(picked[1][i]),
-            value=float(picked[2][i]),
+            at_r_T=-1.0,
+            bound=float(np.broadcast_to(bound, slack.shape)[i]),
+            value=float(value[i]),
         )
     return scan
 

@@ -90,9 +90,6 @@ def test_bench_dense_grids_are_a_grids_file(tmp_path):
         # fixtures are fixed in the checks, so a [fixture] section is refused
         "[fixture]\nname = klein-bottle\n",
         "[fixture]\nwhatever = 1\n",
-        "[fixture]\nname = euclid-slab\ndim = 2.5\n",
-        "[fixture]\nname = euclid-slab\nx_min = 7\n",
-        "[fixture]\nd = 1.0\n",
         "[fixture]\nname = hyperbolic-equidistant\n",
         "[fixture]\nname = euclid-slab\ndim = 1\n",
         "[fixture]\nname = log-graph\nx_min = 10\nx_max = 5\n",

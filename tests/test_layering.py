@@ -321,6 +321,7 @@ SIGNATURES = {
     variation.crucial_bounds_scan: "n, R, model, n_r, n_t",
     curves._stencil_derivative: "values, order",
     checks._solve_lens: "a",
+    checks._estimate_report: "ctx, branch, c1, c2, R, L0, n, fixture_name=None, grid_extra",
 }
 
 

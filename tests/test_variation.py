@@ -350,17 +350,21 @@ def _assert_same_scan(got, want):
 @pytest.mark.parametrize("n_r, n_t", [(3, 3), (37, 5), (500, 2), (1000, 101), (8000, 400)])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bounds_scan_matches_full_grid(model, n_r, n_t, n):
-    """The r_T = -1 column gives bitwise the scan of the full grid."""
+    """The r_T = -1 column gives bitwise the scan of the full grid, and n_t
+    moves nothing but the recorded n_t."""
     for R in (0.3, 1.0, 7.7, 10.0, 100.0, 1000.0):
-        _assert_same_scan(crucial_bounds_scan(n, R, model, n_r, n_t),
-                          _bounds_scan_reference(n, R, model, n_r, n_t))
+        got = crucial_bounds_scan(n, R, model, n_r, n_t)
+        _assert_same_scan(got, _bounds_scan_reference(n, R, model, n_r, n_t))
+        _assert_same_scan(crucial_bounds_scan(n, R, model, n_r, 2),
+                          dataclasses.replace(got, n_t=2))
 
 
 @pytest.mark.parametrize("model", ["euclid", "hyperbolic"])
 @pytest.mark.parametrize("row", ["negative-D", "nan-S"])
-def test_bounds_scan_rows_failing_the_sign_test_get_the_full_grid(monkeypatch, model, row):
-    """A row with D < 0 has its smallest slack inside the row, and a row with
-    S = NaN spreads NaN; either must read as on the full grid."""
+def test_bounds_scan_raises_where_the_sign_test_fails(monkeypatch, model, row):
+    """A row with D < 0 may have its smallest slack inside the row, and a row
+    with S = NaN spreads NaN; the r_T = -1 column answers for neither, so the
+    scan names the first such radius."""
     radial_terms = variation._radial_terms
     r_bad = 7.5
 
@@ -373,14 +377,8 @@ def test_bounds_scan_rows_failing_the_sign_test_get_the_full_grid(monkeypatch, m
         return n, S, P, D, rT2, rN2
 
     monkeypatch.setattr(variation, "_radial_terms", patched)
-    got = crucial_bounds_scan(2, 10.0, model, n_r=5, n_t=5)
-    _assert_same_scan(got, _bounds_scan_reference(2, 10.0, model, 5, 5))
-    j2 = got.checks["j2_upper"]
-    assert j2.at_r == r_bad
-    if row == "negative-D":
-        assert j2.at_r_T == 0.0  # r_T = 0, not the r_T = -1 column
-    else:
-        assert np.isnan(got.j2_max) and np.isnan(j2.min_slack)
+    with pytest.raises(ValueError, match=r"r = 7\.5\b"):
+        crucial_bounds_scan(2, 10.0, model, n_r=5, n_t=5)
 
 
 @pytest.mark.parametrize("model", ["euclid", "hyperbolic"])
