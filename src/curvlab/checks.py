@@ -157,16 +157,25 @@ def _factor_draw(rng, samples, dim, scale=0.25):
 # ---------------------------------------------------------------------------
 
 
-def _fd_law_check(ctx, errors, spaces=_LAW_SPACES, **inputs):
+FD_BLOCK = 128  # samples that go through formula and oracle at once
+
+
+def _fd_law_check(ctx, draw, errors, spaces=_LAW_SPACES, **inputs):
     """Worst relative error of a transformation law against its fdcheck
-    oracle, per space over the ``samples`` random draws that
-    errors(rng, space, samples) evaluates as one stack."""
+    oracle, per space over ``samples`` random draws. draw(rng, space,
+    samples) returns the stacks, one generator call per quantity, and
+    errors(space, *block) evaluates them FD_BLOCK samples at a time, so the
+    working set stays flat as ``samples`` grows; a sample's error has the
+    same bits in any block."""
     rng = ctx.rng()
     samples = ctx.grid("samples")
     per = {}
     for label, space in spaces:
+        stacks = draw(rng, space, samples)
+        errs = [errors(space, *(s[i:i + FD_BLOCK] for s in stacks))
+                for i in range(0, samples, FD_BLOCK)]
         # np.max, unlike max(), propagates a NaN sample error
-        per[label] = float(np.max(errors(rng, space, samples)))
+        per[label] = float(np.max(np.concatenate(errs)))
     return _ratio_report(
         ctx.cid,
         {"fd_relative_error": (float(np.max(list(per.values()))), FD_REL)},
@@ -179,12 +188,18 @@ def _relative(got, ref):
     return np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)
 
 
-def _connection_error(rng, space, samples):
+def _connection_draw(rng, space, samples):
+    """Stacked factor parameters (a, B, c), points and vector pairs."""
     m = space.dim
-    u = ExpQuadraticField(*_factor_draw(rng, samples, m))
+    a, B, c = _factor_draw(rng, samples, m)
     x = rng.uniform(-0.3, 0.3, size=(samples, m))
     X = rng.normal(size=(samples, m))
     Y = rng.normal(size=(samples, m))
+    return a, B, c, x, X, Y
+
+
+def _connection_error(space, a, B, c, x, X, Y):
+    u = ExpQuadraticField(a, B, c)
     metric = conformal.coordinate_metric(space, u)
     flat_metric = conformal.coordinate_metric(space, ConstantField(1.0))
     gap = fdcheck.christoffels_fd(metric, x) - fdcheck.christoffels_fd(flat_metric, x)
@@ -194,25 +209,25 @@ def _connection_error(rng, space, samples):
 
 
 def _frame_draw(rng, space, samples):
-    """Stacked random factor, points and g-orthonormal frames (samples, m, m),
-    one generator call per quantity."""
+    """Stacked factor parameters (a, B, c), points and g-orthonormal frames
+    (samples, m, m), one generator call per quantity."""
     m = space.dim
-    u = ExpQuadraticField(*_factor_draw(rng, samples, m))
+    a, B, c = _factor_draw(rng, samples, m)
     x = rng.uniform(-0.3, 0.3, size=(samples, m))
     seed = rng.normal(size=(samples, m, m))
-    return u, x, gram_schmidt_frame(space, x, seed=seed)
+    return a, B, c, x, gram_schmidt_frame(space, x, seed=seed)
 
 
-def _sectional_error(rng, space, samples):
-    u, x, F = _frame_draw(rng, space, samples)
+def _sectional_error(space, a, B, c, x, F):
+    u = ExpQuadraticField(a, B, c)
     got = conformal.sectional_numerator(space, u, x, F[:, 0], F[:, 1])
     uv = u.value(x)[:, None]
     ref = fdcheck.sectional_fd(conformal.coordinate_metric(space, u), x, uv * F[:, 0], uv * F[:, 1])
     return _relative(got, ref)
 
 
-def _ricci_error(rng, space, samples):
-    u, x, F = _frame_draw(rng, space, samples)
+def _ricci_error(space, a, B, c, x, F):
+    u = ExpQuadraticField(a, B, c)
     got = conformal.ricci_formula(space, u, x, F[:, 0])
     uv = u.value(x)[:, None]
     ref = fdcheck.ricci_quadratic_fd(conformal.coordinate_metric(space, u), x, uv * F[:, 0])
@@ -249,16 +264,22 @@ def _sphere_chart(s):
     return chart, dchart, d2chart
 
 
-def _mean_curvature_error(rng, space, samples):
+def _sphere_draw(rng, space, samples):
+    """Stacked factor parameters (a, B, c) and sphere chart angles."""
+    a, B, c = _factor_draw(rng, samples, 3, scale=0.2)
+    # polar angle in [0.4, 2.7), azimuth in [0, 2 pi)
+    th = rng.uniform((0.4, 0.0), (2.7, 2.0 * np.pi), size=(samples, 2))
+    return a, B, c, th
+
+
+def _mean_curvature_error(space, a, B, c, th):
     s = _SPHERE_RADIUS
     chart, dchart, d2chart = _sphere_chart(s)
     if space.hyperbolic:
         H_g = 2.0 / np.tanh(2.0 * np.arctanh(s))
     else:
         H_g = 2.0 / s
-    u = ExpQuadraticField(*_factor_draw(rng, samples, 3, scale=0.2))
-    # polar angle in [0.4, 2.7), azimuth in [0, 2 pi)
-    th = rng.uniform((0.4, 0.0), (2.7, 2.0 * np.pi), size=(samples, 2))
+    u = ExpQuadraticField(a, B, c)
     metric = conformal.coordinate_metric(space, u)
     x = chart(th)
     nu_g = -x / s * space.ambient_factor(x)[:, None]
@@ -273,7 +294,7 @@ def _check_mean_curvature_law(ctx):
     """Random factor over flat and hyperbolic backgrounds: the pointwise
     mean-curvature law against a second-fundamental-form computation in
     the rescaled coordinate metric, on a fixed coordinate sphere."""
-    return _fd_law_check(ctx, _mean_curvature_error, _LAW_SPACES[:2],
+    return _fd_law_check(ctx, _sphere_draw, _mean_curvature_error, _LAW_SPACES[:2],
                          sphere_radius=_SPHERE_RADIUS)
 
 
@@ -948,9 +969,12 @@ class CheckSpec:
 
 
 CHECKS = {
-    "connection-law-fd": CheckSpec(("conformal",), partial(_fd_law_check, errors=_connection_error)),
-    "sectional-law-fd": CheckSpec(("conformal",), partial(_fd_law_check, errors=_sectional_error)),
-    "ricci-law-fd": CheckSpec(("conformal",), partial(_fd_law_check, errors=_ricci_error)),
+    "connection-law-fd": CheckSpec(("conformal",), partial(
+        _fd_law_check, draw=_connection_draw, errors=_connection_error)),
+    "sectional-law-fd": CheckSpec(("conformal",), partial(
+        _fd_law_check, draw=_frame_draw, errors=_sectional_error)),
+    "ricci-law-fd": CheckSpec(("conformal",), partial(
+        _fd_law_check, draw=_frame_draw, errors=_ricci_error)),
     "mean-curvature-law-fd": CheckSpec(("conformal",), _check_mean_curvature_law),
     "poincare-recovery": CheckSpec(("conformal",), _check_poincare_recovery),
     "diameter-geodesic": CheckSpec(("conformal",), _check_diameter_geodesic),

@@ -415,6 +415,7 @@ def example_fixture(name: str, **kwargs) -> Fixture:
 
 
 _MAX_STEPS = 100  # cap on the steps of each bisection and golden-section search
+_CHUNK = 2048  # chart points per distance or mean-curvature evaluation
 _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
 
@@ -482,33 +483,39 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
     and golden-section bracket reached its tolerance within _MAX_STEPS.
 
     The annuli share the work: one distance table, one bisection loop over
-    all their cut roots, one distance and one mean-curvature call for all
+    all their cut roots, one pass of distance and mean curvature over all
     their local tables, and one lockstep golden-section run. Each annulus
     gets the bits it would get alone. Its cuts stop at the step where none
     of them is still wide, which is where a bisection of that annulus alone
     stops; the golden-section searches keep a bracket each; and distance
     and mean curvature act point by point, so the other points of a batch
-    do not change a point's value.
+    do not change a point's value. So every pass evaluates its chart points
+    in chunks of _CHUNK, which bounds the working set and changes no bit.
     """
     r_lo = np.atleast_1d(np.asarray(r_lo, dtype=float))
     r_hi = np.atleast_1d(np.asarray(r_hi, dtype=float))
     origin = np.zeros(piece.space.dim)
 
+    def in_chunks(f, ts):
+        return np.concatenate([np.empty(0)] + [f(ts[i:i + _CHUNK])
+                                               for i in range(0, ts.size, _CHUNK)])
+
     def dist_of(ts):
-        return np.asarray(piece.space.distance(origin, piece.chart_points(ts)))
+        return in_chunks(lambda t: piece.space.distance(origin, piece.chart_points(t)), ts)
 
     def h_of(ts):
-        return np.asarray(piece.mean_curvature(piece.chart_points(ts)))
+        return in_chunks(lambda t: piece.mean_curvature(piece.chart_points(t)), ts)
 
     ts_tab = np.linspace(*piece.chart_box, 4097)
     d_tab = dist_of(ts_tab)
     # levels r_lo[0], r_hi[0], r_lo[1], ...; the annulus lies above r_lo, below r_hi
     levels = np.stack([r_lo, r_hi], axis=1).ravel()
-    annulus_above = np.tile([True, False], r_lo.size)
-    above = d_tab > levels[:, None]
-    lev, i = np.nonzero(above[:, :-1] != above[:, 1:])
-    ann, level, keep = lev // 2, levels[lev], annulus_above[lev]
-    right = (above[lev, i + 1] == keep).astype(int)
+    # table intervals that cross a level, one level at a time, in level order
+    i = [np.flatnonzero(np.diff(d_tab > level)) for level in levels]
+    lev = np.repeat(np.arange(levels.size), [c.size for c in i])
+    i = np.concatenate(i)
+    ann, level, keep = lev // 2, levels[lev], lev % 2 == 0
+    right = ((d_tab[i + 1] > level) == keep).astype(int)
     t_in, t_out = ts_tab[i + right], ts_tab[i + 1 - right]
     # t_in stays on the annulus side; stop at brentq's default tolerance
     for step in range(_MAX_STEPS + 1):
@@ -523,12 +530,12 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
         t_in[moving] = np.where(side, mid, t_in[moving])
         t_out[moving] = np.where(side, t_out[moving], mid)
 
-    inside = (d_tab > r_lo[:, None]) & (d_tab < r_hi[:, None])
     cuts, tables, missed = [], [], []
     for k in range(r_lo.size):
         mine = ann == k
         cuts.append(t_in[mine])
-        seeds = np.concatenate([ts_tab[inside[k]], cuts[k]])
+        inside = (d_tab > r_lo[k]) & (d_tab < r_hi[k])
+        seeds = np.concatenate([ts_tab[inside], cuts[k]])
         tables.append(_union(np.linspace(seeds.min(), seeds.max(), 513), cuts[k])
                       if seeds.size else np.empty(0))
         j = np.flatnonzero(wide[mine])

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -88,14 +89,8 @@ def test_bench_dense_grids_are_a_grids_file(tmp_path):
         # not a grid key: phi-calculus fixes it
         "[grids]\nphi_points = 2001\n",
         # fixtures are fixed in the checks, so a [fixture] section is refused
-        "[fixture]\nname = klein-bottle\n",
-        "[fixture]\nwhatever = 1\n",
+        # like any unknown section, even one naming a real fixture
         "[fixture]\nname = hyperbolic-equidistant\n",
-        "[fixture]\nname = euclid-slab\ndim = 1\n",
-        "[fixture]\nname = log-graph\nx_min = 10\nx_max = 5\n",
-        "[fixture]\nname = log-graph\nx_min = 1\n",
-        "[fixture]\nname = revolution-r4\nt_max = 1\n",
-        "[fixture]\nname = revolution-r4\nt_min = 0.9\nt_max = 0.8\n",
         "[tolerances]\nfd_rel = 1e-4\n",
         "[grids]\nsamples = nan\n",
         "[grids]\nr_points = inf\n",
@@ -526,29 +521,38 @@ def test_ratio_report_fails_on_nan_error():
     assert "non_finite_parts" not in finite.grid
 
 
-def test_fd_law_check_fails_on_nan_sample():
+def test_fd_law_check_fails_on_nan_sample(monkeypatch):
     # the NaN is neither the first sample nor in the first space, where a
-    # plain max() would drop it
+    # plain max() would drop it; blocks of two split the second space
     errors = iter([[1e-6, 2e-6, 1e-6], [float("nan"), 3e-6, 1e-6]])
 
-    def sample_errors(rng, space, samples):
-        return np.array(next(errors))
+    def draw(rng, space, samples):
+        return (np.array(next(errors)),)
 
+    monkeypatch.setattr(checks, "FD_BLOCK", 2)
     ctx = cli.CheckContext(RunConfig(grids={"samples": 3}), "fake-law")
     spaces = [("first", SpaceForm(2, 0.0)), ("second", SpaceForm(2, 1.0))]
-    rep = checks._fd_law_check(ctx, sample_errors, spaces)
+    rep = checks._fd_law_check(ctx, draw, lambda space, block: block, spaces)
     assert not rep.passed
     assert rep.grid["non_finite_parts"] == ["fd_relative_error"]
     assert rep.grid["per_space"]["first"] == 2e-6
     assert np.isnan(rep.grid["per_space"]["second"])
 
 
-@pytest.mark.parametrize(
-    "cid", ["connection-law-fd", "sectional-law-fd", "ricci-law-fd", "mean-curvature-law-fd"]
-)
+_FD_LAWS = {
+    "connection-law-fd": (checks._connection_draw, checks._connection_error, checks._LAW_SPACES),
+    "sectional-law-fd": (checks._frame_draw, checks._sectional_error, checks._LAW_SPACES),
+    "ricci-law-fd": (checks._frame_draw, checks._ricci_error, checks._LAW_SPACES),
+    "mean-curvature-law-fd": (checks._sphere_draw, checks._mean_curvature_error,
+                              checks._LAW_SPACES[:2]),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(_FD_LAWS))
 def test_fd_law_metric_calls_do_not_grow_with_samples(monkeypatch, cid):
-    """Each space's samples go through the oracle as one stack, so the
-    metric calls per space are the same for 3 samples and for 30."""
+    """The samples go through the oracle FD_BLOCK at a time, one stack per
+    block, so the metric calls per space do not grow with the samples inside
+    a block and are ceil(samples / FD_BLOCK) times the calls of one block."""
     real = checks.conformal.coordinate_metric
 
     def calls_per_space(samples):
@@ -568,8 +572,53 @@ def test_fd_law_metric_calls_do_not_grow_with_samples(monkeypatch, cid):
         assert cli.CHECKS[cid].fn(ctx).passed
         return calls
 
-    few = calls_per_space(3)
-    assert few and few == calls_per_space(30)
+    one = calls_per_space(3)
+    assert one
+    block = checks.FD_BLOCK
+    for samples in (block, block + 1, 3 * block):
+        blocks = -(-samples // block)
+        assert calls_per_space(samples) == {space: blocks * n for space, n in one.items()}
+
+
+@pytest.mark.parametrize("cid", sorted(_FD_LAWS))
+def test_fd_law_errors_do_not_depend_on_the_block(monkeypatch, cid):
+    """Each sample's error has the same bits in a block of one, of seven and
+    in one stack of all the samples, and so has the check's report."""
+    draw, errors, spaces = _FD_LAWS[cid]
+    samples = 20
+    for _, space in spaces:
+        stacks = draw(np.random.default_rng(5), space, samples)
+        want = errors(space, *stacks).tobytes()
+        for block in (1, 7):
+            got = np.concatenate([errors(space, *(s[i:i + block] for s in stacks))
+                                  for i in range(0, samples, block)])
+            assert got.tobytes() == want
+
+    def report(block):
+        monkeypatch.setattr(checks, "FD_BLOCK", block)
+        rep = cli.CHECKS[cid].fn(cli.CheckContext(RunConfig(grids={"samples": samples}), cid))
+        return dataclasses.replace(rep, wall_time_s=0.0).to_json()
+
+    want = report(samples)
+    assert report(1) == want and report(7) == want and report(10**9) == want
+
+
+def test_fd_law_working_set_does_not_grow_with_samples():
+    """sectional-law-fd, whose oracle stack is the largest, evaluates its
+    samples one block at a time: the traced peak at 1600 samples stays within
+    1.5 times the peak of one full block (12 times as one stack)."""
+
+    def peak(samples):
+        ctx = cli.CheckContext(RunConfig(grids={"samples": samples}), "sectional-law-fd")
+        tracemalloc.start()
+        try:
+            assert cli.CHECKS["sectional-law-fd"].fn(ctx).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(3)  # first-call allocations stay out of the comparison
+    assert peak(1600) <= 1.5 * peak(checks.FD_BLOCK)
 
 
 class _CountingRng:

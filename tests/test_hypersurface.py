@@ -549,6 +549,27 @@ def test_infima_over_annuli_match_one_annulus_at_a_time(name):
                                                                   want.missed)
 
 
+def _bits(results):
+    return [None if r is None else
+            (r.value.hex(), r.param.hex(), r.n_grid, r.converged, r.missed)
+            for r in results]
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_SCAN_RADII))
+def test_infima_over_annuli_do_not_depend_on_the_chunk(monkeypatch, name):
+    """Distance and mean curvature act point by point, so evaluating the
+    chart points in chunks of one, of seven, of the default or all at once
+    gives the same bits."""
+    R = np.append(_DENSE_SCAN_RADII[name][::20], 3e9)
+    for piece in example_fixture(name).pieces:
+        monkeypatch.setattr(hypersurface, "_CHUNK", 10**9)
+        want = _bits(infima_over_annuli(piece, R / 3.0, R))
+        assert want[-1] is None and None not in want[:-1]
+        for chunk in (1, 7, 2048):
+            monkeypatch.setattr(hypersurface, "_CHUNK", chunk)
+            assert _bits(infima_over_annuli(piece, R / 3.0, R)) == want
+
+
 def test_union_matches_numpy_union1d_bitwise():
     """Each local table's union with its cut roots has np.union1d's bits;
     np.union1d stays the reference."""
