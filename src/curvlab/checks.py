@@ -435,6 +435,33 @@ def _check_elementary_inequalities(ctx):
                         inputs={"n_grid": mins["n_grid"], "r_max": mins["r_max"]}, grid=mins)
 
 
+def _gauss_legendre(n):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], by Newton's method on the three-term recurrence of the Legendre
+    polynomials from the guesses cos(pi (i - 1/4) / (n + 1/2)), one root of
+    each symmetric pair (``gauleg``: Press et al., Numerical Recipes, 3rd
+    ed., section 4.6). The weights take P_n' at the converged nodes."""
+
+    def legendre(z):
+        """(P_n(z), P_n'(z))."""
+        p1, p2 = np.ones_like(z), np.zeros_like(z)
+        for j in range(1, n + 1):
+            p1, p2 = ((2 * j - 1) * z * p1 - (j - 1) * p2) / j, p1
+        return p1, n * (z * p1 - p2) / (z * z - 1.0)
+
+    z = np.cos(np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        step = np.divide(*legendre(z))
+        z = z - step
+        if np.max(np.abs(step)) <= 1e-14:
+            break
+    else:
+        raise RuntimeError(f"Gauss-Legendre nodes of order {n} did not converge")
+    w = 2.0 / ((1.0 - z * z) * legendre(z)[1] ** 2)
+    mirror = slice(n % 2, None)  # an odd rule's middle node is in -z already
+    return np.concatenate([-z, z[::-1][mirror]]), np.concatenate([w, w[::-1][mirror]])
+
+
 def _check_phi_calculus(ctx):
     """Endpoint values, derivative identity, the 6/5 integral bound over a
     wide range of lengths, and the closed form against Gauss-Legendre
@@ -444,7 +471,7 @@ def _check_phi_calculus(ctx):
     closed = np.array([CoshWeight(L).phi_sq_integral() for L in Ls])
     tf = CoshWeight(2.0)
     val, coarse = (float(w @ tf.phi(1.0 + x) ** 2)
-                   for x, w in map(np.polynomial.legendre.leggauss, (32, 16)))
+                   for x, w in map(_gauss_legendre, (32, 16)))
     parts = {
         "endpoint_error": (rep.endpoint_error, 1e-12),
         "derivative_identity_error": (rep.derivative_identity_error, 1e-6),
@@ -744,7 +771,8 @@ def _check_index_form_flat_slab(ctx):
     }
     grid = {"total": rep.total, "total_cosh": rep_w.total, "fd": fd, "fd_cosh": fd_w,
             "tanh_identity": [tanh_lhs, tanh_rhs],
-            "f_identity": [rep_w.f_identity_lhs, rep_w.f_identity_rhs]}
+            "f_identity": [rep_w.f_identity_lhs, rep_w.f_identity_rhs],
+            "max_residual": rep.max_residual}
     return _ratio_report(ctx.cid, parts, inputs={"n_segments": SLAB_TRACE_SEGMENTS}, grid=grid)
 
 
@@ -752,7 +780,7 @@ def _check_index_form_nonnegative(ctx):
     """Stability of the known minimizers: the traced second variation with
     the admissible weight is nonnegative, and vanishes on the borderline
     equidistant configuration."""
-    total_s = ctx.once(_slab_cosh_trace)[-1].total
+    rep_s = ctx.once(_slab_cosh_trace)[-1]
 
     fx_l = example_fixture("poincare-circles", a=1.0)
     axis_segments = 8192
@@ -761,12 +789,13 @@ def _check_index_form_nonnegative(ctx):
     rep_l = index_form_trace(curve_l, ConstantField(1.0), fx_l.pieces[0], fx_l.pieces[1], phi_l)
 
     parts = {
-        "slab_negative_part": (np.maximum(0.0, -total_s), 1e-9),
+        "slab_negative_part": (np.maximum(0.0, -rep_s.total), 1e-9),
         "lens_negative_part": (np.maximum(0.0, -rep_l.total), 1e-6),
         "lens_borderline": (abs(rep_l.total), 1e-5),
     }
-    grid = {"slab_total": total_s, "lens_total": rep_l.total,
-            "lens_boundary_term": rep_l.boundary_start}
+    grid = {"slab_total": rep_s.total, "lens_total": rep_l.total,
+            "lens_boundary_term": rep_l.boundary_start,
+            "slab_max_residual": rep_s.max_residual, "lens_max_residual": rep_l.max_residual}
     return _ratio_report(ctx.cid, parts,
                          inputs={"n_segments": [SLAB_TRACE_SEGMENTS, axis_segments]}, grid=grid)
 

@@ -15,6 +15,9 @@ central difference evaluates its 2m shifted points in one metric call, and
 neighbours from one batched ``christoffels_fd``: three metric calls per
 stack of Riemann or Ricci tensors, and three per stack of parametric mean
 curvatures. Every point keeps its own step DEFAULT_STEP * max(1, |x|_inf).
+The unit normal of a parametric hypersurface is a generalized cross product
+of cofactors, written out point by point, so no point goes through a
+singular value decomposition.
 Contractions add their terms in index order, so a point gets the same bits
 alone and inside any stack. The tests' one-point gradient and Hessian
 oracles live with the tests, in ``tests/references.py``.
@@ -148,19 +151,44 @@ def _apply(G, v):
     return _fold(G * v[..., None, :])
 
 
+def _det(M):
+    """Determinants of a stack of small square matrices M (..., k, k) by
+    cofactor expansion along the first row, added in column order."""
+    k = M.shape[-1]
+    if k == 1:
+        return M[..., 0, 0]
+    out = 0.0
+    for j in range(k):
+        term = M[..., 0, j] * _det(np.delete(M[..., 1:, :], j, axis=-1))
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
 def metric_normal(G, jacobian, inward_ref):
     """G-unit normal to the column span of ``jacobian`` for the metric matrix
     G, oriented along ``inward_ref`` (coordinate vector, positive G-pairing).
-    Stacks G (..., m, m), jacobian (..., m, k) and inward_ref (..., m) give
-    normals (..., m); a tangent space of any rank but m - 1 anywhere in the
-    stack raises, as its normal direction is not unique."""
+    Stacks G (..., m, m), jacobian (..., m, m - 1) and inward_ref (..., m)
+    give normals (..., m).
+
+    A vector is G-orthogonal to the columns of J exactly when A = J^T G maps
+    it to zero, so the normal direction is the null vector of the
+    (m - 1) x m matrix A: its generalized cross product, whose j-th entry is
+    (-1)^j times the minor of A without column j (for m = 3 the cross
+    product of the two rows, for m = 2 the row turned by a right angle).
+    That vector is never longer than the product of the row norms of A
+    (Hadamard's bound), with equality for orthogonal rows. A tangent space
+    whose vector is at most 1e-8 of that bound anywhere in the stack, or a
+    Jacobian without m - 1 columns, has no unique normal direction and
+    raises."""
     G = np.asarray(G, dtype=float)
     m = G.shape[-1]
     Jt = np.swapaxes(np.asarray(jacobian, dtype=float), -1, -2)
-    A = _fold(Jt[..., :, None, :] * G[..., None, :, :])  # (k, m); null space is the G-orthogonal complement
-    _, s, vt = np.linalg.svd(A)
-    nu = vt[..., -1, :]
-    if np.any(np.sum(s > 1e-8 * s[..., :1], axis=-1) != m - 1):
+    if Jt.shape[-2] != m - 1:
+        raise ValueError(f"degenerate tangent space: {Jt.shape[-2]} tangent vectors in dimension {m}")
+    A = _fold(Jt[..., :, None, :] * G[..., None, :, :])  # (m - 1, m)
+    nu = np.stack([_det(np.delete(A, j, axis=-1)) * (-1.0) ** j for j in range(m)], axis=-1)
+    hadamard = np.prod(np.sqrt(_fold(A * A)), axis=-1)
+    if np.any(~(np.sqrt(_fold(nu * nu)) > 1e-8 * hadamard)):
         raise ValueError("degenerate tangent space")
     nu = nu / np.sqrt(_fold(nu * _apply(G, nu)))[..., None]
     flip = _fold(_apply(G, nu) * np.asarray(inward_ref, dtype=float)) < 0

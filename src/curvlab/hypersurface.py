@@ -416,6 +416,7 @@ def example_fixture(name: str, **kwargs) -> Fixture:
 
 _MAX_STEPS = 100  # cap on the steps of each bisection and golden-section search
 _CHUNK = 2048  # chart points per distance or mean-curvature evaluation
+_GROUP = 8  # annuli whose local tables (about 520 points each) are held at once
 _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
 
@@ -483,14 +484,17 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
     and golden-section bracket reached its tolerance within _MAX_STEPS.
 
     The annuli share the work: one distance table, one bisection loop over
-    all their cut roots, one pass of distance and mean curvature over all
-    their local tables, and one lockstep golden-section run. Each annulus
-    gets the bits it would get alone. Its cuts stop at the step where none
-    of them is still wide, which is where a bisection of that annulus alone
-    stops; the golden-section searches keep a bracket each; and distance
-    and mean curvature act point by point, so the other points of a batch
-    do not change a point's value. So every pass evaluates its chart points
-    in chunks of _CHUNK, which bounds the working set and changes no bit.
+    all their cut roots and one lockstep golden-section run. Their local
+    tables are built, evaluated and judged _GROUP annuli at a time, each
+    group in one pass of distance and mean curvature, and dropped before the
+    next group, so the tables held at once do not grow with the number of
+    annuli. Each annulus gets the bits it would get alone. Its cuts stop at
+    the step where none of them is still wide, which is where a bisection of
+    that annulus alone stops; the golden-section searches keep a bracket
+    each; and distance and mean curvature act point by point, so the other
+    points of a batch do not change a point's value. So every pass evaluates
+    its chart points in chunks of _CHUNK, which bounds the working set and
+    changes no bit.
     """
     r_lo = np.atleast_1d(np.asarray(r_lo, dtype=float))
     r_hi = np.atleast_1d(np.asarray(r_hi, dtype=float))
@@ -530,35 +534,41 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
         t_in[moving] = np.where(side, mid, t_in[moving])
         t_out[moving] = np.where(side, t_out[moving], mid)
 
-    cuts, tables, missed = [], [], []
+    cuts, missed = [], []
     for k in range(r_lo.size):
         mine = ann == k
         cuts.append(t_in[mine])
-        inside = (d_tab > r_lo[k]) & (d_tab < r_hi[k])
-        seeds = np.concatenate([ts_tab[inside], cuts[k]])
-        tables.append(_union(np.linspace(seeds.min(), seeds.max(), 513), cuts[k])
-                      if seeds.size else np.empty(0))
         j = np.flatnonzero(wide[mine])
         missed.append(tuple(sorted((float(cuts[k][j[0]]), float(t_out[mine][j[0]]))))
                       if j.size else None)
-    ends = np.cumsum([t.size for t in tables])[:-1]
-    ts_all = np.concatenate([np.empty(0)] + tables)
-    d_all = np.split(dist_of(ts_all), ends)
-    h_all = np.split(h_of(ts_all), ends)
 
-    best, brackets = [], []
-    for k, ts in enumerate(tables):
-        if ts.size == 0:
-            best.append(None)
-            continue
-        is_cut = np.isin(ts, cuts[k])
-        ok = is_cut | ((d_all[k] > r_lo[k]) & (d_all[k] < r_hi[k]))
-        h = np.where(ok, h_all[k], np.inf)
-        j = int(np.argmin(h))
-        best.append((float(h[j]), float(ts[j])))
-        if not is_cut[j] and 0 < j < ts.size - 1 and ok[j - 1] and ok[j + 1] \
-                and h[j] < min(h[j - 1], h[j + 1]):
-            brackets.append((k, ts[j - 1], ts[j], ts[j + 1], h[j]))
+    # the local tables of _GROUP annuli at a time: built, evaluated, judged, dropped
+    best, sizes, brackets = [], [], []
+    for first in range(0, r_lo.size, _GROUP):
+        group = range(first, min(first + _GROUP, r_lo.size))
+        tables = []
+        for k in group:
+            inside = (d_tab > r_lo[k]) & (d_tab < r_hi[k])
+            seeds = np.concatenate([ts_tab[inside], cuts[k]])
+            tables.append(_union(np.linspace(seeds.min(), seeds.max(), 513), cuts[k])
+                          if seeds.size else np.empty(0))
+        ends = np.cumsum([t.size for t in tables])[:-1]
+        ts_all = np.concatenate([np.empty(0)] + tables)
+        d_all = np.split(dist_of(ts_all), ends)
+        h_all = np.split(h_of(ts_all), ends)
+        for k, ts, d, h in zip(group, tables, d_all, h_all):
+            sizes.append(ts.size)
+            if ts.size == 0:
+                best.append(None)
+                continue
+            is_cut = np.isin(ts, cuts[k])
+            ok = is_cut | ((d > r_lo[k]) & (d < r_hi[k]))
+            h = np.where(ok, h, np.inf)
+            j = int(np.argmin(h))
+            best.append((float(h[j]), float(ts[j])))
+            if not is_cut[j] and 0 < j < ts.size - 1 and ok[j - 1] and ok[j + 1] \
+                    and h[j] < min(h[j - 1], h[j + 1]):
+                brackets.append((k, ts[j - 1], ts[j], ts[j + 1], h[j]))
     if brackets:
         ks, a, x, b, fx = zip(*brackets)
         fx, x, missed_min = _golden_section(h_of, a, x, b, fx)
@@ -569,7 +579,7 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
     return [None if b is None else InfimumResult(
         value=b[0],
         param=b[1],
-        n_grid=int(ts.size),
+        n_grid=int(size),
         converged=m is None,
         missed=m,
-    ) for b, ts, m in zip(best, tables, missed)]
+    ) for b, size, m in zip(best, sizes, missed)]

@@ -40,6 +40,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 RESIDUAL_TOL = 1e-6  # largest geodesic residual ``index_form_trace`` accepts
 LENGTH_RTOL = 1e-6  # relative mismatch allowed between a cosh weight's L and the g-length
 PHI_GRID_POINTS = 2001  # points of the [0, L] grid ``phi_calculus`` measures on
+_TRACE_BLOCK = 1024  # vertices whose point-by-point quantities ``index_form_trace`` takes at once
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +353,30 @@ def _signed_mean_curvature(piece: Hypersurface, x: np.ndarray, direction: np.nda
     return H if align > 0.0 else -H
 
 
+def _vertex_terms(curve: DiscreteCurve, u: ScalarField):
+    """Rows u, u_T, |grad u|_g^2 - u_T^2 (floored at 0), Hess_g u(T, T) and
+    lap_g u over the vertices, the largest |residual|_g, and the tangents at
+    the two ends; raises where u <= 0. See ``index_form_trace`` for the
+    block rule."""
+    space, pts = curve.space, curve.points
+    acc = curve.vertex_acceleration()  # the larger temporaries go first, with nothing held
+    T, _sigma = curve.vertex_tangents()
+    rows = [np.empty(len(pts)) for _ in range(5)]
+    residual = []
+    for i in range(0, len(pts), _TRACE_BLOCK):
+        x, t, a = (v[i:i + _TRACE_BLOCK] for v in (pts, T, acc))
+        uv = np.asarray(u.value(x), dtype=float)
+        if np.any(uv <= 0.0):
+            raise ValueError("conformal factor must be positive along the curve")
+        u_T = space.inner(x, grad_g(space, u, x), t)
+        residual.append(np.max(space.norm(x, geodesic_residual(space, u, x, t, a))))
+        block = (uv, u_T, np.maximum(grad_norm2_g(space, u, x) - u_T * u_T, 0.0),
+                 hess_g_apply(space, u, x, t, t), laplacian_g(space, u, x))
+        for row, q in zip(rows, block):
+            row[i:i + _TRACE_BLOCK] = q
+    return (*rows, float(np.max(residual)), T[[0, -1]])
+
+
 def index_form_trace(
     curve: DiscreteCurve,
     u: ScalarField,
@@ -369,20 +394,23 @@ def index_form_trace(
 
     A minimizing curve has total >= 0 up to discretization error; the report
     keeps every named term so the inequality can be rearranged downstream.
+
+    Block rule: the stencils (tangent and acceleration), the arclength
+    tables and every integral act on the whole curve, while the quantities
+    of u (its value, u_T, the geodesic residual and its norm, |grad u|_g^2,
+    Hess_g u(T, T) and lap_g u) are evaluated _TRACE_BLOCK vertices at a time
+    and written into separate rows over the curve. Their temporaries then
+    stay the size of one block however long the curve is, and the rows are
+    1-D. The bits hold because each of these quantities acts on one vertex
+    alone: its sums run over that vertex's coordinates in index order, so a
+    vertex gets the same value inside any block as in the whole curve, and
+    the integrals see the same rows.
     """
     space = curve.space
     pts = curve.points
     n = float(space.n)
 
-    T, _sigma = curve.vertex_tangents()
-    acc = curve.vertex_acceleration()
-    uv = np.asarray(u.value(pts), dtype=float)
-    if np.any(uv <= 0.0):
-        raise ValueError("conformal factor must be positive along the curve")
-    u_T = space.inner(pts, grad_g(space, u, pts), T)
-
-    residual = geodesic_residual(space, u, pts, T, acc)
-    max_residual = float(np.max(space.norm(pts, residual)))
+    uv, u_T, u_N2, u_TT, lap, max_residual, T_ends = _vertex_terms(curve, u)
     if max_residual > RESIDUAL_TOL:
         raise ValueError(
             f"curve is not stationary: residual {max_residual:.3e} exceeds "
@@ -400,9 +428,6 @@ def index_form_trace(
         )
     else:
         pv, dpv = phi.phi(s), phi.dphi(s)
-    u_N2 = np.maximum(grad_norm2_g(space, u, pts) - u_T * u_T, 0.0)
-    u_TT = hess_g_apply(space, u, pts, T, T)
-    lap = laplacian_g(space, u, pts)
     ric_TT = -n * space.kappa**2
 
     ricci_integral = float(
@@ -416,8 +441,8 @@ def index_form_trace(
         _trapz(pv * pv * (n * u_T * u_T - (lap - u_TT) * uv), st)
     )
 
-    boundary_start = -float(uv[0]) * _signed_mean_curvature(piece_start, pts[0], T[0])
-    boundary_end = -float(uv[-1]) * _signed_mean_curvature(piece_end, pts[-1], -T[-1])
+    boundary_start = -float(uv[0]) * _signed_mean_curvature(piece_start, pts[0], T_ends[0])
+    boundary_end = -float(uv[-1]) * _signed_mean_curvature(piece_end, pts[-1], -T_ends[1])
 
     f = 0.5 * (1.0 + pv * pv)
     f_identity_lhs = float(n * (u_T[-1] - u_T[0]))

@@ -790,11 +790,11 @@ def test_geodesic_suite_runs_without_scipy(tmp_path):
 
 def test_serial_run_freezes_import_heap_and_loads_no_pool_or_masked_arrays(tmp_path):
     """``import curvlab.cli`` freezes its heap, so exit's GC skips it; a run
-    loads neither numpy.ma nor concurrent.futures."""
+    loads neither numpy.ma nor concurrent.futures nor numpy.polynomial."""
     code = ("import gc, sys, curvlab.cli; "
             "print('guard', gc.get_freeze_count() > 0); "
             "lazy = lambda: sorted(m for m in sys.modules "
-            "if (m + '.').startswith(('numpy.ma.', 'concurrent.futures.'))); "
+            "if (m + '.').startswith(('numpy.ma.', 'concurrent.futures.', 'numpy.polynomial.'))); "
             f"s1 = curvlab.cli.main(['--suite', 'all', '--workers', '1', '--out', {str(tmp_path / 'w1')!r}]); "
             "print('guard', s1, lazy())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -802,6 +802,23 @@ def test_serial_run_freezes_import_heap_and_loads_no_pool_or_masked_arrays(tmp_p
     assert [line for line in out if line.startswith("guard ")] == ["guard True", "guard 0 []"]
     names = sorted(p.name for p in (tmp_path / "w1").iterdir())
     assert len(names) == len(cli.CHECKS) + len(suite_checks("scan"))
+
+
+def test_conformal_suite_needs_no_svd(tmp_path, monkeypatch):
+    """The FD oracle's hypersurface normal takes no singular value
+    decomposition: with np.linalg.svd raising, every conformal check passes."""
+
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    out = tmp_path / "out"
+    stdout = io.StringIO()
+    assert cli.run(RunConfig(suite="conformal", out=str(out)), stdout=stdout,
+                   stderr=io.StringIO()) == 0
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) == len(suite_checks("conformal"))
+    assert all(": PASS " in line for line in lines), lines
 
 
 def test_every_library_import_is_a_declared_dependency():

@@ -127,6 +127,30 @@ def test_batched_calls_equal_single_point_calls(m):
         assert H[p] == H1 and np.array_equal(nus[p], nu1)
 
 
+def _svd_normal(G, J, ref):
+    """The G-unit normal from the null vector of J^T G by singular value
+    decomposition, oriented along ref: one point at a time."""
+    nu = np.linalg.svd(J.T @ G)[2][-1]
+    nu = nu / np.sqrt(nu @ G @ nu)
+    return -nu if (G @ nu) @ ref < 0 else nu
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_metric_normal_matches_svd_reference(m):
+    """The cofactor normal agrees with the SVD null vector, orientation
+    included, on random metrics, tangent spaces and reference vectors."""
+    rng = np.random.default_rng(40 + m)
+    B = rng.normal(size=(20, m, m))
+    G = B @ np.swapaxes(B, -1, -2) + 0.5 * np.eye(m)
+    J = rng.normal(size=(20, m, m - 1))
+    ref = rng.normal(size=(20, m))
+    nu = fdcheck.metric_normal(G, J, ref)
+    for p in range(20):
+        want = _svd_normal(G[p], J[p], ref[p])
+        assert np.allclose(nu[p], want, rtol=0.0, atol=1e-12), p
+        assert np.all(np.abs(J[p].T @ G[p] @ nu[p]) < 1e-12)  # G-orthogonal to the span
+
+
 def test_stacked_metric_normal_raises_on_any_degenerate_tangent_space():
     G = np.broadcast_to(np.eye(2), (3, 2, 2))
     J = np.zeros((3, 2, 2))

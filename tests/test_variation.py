@@ -11,6 +11,7 @@ calculus against closed forms and quadrature.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from curvlab.hypersurface import example_fixture
 from curvlab.spaceform import RadialField, SpaceForm, radial_map
 from curvlab.spaceform import grad_g, grad_norm2_g, hess_g_apply, laplacian_g
 from curvlab import variation
-from curvlab.checks import _fd_second_variation
+from curvlab.checks import _fd_second_variation, _gauss_legendre
+from curvlab.conformal import geodesic_residual
 from curvlab.variation import (
     BoundCheck,
     BoundsScan,
@@ -551,6 +553,104 @@ def test_index_form_rejects_bad_input():
     shifted = _slab_axis_curve(space, 0.55, 512)
     with pytest.raises(ValueError):
         index_form_trace(shifted, u, fx.pieces[1], fx.pieces[0])
+
+
+def _trace_reference(curve, u, piece_start, piece_end, phi):
+    """The trace with every vertex quantity taken on the whole curve at
+    once, the form before the block rule, term for term."""
+    space, pts, n = curve.space, curve.points, float(curve.space.n)
+    T, _ = curve.vertex_tangents()
+    acc = curve.vertex_acceleration()
+    uv = np.asarray(u.value(pts), dtype=float)
+    u_T = space.inner(pts, grad_g(space, u, pts), T)
+    max_residual = float(np.max(space.norm(pts, geodesic_residual(space, u, pts, T, acc))))
+    s, st = curve.vertex_s(), curve.vertex_s(u)
+    pv, dpv = phi.phi(s), phi.dphi(s)
+    u_N2 = np.maximum(grad_norm2_g(space, u, pts) - u_T * u_T, 0.0)
+    u_TT = hess_g_apply(space, u, pts, T, T)
+    lap = laplacian_g(space, u, pts)
+    ric_TT = -n * space.kappa**2
+    trapz = variation._trapz
+    ricci = float(trapz(uv * uv * (n * dpv * dpv - ric_TT * pv * pv), st))
+    cross = float(trapz(n * pv * dpv * uv * u_T, st))
+    j1 = float(trapz(-0.5 * (1.0 - pv * pv) * (n * u_N2 - n * uv * u_TT), st))
+    j2 = float(trapz(pv * pv * (n * u_T * u_T - (lap - u_TT) * uv), st))
+    b0 = -float(uv[0]) * variation._signed_mean_curvature(piece_start, pts[0], T[0])
+    b1 = -float(uv[-1]) * variation._signed_mean_curvature(piece_end, pts[-1], -T[-1])
+    f = 0.5 * (1.0 + pv * pv)
+    f_rhs = float(trapz(f * (n * uv * u_TT - n * u_N2) + n * pv * dpv * uv * u_T, st))
+    return variation.IndexFormReport(
+        boundary_start=b0, boundary_end=b1, ricci_integral=ricci, cross_term=cross,
+        j1_integral=j1, j2_integral=j2, total=b0 + b1 + ricci + cross + j1 + j2,
+        f_identity_lhs=float(n * (u_T[-1] - u_T[0])), f_identity_rhs=f_rhs,
+        g_length=float(s[-1]), tilde_length=float(st[-1]), max_residual=max_residual)
+
+
+def _hex(rep):
+    return {k: float(v).hex() for k, v in dataclasses.asdict(rep).items()}
+
+
+def test_index_form_blocks_give_the_whole_curve_bits():
+    """Around and across block edges, and on the 8192-segment lens axis the
+    checks trace, the blocked trace has the bits of the whole-curve one, on
+    a flat slab through a radial bump and on the hyperbolic lens."""
+    B = variation._TRACE_BLOCK
+    slab = example_fixture("euclid-slab", d=1.2, dim=3)
+    bump = RadialField(slab.space, np.zeros(3), QuarticCutoff(2.0))
+    lens = example_fixture("poincare-circles", a=1.0)
+    cases = [(slab, bump, 0.6, (1, 0)), (lens, ConstantField(1.0), lens.endpoints[1, 0], (0, 1))]
+    for fx, u, half, (i, j) in cases:
+        for vertices in (B - 1, B, B + 1, 2 * B + 1, 8193):
+            curve = _slab_axis_curve(fx.space, half, vertices - 1)
+            phi = CoshWeight(curve.g_length())
+            want = _trace_reference(curve, u, fx.pieces[i], fx.pieces[j], phi)
+            got = index_form_trace(curve, u, fx.pieces[i], fx.pieces[j], phi)
+            assert _hex(got) == _hex(want), (fx.name, vertices)
+
+
+def test_index_form_bits_do_not_depend_on_the_block(monkeypatch):
+    fx = example_fixture("poincare-circles", a=1.0)
+    curve = _slab_axis_curve(fx.space, fx.endpoints[1, 0], 300)
+    phi = CoshWeight(curve.g_length())
+    want = _hex(_trace_reference(curve, ConstantField(1.0), fx.pieces[0], fx.pieces[1], phi))
+    for block in (1, 7, 10**9):
+        monkeypatch.setattr(variation, "_TRACE_BLOCK", block)
+        rep = index_form_trace(curve, ConstantField(1.0), fx.pieces[0], fx.pieces[1], phi)
+        assert _hex(rep) == want, block
+
+
+def test_index_form_working_set_grows_only_by_its_rows():
+    """The trace on the 8192-segment lens axis peaks below 1.5 MB of traced
+    memory (2.2 MB with every vertex quantity on the whole curve), and four
+    times the segments cost at most 20 doubles per added vertex (31 before):
+    the 1-D rows over the curve and the stencils, not per-vertex matrices."""
+    fx = example_fixture("poincare-circles", a=1.0)
+
+    def peak(segments):
+        curve = _slab_axis_curve(fx.space, fx.endpoints[1, 0], segments)
+        phi = CoshWeight(curve.g_length())
+        tracemalloc.start()
+        try:
+            index_form_trace(curve, ConstantField(1.0), fx.pieces[0], fx.pieces[1], phi)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # first-call allocations stay out of the peak
+    small, large = peak(8192), peak(4 * 8192)
+    assert small < 1.5e6
+    assert large - small < 20 * 8 * (3 * 8192)
+
+
+def test_gauss_legendre_rule_matches_leggauss():
+    """The Newton rule that phi-calculus integrates with has numpy's nodes
+    and weights, ascending and symmetric."""
+    for n in (16, 32):
+        x, w = _gauss_legendre(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15 and np.max(np.abs(w - w_ref)) <= 1e-15
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
 
 
 def test_index_form_report_serializes():
