@@ -687,7 +687,7 @@ def _check_planar_curvature_law(ctx):
     res = minimize_free_boundary(problem, n_segments=n_segments, gtol=1e-8)
     _require_converged(ctx.cid, res)
     curve = res.curve
-    acc = curve.vertex_acceleration()
+    _, acc = curve.vertex_acceleration()
     pts = curve.points[1:-1]
     acc = acc[1:-1]
     kg = space.norm(pts, acc)

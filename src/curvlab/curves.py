@@ -1,8 +1,13 @@
 """Discrete curves in a conformally flat ambient model.
 
-A curve is a vertex polyline. Lengths use the midpoint rule on each
-segment, with the segment midpoints as nodes for both the g and the u^-2 g
-measure. Sharing nodes makes the duality
+A curve is a vertex polyline with one discretization. Each segment's length
+is its chord over the coordinate factor at its midpoint 0.5 (p_i + p_{i+1}),
+w = w0 for g and w = u w0 for u^-2 g (``segment_lengths``, the one length
+formula). The arclength tables ``vertex_s`` accumulate these, and a length is
+the last entry of its table, so a weight built from ``g_length`` has the L of
+the table a trace integrates on, to the bit. The geodesic solver's energy
+takes the same midpoints and the same quotient. Sharing nodes makes the
+duality
 
     sum over segments of u(node) * (u^-2 g length)  ==  g-length
 
@@ -124,44 +129,35 @@ class DiscreteCurve:
 
     # -- quadrature ---------------------------------------------------------
 
-    def segment_vectors(self):
-        return self.points[1:] - self.points[:-1]
-
-    def segment_chords(self):
-        return np.linalg.norm(self.segment_vectors(), axis=1)
-
     def quad_nodes(self):
         """Segment midpoints, the quadrature nodes of both measures."""
-        return self.points[:-1] + 0.5 * self.segment_vectors()
-
-    def g_length(self) -> float:
-        """Length in the g metric."""
-        w0 = self.space.ambient_factor(self.quad_nodes())
-        return float(np.sum(self.segment_chords() / w0))
-
-    def tilde_length(self, u) -> float:
-        """Length in the u^-2 g metric."""
-        nodes = self.quad_nodes()
-        w0 = self.space.ambient_factor(nodes)
-        uv = np.asarray(u.value(nodes), dtype=float)
-        if np.any(uv <= 0.0):
-            raise ValueError("conformal factor must be positive along the curve")
-        return float(np.sum(self.segment_chords() / (uv * w0)))
+        return 0.5 * (self.points[1:] + self.points[:-1])
 
     def segment_lengths(self, u=None):
-        """Per-segment lengths in g (u None) or u^-2 g."""
+        """Per-segment lengths chords / w at the midpoints, in g (w = w0,
+        u None) or in u^-2 g (w = u w0); raises where u is not positive."""
         nodes = self.quad_nodes()
-        w0 = self.space.ambient_factor(nodes)
-        dens = 1.0 / w0
+        w = self.space.ambient_factor(nodes)
         if u is not None:
-            dens = dens / np.asarray(u.value(nodes), dtype=float)
-        return self.segment_chords() * dens
+            uv = np.asarray(u.value(nodes), dtype=float)
+            if not np.all(uv > 0.0):
+                raise ValueError("conformal factor must be positive along the curve")
+            w = uv * w
+        return np.linalg.norm(self.points[1:] - self.points[:-1], axis=1) / w
 
     def vertex_s(self, u=None):
         """Cumulative arclength at the vertices, starting from zero."""
         out = np.zeros(self.points.shape[0])
         out[1:] = np.cumsum(self.segment_lengths(u))
         return out
+
+    def g_length(self) -> float:
+        """Length in the g metric: the end of the g arclength table."""
+        return float(self.vertex_s()[-1])
+
+    def tilde_length(self, u) -> float:
+        """Length in the u^-2 g metric: the end of its arclength table."""
+        return float(self.vertex_s(u)[-1])
 
     # -- discrete differential geometry ------------------------------------
 
@@ -190,14 +186,16 @@ class DiscreteCurve:
         return v / sigma[:, None], sigma
 
     def vertex_acceleration(self):
-        """nabla_T T at each vertex (g-covariant, arclength gauge)."""
+        """(T, nabla_T T) at each vertex: the g-unit tangent and the
+        g-covariant acceleration in the arclength gauge, from one velocity
+        pass."""
         v, sigma = self._velocity()
         a = _stencil_derivative(self.points, 2)
         acc = (a + christoffel_quadratic(self.space, self.points, v)) / (sigma**2)[:, None]
         T = v / sigma[:, None]
         # remove the tangential reparameterization component
         tang = self.space.inner(self.points, acc, T)
-        return acc - tang[:, None] * T
+        return T, acc - tang[:, None] * T
 
     # -- reparameterization -------------------------------------------------
 

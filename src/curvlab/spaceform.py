@@ -52,10 +52,7 @@ class SpaceForm:
         return ConstantField(1.0)
 
     def ambient_factor(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.hyperbolic:
-            return 0.5 * self.kappa * (1.0 - np.sum(x * x, axis=-1))
-        return np.ones(x.shape[:-1])
+        return self.ambient_field().value(x)
 
     def check_point(self, x) -> None:
         x = np.asarray(x, dtype=float)

@@ -38,7 +38,6 @@ from .spaceform import (
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 RESIDUAL_TOL = 1e-6  # largest geodesic residual ``index_form_trace`` accepts
-LENGTH_RTOL = 1e-6  # relative mismatch allowed between a cosh weight's L and the g-length
 PHI_GRID_POINTS = 2001  # points of the [0, L] grid ``phi_calculus`` measures on
 _TRACE_BLOCK = 1024  # vertices whose point-by-point quantities ``index_form_trace`` takes at once
 
@@ -356,17 +355,16 @@ def _signed_mean_curvature(piece: Hypersurface, x: np.ndarray, direction: np.nda
 def _vertex_terms(curve: DiscreteCurve, u: ScalarField):
     """Rows u, u_T, |grad u|_g^2 - u_T^2 (floored at 0), Hess_g u(T, T) and
     lap_g u over the vertices, the largest |residual|_g, and the tangents at
-    the two ends; raises where u <= 0. See ``index_form_trace`` for the
-    block rule."""
+    the two ends; raises where u is not positive. See ``index_form_trace``
+    for the block rule."""
     space, pts = curve.space, curve.points
-    acc = curve.vertex_acceleration()  # the larger temporaries go first, with nothing held
-    T, _sigma = curve.vertex_tangents()
+    T, acc = curve.vertex_acceleration()
     rows = [np.empty(len(pts)) for _ in range(5)]
     residual = []
     for i in range(0, len(pts), _TRACE_BLOCK):
         x, t, a = (v[i:i + _TRACE_BLOCK] for v in (pts, T, acc))
         uv = np.asarray(u.value(x), dtype=float)
-        if np.any(uv <= 0.0):
+        if not np.all(uv > 0.0):
             raise ValueError("conformal factor must be positive along the curve")
         u_T = space.inner(x, grad_g(space, u, x), t)
         residual.append(np.max(space.norm(x, geodesic_residual(space, u, x, t, a))))
@@ -389,8 +387,8 @@ def index_form_trace(
     The curve must already be a certified geodesic of the metric u^-2 g: its
     pointwise geodesic residual is checked against ``RESIDUAL_TOL`` before
     anything is integrated.  ``phi=None`` is the constant weight phi = 1; a
-    ``CoshWeight``'s length has to match the curve's g-length to within
-    ``LENGTH_RTOL``.
+    ``CoshWeight``'s length has to be the curve's g-length, the end of its
+    arclength table, to the bit.
 
     A minimizing curve has total >= 0 up to discretization error; the report
     keeps every named term so the inequality can be rearranged downstream.
@@ -411,7 +409,7 @@ def index_form_trace(
     n = float(space.n)
 
     uv, u_T, u_N2, u_TT, lap, max_residual, T_ends = _vertex_terms(curve, u)
-    if max_residual > RESIDUAL_TOL:
+    if not max_residual <= RESIDUAL_TOL:
         raise ValueError(
             f"curve is not stationary: residual {max_residual:.3e} exceeds "
             f"{RESIDUAL_TOL:.3e}"
@@ -422,7 +420,7 @@ def index_form_trace(
     L = float(s[-1])
     if phi is None:
         pv, dpv = np.ones_like(s), np.zeros_like(s)
-    elif abs(phi.L - L) > LENGTH_RTOL * max(1.0, L):
+    elif phi.L != L:
         raise ValueError(
             f"weight length {phi.L} does not match the curve's g-length {L}"
         )
@@ -489,7 +487,7 @@ def tanh_boundary_identity(
     n = float(space.n)
     s = curve.vertex_s()
     L = float(s[-1])
-    if abs(phi.L - L) > LENGTH_RTOL * max(1.0, L):
+    if phi.L != L:
         raise ValueError("weight length does not match the curve's g-length")
     uv = np.asarray(u.value(pts), dtype=float)
     T, _ = curve.vertex_tangents()

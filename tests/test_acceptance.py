@@ -115,7 +115,7 @@ def test_criterion_04_j_bounds_grid_certificate():
 
 
 def _max_discrete_curvature(space, curve):
-    acc = curve.vertex_acceleration()[1:-1]
+    acc = curve.vertex_acceleration()[1][1:-1]
     return max(float(space.norm(x, a)) for x, a in zip(curve.points[1:-1], acc))
 
 

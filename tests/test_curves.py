@@ -6,8 +6,9 @@ import pytest
 
 from curvlab import curves
 from curvlab.curves import DiscreteCurve, fornberg_weights
-from curvlab.fields import BallFactorField, ExpQuadraticField
-from curvlab.spaceform import SpaceForm
+from curvlab.fields import BallFactorField, ConstantField, ExpQuadraticField, QuarticCutoff
+from curvlab.hypersurface import example_fixture
+from curvlab.spaceform import RadialField, SpaceForm
 from references import curve_points
 
 
@@ -54,6 +55,27 @@ def test_length_duality_exact(kappa):
     L = curve.g_length()
     weighted = np.sum(u.value(curve.quad_nodes()) * curve.segment_lengths(u))
     assert np.isclose(weighted, L, rtol=1e-14)
+
+
+def _axis(space, half, n_segments):
+    pts = np.zeros((n_segments + 1, space.dim))
+    pts[:, 0] = np.linspace(-half, half, n_segments + 1)
+    return DiscreteCurve(space, pts)
+
+
+@pytest.mark.parametrize("fixture, kwargs, half, n_segments", [
+    ("poincare-circles", dict(a=1.0), None, 8192),
+    ("euclid-slab", dict(d=1.2, dim=3), 0.6, 2048),
+])
+def test_lengths_are_the_end_of_the_arclength_table(fixture, kwargs, half, n_segments):
+    """Bitwise, on the axis curves the index-form checks trace: a length is
+    the last entry of its arclength table, so a cosh weight built from
+    ``g_length`` has the L of the table the trace integrates on."""
+    fx = example_fixture(fixture, **kwargs)
+    curve = _axis(fx.space, fx.endpoints[1, 0] if half is None else half, n_segments)
+    u = RadialField(fx.space, np.zeros(fx.space.dim), QuarticCutoff(2.0))
+    assert curve.g_length() == curve.vertex_s()[-1]
+    assert curve.tilde_length(u) == curve.vertex_s(u)[-1]
 
 
 def test_flat_arc_length():
@@ -106,7 +128,7 @@ def test_straight_line_zero_acceleration_including_ends():
     space = SpaceForm(2, 0.0)
     pts = np.linspace(0.0, 1.0, 33)[:, None] * np.array([[0.8, 0.6]])
     curve = DiscreteCurve(space, pts)
-    assert np.allclose(curve.vertex_acceleration(), 0.0, atol=1e-11)
+    assert np.allclose(curve.vertex_acceleration()[1], 0.0, atol=1e-11)
 
 
 def test_flat_circle_acceleration_points_inward():
@@ -115,7 +137,7 @@ def test_flat_circle_acceleration_points_inward():
     curve = DiscreteCurve(
         space, curve_points(lambda t: rho * np.array([np.cos(t), np.sin(t)]), 0.2, 1.9, 200)
     )
-    acc = curve.vertex_acceleration()
+    _, acc = curve.vertex_acceleration()
     expected = -curve.points / rho**2
     assert np.allclose(acc, expected, atol=1e-6)
 
@@ -124,7 +146,7 @@ def test_hyperbolic_radial_line_is_geodesic():
     space = SpaceForm(2, 1.0)
     e = np.array([0.6, 0.8])
     curve = DiscreteCurve(space, curve_points(lambda t: np.tanh(t / 2.0) * e, 0.1, 1.4, 160))
-    acc = curve.vertex_acceleration()
+    _, acc = curve.vertex_acceleration()
     assert np.max(space.norm(curve.points, acc)) < 1e-7
 
 
@@ -137,9 +159,9 @@ def test_geodesic_circle_curvature_matches_coth():
     curve = DiscreteCurve(
         space, curve_points(lambda t: s * np.array([np.cos(t), np.sin(t)]), 0.0, 2.0, 256)
     )
-    T, _ = curve.vertex_tangents()
+    T, acc = curve.vertex_acceleration()
     N = np.stack([-T[:, 1], T[:, 0]], axis=1)  # T turned a quarter counterclockwise
-    kg = space.inner(curve.points, curve.vertex_acceleration(), N)
+    kg = space.inner(curve.points, acc, N)
     expected = 1.0 / np.tanh(2.0 * np.arctanh(s))
     assert np.allclose(kg, expected, rtol=1e-6)
 
@@ -167,10 +189,10 @@ def test_curve_validation_errors():
     with pytest.raises(ValueError):
         DiscreteCurve(space, np.array([[0.0, 0.0], [1.2, 0.0]]))
     curve = DiscreteCurve(space, np.array([[0.0, 0.0], [0.5, 0.0]]))
-    from curvlab.fields import ConstantField
-
-    with pytest.raises(ValueError):
-        curve.tilde_length(ConstantField(-1.0))
+    # NaN is not positive either
+    for c in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            curve.tilde_length(ConstantField(c))
 
 
 def _stencil_reference(values, order):

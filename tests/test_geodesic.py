@@ -317,6 +317,20 @@ def test_lens_solve_work_guard():
     assert sum(res.iterations for res in results) <= 90
 
 
+def test_solver_energy_is_built_from_the_curve_segment_lengths():
+    """Bitwise, on a converged lens solve: the solver's energy is (M/2)
+    times the sum of the squared conformal segment lengths of the curve,
+    and so is the energy of each segment alone; one midpoint and one
+    segment formula serve both."""
+    _, problem, res = checks._solve_lens(1.0)
+    assert res.converged
+    W, pts = _coordinate_factor(problem), res.curve.points
+    lengths = res.curve.segment_lengths(problem.u)
+    assert _energy(problem, W, pts) == 0.5 * lengths.size * float(np.sum(lengths * lengths))
+    alone = [_energy(problem, W, pts[i:i + 2]) for i in range(len(lengths))]
+    assert np.array_equal(alone, 0.5 * lengths * lengths)
+
+
 def _suite_solves(monkeypatch):
     """(problem, keyword arguments) of every solve the default suite makes."""
     calls = []

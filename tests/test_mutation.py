@@ -97,6 +97,10 @@ ROWS = [
     ("curve-shortness", ("DiscreteCurve.tilde_length",), times(0.95), "PASS",
      "the minimizer's tilde length exceeds its g-length by 6.5%, and the seed "
      "path's length shares the fault"),
+    ("curve-shortness", ("DiscreteCurve.segment_lengths",), times(0.9), "PASS",
+     "every length it compares shares the fault, and its budget 2.5 mu0 scales "
+     "with the g-length"),
+    ("lens-distance", ("DiscreteCurve.segment_lengths",), times(0.9), "FAIL", None),
     ("diameter-geodesic", ("conformal.geodesic_residual",), plus(1e-6), "FAIL", None),
     ("sharp-lens", THEOREM_BOUND, times(1 + 1e-3), "FAIL", None),
     ("saturating-bound", THEOREM_BOUND, times(1 + 1e-3), "FAIL", None),

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from curvlab import curves
 from curvlab.curves import DiscreteCurve
 from curvlab.fields import ConstantField, QuarticCutoff
 from curvlab.hypersurface import example_fixture
@@ -527,16 +528,36 @@ def test_tanh_identity_holds_on_bent_curves():
     assert abs(lhs - rhs) < 1e-7
 
 
+class NaNNearOrigin(ConstantField):
+    """The factor 1, NaN where |x| < 0.1: in its value, or only in its
+    gradient, which the geodesic residual reads."""
+
+    def __init__(self, where):
+        super().__init__(1.0)
+        self.where = where
+
+    def value(self, x):
+        out = super().value(x)
+        near = np.linalg.norm(x, axis=-1) < 0.1
+        return np.where(near, np.nan, out) if self.where == "value" else out
+
+    def gradient(self, x):
+        out = super().gradient(x)
+        near = np.linalg.norm(x, axis=-1) < 0.1
+        return np.where(near[..., None], np.nan, out) if self.where == "gradient" else out
+
+
 def test_index_form_rejects_bad_input():
     fx = example_fixture("euclid-slab", d=1.2, dim=3)
     space = fx.space
     u = RadialField(space, np.zeros(3), QuarticCutoff(2.0))
     curve = _slab_axis_curve(space, 0.6, 512)
-    # mismatched weight length
-    with pytest.raises(ValueError):
-        index_form_trace(
-            curve, u, fx.pieces[1], fx.pieces[0], CoshWeight(2.5)
-        )
+    # mismatched weight length, grossly and in the last bits
+    for L in (2.5, curve.g_length() * (1 + 1e-12)):
+        with pytest.raises(ValueError, match="weight length"):
+            index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], CoshWeight(L))
+        with pytest.raises(ValueError, match="weight length"):
+            tanh_boundary_identity(curve, u, CoshWeight(L))
 
     # a visibly bent curve is not stationary
     def bent(t):
@@ -553,14 +574,36 @@ def test_index_form_rejects_bad_input():
     shifted = _slab_axis_curve(space, 0.55, 512)
     with pytest.raises(ValueError):
         index_form_trace(shifted, u, fx.pieces[1], fx.pieces[0])
+    # NaN fails the positivity and residual guards
+    with pytest.raises(ValueError, match="positive"):
+        index_form_trace(curve, NaNNearOrigin("value"), fx.pieces[1], fx.pieces[0])
+    with pytest.raises(ValueError, match="stationary"):
+        index_form_trace(curve, NaNNearOrigin("gradient"), fx.pieces[1], fx.pieces[0])
+
+
+def test_index_form_takes_one_velocity_pass(monkeypatch):
+    """One trace runs the stencil twice, for the velocity and the
+    acceleration; the tangents come from the same velocity pass."""
+    calls = []
+    stencil = curves._stencil_derivative
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return stencil(*args, **kwargs)
+
+    monkeypatch.setattr(curves, "_stencil_derivative", counting)
+    fx = example_fixture("euclid-slab", d=1.2, dim=3)
+    u = RadialField(fx.space, np.zeros(3), QuarticCutoff(2.0))
+    curve = _slab_axis_curve(fx.space, 0.6, 512)
+    index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], CoshWeight(curve.g_length()))
+    assert len(calls) == 2
 
 
 def _trace_reference(curve, u, piece_start, piece_end, phi):
     """The trace with every vertex quantity taken on the whole curve at
     once, the form before the block rule, term for term."""
     space, pts, n = curve.space, curve.points, float(curve.space.n)
-    T, _ = curve.vertex_tangents()
-    acc = curve.vertex_acceleration()
+    T, acc = curve.vertex_acceleration()
     uv = np.asarray(u.value(pts), dtype=float)
     u_T = space.inner(pts, grad_g(space, u, pts), T)
     max_residual = float(np.max(space.norm(pts, geodesic_residual(space, u, pts, T, acc))))
