@@ -6,24 +6,33 @@ and hyperbolic backgrounds, against finite-difference and brute-force
 oracles.
 """
 
+import gc
 import os
 
 # Before numpy loads: an extra OpenBLAS worker would only spin here; a caller's value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from curvlab.spaceform import SpaceForm
-from curvlab.fields import ConstantField, QuarticCutoff
-from curvlab.curves import DiscreteCurve
-from curvlab.hypersurface import example_fixture, geodesic_sphere
-from curvlab.geodesic import GeodesicProblem, minimize_free_boundary
-from curvlab.variation import crucial_bounds_scan, index_form_trace, phi_calculus
-from curvlab.estimates import (
-    decay_scan,
-    main_estimate_euclid,
-    main_estimate_hyperbolic,
-    theorem_bound,
-)
-from curvlab.report import VerificationReport, build_report
+# The import only allocates; collecting while it runs frees nothing. The caller's state wins.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    from curvlab.spaceform import SpaceForm
+    from curvlab.fields import ConstantField, QuarticCutoff
+    from curvlab.curves import DiscreteCurve
+    from curvlab.hypersurface import example_fixture, geodesic_sphere
+    from curvlab.geodesic import GeodesicProblem, minimize_free_boundary
+    from curvlab.variation import crucial_bounds_scan, index_form_trace, phi_calculus
+    from curvlab.estimates import (
+        decay_scan,
+        main_estimate_euclid,
+        main_estimate_hyperbolic,
+        theorem_bound,
+    )
+    from curvlab.report import VerificationReport, build_report
+finally:
+    if _gc_was_enabled:
+        gc.enable()
+    del _gc_was_enabled
 
 __version__ = "0.1.0"
 

@@ -10,11 +10,16 @@ numbers in the test suite and the "conformal" CLI suite.
 
 Every function takes a stack: points (..., m), with vectors, Jacobians and
 chart parameters stacked the same way, give one result per point. Each
-central difference evaluates its 2m shifted points in one metric call, and
-``riemann_fd`` takes the Christoffel symbols at the points and at their 2m
-neighbours from one batched ``christoffels_fd``: three metric calls per
-stack of Riemann or Ricci tensors, and three per stack of parametric mean
-curvatures. Every point keeps its own step DEFAULT_STEP * max(1, |x|_inf).
+central difference evaluates its 2m shifted points in one metric call:
+two metric calls per stack of Christoffel symbols and three per stack of
+parametric mean curvatures, at the step DEFAULT_STEP * max(1, |x|_inf) of
+each point. ``riemann_fd`` and ``ricci_fd`` take first and second
+differences of the metric on one stencil of 2 m^2 + 1 points (the point,
+its 2m axis neighbours and the 2m(m - 1) corners x +- h e_a +- h e_b), in
+one metric call per stack, at the step SECOND_STEP * max(1, |x|_inf). A
+second difference divides last-bit noise in G by h^2, not h, so its
+roundoff and truncation errors balance at a coarser step than a first
+difference's: 1e-4 against 1e-5.
 The unit normal of a parametric hypersurface is a generalized cross product
 of cofactors, written out point by point, so no point goes through a
 singular value decomposition.
@@ -32,11 +37,12 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_STEP = 1e-5
+SECOND_STEP = 1e-4
 
 
-def _step(x):
-    """Step DEFAULT_STEP * max(1, |x|_inf) for each point of x (..., m)."""
-    return DEFAULT_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+def _step(x, h):
+    """Step h * max(1, |x|_inf) for each point of x (..., m)."""
+    return h * np.maximum(1.0, np.max(np.abs(x), axis=-1))
 
 
 def _shifted(x, hh):
@@ -71,7 +77,7 @@ def _central(values, hh):
 def metric_dg(metric, x):
     """dG[..., i, :, :] = partial_i G at points x (..., m)."""
     x = np.asarray(x, dtype=float)
-    hh = _step(x)
+    hh = _step(x, DEFAULT_STEP)
     return _central(metric(_shifted(x, hh)), hh)
 
 
@@ -92,29 +98,54 @@ def riemann_fd(metric, x):
     return _riemann_and_metric(metric, x)[0]
 
 
+def _stencil(m):
+    """Offsets of the second-difference stencil in units of the step: 0,
+    then +e_a, then -e_a, then e_a + e_b, e_a - e_b, -e_a + e_b, -e_a - e_b
+    for each pair a < b in order; 2 m^2 + 1 rows."""
+    eye = np.eye(m)
+    corners = [s * eye[a] + t * eye[b]
+               for a in range(m) for b in range(a + 1, m)
+               for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return np.concatenate([np.zeros((1, m)), eye, -eye, np.array(corners).reshape(-1, m)])
+
+
 def _riemann_and_metric(metric, x):
-    """(R, G) at points x; see ``riemann_fd``."""
+    """(R, G^-1) at points x; see ``riemann_fd``. One metric call on the
+    ``_stencil`` points gives G, its first derivatives from the +-e_a pairs
+    and its second derivatives, (G(+e_a) - 2 G + G(-e_a)) / h^2 on the
+    diagonal and the four-corner difference over 4 h^2 off it. Then
+    R_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik)
+             - Gam_{b,il} Gam^b_jk + Gam_{b,jl} Gam^b_ik
+    with Gam_{b,ij} = 1/2 (d_i g_jb + d_j g_ib - d_b g_ij)."""
     x = np.asarray(x, dtype=float)
-    hh = _step(x)
-    G = metric(x)
-    # Gamma at each point and at its 2m neighbours in one batch
-    Gam_all = christoffels_fd(metric, np.concatenate([x[..., None, :], _shifted(x, hh)], axis=-2))
-    Gam = Gam_all[..., 0, :, :, :]
-    dGam = _central(Gam_all[..., 1:, :, :, :], hh)
-    # R^l_{kij} = d_i Gam^l_{jk} - d_j Gam^l_{ik} + Gam^l_{im} Gam^m_{jk} - Gam^l_{jm} Gam^m_{ik}
-    # quad[i, j, k, l] = Gam^l_{im} Gam^m_{jk}
-    quad = _fold(
-        np.einsum("...lim->...ilm", Gam)[..., :, None, None, :, :]
-        * np.einsum("...mjk->...jkm", Gam)[..., None, :, :, None, :]
-    )
-    up = (
-        np.einsum("...iljk->...ijkl", dGam)
-        - np.einsum("...jlik->...ijkl", dGam)
-        + quad
-        - np.einsum("...jikl->...ijkl", quad)
-    )
-    # up[i, j, k, l] = component of R(d_i, d_j) d_k along d_l; lower with G.
-    return _fold(up[..., None, :] * np.einsum("...al->...la", G)[..., None, None, None, :, :]), G
+    m = x.shape[-1]
+    hh = _step(x, SECOND_STEP)
+    Gs = metric(x[..., None, :] + hh[..., None, None] * _stencil(m))
+    G = Gs[..., 0, :, :]
+    Ginv = np.linalg.inv(G)
+    dG = _central(Gs[..., 1:2 * m + 1, :, :], hh)  # dG[a, i, j] = d_a g_ij
+    h2 = (hh * hh)[..., None, None, None]
+    # ddG[a, b, i, j] = d_a d_b g_ij
+    ddG = np.empty(x.shape[:-1] + (m, m, m, m))
+    diag = np.arange(m)
+    ddG[..., diag, diag, :, :] = (Gs[..., 1:m + 1, :, :] - 2.0 * G[..., None, :, :]
+                                  + Gs[..., m + 1:2 * m + 1, :, :]) / h2
+    a, b = np.triu_indices(m, 1)
+    c = Gs[..., 2 * m + 1:, :, :].reshape(x.shape[:-1] + (a.size, 4, m, m))
+    mixed = (c[..., 0, :, :] - c[..., 1, :, :] - c[..., 2, :, :] + c[..., 3, :, :]) / (4.0 * h2)
+    ddG[..., a, b, :, :] = mixed
+    ddG[..., b, a, :, :] = mixed
+    # low[i, j, b] = Gam_{b,ij}; up[i, j, b] = Gam^b_ij
+    low = 0.5 * (dG + np.swapaxes(dG, -3, -2) - np.moveaxis(dG, -3, -1))
+    up = _fold(Ginv[..., None, None, :, :] * low[..., :, :, None, :])
+    # quad[i, j, k, l] = Gam_{b,il} Gam^b_jk
+    quad = _fold(low[..., :, None, None, :, :] * up[..., None, :, :, None, :])
+    # hess[i, j, k, l] = d_i d_k g_jl
+    hess = np.einsum("...ikjl->...ijkl", ddG)
+    R = (0.5 * (hess - np.swapaxes(hess, -1, -2) - np.swapaxes(hess, -4, -3)
+                + np.swapaxes(np.swapaxes(hess, -4, -3), -1, -2))
+         - quad + np.swapaxes(quad, -4, -3))
+    return R, Ginv
 
 
 def sectional_fd(metric, x, X, Y):
@@ -129,10 +160,10 @@ def sectional_fd(metric, x, X, Y):
 
 def ricci_fd(metric, x):
     """Ric[..., j, k] with the trace Ric(X, X) = sum_a R(e_a, X, X, e_a)."""
-    R, G = _riemann_and_metric(metric, x)
+    R, Ginv = _riemann_and_metric(metric, x)
     # sum over a, b of g^{ab} R[a, j, k, b]
     Rjk = np.einsum("...ajkb->...jkab", R)
-    return _fold(_flat(Rjk, 2) * _flat(np.linalg.inv(G), 2)[..., None, None, :])
+    return _fold(_flat(Rjk, 2) * _flat(Ginv, 2)[..., None, None, :])
 
 
 def ricci_quadratic_fd(metric, x, X):

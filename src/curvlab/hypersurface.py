@@ -479,22 +479,25 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
     h at a root (its limit over the open annulus), at a chart-box end in the
     annulus, or at an interior point of a 513-point table over the chart
     range that meets the annulus, refined by golden section between its
-    neighbours when it is a strict local minimum there. ``n_grid`` is the
-    size of that table with the roots; ``converged`` says every bisection
-    and golden-section bracket reached its tolerance within _MAX_STEPS.
+    neighbours when it is a strict local minimum there by more than 4 ulps
+    (a bracket flatter than that is roundoff on a piece of constant h).
+    ``n_grid`` is the size of that table with the roots; ``converged`` says
+    every bisection and golden-section bracket reached its tolerance within
+    _MAX_STEPS.
 
     The annuli share the work: one distance table, one bisection loop over
     all their cut roots and one lockstep golden-section run. Their local
     tables are built, evaluated and judged _GROUP annuli at a time, each
-    group in one pass of distance and mean curvature, and dropped before the
-    next group, so the tables held at once do not grow with the number of
-    annuli. Each annulus gets the bits it would get alone. Its cuts stop at
-    the step where none of them is still wide, which is where a bisection of
-    that annulus alone stops; the golden-section searches keep a bracket
-    each; and distance and mean curvature act point by point, so the other
-    points of a batch do not change a point's value. So every pass evaluates
-    its chart points in chunks of _CHUNK, which bounds the working set and
-    changes no bit.
+    group in one pass of distance and then one of mean curvature at only the
+    points that count (the cuts and the points strictly inside), and dropped
+    before the next group, so the tables held at once do not grow with the
+    number of annuli. Each annulus gets the bits it would get alone. Its
+    cuts stop at the step where none of them is still wide, which is where a
+    bisection of that annulus alone stops; the golden-section searches keep
+    a bracket each; and distance and mean curvature act point by point, so
+    the other points of a batch do not change a point's value. So every pass
+    evaluates its chart points in chunks of _CHUNK, which bounds the working
+    set and changes no bit.
     """
     r_lo = np.atleast_1d(np.asarray(r_lo, dtype=float))
     r_hi = np.atleast_1d(np.asarray(r_hi, dtype=float))
@@ -555,19 +558,24 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
         ends = np.cumsum([t.size for t in tables])[:-1]
         ts_all = np.concatenate([np.empty(0)] + tables)
         d_all = np.split(dist_of(ts_all), ends)
-        h_all = np.split(h_of(ts_all), ends)
-        for k, ts, d, h in zip(group, tables, d_all, h_all):
+        # mean curvature only where it counts: at a cut or strictly inside
+        is_cut = [np.isin(ts, cuts[k]) for k, ts in zip(group, tables)]
+        ok = np.concatenate([c | ((d > r_lo[k]) & (d < r_hi[k]))
+                             for k, c, d in zip(group, is_cut, d_all)])
+        h_all = np.full(ts_all.size, np.inf)
+        h_all[ok] = h_of(ts_all[ok])
+        for k, ts, cut, ok_k, h in zip(group, tables, is_cut, np.split(ok, ends),
+                                       np.split(h_all, ends)):
             sizes.append(ts.size)
             if ts.size == 0:
                 best.append(None)
                 continue
-            is_cut = np.isin(ts, cuts[k])
-            ok = is_cut | ((d > r_lo[k]) & (d < r_hi[k]))
-            h = np.where(ok, h, np.inf)
             j = int(np.argmin(h))
             best.append((float(h[j]), float(ts[j])))
-            if not is_cut[j] and 0 < j < ts.size - 1 and ok[j - 1] and ok[j + 1] \
-                    and h[j] < min(h[j - 1], h[j + 1]):
+            # refine a strict local minimum unless its bracket is flat to roundoff
+            if not cut[j] and 0 < j < ts.size - 1 and ok_k[j - 1] and ok_k[j + 1] \
+                    and h[j] < min(h[j - 1], h[j + 1]) \
+                    and max(h[j - 1], h[j + 1]) - h[j] > 4 * np.spacing(abs(h[j])):
                 brackets.append((k, ts[j - 1], ts[j], ts[j + 1], h[j]))
     if brackets:
         ks, a, x, b, fx = zip(*brackets)

@@ -1,7 +1,8 @@
 """Reference helpers the tests compare the library against.
 
-One-point central differences and parametric curve sampling. This module
-imports numpy only, so it stays independent of every formula it audits.
+One-point central differences, the nested Riemann tensor and parametric
+curve sampling. This module imports numpy only, so it stays independent of
+every formula it audits.
 """
 
 import numpy as np
@@ -45,6 +46,33 @@ def fd_hessian(f, x, h=1e-4):
             ) / (4.0 * hh**2)
             out[i, j] = out[j, i] = val
     return out
+
+
+def _christoffels(metric, x, h):
+    """Gamma[k, i, j] = Gamma^k_ij at one point x (m,) from central
+    differences of metric (batched: (..., m) -> (..., m, m))."""
+    hh = _step(x, h)
+    e = np.eye(x.size) * hh
+    dG = (metric(x + e) - metric(x - e)) / (2.0 * hh)  # dG[i, a, b] = d_i g_ab
+    term = dG + np.einsum("jil->ijl", dG) - np.einsum("lij->ijl", dG)
+    return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(metric(x)), term)
+
+
+def riemann_nested(metric, x, h=DEFAULT_STEP):
+    """R[i, j, k, l] = g( R(d_i, d_j) d_k , d_l ) at one point x (m,), from
+    central differences of Christoffel symbols that are themselves central
+    differences of the metric: (2m + 1)(2m + 1) metric points in all."""
+    x = np.asarray(x, dtype=float)
+    hh = _step(x, h)
+    Gam = _christoffels(metric, x, h)
+    # dGam[i, l, j, k] = d_i Gamma^l_jk
+    dGam = np.stack([(_christoffels(metric, x + hh * e, h) - _christoffels(metric, x - hh * e, h))
+                     / (2.0 * hh) for e in np.eye(x.size)])
+    # R^l_{kij} = d_i Gam^l_{jk} - d_j Gam^l_{ik} + Gam^l_{im} Gam^m_{jk} - Gam^l_{jm} Gam^m_{ik}
+    quad = np.einsum("lim,mjk->ijkl", Gam, Gam)
+    up = (np.einsum("iljk->ijkl", dGam) - np.einsum("jlik->ijkl", dGam)
+          + quad - np.einsum("jikl->ijkl", quad))
+    return np.einsum("ijka,al->ijkl", up, metric(x))
 
 
 def curve_points(fn, t0, t1, n_segments):

@@ -804,6 +804,21 @@ def test_serial_run_freezes_import_heap_and_loads_no_pool_or_masked_arrays(tmp_p
     assert len(names) == len(cli.CHECKS) + len(suite_checks("scan"))
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_package_import_collects_nothing_and_keeps_the_callers_gc_state(enabled):
+    """No garbage collection starts while the package body runs (its
+    ``__all__`` not yet set), and the collector is left on or off as the
+    caller had it."""
+    code = ("import gc, sys; during = []; "
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and during.append("
+            "not hasattr(sys.modules.get('curvlab'), '__all__'))); "
+            f"gc.enable() if {enabled} else gc.disable(); "
+            "import curvlab; print(gc.isenabled(), any(during))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=_child_env()).stdout.split()
+    assert out == [str(enabled), "False"]
+
+
 def test_conformal_suite_needs_no_svd(tmp_path, monkeypatch):
     """The FD oracle's hypersurface normal takes no singular value
     decomposition: with np.linalg.svd raising, every conformal check passes."""

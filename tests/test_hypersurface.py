@@ -507,7 +507,8 @@ def _infimum_reference(piece, r_lo, r_hi):
     k = int(np.argmin(h))
     best = (float(h[k]), float(ts[k]))
     if not is_cut[k] and 0 < k < ts.size - 1 and ok[k - 1] and ok[k + 1] \
-            and h[k] < min(h[k - 1], h[k + 1]):
+            and h[k] < min(h[k - 1], h[k + 1]) \
+            and max(h[k - 1], h[k + 1]) - h[k] > 4 * np.spacing(abs(h[k])):
         best, missed_min = _golden_section_reference(
             lambda t: float(h_of(np.array([t]))[0]), ts[k - 1], ts[k], ts[k + 1], h[k]
         )
@@ -547,6 +548,20 @@ def test_infima_over_annuli_match_one_annulus_at_a_time(name):
             assert res.value == want.value and res.param == want.param
             assert (res.n_grid, res.converged, res.missed) == (want.n_grid, want.converged,
                                                                   want.missed)
+
+
+def test_infima_take_curvature_only_where_it_counts(monkeypatch):
+    """On the equidistant spheres, where h is constant, the mean curvature
+    is taken in one pass at the cuts and the table points strictly inside
+    the annuli, and no golden section refines a bracket flat to roundoff."""
+    for piece in example_fixture("hyperbolic-equidistant").pieces:
+        points = []
+        mean_curvature = piece.mean_curvature
+        monkeypatch.setattr(piece, "mean_curvature",
+                            lambda x: points.append(len(x)) or mean_curvature(x))
+        res = infima_over_annuli(piece, [2.0, 4.0], [6.0, 16.0])
+        assert len(points) == 1 and points[0] < sum(r.n_grid for r in res) / 2
+        assert all(r.converged and np.isclose(r.value, np.sqrt(2.0), rtol=1e-14) for r in res)
 
 
 def _bits(results):
