@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import conformal, fdcheck
+from . import conformal, estimates, fdcheck
 from .curves import DiscreteCurve, fornberg_weights
 from .estimates import (
     annulus_infima,
@@ -301,7 +301,8 @@ def _check_mean_curvature_law(ctx):
 def _check_poincare_recovery(ctx):
     """The ball factor over a flat background must reproduce the constant
     curvature model: Ricci -(dim-1) everywhere, and the geodesic spheres of
-    the hyperbolic ambient have mean curvature n + 2n/(e^{2R}-1)."""
+    the hyperbolic ambient have mean curvature n + 2n/(e^{2R}-1), both as
+    computed from the implicit surface and as the pieces' ``h_exact``."""
     rng = ctx.rng()
     worst_ric = 0.0
     for dim in (2, 3, 4):
@@ -319,6 +320,7 @@ def _check_poincare_recovery(ctx):
         ric = conformal.ricci_formula(space, u, np.repeat(x, dim, axis=0), F.reshape(-1, dim))
         worst_ric = np.maximum(worst_ric, np.max(np.abs(ric + (dim - 1))))
     worst_sph = 0.0
+    worst_h_exact = 0.0
     for dim in (2, 3):
         space = SpaceForm(dim, 1.0)
         for R in (0.5, 1.0, 2.0):
@@ -328,11 +330,13 @@ def _check_poincare_recovery(ctx):
             n = dim - 1
             exact = n + 2.0 * n / np.expm1(2.0 * R)
             worst_sph = np.maximum(worst_sph, np.max(np.abs(H - exact)))
+            worst_h_exact = np.maximum(worst_h_exact, np.max(np.abs(sph.h_exact(ts) - H)))
     return _ratio_report(
         ctx.cid,
         {
             "ricci_constant_error": (worst_ric, 1e-10),
             "sphere_mean_curvature_error": (worst_sph, 1e-10),
+            "sphere_h_exact_error": (worst_h_exact, 1e-10),
         },
         inputs={"samples": ctx.grid("samples"), "seed": ctx.cfg.seed},
     )
@@ -409,18 +413,48 @@ def _check_curve_shortness(ctx):
                          grid=grid)
 
 
+def _cutoff_derivative_error(R, n_r):
+    """Largest error of the quartic cutoff's r-form accessors on the bounds
+    scan's grid of n_r radii in [0, R], each scaled by the largest magnitude
+    of its reference. The references are the expanded polynomials
+    u' = -4 r (1 - r^2/R^2)/R^2, u'' = (12 r^2/R^2 - 4)/R^2,
+    u'/r = -4 (1 - r^2/R^2)/R^2 and u'^2/u = 16 r^2/R^4, and on
+    [0.01 R, 0.99 R] also d1 / r and d1^2 / u with u = (1 - r^2/R^2)^2.
+    ``d2`` is compared on r < R only: at r = R it returns 0, the value of
+    the zero extension, where the polynomial gives 8/R^2."""
+    prof = QuarticCutoff(R)
+    r = np.linspace(0.0, R, n_r)
+    w = 1.0 - r * r / (R * R)
+    inner = r < R
+    mid = (r >= 0.01 * R) & (r <= 0.99 * R)
+    d1 = prof.d1(r)
+    pairs = [
+        (d1, -4.0 * r * w / R**2),
+        (prof.d2(r[inner]), (12.0 * r[inner] ** 2 / R**2 - 4.0) / R**2),
+        (prof.d1_over_r(r), -4.0 * w / R**2),
+        (prof.d1_sq_over_value(r), 16.0 * r * r / R**4),
+        (prof.d1_over_r(r[mid]), d1[mid] / r[mid]),
+        (prof.d1_sq_over_value(r[mid]), d1[mid] ** 2 / w[mid] ** 2),
+    ]
+    return max(float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) for got, ref in pairs)
+
+
 def _crucial_bounds(ctx, model):
     n_r = ctx.grid("r_points")
     n_t = ctx.grid("t_points")
+    radii = (10.0, 100.0)
     worst = np.inf
     per = {}
     for n in (1, 2, 3):
-        for R in (10.0, 100.0):
+        for R in radii:
             scan = crucial_bounds_scan(n, R, model=model, n_r=n_r, n_t=n_t)
             m = float(np.min([c.min_slack for c in scan.checks.values()]))
             per[f"n={n},R={R:g}"] = m
             worst = np.minimum(worst, m)
-    parts = {"negative_slack": (np.maximum(0.0, -worst), 1e-12)}
+    parts = {
+        "negative_slack": (np.maximum(0.0, -worst), 1e-12),
+        "cutoff_derivatives": (max(_cutoff_derivative_error(R, n_r) for R in radii), 1e-12),
+    }
     return _ratio_report(
         ctx.cid, parts,
         inputs={"n_r": n_r, "n_t": n_t, "model": model},
@@ -428,11 +462,46 @@ def _crucial_bounds(ctx, model):
     )
 
 
+# 2^{2k} B_{2k} / (2k)! for k = 1, ..., 14, as exact fractions: the
+# coefficients of r^{2k-1} in the Laurent series of coth r - 1/r
+COTH_SERIES = (
+    (1, 3), (-1, 45), (2, 945), (-1, 4725), (2, 93555), (-1382, 638512875),
+    (4, 18243225), (-3617, 162820783125), (87734, 38979295480125),
+    (-349222, 1531329465290625), (310732, 13447856940643125),
+    (-472728182, 201919571963756521875), (2631724, 11094481976030578125),
+    (-13571120588, 564653660170076273671875),
+)
+
+
+def _coth_minus_inv_route(r):
+    """coth r - 1/r for r > 0 by a second route: 1 + 2/expm1(2r) - 1/r from
+    r = 0.5 on, and below it the 14 terms of ``COTH_SERIES``, summed from
+    the small end (an integer quotient rounds correctly)."""
+    r = np.asarray(r, dtype=float)
+    small = r < 0.5
+    rl = np.where(small, 1.0, r)
+    rs = np.where(small, r, 0.0)
+    series = 0.0
+    for num, den in reversed(COTH_SERIES):
+        series = series * (rs * rs) + num / den
+    return np.where(small, series * rs, 1.0 + 2.0 / np.expm1(2.0 * rl) - 1.0 / rl)
+
+
 def _check_elementary_inequalities(ctx):
-    """lhs 0 against the smallest slack of the three inequalities."""
+    """lhs 0 against the smallest slack of the three inequalities and of
+    ``coth_minus_inv`` on the coth window's grid, whose slack is its
+    allowance less its relative error against a second route."""
     worst, mins = elementary_inequalities()
+    n_grid, r_max = estimates.ELEMENTARY_N_GRID, estimates.ELEMENTARY_R_MAX
+    r = np.linspace(r_max / n_grid, r_max, n_grid)
+    route = _coth_minus_inv_route(r)
+    # the name ``elementary_inequalities`` calls
+    observed = float(np.max(np.abs(estimates.coth_minus_inv(r) - route) / route))
+    allowed = 1e-11
+    mins["coth_route"] = {"observed": observed, "allowed": allowed}
+    worst = min(worst, allowed - observed)
     return build_report(ctx.cid, 0.0, worst, tolerance=1e-12,
-                        inputs={"n_grid": mins["n_grid"], "r_max": mins["r_max"]}, grid=mins)
+                        inputs={"n_grid": n_grid, "r_max": r_max}, grid=mins)
 
 
 def _gauss_legendre(n):

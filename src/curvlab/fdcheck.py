@@ -9,17 +9,17 @@ computed against G. The closed-form modules are then checked against these
 numbers in the test suite and the "conformal" CLI suite.
 
 Every function takes a stack: points (..., m), with vectors, Jacobians and
-chart parameters stacked the same way, give one result per point. Each
-central difference evaluates its 2m shifted points in one metric call:
-two metric calls per stack of Christoffel symbols and three per stack of
-parametric mean curvatures, at the step DEFAULT_STEP * max(1, |x|_inf) of
-each point. ``riemann_fd`` and ``ricci_fd`` take first and second
-differences of the metric on one stencil of 2 m^2 + 1 points (the point,
-its 2m axis neighbours and the 2m(m - 1) corners x +- h e_a +- h e_b), in
-one metric call per stack, at the step SECOND_STEP * max(1, |x|_inf). A
-second difference divides last-bit noise in G by h^2, not h, so its
-roundoff and truncation errors balance at a coarser step than a first
-difference's: 1e-4 against 1e-5.
+chart parameters stacked the same way, give one result per point. Every
+oracle reads G on one stencil, in one metric call per stack: the point, its
+2m axis neighbours x +- h e_a and, for second differences, the 2m(m - 1)
+corners x +- h e_a +- h e_b, at the step h * max(1, |x|_inf) of each point.
+G, G^-1 and the Christoffel symbols come from the first 2m + 1 rows, so the
+Christoffel bracket is written once. Christoffel symbols and parametric mean
+curvatures read those rows at DEFAULT_STEP; ``riemann_fd`` and ``ricci_fd``
+read all 2 m^2 + 1 rows at SECOND_STEP. The steps differ because a second
+difference divides last-bit noise in G by h^2, not h, so its roundoff and
+truncation errors balance at a coarser step than a first difference's:
+1e-4 against 1e-5.
 The unit normal of a parametric hypersurface is a generalized cross product
 of cofactors, written out point by point, so no point goes through a
 singular value decomposition.
@@ -34,21 +34,12 @@ Sign conventions (calibrated in tests against the ball model):
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 DEFAULT_STEP = 1e-5
 SECOND_STEP = 1e-4
-
-
-def _step(x, h):
-    """Step h * max(1, |x|_inf) for each point of x (..., m)."""
-    return h * np.maximum(1.0, np.max(np.abs(x), axis=-1))
-
-
-def _shifted(x, hh):
-    """x + hh e_i for i < m, then x - hh e_i: points (..., 2m, m)."""
-    e = hh[..., None, None] * np.eye(x.shape[-1])
-    return np.concatenate([x[..., None, :] + e, x[..., None, :] - e], axis=-2)
 
 
 def _fold(t):
@@ -66,31 +57,44 @@ def _flat(t, k):
     return t.reshape(t.shape[: t.ndim - k] + (-1,))
 
 
-def _central(values, hh):
-    """(f(x + hh e_i) - f(x - hh e_i)) / 2hh from f at ``_shifted`` points;
-    values (..., 2m, *shape) with ... the shape of hh."""
-    plus, minus = np.split(values, 2, axis=hh.ndim)
-    scale = (2.0 * hh).reshape(hh.shape + (1,) * (values.ndim - hh.ndim))
-    return (plus - minus) / scale
+@lru_cache(maxsize=None)
+def _stencil(m):
+    """Offsets of the stencil in units of the step: 0, then +e_a, then -e_a,
+    then e_a + e_b, e_a - e_b, -e_a + e_b, -e_a - e_b for each pair a < b in
+    order; 2 m^2 + 1 rows, read-only."""
+    eye = np.eye(m)
+    corners = [s * eye[a] + t * eye[b]
+               for a in range(m) for b in range(a + 1, m)
+               for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    out = np.concatenate([np.zeros((1, m)), eye, -eye, np.array(corners).reshape(-1, m)])
+    out.flags.writeable = False
+    return out
 
 
-def metric_dg(metric, x):
-    """dG[..., i, :, :] = partial_i G at points x (..., m)."""
+def _metric_on_stencil(metric, x, h, rows):
+    """One metric call on the first ``rows`` points of ``_stencil`` about
+    each point of x (..., m), at the steps hh = h * max(1, |x|_inf).
+    Returns (Gs, hh, G^-1, low, up): the metric values Gs (..., rows, m, m)
+    with G = Gs[..., 0, :, :], and from the central differences
+    d_a g_ij = (G(x + hh e_a) - G(x - hh e_a)) / 2hh the Christoffel symbols
+    low[i, j, b] = Gam_{b,ij} = 1/2 (d_i g_jb + d_j g_ib - d_b g_ij) and
+    up[k, i, j] = Gam^k_ij = g^{kb} Gam_{b,ij}."""
     x = np.asarray(x, dtype=float)
-    hh = _step(x, DEFAULT_STEP)
-    return _central(metric(_shifted(x, hh)), hh)
+    m = x.shape[-1]
+    hh = h * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+    Gs = metric(x[..., None, :] + hh[..., None, None] * _stencil(m)[:rows])
+    Ginv = np.linalg.inv(Gs[..., 0, :, :])
+    # dG[a, i, j] = d_a g_ij
+    dG = (Gs[..., 1:m + 1, :, :] - Gs[..., m + 1:2 * m + 1, :, :]) / (2.0 * hh)[..., None, None, None]
+    low = 0.5 * (dG + np.swapaxes(dG, -3, -2) - np.moveaxis(dG, -3, -1))
+    up = _fold(Ginv[..., :, None, None, :] * low[..., None, :, :, :])
+    return Gs, hh, Ginv, low, up
 
 
 def christoffels_fd(metric, x):
     """Gamma[..., k, i, j] = Gamma^k_ij at points x (..., m), from finite
     differences of the metric."""
-    x = np.asarray(x, dtype=float)
-    Ginv = np.linalg.inv(metric(x))
-    dG = metric_dg(metric, x)
-    # 0.5 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}); dG[i, a, b] = d_i g_{ab},
-    # and term[i, j, l] is the bracket
-    term = dG + np.einsum("...jil->...ijl", dG) - np.einsum("...lij->...ijl", dG)
-    return 0.5 * _fold(Ginv[..., :, None, None, :] * term[..., None, :, :, :])
+    return _metric_on_stencil(metric, x, DEFAULT_STEP, 2 * np.shape(x)[-1] + 1)[4]
 
 
 def riemann_fd(metric, x):
@@ -98,32 +102,16 @@ def riemann_fd(metric, x):
     return _riemann_and_metric(metric, x)[0]
 
 
-def _stencil(m):
-    """Offsets of the second-difference stencil in units of the step: 0,
-    then +e_a, then -e_a, then e_a + e_b, e_a - e_b, -e_a + e_b, -e_a - e_b
-    for each pair a < b in order; 2 m^2 + 1 rows."""
-    eye = np.eye(m)
-    corners = [s * eye[a] + t * eye[b]
-               for a in range(m) for b in range(a + 1, m)
-               for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    return np.concatenate([np.zeros((1, m)), eye, -eye, np.array(corners).reshape(-1, m)])
-
-
 def _riemann_and_metric(metric, x):
-    """(R, G^-1) at points x; see ``riemann_fd``. One metric call on the
-    ``_stencil`` points gives G, its first derivatives from the +-e_a pairs
-    and its second derivatives, (G(+e_a) - 2 G + G(-e_a)) / h^2 on the
+    """(R, G^-1) at points x; see ``riemann_fd``. The full stencil gives
+    the second derivatives of G, (G(+e_a) - 2 G + G(-e_a)) / h^2 on the
     diagonal and the four-corner difference over 4 h^2 off it. Then
     R_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il + d_j d_l g_ik)
-             - Gam_{b,il} Gam^b_jk + Gam_{b,jl} Gam^b_ik
-    with Gam_{b,ij} = 1/2 (d_i g_jb + d_j g_ib - d_b g_ij)."""
+             - Gam_{b,il} Gam^b_jk + Gam_{b,jl} Gam^b_ik."""
     x = np.asarray(x, dtype=float)
     m = x.shape[-1]
-    hh = _step(x, SECOND_STEP)
-    Gs = metric(x[..., None, :] + hh[..., None, None] * _stencil(m))
+    Gs, hh, Ginv, low, up = _metric_on_stencil(metric, x, SECOND_STEP, 2 * m * m + 1)
     G = Gs[..., 0, :, :]
-    Ginv = np.linalg.inv(G)
-    dG = _central(Gs[..., 1:2 * m + 1, :, :], hh)  # dG[a, i, j] = d_a g_ij
     h2 = (hh * hh)[..., None, None, None]
     # ddG[a, b, i, j] = d_a d_b g_ij
     ddG = np.empty(x.shape[:-1] + (m, m, m, m))
@@ -135,11 +123,8 @@ def _riemann_and_metric(metric, x):
     mixed = (c[..., 0, :, :] - c[..., 1, :, :] - c[..., 2, :, :] + c[..., 3, :, :]) / (4.0 * h2)
     ddG[..., a, b, :, :] = mixed
     ddG[..., b, a, :, :] = mixed
-    # low[i, j, b] = Gam_{b,ij}; up[i, j, b] = Gam^b_ij
-    low = 0.5 * (dG + np.swapaxes(dG, -3, -2) - np.moveaxis(dG, -3, -1))
-    up = _fold(Ginv[..., None, None, :, :] * low[..., :, :, None, :])
     # quad[i, j, k, l] = Gam_{b,il} Gam^b_jk
-    quad = _fold(low[..., :, None, None, :, :] * up[..., None, :, :, None, :])
+    quad = _fold(low[..., :, None, None, :, :] * np.moveaxis(up, -3, -1)[..., None, :, :, None, :])
     # hess[i, j, k, l] = d_i d_k g_jl
     hess = np.einsum("...ikjl->...ijkl", ddG)
     R = (0.5 * (hess - np.swapaxes(hess, -1, -2) - np.swapaxes(hess, -4, -3)
@@ -239,12 +224,12 @@ def parametric_mean_curvature(metric, chart, dchart, d2chart, theta, inward_ref)
     p = chart(theta)
     J = dchart(theta)  # (..., m, k)
     D2 = d2chart(theta)  # (..., k, k, m)
-    G = metric(p)
+    Gs, _, _, _, Gam = _metric_on_stencil(metric, p, DEFAULT_STEP, 2 * np.shape(p)[-1] + 1)
+    G = Gs[..., 0, :, :]
     Jt = np.swapaxes(J, -1, -2)  # (..., k, m)
     # I[a, b] = J_a . G J_b
     I = _fold(Jt[..., :, None, :] * _apply(G[..., None, :, :], Jt)[..., None, :, :])
     nu = metric_normal(G, J, inward_ref)
-    Gam = christoffels_fd(metric, p)
     # covariant second derivative: D2_ab + Gamma(J_a, J_b)
     JJ = Jt[..., :, None, :, None] * Jt[..., None, :, None, :]  # (a, b, i, j)
     cov = D2 + _fold(_flat(Gam, 2)[..., None, None, :, :] * _flat(JJ, 2)[..., None, :])

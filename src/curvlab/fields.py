@@ -165,7 +165,8 @@ class QuarticCutoff:
     """The quartic cutoff u(r) = (1 - r^2 R^-2)^2, extended by zero past r = R.
 
     The q-form methods give u and its derivatives as functions of q = r^2;
-    the r-form accessors are built on them.
+    the r-form accessors of its derivatives are built on them, and u(r) is
+    ``q_value(r * r)``.
     """
 
     R: float
@@ -192,10 +193,6 @@ class QuarticCutoff:
         return np.where(q < R2, 2.0 / (R2 * R2), 0.0)
 
     # r-form accessors ------------------------------------------------------
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.q_value(r * r)
 
     def d1(self, r):
         r = np.asarray(r, dtype=float)

@@ -5,10 +5,13 @@ captured output of a failing test) before asserting, so a red criterion
 still reports its measured numbers.
 """
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 from scipy.integrate import quad
 
-from curvlab import checks, cli
+from curvlab import checks, cli, estimates
 from curvlab.cli import RunConfig
 from curvlab.estimates import decay_scan
 from curvlab.fields import ConstantField
@@ -326,6 +329,25 @@ def test_criterion_10_elementary_inequalities():
     for name, s in slacks.items():
         assert s >= -1e-12, name
     assert quarter_ok
+
+
+def test_criterion_10_coth_route_matches_mpmath():
+    """The second route that ``elementary-inequalities`` holds
+    ``coth_minus_inv`` to is within 1e-14 relative of 40-digit mpmath on the
+    coth window's grid and on [1e-6, 0.5], where its series takes over."""
+    import mpmath
+
+    n_grid, r_max = estimates.ELEMENTARY_N_GRID, estimates.ELEMENTARY_R_MAX
+    r = np.concatenate([np.linspace(r_max / n_grid, r_max, n_grid), np.linspace(1e-6, 0.5, 200)])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.coth(x) - 1 / mpmath.mpf(x)) for x in r])
+    assert np.max(np.abs(checks._coth_minus_inv_route(r) - ref) / ref) <= 1e-14
+    # the series coefficients are 2^{2k} B_{2k} / (2k)!, from exact Bernoulli numbers
+    B = [Fraction(1)]
+    for n in range(1, 29):
+        B.append(-sum(comb(n + 1, j) * B[j] for j in range(n)) / (n + 1))
+    assert [Fraction(*c) for c in checks.COTH_SERIES] == [
+        4**k * B[2 * k] / factorial(2 * k) for k in range(1, 15)]
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,9 @@ def test_batched_calls_equal_single_point_calls(m):
     rng = np.random.default_rng(7 + m)
     pts = rng.uniform(-0.4, 0.4, size=(5, m))
     pts[2, 0] = 1.7
-    dG = fdcheck.metric_dg(metric, pts)
     Gam = fdcheck.christoffels_fd(metric, pts)
-    assert dG.shape == (5, m, m, m) and Gam.shape == (5, m, m, m)
+    assert Gam.shape == (5, m, m, m)
     for p, x in enumerate(pts):
-        assert np.array_equal(dG[p], fdcheck.metric_dg(metric, x))
         assert np.array_equal(Gam[p], fdcheck.christoffels_fd(metric, x))
     stack = fdcheck.christoffels_fd(metric, pts.reshape(1, 5, m))
     assert np.array_equal(stack[0], Gam)
@@ -192,21 +190,6 @@ def test_metric_normal_raises_on_rank_deficient_hypersurface_jacobian():
         fdcheck.metric_normal(G, stack, np.ones((3, 3)))
     nu = fdcheck.metric_normal(G[:2], stack[[0, 2]], np.ones((2, 3)))
     assert np.allclose(nu, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-
-
-def test_riemann_makes_one_metric_call():
-    metric = ball_metric(1.0)
-    x = np.array([0.2, -0.1, 0.3])
-    for tensor in (fdcheck.riemann_fd, fdcheck.ricci_fd):
-        calls = []
-
-        def counting(y):
-            calls.append(np.shape(y))
-            return metric(y)
-
-        R = tensor(counting, x)
-        assert len(calls) == 1, tensor.__name__
-        assert np.array_equal(R, tensor(metric, x))
 
 
 def test_fd_gradient_and_hessian_on_polynomial():
@@ -289,8 +272,30 @@ def test_sphere_mean_curvature_flat():
         assert np.isclose(H, 2.0 / rho, rtol=1e-6)
 
 
-def test_parametric_mean_curvature_makes_three_metric_calls():
+def _sphere_mean_curvature_fd(metric, x):
+    """parametric_mean_curvature on the coordinate sphere through x (..., 3),
+    at the point's own angles: H and nu stacked into one array."""
     chart, dchart, d2chart = sphere_chart(0.3)
+    th = np.stack([np.arccos(x[..., 2] / 0.3), np.arctan2(x[..., 1], x[..., 0])], axis=-1)
+    H, nu = fdcheck.parametric_mean_curvature(metric, chart, dchart, d2chart, th, -chart(th))
+    return np.concatenate([H[..., None], nu], axis=-1)
+
+
+ONE_STENCIL = {
+    "christoffels_fd": fdcheck.christoffels_fd,
+    "riemann_fd": fdcheck.riemann_fd,
+    "ricci_fd": fdcheck.ricci_fd,
+    "sectional_fd": lambda metric, x: fdcheck.sectional_fd(metric, x, x + 1.0, x - 2.0),
+    "ricci_quadratic_fd": lambda metric, x: fdcheck.ricci_quadratic_fd(metric, x, x + 1.0),
+    "parametric_mean_curvature": _sphere_mean_curvature_fd,
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_STENCIL))
+def test_each_oracle_makes_one_metric_call_per_stack(name):
+    """Every oracle reads the metric on one stencil, in one call for a whole
+    stack of points, and gets the same bits as with the plain metric."""
+    oracle = ONE_STENCIL[name]
     metric = ball_metric(1.0)
     calls = []
 
@@ -298,11 +303,10 @@ def test_parametric_mean_curvature_makes_three_metric_calls():
         calls.append(np.shape(y))
         return metric(y)
 
-    th = np.array([1.2, 0.5])
-    H, nu = fdcheck.parametric_mean_curvature(counting, chart, dchart, d2chart, th, -chart(th))
-    assert len(calls) == 3
-    H_ref, nu_ref = fdcheck.parametric_mean_curvature(metric, chart, dchart, d2chart, th, -chart(th))
-    assert H == H_ref and np.array_equal(nu, nu_ref)
+    x = 0.3 * np.array([[0.6, 0.0, 0.8], [0.0, -0.6, 0.8], [0.48, 0.6, 0.64]])
+    got = oracle(counting, x)
+    assert len(calls) == 1
+    assert np.array_equal(got, oracle(metric, x))
 
 
 def test_sphere_mean_curvature_hyperbolic():

@@ -89,8 +89,9 @@ def test_exp_quadratic_point_rounds_the_same_alone_and_in_a_batch(dim, stacked):
 def test_profile_r_derivatives_match_fd(profile):
     rs = np.linspace(0.05, 2.6, 40)
     h = 1e-6
-    d1_fd = (profile.value(rs + h) - profile.value(rs - h)) / (2 * h)
-    d2_fd = (profile.value(rs + h) - 2 * profile.value(rs) + profile.value(rs - h)) / h**2
+    u = lambda r: profile.q_value(r * r)
+    d1_fd = (u(rs + h) - u(rs - h)) / (2 * h)
+    d2_fd = (u(rs + h) - 2 * u(rs) + u(rs - h)) / h**2
     assert np.allclose(profile.d1(rs), d1_fd, rtol=1e-7, atol=1e-8)
     assert np.allclose(profile.d2(rs), d2_fd, rtol=1e-3, atol=1e-3)
 
@@ -98,9 +99,9 @@ def test_profile_r_derivatives_match_fd(profile):
 def test_quartic_cutoff_endpoint_values():
     R = 2.0
     prof = QuarticCutoff(R)
-    assert prof.value(0.0) == 1.0
-    assert prof.value(R) == 0.0
-    assert prof.value(1.5 * R) == 0.0
+    assert prof.q_value(0.0) == 1.0
+    assert prof.q_value(R * R) == 0.0
+    assert prof.q_value((1.5 * R) ** 2) == 0.0
     assert prof.d1(R) == 0.0
     assert prof.d1(1.5 * R) == 0.0
     # u'(r)/r extends to r = 0 with value u''(0) = -4/R^2
@@ -128,7 +129,7 @@ def test_quartic_cutoff_d1_sq_over_value_closed_form():
     R = 2.5
     prof = QuarticCutoff(R)
     rs = np.linspace(0.0, R - 1e-6, 512)
-    direct = prof.d1(rs) ** 2 / prof.value(rs)
+    direct = prof.d1(rs) ** 2 / prof.q_value(rs * rs)
     assert np.allclose(prof.d1_sq_over_value(rs), direct, rtol=1e-9)
     # stays finite (and correct) at the cutoff radius itself
     assert np.isclose(prof.d1_sq_over_value(R), 16.0 / R**2)

@@ -308,7 +308,6 @@ def test_guard_flags_a_planted_file_write(tmp_path):
 
 # parameters of each entry point, with the defaults a caller may leave out
 SIGNATURES = {
-    fdcheck.metric_dg: "metric, x",
     fdcheck.christoffels_fd: "metric, x",
     fdcheck.riemann_fd: "metric, x",
     fdcheck._riemann_and_metric: "metric, x",

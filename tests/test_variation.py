@@ -505,7 +505,7 @@ def test_index_form_profile_boundary_and_tanh_identity():
     curve = _slab_axis_curve(fx.space, b, 16384)
     phi = CoshWeight(curve.g_length())
     rep = index_form_trace(curve, u, fx.pieces[0], fx.pieces[1], phi)
-    expect = -float(prof.value(fx.distance / 2.0)) / math.sqrt(2.0)
+    expect = -float(prof.q_value((fx.distance / 2.0) ** 2)) / math.sqrt(2.0)
     assert abs(rep.boundary_start - expect) < 1e-9
     assert abs(rep.boundary_end - expect) < 1e-9
     lhs, rhs = tanh_boundary_identity(curve, u, phi)
