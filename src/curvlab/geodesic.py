@@ -351,13 +351,12 @@ def minimize_free_boundary(
 
 def endpoint_orthogonality(problem: GeodesicProblem, curve: DiscreteCurve):
     """|<T, nu>_g| at both endpoints; 1 means the free-boundary right angle
-    (conformal metrics share orthogonality)."""
+    (conformal metrics share orthogonality). A problem with a fixed end has
+    no normal there and raises ValueError."""
+    ends = ((0, problem.piece_start), (-1, problem.piece_end))
+    if any(piece is None for _, piece in ends):
+        raise ValueError("endpoint_orthogonality needs a boundary piece at both ends")
     T, _ = curve.vertex_tangents()
-    out = []
-    for idx, piece in ((0, problem.piece_start), (-1, problem.piece_end)):
-        if piece is None:
-            out.append(np.nan)
-            continue
-        nu = piece.normal(curve.points[idx])
-        out.append(abs(float(problem.space.inner(curve.points[idx], T[idx], nu))))
-    return out
+    return [abs(float(problem.space.inner(curve.points[idx], T[idx],
+                                          piece.normal(curve.points[idx]))))
+            for idx, piece in ends]

@@ -414,52 +414,23 @@ def example_fixture(name: str, **kwargs) -> Fixture:
 # ---------------------------------------------------------------------------
 
 
-_MAX_STEPS = 100  # cap on the steps of each bisection and golden-section search
+_MAX_STEPS = 100  # cap on the steps of the cut bisection
 _CHUNK = 2048  # chart points per distance or mean-curvature evaluation
 _GROUP = 8  # annuli whose local tables (about 520 points each) are held at once
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
 
 @dataclass
 class InfimumResult:
     """See ``infima_over_annuli``; ``param`` is the chart parameter where
-    the infimum sits, and ``missed`` is the chart bracket of the first search
-    that hit the step cap, None when ``converged``."""
+    the infimum sits (a cut root or a table point), and ``missed`` is the
+    chart bracket of the first cut bisection that hit the step cap, None
+    when ``converged``."""
 
     value: float
     param: float
     n_grid: int
     converged: bool
     missed: Optional[tuple] = None
-
-
-def _golden_section(f, a, x, b, fx):
-    """Golden-section searches (Brent 1973, ch. 5) in lockstep, one from each
-    bracket a < x < b with fx = f(x) below f(a) and f(b), each to a width of
-    sqrt(eps) max(1, |x|). Every step evaluates f, which maps an array of
-    points to their values, once on the searches still open. Returns the
-    lowest f and its point for each search, and the list of brackets still
-    open after _MAX_STEPS steps (None for a search that closed)."""
-    a, x, b, fx = (np.array(v, dtype=float) for v in (a, x, b, fx))
-    missed = [None] * x.size
-    live = np.arange(x.size)
-    for step in range(_MAX_STEPS + 1):
-        ax = np.abs(x[live])  # max(1, |x|) as Python's max takes it, NaN to 1
-        live = live[b[live] - a[live] > 1.5e-8 * np.where(ax > 1.0, ax, 1.0)]
-        if step == _MAX_STEPS:
-            for k in live:
-                missed[k] = (float(a[k]), float(b[k]))
-        if step == _MAX_STEPS or live.size == 0:
-            return fx, x, missed
-        ak, xk, bk, fk = a[live], x[live], b[live], fx[live]
-        u = xk + _GOLDEN * np.where(bk - xk > xk - ak, bk - xk, ak - xk)
-        fu = f(u)
-        lower, right = fu < fk, u > xk
-        # a lower u becomes x inside its half; otherwise u becomes an end
-        a[live] = np.where(lower, np.where(right, xk, ak), np.where(right, ak, u))
-        b[live] = np.where(lower, np.where(right, bk, xk), np.where(right, u, bk))
-        x[live] = np.where(lower, u, xk)
-        fx[live] = np.where(lower, fu, fk)
 
 
 def _union(a, b):
@@ -477,25 +448,23 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
     A 4097-point distance table over the chart box brackets the cuts, and
     one vectorized bisection finds their roots. The infimum is the lowest of
     h at a root (its limit over the open annulus), at a chart-box end in the
-    annulus, or at an interior point of a 513-point table over the chart
-    range that meets the annulus, refined by golden section between its
-    neighbours when it is a strict local minimum there by more than 4 ulps
-    (a bracket flatter than that is roundoff on a piece of constant h).
+    annulus, or at a point of a 513-point table over the chart range that
+    meets the annulus. An interior minimum is the table's, unrefined: it is
+    h at a point of the piece, so it is never below the true infimum, and
+    where h is smooth it lies above it by O(s^2) for the table spacing s.
     ``n_grid`` is the size of that table with the roots; ``converged`` says
-    every bisection and golden-section bracket reached its tolerance within
-    _MAX_STEPS.
+    every cut bisection reached its tolerance within _MAX_STEPS.
 
-    The annuli share the work: one distance table, one bisection loop over
-    all their cut roots and one lockstep golden-section run. Their local
-    tables are built, evaluated and judged _GROUP annuli at a time, each
-    group in one pass of distance and then one of mean curvature at only the
-    points that count (the cuts and the points strictly inside), and dropped
-    before the next group, so the tables held at once do not grow with the
-    number of annuli. Each annulus gets the bits it would get alone. Its
-    cuts stop at the step where none of them is still wide, which is where a
-    bisection of that annulus alone stops; the golden-section searches keep
-    a bracket each; and distance and mean curvature act point by point, so
-    the other points of a batch do not change a point's value. So every pass
+    The annuli share the work: one distance table and one bisection loop
+    over all their cut roots. Their local tables are built, evaluated and
+    judged _GROUP annuli at a time, each group in one pass of distance and
+    then one of mean curvature at only the points that count (the cuts and
+    the points strictly inside), and dropped before the next group, so the
+    tables held at once do not grow with the number of annuli. Each annulus
+    gets the bits it would get alone. Its cuts stop at the step where none
+    of them is still wide, which is where a bisection of that annulus alone
+    stops, and distance and mean curvature act point by point, so the other
+    points of a batch do not change a point's value. So every pass
     evaluates its chart points in chunks of _CHUNK, which bounds the working
     set and changes no bit.
     """
@@ -546,7 +515,7 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
                       if j.size else None)
 
     # the local tables of _GROUP annuli at a time: built, evaluated, judged, dropped
-    best, sizes, brackets = [], [], []
+    best, sizes = [], []
     for first in range(0, r_lo.size, _GROUP):
         group = range(first, min(first + _GROUP, r_lo.size))
         tables = []
@@ -559,30 +528,17 @@ def infima_over_annuli(piece: Hypersurface, r_lo, r_hi) -> List[Optional[Infimum
         ts_all = np.concatenate([np.empty(0)] + tables)
         d_all = np.split(dist_of(ts_all), ends)
         # mean curvature only where it counts: at a cut or strictly inside
-        is_cut = [np.isin(ts, cuts[k]) for k, ts in zip(group, tables)]
-        ok = np.concatenate([c | ((d > r_lo[k]) & (d < r_hi[k]))
-                             for k, c, d in zip(group, is_cut, d_all)])
+        ok = np.concatenate([np.isin(ts, cuts[k]) | ((d > r_lo[k]) & (d < r_hi[k]))
+                             for k, ts, d in zip(group, tables, d_all)])
         h_all = np.full(ts_all.size, np.inf)
         h_all[ok] = h_of(ts_all[ok])
-        for k, ts, cut, ok_k, h in zip(group, tables, is_cut, np.split(ok, ends),
-                                       np.split(h_all, ends)):
+        for ts, h in zip(tables, np.split(h_all, ends)):
             sizes.append(ts.size)
             if ts.size == 0:
                 best.append(None)
                 continue
             j = int(np.argmin(h))
             best.append((float(h[j]), float(ts[j])))
-            # refine a strict local minimum unless its bracket is flat to roundoff
-            if not cut[j] and 0 < j < ts.size - 1 and ok_k[j - 1] and ok_k[j + 1] \
-                    and h[j] < min(h[j - 1], h[j + 1]) \
-                    and max(h[j - 1], h[j + 1]) - h[j] > 4 * np.spacing(abs(h[j])):
-                brackets.append((k, ts[j - 1], ts[j], ts[j + 1], h[j]))
-    if brackets:
-        ks, a, x, b, fx = zip(*brackets)
-        fx, x, missed_min = _golden_section(h_of, a, x, b, fx)
-        for n, k in enumerate(ks):
-            best[k] = (float(fx[n]), float(x[n]))
-            missed[k] = missed[k] or missed_min[n]
 
     return [None if b is None else InfimumResult(
         value=b[0],

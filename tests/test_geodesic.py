@@ -395,6 +395,18 @@ def test_slab_minimizer_finds_common_perpendicular():
     assert np.allclose(orth, 1.0, atol=1e-6)
 
 
+def test_endpoint_orthogonality_rejects_a_fixed_end():
+    """A fixed end has no boundary normal: a named ValueError, not an
+    AttributeError from the missing piece."""
+    fx = example_fixture("euclid-slab", d=1.0, dim=3)
+    for start, end in ((fx.pieces[1], None), (None, fx.pieces[0])):
+        problem = GeodesicProblem(fx.space, ConstantField(1.0), piece_start=start,
+                                  piece_end=end,
+                                  endpoints=np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="boundary piece at both ends"):
+            endpoint_orthogonality(problem, problem.initial_curve(8))
+
+
 def test_equidistant_minimizer_recovers_axis_distance():
     fx = example_fixture("poincare-circles", a=1.0)
     # the distance between two equidistant circles is realized by every

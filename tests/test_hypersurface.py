@@ -449,25 +449,47 @@ def test_annulus_infimum_two_intervals_hyperbolic_arc():
     assert r_lo <= float(fx.space.distance(origin, _point(piece, res))) <= r_hi
 
 
-def _golden_section_reference(f, a, x, b, fx):
-    """One golden-section search with one scalar f call per step."""
-    for step in range(hypersurface._MAX_STEPS + 1):
-        if b - a <= 1.5e-8 * max(1.0, abs(x)):
-            return (fx, x), None
-        if step == hypersurface._MAX_STEPS:
-            return (fx, x), (float(a), float(b))
-        u = x + hypersurface._GOLDEN * ((b - x) if b - x > x - a else (a - x))
-        fu = f(u)
-        if fu < fx:
-            a, b = (x, b) if u > x else (a, x)
-            x, fx = u, fu
-        else:
-            a, b = (a, u) if u > x else (u, b)
+def _ellipse(t_lo, t_hi):
+    """The flat ellipse x^2/4 + y^2 = 1 (a = 2, b = 1), charted by the angle
+    t at (2 cos t, sin t) over (t_lo, t_hi); h = 2 / (1 + 3 sin^2 t)^(3/2)."""
+    return hypersurface.Hypersurface(
+        space=SpaceForm(2, 0.0),
+        F=lambda x: x[..., 0] ** 2 / 4.0 + x[..., 1] ** 2 - 1.0,
+        gradF=lambda x: np.stack([x[..., 0] / 2.0, 2.0 * x[..., 1]], axis=-1),
+        hessF=lambda x: np.broadcast_to(np.diag([0.5, 2.0]), np.shape(x) + (2,)),
+        inward_sign=-1.0,
+        chart=lambda t: np.stack([2.0 * np.cos(t), np.sin(t)], axis=-1),
+        chart_box=(t_lo, t_hi),
+        h_exact=lambda t: 2.0 / (1.0 + 3.0 * np.sin(t) ** 2) ** 1.5,
+        label="ellipse",
+    )
+
+
+def test_annulus_infimum_interior_minimum_is_the_table_minimum():
+    """An interior minimum is the lowest point of the local table, unrefined.
+    On the ellipse the infimum over the annulus (0.5, 1.5) is b/a^2 = 1/4 at
+    the minor vertex t = pi/2, where h = 1/4 + (9/32) (t - pi/2)^2 + O((t - pi/2)^4).
+    The chart box starts at t = 1, inside the annulus, so the local table
+    runs from there to the cut, and no table point lands on pi/2. The result
+    is never below 1/4, and above it by at most (9/32) (s/2)^2 for the table
+    spacing s."""
+    piece = _ellipse(1.0, 2.8)
+    [res] = infima_over_annuli(piece, 0.5, 1.5)
+    assert res.converged
+    want = _infimum_reference(piece, 0.5, 1.5)
+    assert (res.value, res.param, res.n_grid) == (want.value, want.param, want.n_grid)
+    t_cut = np.pi - np.arccos(np.sqrt(5.0 / 12.0))  # where |(2 cos t, sin t)| = 1.5
+    s = (t_cut - 1.0) / 512
+    assert 0.1 * s < abs(res.param - np.pi / 2) <= 0.5 * s * (1.0 + 1e-9)
+    h = piece.mean_curvature(piece.chart_points(res.param + np.array([-s, 0.0, s])))
+    assert h[1] == res.value and min(h[0], h[2]) > res.value
+    assert res.value >= 0.25 * (1.0 - 4 * np.finfo(float).eps)
+    assert res.value - 0.25 <= 9.0 / 32.0 * (s / 2) ** 2 * 1.01
 
 
 def _infimum_reference(piece, r_lo, r_hi):
-    """One annulus at a time: its own distance table, bisection loop, local
-    table and single-point golden-section steps; None when it misses."""
+    """One annulus at a time: its own distance table, bisection loop and
+    local table, whose lowest h it takes; None when it misses."""
     origin = np.zeros(piece.space.dim)
 
     def dist_of(ts):
@@ -500,22 +522,13 @@ def _infimum_reference(piece, r_lo, r_hi):
     if seeds.size == 0:
         return None
     ts = np.union1d(np.linspace(seeds.min(), seeds.max(), 513), t_in)
-    is_cut = np.isin(ts, t_in)
     d = dist_of(ts)
-    ok = is_cut | ((d > r_lo) & (d < r_hi))
+    ok = np.isin(ts, t_in) | ((d > r_lo) & (d < r_hi))
     h = np.where(ok, h_of(ts), np.inf)
     k = int(np.argmin(h))
-    best = (float(h[k]), float(ts[k]))
-    if not is_cut[k] and 0 < k < ts.size - 1 and ok[k - 1] and ok[k + 1] \
-            and h[k] < min(h[k - 1], h[k + 1]) \
-            and max(h[k - 1], h[k + 1]) - h[k] > 4 * np.spacing(abs(h[k])):
-        best, missed_min = _golden_section_reference(
-            lambda t: float(h_of(np.array([t]))[0]), ts[k - 1], ts[k], ts[k + 1], h[k]
-        )
-        missed = missed or missed_min
     return InfimumResult(
-        value=best[0], param=best[1], n_grid=int(ts.size), converged=missed is None,
-        missed=missed,
+        value=float(h[k]), param=float(ts[k]), n_grid=int(ts.size),
+        converged=missed is None, missed=missed,
     )
 
 
@@ -552,8 +565,8 @@ def test_infima_over_annuli_match_one_annulus_at_a_time(name):
 
 def test_infima_take_curvature_only_where_it_counts(monkeypatch):
     """On the equidistant spheres, where h is constant, the mean curvature
-    is taken in one pass at the cuts and the table points strictly inside
-    the annuli, and no golden section refines a bracket flat to roundoff."""
+    is taken in one pass, at the cuts and the table points strictly inside
+    the annuli."""
     for piece in example_fixture("hyperbolic-equidistant").pieces:
         points = []
         mean_curvature = piece.mean_curvature
@@ -604,28 +617,3 @@ def test_union_matches_numpy_union1d_bitwise():
             got = hypersurface._union(a, b)
             want = np.union1d(a, b)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def test_lockstep_golden_section_matches_one_search_at_a_time():
-    rng = np.random.default_rng(7)
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return np.cos(3.0 * t) + 0.1 * t * t
-
-    brackets = []
-    for _ in range(200):
-        # near a minimum of cos(3t), at an odd multiple of pi/3
-        x = np.pi / 3.0 * rng.choice([-3, -1, 1, 3]) + rng.uniform(-0.05, 0.05)
-        a, b = x - rng.uniform(1e-3, 0.3), x + rng.uniform(1e-3, 0.3)
-        if f(x) < min(f(a), f(b)):
-            brackets.append((a, x, b, float(f(x))))
-    # wider than 0.618^100 times the tolerance: this one hits _MAX_STEPS
-    brackets.append((-1e14, 1.0, 1e14, float(f(1.0))))
-    assert len(brackets) > 100
-    fx, x, missed = hypersurface._golden_section(f, *zip(*brackets))
-    assert missed[-1] is not None
-    for k, (a, xk, b, fk) in enumerate(brackets):
-        (want_f, want_x), want_missed = _golden_section_reference(
-            lambda t: float(f(np.array([t]))[0]), a, xk, b, fk)
-        assert (fx[k], x[k], missed[k]) == (want_f, want_x, want_missed)
