@@ -12,7 +12,10 @@ import os
 # Before numpy loads: an extra OpenBLAS worker would only spin here; a caller's value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# The import only allocates; collecting while it runs frees nothing. The caller's state wins.
+# The import only allocates: a collection while it runs, or over its heap
+# once the collector is back on, would walk every new object to free almost
+# none. So the collector stays off and the heap is frozen before it comes
+# back on; the caller's on or off state wins.
 _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
@@ -30,6 +33,7 @@ try:
     )
     from curvlab.report import VerificationReport, build_report
 finally:
+    gc.freeze()
     if _gc_was_enabled:
         gc.enable()
     del _gc_was_enabled

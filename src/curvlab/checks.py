@@ -17,7 +17,6 @@ passed with room to spare.  The estimate checks keep their natural
 inequality sides instead.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -1059,11 +1058,11 @@ def _check_scan_slab(ctx):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CheckSpec:
-    suites: tuple
-    fn: Callable
-    probe: bool = False
+    def __init__(self, suites: tuple, fn: Callable, probe: bool = False):
+        self.suites = suites
+        self.fn = fn  # rebound by a caller that wraps the check
+        self.probe = probe
 
 
 CHECKS = {

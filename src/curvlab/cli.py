@@ -26,7 +26,6 @@ Exit status:
 """
 
 import argparse
-import configparser
 import gc
 import hashlib
 import sys
@@ -107,6 +106,8 @@ def parse_config(path, **run):
     ``[DEFAULT]`` included, is a ConfigError. Pass allowances and fixtures
     are not configurable: they are fixed in ``curvlab.checks``.
     """
+    import configparser  # only a --config run reads an INI file
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -280,7 +281,8 @@ def main(argv=None):
     return run(cfg)
 
 
-# The import-time heap lives as long as the process; frozen, exit's GC skips it.
+# The package froze its own import heap; this adds what ``checks`` and this
+# module allocated. It lives as long as the process; frozen, exit's GC skips it.
 gc.freeze()
 
 if __name__ == "__main__":

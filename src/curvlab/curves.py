@@ -22,7 +22,6 @@ projection, which is exact because nabla_T T is g-orthogonal to T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -108,20 +107,17 @@ def _stencil_derivative(values, order):
     return out
 
 
-@dataclass
 class DiscreteCurve:
     """Open polyline with quadrature and discrete differential geometry."""
 
-    space: SpaceForm
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != self.space.dim:
+    def __init__(self, space: SpaceForm, points: np.ndarray):
+        self.space = space
+        self.points = np.asarray(points, dtype=float)
+        if self.points.ndim != 2 or self.points.shape[1] != space.dim:
             raise ValueError("points must be (N+1, dim)")
         if self.points.shape[0] < 2:
             raise ValueError("a curve needs at least two vertices")
-        self.space.check_point(self.points)
+        space.check_point(self.points)
 
     @property
     def n_segments(self) -> int:

@@ -21,8 +21,6 @@ The estimate's right-hand side uses the statement's constants
 the metadata records them as "statement".
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hypersurface import Fixture, example_fixture, infima_over_annuli
@@ -143,15 +141,15 @@ def annulus_infima(fixture: Fixture, r_lo, r_hi) -> np.ndarray:
     return values.reshape(r_lo.shape + (len(fixture.pieces),))
 
 
-@dataclass
 class DecayScan:
     """Curvature infima of a fixture over the annuli R/3 < |x| < R for a
     grid of radii R: ``inf1`` of the first boundary piece, ``inf2`` of the
     second (zeros for a fixture with a single piece)."""
 
-    R: np.ndarray
-    inf1: np.ndarray
-    inf2: np.ndarray
+    def __init__(self, R: np.ndarray, inf1: np.ndarray, inf2: np.ndarray):
+        self.R = R
+        self.inf1 = inf1
+        self.inf2 = inf2
 
 
 def decay_scan(fixture: Fixture, R_grid) -> DecayScan:

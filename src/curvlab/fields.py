@@ -20,7 +20,6 @@ Hessians of radial fields never divide by r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -40,9 +39,9 @@ def _eye_like(x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.eye(m), shape).copy()
 
 
-@dataclass(frozen=True)
 class ConstantField:
-    c: float = 1.0
+    def __init__(self, c: float = 1.0):
+        self.c = c
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -57,14 +56,14 @@ class ConstantField:
         return np.zeros(x.shape + (x.shape[-1],))
 
 
-@dataclass(frozen=True)
 class BallFactorField:
     """w(x) = (kappa/2)(1 - |x|^2), the flat-to-ball conformal factor.
 
     The ball model metric (4/kappa^2)(1-|x|^2)^{-2} delta equals w^{-2} delta.
     """
 
-    kappa: float
+    def __init__(self, kappa: float):
+        self.kappa = kappa
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -89,7 +88,6 @@ def _fold_dot(u, v):
     return out
 
 
-@dataclass(frozen=True)
 class ExpQuadraticField:
     """u = exp(c + a.x + x.B x / 2); strictly positive, fully analytic.
 
@@ -99,9 +97,10 @@ class ExpQuadraticField:
     fields whose leading axis pairs with the leading axis of the points.
     """
 
-    a: np.ndarray
-    B: np.ndarray
-    c: float = 0.0
+    def __init__(self, a: np.ndarray, B: np.ndarray, c: float = 0.0):
+        self.a = a
+        self.B = B
+        self.c = c
 
     def _terms(self, x):
         """(u, a + Bx, B) at points x, with B shaped to broadcast against x."""
@@ -128,10 +127,10 @@ class ExpQuadraticField:
         return u[..., None, None] * (outer + B)
 
 
-@dataclass(frozen=True)
 class ProductField:
-    f: ScalarField
-    g: ScalarField
+    def __init__(self, f: ScalarField, g: ScalarField):
+        self.f = f
+        self.g = g
 
     def value(self, x):
         return self.f.value(x) * self.g.value(x)
@@ -160,7 +159,6 @@ class ProductField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuarticCutoff:
     """The quartic cutoff u(r) = (1 - r^2 R^-2)^2, extended by zero past r = R.
 
@@ -169,11 +167,10 @@ class QuarticCutoff:
     ``q_value(r * r)``.
     """
 
-    R: float
-
-    def __post_init__(self):
-        if self.R <= 0:
+    def __init__(self, R: float):
+        if R <= 0:
             raise ValueError("R must be positive")
+        self.R = R
 
     # q-form ----------------------------------------------------------------
 

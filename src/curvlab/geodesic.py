@@ -32,7 +32,6 @@ problem forbids).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -50,19 +49,18 @@ COARSE_SEGMENTS = 8  # segments of the first level of the coarse-to-fine ladder
 MAX_ITER_PER_LEVEL = 200  # Newton iterations before a level stops on "max-iter"
 
 
-@dataclass
 class GeodesicProblem:
     """Conformal factor and endpoints; with two boundary surfaces the
     endpoints seed the sliding ends, without them they stay fixed."""
 
-    space: SpaceForm
-    u: ScalarField
-    endpoints: np.ndarray  # seeds when pieces exist, else fixed
-    piece_start: Optional[Hypersurface] = None
-    piece_end: Optional[Hypersurface] = None
-
-    def __post_init__(self):
-        self.endpoints = np.asarray(self.endpoints, dtype=float)
+    def __init__(self, space: SpaceForm, u: ScalarField, endpoints: np.ndarray,
+                 piece_start: Optional[Hypersurface] = None,
+                 piece_end: Optional[Hypersurface] = None):
+        self.space = space
+        self.u = u
+        self.endpoints = np.asarray(endpoints, dtype=float)  # seeds when pieces exist, else fixed
+        self.piece_start = piece_start
+        self.piece_end = piece_end
 
     def initial_curve(self, n_segments: int) -> DiscreteCurve:
         """Ambient geodesic between the endpoints, uniformly sampled."""
@@ -80,17 +78,19 @@ class GeodesicProblem:
         return DiscreteCurve(self.space, pts)
 
 
-@dataclass
 class MinimizeResult:
-    curve: DiscreteCurve
-    tilde_length: float
-    g_length: float
-    iterations: int
-    converged: bool
-    grad_norm: float
-    level_sizes: List[int] = field(default_factory=list)
-    level_iterations: List[int] = field(default_factory=list)
-    level_stops: List[str] = field(default_factory=list)
+    def __init__(self, curve: DiscreteCurve, tilde_length: float, g_length: float,
+                 iterations: int, converged: bool, grad_norm: float, level_sizes: List[int],
+                 level_iterations: List[int], level_stops: List[str]):
+        self.curve = curve
+        self.tilde_length = tilde_length
+        self.g_length = g_length
+        self.iterations = iterations
+        self.converged = converged
+        self.grad_norm = grad_norm
+        self.level_sizes = level_sizes
+        self.level_iterations = level_iterations
+        self.level_stops = level_stops
 
 
 def _coordinate_factor(problem: GeodesicProblem):

@@ -15,7 +15,6 @@ implicit machinery and the fundamental-form oracle in ``fdcheck``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -33,7 +32,6 @@ class ProjectionError(RuntimeError):
     """Newton projection onto a surface did not converge."""
 
 
-@dataclass
 class Hypersurface:
     """Implicit hypersurface {F = 0} with a chosen inward side.
 
@@ -43,15 +41,18 @@ class Hypersurface:
     and h_exact its closed-form mean curvature along the chart.
     """
 
-    space: SpaceForm
-    F: Callable
-    gradF: Callable
-    hessF: Callable
-    inward_sign: float
-    chart: Callable
-    chart_box: tuple
-    h_exact: Callable
-    label: str
+    def __init__(self, space: SpaceForm, F: Callable, gradF: Callable, hessF: Callable,
+                 inward_sign: float, chart: Callable, chart_box: tuple, h_exact: Callable,
+                 label: str):
+        self.space = space
+        self.F = F
+        self.gradF = gradF
+        self.hessF = hessF
+        self.inward_sign = inward_sign
+        self.chart = chart
+        self.chart_box = chart_box
+        self.h_exact = h_exact
+        self.label = label
 
     def euclid_unit_normal(self, x) -> np.ndarray:
         """Inward normal of Euclidean unit length (coordinate direction)."""
@@ -194,7 +195,6 @@ def _plane_piece(space, axis, offset, along, inward_sign, chart_box, label):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Fixture:
     """Boundary pieces enclosing a region, with known exact data.
 
@@ -204,11 +204,13 @@ class Fixture:
     ``example_fixture``. The builder's arguments, the pieces' charts and
     their ``h_exact`` hold the rest of the fixture's data."""
 
-    space: SpaceForm
-    pieces: List[Hypersurface]
-    distance: Optional[float] = None
-    endpoints: Optional[np.ndarray] = None
-    name: str = ""
+    def __init__(self, space: SpaceForm, pieces: List[Hypersurface],
+                 distance: Optional[float] = None, endpoints: Optional[np.ndarray] = None):
+        self.space = space
+        self.pieces = pieces
+        self.distance = distance
+        self.endpoints = endpoints
+        self.name = ""
 
 
 def _equidistant_fixture(a: float = 1.0, dim: int = 3) -> Fixture:
@@ -419,18 +421,19 @@ _CHUNK = 2048  # chart points per distance or mean-curvature evaluation
 _GROUP = 8  # annuli whose local tables (about 520 points each) are held at once
 
 
-@dataclass
 class InfimumResult:
     """See ``infima_over_annuli``; ``param`` is the chart parameter where
     the infimum sits (a cut root or a table point), and ``missed`` is the
     chart bracket of the first cut bisection that hit the step cap, None
     when ``converged``."""
 
-    value: float
-    param: float
-    n_grid: int
-    converged: bool
-    missed: Optional[tuple] = None
+    def __init__(self, value: float, param: float, n_grid: int, converged: bool,
+                 missed: Optional[tuple]):
+        self.value = value
+        self.param = param
+        self.n_grid = n_grid
+        self.converged = converged
+        self.missed = missed
 
 
 def _union(a, b):

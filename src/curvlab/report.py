@@ -11,7 +11,6 @@ but left out of the exit status. Inputs and grids hold plain JSON values;
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
 
 
 class NonConvergence(RuntimeError):
@@ -28,21 +27,24 @@ def digest_inputs(inputs: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    lhs: float
-    rhs: float
-    slack: float
-    tolerance: float
-    passed: bool
-    probe: bool = False
-    inputs_digest: str = ""
-    grid: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
+    """One check's outcome; its attributes are exactly the JSON fields."""
+
+    def __init__(self, check: str, lhs: float, rhs: float, slack: float, tolerance: float,
+                 passed: bool, inputs_digest: str, grid: dict):
+        self.check = check
+        self.lhs = lhs
+        self.rhs = rhs
+        self.slack = slack
+        self.tolerance = tolerance
+        self.passed = passed
+        self.probe = False
+        self.inputs_digest = inputs_digest
+        self.grid = grid
+        self.wall_time_s = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def build_report(

@@ -14,26 +14,22 @@ translation rather than re-deriving off-center formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import (BallFactorField, ConstantField, ProductField, QuarticCutoff, ScalarField,
                      _fold_dot)
 
 
-@dataclass(frozen=True)
 class SpaceForm:
     """Simply connected model of dimension ``dim`` and curvature -kappa^2."""
 
-    dim: int
-    kappa: float = 0.0
-
-    def __post_init__(self):
-        if self.dim < 2:
+    def __init__(self, dim: int, kappa: float = 0.0):
+        if dim < 2:
             raise ValueError("ambient dimension must be at least 2")
-        if self.kappa < 0:
+        if kappa < 0:
             raise ValueError("kappa must be nonnegative")
+        self.dim = dim
+        self.kappa = kappa
 
     @property
     def n(self) -> int:
@@ -194,17 +190,14 @@ def radial_map(space: SpaceForm, center, x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RadialField:
     """profile composed with distance to ``center``; an analytic ScalarField."""
 
-    space: SpaceForm
-    center: np.ndarray
-    profile: QuarticCutoff
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        self.space.check_point(self.center)
+    def __init__(self, space: SpaceForm, center: np.ndarray, profile: QuarticCutoff):
+        self.space = space
+        self.center = np.asarray(center, dtype=float)
+        self.profile = profile
+        space.check_point(self.center)
 
     def value(self, x):
         q, _, _ = radial_map(self.space, self.center, x)

@@ -18,7 +18,6 @@ forms, their sharp grid bounds, and the cosh weight's calculus live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -75,7 +74,6 @@ def coth_minus_inv(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CoshWeight:
     """The cosh-type weight phi(s) on [0, L], s the g-arclength:
 
@@ -87,11 +85,10 @@ class CoshWeight:
     are nonpositive on [0, L], so the forms below never overflow.
     """
 
-    L: float
-
-    def __post_init__(self):
-        if not self.L > 0.0:
+    def __init__(self, L: float):
+        if not L > 0.0:
             raise ValueError("cosh weight needs a length L > 0")
+        self.L = L
 
     # -- pointwise values ----------------------------------------------------
 
@@ -127,12 +124,13 @@ class CoshWeight:
         return (1.0 - math.exp(-2.0 * L) + 2.0 * L * math.exp(-L)) / (den * den)
 
 
-@dataclass
 class PhiCalculusReport:
-    endpoint_error: float
-    derivative_identity_error: float
-    phi_sq_closed: float
-    phi_range: Tuple[float, float]
+    def __init__(self, endpoint_error: float, derivative_identity_error: float,
+                 phi_sq_closed: float, phi_range: Tuple[float, float]):
+        self.endpoint_error = endpoint_error
+        self.derivative_identity_error = derivative_identity_error
+        self.phi_sq_closed = phi_sq_closed
+        self.phi_range = phi_range
 
 
 def phi_calculus(L: float) -> PhiCalculusReport:
@@ -207,25 +205,28 @@ def _j2(n, S, P, D, rT2, rN2) -> np.ndarray:
     return n * (S * rT2 - P) - D * rN2
 
 
-@dataclass
 class BoundCheck:
-    name: str
-    min_slack: float
-    at_r: float
-    at_r_T: float
-    bound: float
-    value: float
+    def __init__(self, name: str, min_slack: float, at_r: float, at_r_T: float, bound: float,
+                 value: float):
+        self.name = name
+        self.min_slack = min_slack
+        self.at_r = at_r
+        self.at_r_T = at_r_T
+        self.bound = bound
+        self.value = value
 
 
-@dataclass
 class BoundsScan:
-    model: str
-    n: int
-    R: float
-    n_r: int
-    n_t: int
-    checks: Dict[str, BoundCheck] = field(default_factory=dict)
-    j2_max: float = 0.0
+    """The grid's sizes; ``crucial_bounds_scan`` fills in ``checks`` and ``j2_max``."""
+
+    def __init__(self, model: str, n: int, R: float, n_r: int, n_t: int):
+        self.model = model
+        self.n = n
+        self.R = R
+        self.n_r = n_r
+        self.n_t = n_t
+        self.checks: Dict[str, BoundCheck] = {}
+        self.j2_max = 0.0
 
 
 def crucial_bounds_scan(
@@ -308,7 +309,6 @@ def crucial_bounds_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class IndexFormReport:
     """Named terms of the traced stability form; total is their plain sum.
 
@@ -325,18 +325,22 @@ class IndexFormReport:
     independently; they agree to quadrature accuracy on a true geodesic.
     """
 
-    boundary_start: float
-    boundary_end: float
-    ricci_integral: float
-    cross_term: float
-    j1_integral: float
-    j2_integral: float
-    total: float
-    f_identity_lhs: float
-    f_identity_rhs: float
-    g_length: float
-    tilde_length: float
-    max_residual: float
+    def __init__(self, boundary_start: float, boundary_end: float, ricci_integral: float,
+                 cross_term: float, j1_integral: float, j2_integral: float, total: float,
+                 f_identity_lhs: float, f_identity_rhs: float, g_length: float,
+                 tilde_length: float, max_residual: float):
+        self.boundary_start = boundary_start
+        self.boundary_end = boundary_end
+        self.ricci_integral = ricci_integral
+        self.cross_term = cross_term
+        self.j1_integral = j1_integral
+        self.j2_integral = j2_integral
+        self.total = total
+        self.f_identity_lhs = f_identity_lhs
+        self.f_identity_rhs = f_identity_rhs
+        self.g_length = g_length
+        self.tilde_length = tilde_length
+        self.max_residual = max_residual
 
 
 def _signed_mean_curvature(piece: Hypersurface, x: np.ndarray, direction: np.ndarray) -> float:

@@ -3,7 +3,6 @@ report emission, and determinism."""
 
 import argparse
 import ast
-import dataclasses
 import io
 import json
 import os
@@ -597,7 +596,8 @@ def test_fd_law_errors_do_not_depend_on_the_block(monkeypatch, cid):
     def report(block):
         monkeypatch.setattr(checks, "FD_BLOCK", block)
         rep = cli.CHECKS[cid].fn(cli.CheckContext(RunConfig(grids={"samples": samples}), cid))
-        return dataclasses.replace(rep, wall_time_s=0.0).to_json()
+        rep.wall_time_s = 0.0
+        return rep.to_json()
 
     want = report(samples)
     assert report(1) == want and report(7) == want and report(10**9) == want
@@ -760,8 +760,10 @@ def test_unconverged_annulus_infimum_fails_scan_with_named_reason(tmp_path, monk
     infima = estimates.infima_over_annuli
 
     def unconverged(piece, r_lo, r_hi):
-        return [dataclasses.replace(res, converged=False, missed=(0.5, 0.625))
-                for res in infima(piece, r_lo, r_hi)]
+        out = infima(piece, r_lo, r_hi)
+        for res in out:
+            res.converged, res.missed = False, (0.5, 0.625)
+        return out
 
     monkeypatch.setattr(estimates, "infima_over_annuli", unconverged)
     with pytest.raises(NonConvergence, match=r"^log-graph: annulus infimum over \(18\.1994, 54\.5982\): "
@@ -789,17 +791,20 @@ def test_geodesic_suite_runs_without_scipy(tmp_path):
 
 
 def test_serial_run_freezes_import_heap_and_loads_no_pool_or_masked_arrays(tmp_path):
-    """``import curvlab.cli`` freezes its heap, so exit's GC skips it; a run
-    loads neither numpy.ma nor concurrent.futures nor numpy.polynomial."""
+    """``import curvlab.cli`` freezes its heap, so exit's GC skips it, and
+    loads neither ``dataclasses`` (whose classes generate their methods) nor
+    ``configparser`` (read only for ``--config``); a run loads neither
+    numpy.ma nor concurrent.futures nor numpy.polynomial."""
     code = ("import gc, sys, curvlab.cli; "
-            "print('guard', gc.get_freeze_count() > 0); "
+            "print('guard', gc.get_freeze_count() > 0, "
+            "sorted({'dataclasses', 'configparser'} & set(sys.modules))); "
             "lazy = lambda: sorted(m for m in sys.modules "
             "if (m + '.').startswith(('numpy.ma.', 'concurrent.futures.', 'numpy.polynomial.'))); "
             f"s1 = curvlab.cli.main(['--suite', 'all', '--workers', '1', '--out', {str(tmp_path / 'w1')!r}]); "
             "print('guard', s1, lazy())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=_child_env()).stdout.splitlines()
-    assert [line for line in out if line.startswith("guard ")] == ["guard True", "guard 0 []"]
+    assert [line for line in out if line.startswith("guard ")] == ["guard True []", "guard 0 []"]
     names = sorted(p.name for p in (tmp_path / "w1").iterdir())
     assert len(names) == len(cli.CHECKS) + len(suite_checks("scan"))
 
@@ -807,16 +812,18 @@ def test_serial_run_freezes_import_heap_and_loads_no_pool_or_masked_arrays(tmp_p
 @pytest.mark.parametrize("enabled", [True, False])
 def test_package_import_collects_nothing_and_keeps_the_callers_gc_state(enabled):
     """No garbage collection starts while the package body runs (its
-    ``__all__`` not yet set), and the collector is left on or off as the
-    caller had it."""
-    code = ("import gc, sys; during = []; "
-            "gc.callbacks.append(lambda phase, info: phase == 'start' and during.append("
-            "not hasattr(sys.modules.get('curvlab'), '__all__'))); "
+    ``__all__`` not yet set), none during ``import curvlab.cli`` frees an
+    object (the package heap is frozen before the collector is back on),
+    and the collector is left on or off as the caller had it."""
+    code = ("import gc, sys; during = []; freed = []; "
+            "gc.callbacks.append(lambda phase, info: during.append("
+            "not hasattr(sys.modules.get('curvlab'), '__all__')) if phase == 'start' "
+            "else freed.append(info['collected'])); "
             f"gc.enable() if {enabled} else gc.disable(); "
-            "import curvlab; print(gc.isenabled(), any(during))")
+            "import curvlab.cli; print(gc.isenabled(), any(during), sum(freed))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=_child_env()).stdout.split()
-    assert out == [str(enabled), "False"]
+    assert out == [str(enabled), "False", "0"]
 
 
 def test_conformal_suite_needs_no_svd(tmp_path, monkeypatch):

@@ -2,10 +2,12 @@
 
 ``golden/reports.json`` records, for each run in ``RUNS``, its exit status,
 stdout and stderr, and the sha256 of each output file's raw bytes with only
-``wall_time_s`` masked. The test regenerates them in process and compares,
-so a change that moves a report's bits fails here until the file is
-rewritten with ``PYTHONPATH=src python tests/golden/update.py``; the diff of
-that file then names exactly the reports that moved.
+``wall_time_s`` masked. The test regenerates them in process and compares
+(from the traced pass of ``tests/test_reach.py``, which the session fixture
+``shipped_runs`` makes once for both), so a change that moves a report's
+bits fails here until the file is rewritten with
+``PYTHONPATH=src python tests/golden/update.py``; the diff of that file then
+names exactly the reports that moved.
 
 Raw bytes depend on the float arithmetic of numpy, Python and the platform.
 On another combination than the recorded one, the test compares a canonical
@@ -115,9 +117,9 @@ def test_dense_grids_match_the_bench():
     assert DENSE_GRIDS == dense
 
 
-def test_reports_match_the_golden_digests(tmp_path):
+def test_reports_match_the_golden_digests(shipped_runs):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = generate(tmp_path)
+    got = shipped_runs[0]
     assert got["runs"].keys() == want["runs"].keys()
     if got["environment"] == want["environment"]:
         for label, run in want["runs"].items():

@@ -26,14 +26,11 @@ is deleted, or it joins ``UNEXECUTED`` with its reason (and a line in
 
 import ast
 import importlib.util
-import io
 import sys
 from pathlib import Path
 
 import curvlab
-from curvlab import cli
-from curvlab.cli import RunConfig
-from test_golden import RUNS
+from test_golden import generate
 
 SRC = Path(curvlab.__file__).resolve().parent
 
@@ -47,12 +44,14 @@ UNEXECUTED = {
                      "in subprocesses"),
     "cli._list_checks": (4, "--list, from main"),
     "cli.load_config": (3, "flags to a RunConfig, from main"),
-    "cli.parse_config": (10, "--config files, from main"),
+    "cli.parse_config": (11, "--config files, from main"),
     "cli._integer": (2, "a value that is no number, or an integer string such as "
                         "'2.0'; the runs pass ints"),
     "cli.run": (13, "a check that raises, fails, does not converge, returns a report "
                     "under another id, or scans without columns; no shipped check "
                     "does any of these"),
+    "checks.CheckSpec.__init__": (3, "builds the registry when the module loads, before "
+                                      "a run starts"),
     "checks._ratio_report": (3, "a part that is not finite, which a correct run never "
                                 "measures"),
     "checks._require_converged": (1, "a solve that stops short of gtol"),
@@ -244,22 +243,24 @@ def unexecuted(run, source_dir=SRC):
     return {name: n for name, n in counts.items() if n}
 
 
-def _shipped_runs(out):
-    """Every run of ``RUNS``. Each lru_cache of the package is emptied
-    first, so a cached body runs as in a fresh process, whatever ran
+def trace_shipped_runs(workdir):
+    """(golden record, unexecuted counts) of every run of ``RUNS``, from one
+    traced pass under workdir; the ``shipped_runs`` fixture hands both to
+    the golden test and to this guard. Each lru_cache of the package is
+    emptied first, so a cached body runs as in a fresh process, whatever ran
     before."""
     for name, module in list(sys.modules.items()):
         if name.startswith("curvlab."):
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
-    for label, run in RUNS.items():
-        cli.run(RunConfig(out=str(out / label), **run), stdout=io.StringIO(),
-                stderr=io.StringIO())
+    record = {}
+    counts = unexecuted(lambda: record.update(generate(workdir)))
+    return record, counts
 
 
-def test_every_statement_a_shipped_run_needs_runs(tmp_path):
-    got = unexecuted(lambda: _shipped_runs(tmp_path))
+def test_every_statement_a_shipped_run_needs_runs(shipped_runs):
+    got = shipped_runs[1]
     want = {name: count for name, (count, _) in UNEXECUTED.items()}
     moved = {name: (got.get(name, 0), want.get(name, 0))
              for name in sorted(got.keys() | want.keys()) if got.get(name) != want.get(name)}
