@@ -136,6 +136,17 @@ def test_coth_minus_inv_series_matches_direct():
     assert coth_minus_inv(0.0) == 0.0
 
 
+def test_coth_minus_inv_series_matches_mpmath():
+    """Below the switch at 0.1, up to its last double, the series is within
+    1e-15 relative of 40-digit mpmath; four terms were 6.4e-13 off there."""
+    import mpmath
+
+    x = np.append(np.linspace(1e-6, 0.1, 3000, endpoint=False), np.nextafter(0.1, 0.0))
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.coth(v) - 1 / mpmath.mpf(v)) for v in x])
+    assert np.max(np.abs(coth_minus_inv(x) - ref) / ref) <= 1e-15
+
+
 def _coth_minus_inv_reference(x):
     """The form without the overflow guard: finite up to x = 710.47."""
     x = np.asarray(x, dtype=float)
@@ -143,7 +154,8 @@ def _coth_minus_inv_reference(x):
     xs = np.where(small, 1.0, x)
     direct = np.cosh(xs) / np.sinh(xs) - 1.0 / xs
     x2 = x * x
-    series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0)))
+    series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 + x2 * (
+        -1.0 / 4725.0 + x2 * (2.0 / 93555.0 - x2 * (1382.0 / 638512875.0))))))
     return np.where(small, series, direct)
 
 
