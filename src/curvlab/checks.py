@@ -36,7 +36,7 @@ from .estimates import (
 from .fields import BallFactorField, ConstantField, ExpQuadraticField, QuarticCutoff
 from .geodesic import GeodesicProblem, endpoint_orthogonality, minimize_free_boundary
 from .hypersurface import example_fixture, geodesic_sphere
-from .report import NonConvergence, build_report
+from .report import NonConvergence, VerificationReport
 from .spaceform import RadialField, SpaceForm, gram_schmidt_frame
 from .variation import (
     PHI_GRID_POINTS,
@@ -81,14 +81,7 @@ def _ratio_report(check, parts, *, inputs=None, grid=None):
         meta["non_finite_parts"] = non_finite
     if grid:
         meta.update(grid)
-    return build_report(
-        check,
-        worst,
-        1.0,
-        tolerance=SLACK_FLOOR,
-        inputs=inputs,
-        grid=meta,
-    )
+    return VerificationReport(check, worst, 1.0, tolerance=SLACK_FLOOR, inputs=inputs, grid=meta)
 
 
 def _flag(condition):
@@ -499,8 +492,8 @@ def _check_elementary_inequalities(ctx):
     allowed = 1e-11
     mins["coth_route"] = {"observed": observed, "allowed": allowed}
     worst = min(worst, allowed - observed)
-    return build_report(ctx.cid, 0.0, worst, tolerance=1e-12,
-                        inputs={"n_grid": n_grid, "r_max": r_max}, grid=mins)
+    return VerificationReport(ctx.cid, 0.0, worst, tolerance=1e-12,
+                              inputs={"n_grid": n_grid, "r_max": r_max}, grid=mins)
 
 
 def _gauss_legendre(n):
@@ -886,8 +879,8 @@ def _estimate_report(ctx, branch, c1, c2, R, L0, n, fixture_name=None, **grid_ex
               "alpha": None, "j": 2}
     if fixture_name is not None:
         inputs["fixture"] = fixture_name
-    return build_report(ctx.cid, lhs, rhs, tolerance=SLACK_FLOOR,
-                        inputs=inputs, grid={**grid, **grid_extra})
+    return VerificationReport(ctx.cid, lhs, rhs, tolerance=SLACK_FLOOR,
+                              inputs=inputs, grid={**grid, **grid_extra})
 
 
 def _check_curvature_sum_flat(ctx):

@@ -25,17 +25,31 @@ Exit status:
         check is named on stderr
 """
 
-import argparse
 import gc
-import hashlib
-import sys
-import time
-from pathlib import Path
 
-import numpy as np
+# The import only allocates, and what it allocates lives until exit: a
+# collection while it runs, or over its heap once the collector is back on,
+# would walk every new object to free almost none. So the collector stays
+# off, and the heap is frozen (exit's collection skips it too) before the
+# collector is left on or off as the caller had it.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import hashlib
+    import sys
+    import time
+    from pathlib import Path
 
-from .checks import CHECKS, SLACK_FLOOR
-from .report import NonConvergence, build_report
+    import numpy as np
+
+    from .checks import CHECKS, SLACK_FLOOR
+    from .report import NonConvergence, VerificationReport
+finally:
+    gc.freeze()
+    if _gc_was_enabled:
+        gc.enable()
+    del _gc_was_enabled
 
 SUITES = ("conformal", "lemmas", "examples", "geodesic", "estimates", "scan", "all")
 
@@ -224,8 +238,8 @@ def run(cfg, stdout=None, stderr=None):
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         if error is not None:
-            rep = build_report(cid, float("inf"), 0.0, tolerance=SLACK_FLOOR,
-                               grid={"error": error})
+            rep = VerificationReport(cid, float("inf"), 0.0, tolerance=SLACK_FLOOR,
+                                     grid={"error": error})
             columns = None
             text = rep.to_json()
         (outdir / f"{cid}.json").write_text(text + "\n", encoding="utf-8")
@@ -280,10 +294,6 @@ def main(argv=None):
         return 2
     return run(cfg)
 
-
-# The package froze its own import heap; this adds what ``checks`` and this
-# module allocated. It lives as long as the process; frozen, exit's GC skips it.
-gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

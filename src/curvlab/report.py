@@ -28,47 +28,25 @@ def digest_inputs(inputs: dict) -> str:
 
 
 class VerificationReport:
-    """One check's outcome; its attributes are exactly the JSON fields."""
+    """One check's outcome; its attributes are exactly the JSON fields.
 
-    def __init__(self, check: str, lhs: float, rhs: float, slack: float, tolerance: float,
-                 passed: bool, inputs_digest: str, grid: dict):
+    slack = rhs - lhs, and the check passes iff slack >= -tolerance.
+    """
+
+    def __init__(self, check: str, lhs: float, rhs: float, *, tolerance: float,
+                 inputs: dict = None, grid: dict = None):
+        if tolerance <= 0:
+            raise ValueError("tolerance must be positive")
         self.check = check
-        self.lhs = lhs
-        self.rhs = rhs
-        self.slack = slack
-        self.tolerance = tolerance
-        self.passed = passed
+        self.lhs = float(lhs)
+        self.rhs = float(rhs)
+        self.slack = self.rhs - self.lhs
+        self.tolerance = float(tolerance)
+        self.passed = bool(self.slack >= -tolerance)
         self.probe = False
-        self.inputs_digest = inputs_digest
-        self.grid = grid
+        self.inputs_digest = digest_inputs(inputs or {})
+        self.grid = dict(grid or {})
         self.wall_time_s = 0.0
 
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True)
-
-
-def build_report(
-    check: str,
-    lhs: float,
-    rhs: float,
-    *,
-    tolerance: float,
-    inputs: dict = None,
-    grid: dict = None,
-) -> VerificationReport:
-    """Assemble a report; slack = rhs - lhs, pass iff slack >= -tolerance."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    lhs = float(lhs)
-    rhs = float(rhs)
-    slack = rhs - lhs
-    return VerificationReport(
-        check=check,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        tolerance=float(tolerance),
-        passed=bool(slack >= -tolerance),
-        inputs_digest=digest_inputs(inputs or {}),
-        grid=dict(grid or {}),
-    )

@@ -5,6 +5,7 @@ captured output of a failing test) before asserting, so a red criterion
 still reports its measured numbers.
 """
 
+import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -356,6 +357,9 @@ def test_criterion_10_coth_route_matches_mpmath():
 
 
 def test_criterion_11_deterministic_outputs(tmp_path):
+    """Two runs of the scan suite write byte-identical tables and reports
+    that differ in ``wall_time_s`` alone; each table, LF-ended under its
+    header, holds the radii and the smallest slack of its report."""
     out1, out2 = tmp_path / "a", tmp_path / "b"
     s1 = cli.main(["--suite", "scan", "--out", str(out1), "--seed", "5"])
     s2 = cli.main(["--suite", "scan", "--out", str(out2), "--seed", "5"])
@@ -366,5 +370,17 @@ def test_criterion_11_deterministic_outputs(tmp_path):
     ok = s1 == 0 and s2 == 0 and bool(tables) and identical
     _line(11, ok, f"{len(tables)} tables byte-identical across runs: {identical}")
     assert s1 == 0 and s2 == 0
-    assert tables
+    assert tables == sorted(f"{cid}.csv" for cid in cli.suite_checks("scan"))
     assert identical
+    for name in tables:
+        raw = (out1 / name).read_bytes()
+        assert b"\r" not in raw
+        assert raw.startswith(b"R,inf_h1,inf_h2,sum,envelope,slack\n")
+        table = np.array([[float(v) for v in ln.split(",")]
+                          for ln in raw.decode("utf-8").splitlines()[1:]])
+        r1, r2 = (json.loads((out / name).with_suffix(".json").read_text(encoding="utf-8"))
+                  for out in (out1, out2))
+        assert table[:, 0].tolist() == r1["grid"]["R"]
+        assert float(np.min(table[:, 5])) == r1["grid"]["min_slack"]
+        assert r1.pop("wall_time_s") > 0 and r2.pop("wall_time_s") > 0
+        assert r1 == r2

@@ -31,7 +31,7 @@ from curvlab.cli import (
     suite_checks,
 )
 from curvlab.hypersurface import example_fixture
-from curvlab.report import build_report
+from curvlab.report import VerificationReport
 from curvlab.spaceform import SpaceForm
 from curvlab.variation import CoshWeight
 
@@ -208,7 +208,7 @@ def test_runner_calls_a_replaced_check_fn(tmp_path, monkeypatch):
 
     def replacement(ctx):
         calls.append(ctx.cid)
-        return build_report(ctx.cid, 2.0, 1.0, tolerance=1e-9)
+        return VerificationReport(ctx.cid, 2.0, 1.0, tolerance=1e-9)
 
     monkeypatch.setattr(cli.CHECKS["saturating-bound"], "fn", replacement)
     stdout = io.StringIO()
@@ -273,25 +273,6 @@ def _read_scan_csv(raw):
     """The rows of a scan table's bytes under its header, as floats."""
     lines = raw.decode("utf-8").splitlines()
     return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-
-
-def test_scan_suite_emits_deterministic_tables(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["--suite", "scan", "--out", str(out1), "--seed", "3"]) == 0
-    assert cli.main(["--suite", "scan", "--out", str(out2), "--seed", "3"]) == 0
-    for cid in suite_checks("scan"):
-        csv1 = (out1 / f"{cid}.csv").read_bytes()
-        assert csv1 == (out2 / f"{cid}.csv").read_bytes()
-        assert b"\r" not in csv1
-        assert csv1.startswith(b"R,inf_h1,inf_h2,sum,envelope,slack\n")
-        r1 = json.loads((out1 / f"{cid}.json").read_text())
-        r2 = json.loads((out2 / f"{cid}.json").read_text())
-        table = _read_scan_csv(csv1)
-        assert table[:, 0].tolist() == r1["grid"]["R"]
-        assert float(np.min(table[:, 5])) == r1["grid"]["min_slack"]
-        assert r1["wall_time_s"] > 0 and r2["wall_time_s"] > 0
-        r1.pop("wall_time_s"), r2.pop("wall_time_s")
-        assert r1 == r2
 
 
 _WALL_TIME = re.compile(rb'"wall_time_s": [^,}]*')
@@ -376,7 +357,7 @@ def test_once_shares_a_result_within_a_run_only(tmp_path, monkeypatch):
 
     def check(ctx):
         seen[ctx.cid] = ctx.once(compute, 2.0)
-        return build_report(ctx.cid, 0.0, 1.0, tolerance=1e-9)
+        return VerificationReport(ctx.cid, 0.0, 1.0, tolerance=1e-9)
 
     monkeypatch.setattr(cli, "CHECKS", {cid: CheckSpec(("lemmas",), check)
                                         for cid in ("first", "second")})
@@ -415,7 +396,7 @@ def test_nonconvergence_gives_status_3(tmp_path, monkeypatch):
 
 def test_nonconvergence_dominates_failures(tmp_path, monkeypatch):
     def bad(ctx):
-        return build_report("bad-check", 2.0, 1.0, tolerance=1e-9)
+        return VerificationReport("bad-check", 2.0, 1.0, tolerance=1e-9)
 
     def stuck(ctx):
         raise NonConvergence("stuck-check", "no progress")
@@ -464,7 +445,7 @@ def test_probe_that_raises_still_fails_the_run(tmp_path, monkeypatch):
 
 def test_registry_marks_a_failing_probe(tmp_path, monkeypatch):
     def fn(ctx):
-        return build_report(ctx.cid, 2.0, 1.0, tolerance=1e-9)
+        return VerificationReport(ctx.cid, 2.0, 1.0, tolerance=1e-9)
 
     cid = _single_check_registry(monkeypatch, fn, probe=True)
     out = tmp_path / "out"
@@ -481,10 +462,10 @@ def test_report_that_is_not_json_gives_an_error_report(tmp_path, monkeypatch):
     """A numpy scalar in a grid is not JSON: that check gets an ERROR report
     naming the type, and the run goes on to the next check."""
     def bad(ctx):
-        return build_report(ctx.cid, 0.0, 1.0, tolerance=1e-9, grid={"count": np.int64(3)})
+        return VerificationReport(ctx.cid, 0.0, 1.0, tolerance=1e-9, grid={"count": np.int64(3)})
 
     def good(ctx):
-        return build_report(ctx.cid, 0.0, 1.0, tolerance=1e-9)
+        return VerificationReport(ctx.cid, 0.0, 1.0, tolerance=1e-9)
 
     monkeypatch.setattr(cli, "CHECKS", {"bad-check": CheckSpec(("lemmas",), bad),
                                         "good-check": CheckSpec(("lemmas",), good)})
@@ -502,7 +483,7 @@ def test_report_that_is_not_json_gives_an_error_report(tmp_path, monkeypatch):
 
 def test_report_id_mismatch_is_flagged(tmp_path, monkeypatch):
     def fn(ctx):
-        return build_report("some-other-id", 0.0, 1.0, tolerance=1e-9)
+        return VerificationReport("some-other-id", 0.0, 1.0, tolerance=1e-9)
 
     _single_check_registry(monkeypatch, fn)
     cfg = RunConfig(suite="lemmas", out=str(tmp_path / "out"))
@@ -811,19 +792,34 @@ def test_serial_run_freezes_import_heap_and_loads_no_pool_or_masked_arrays(tmp_p
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_package_import_collects_nothing_and_keeps_the_callers_gc_state(enabled):
-    """No garbage collection starts while the package body runs (its
-    ``__all__`` not yet set), none during ``import curvlab.cli`` frees an
-    object (the package heap is frozen before the collector is back on),
-    and the collector is left on or off as the caller had it."""
-    code = ("import gc, sys; during = []; freed = []; "
-            "gc.callbacks.append(lambda phase, info: during.append("
-            "not hasattr(sys.modules.get('curvlab'), '__all__')) if phase == 'start' "
-            "else freed.append(info['collected'])); "
+    """No garbage collection starts while ``import curvlab.cli`` runs, and
+    the collector is left on or off as the caller had it."""
+    code = ("import gc; starts = []; "
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info)); "
             f"gc.enable() if {enabled} else gc.disable(); "
-            "import curvlab.cli; print(gc.isenabled(), any(during), sum(freed))")
+            "import curvlab.cli; gc.callbacks.clear(); print(gc.isenabled(), len(starts))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=_child_env()).stdout.split()
-    assert out == [str(enabled), "False", "0"]
+    assert out == [str(enabled), "0"]
+
+
+def test_imports_load_only_the_modules_they_name():
+    """``import curvlab.fdcheck`` loads no other curvlab module, so the FD
+    oracles stay independent of the formulas they audit at run time too;
+    ``import curvlab.cli`` loads ``checks`` and exactly the layers that
+    ``bench/tracer.py`` wraps."""
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    layers = next(ast.literal_eval(node.value)
+                  for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS")
+    loaded = {}
+    for module in ("fdcheck", "cli"):
+        code = (f"import sys, curvlab.{module}; "
+                "print(*sorted(m for m in sys.modules if m.startswith('curvlab.')))")
+        loaded[module] = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                        text=True, check=True, env=_child_env()).stdout.split()
+    assert loaded["fdcheck"] == ["curvlab.fdcheck"]
+    assert loaded["cli"] == sorted(f"curvlab.{m}" for m in ("checks", *layers))
 
 
 def test_conformal_suite_needs_no_svd(tmp_path, monkeypatch):

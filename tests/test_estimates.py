@@ -20,7 +20,7 @@ from curvlab.estimates import (
 from curvlab.checks import CHECKS
 from curvlab.cli import CheckContext, RunConfig
 from curvlab.hypersurface import example_fixture, infima_over_annuli
-from curvlab.report import NonConvergence, build_report
+from curvlab.report import NonConvergence, VerificationReport
 
 
 def _run(cid):
@@ -400,16 +400,16 @@ def test_elementary_inequalities_report():
 
 
 def test_report_pass_rule_and_digest():
-    r1 = build_report("demo", 1.0, 1.0 - 5e-10, tolerance=1e-9, inputs={"a": 1})
+    r1 = VerificationReport("demo", 1.0, 1.0 - 5e-10, tolerance=1e-9, inputs={"a": 1})
     assert r1.passed  # slack within -tolerance
-    r2 = build_report("demo", 1.0, 1.0 - 5e-9, tolerance=1e-9, inputs={"a": 1})
+    r2 = VerificationReport("demo", 1.0, 1.0 - 5e-9, tolerance=1e-9, inputs={"a": 1})
     assert not r2.passed
     assert r1.inputs_digest == r2.inputs_digest
-    r3 = build_report("demo", 1.0, 1.0, tolerance=1e-9, inputs={"a": 2})
+    r3 = VerificationReport("demo", 1.0, 1.0, tolerance=1e-9, inputs={"a": 2})
     assert r3.inputs_digest != r1.inputs_digest
     assert len(r1.inputs_digest) == 16
     with pytest.raises(ValueError):
-        build_report("demo", 0.0, 0.0, tolerance=0.0)
+        VerificationReport("demo", 0.0, 0.0, tolerance=0.0)
 
 
 def test_report_json_round_trip():
@@ -420,3 +420,7 @@ def test_report_json_round_trip():
     assert d["check"] == "curvature-sum-flat"
     assert d["passed"] is True
     assert d["grid"]["constants"] == "statement"
+    # the JSON is vars(rep): the ten report fields and nothing the
+    # constructor only reads, such as its inputs
+    assert sorted(d) == ["check", "grid", "inputs_digest", "lhs", "passed", "probe", "rhs",
+                         "slack", "tolerance", "wall_time_s"]

@@ -3,9 +3,8 @@
 Only ``checks`` may spell a check id, or a prefix of one that ends in ``-``
 (as in ``"scan-"``): the library layers return measurements, and ``checks``
 turns them into the report filed under the id.
-Only ``report`` (which defines them), ``checks`` (which builds every check's
-report), ``cli`` (which builds the runner's ERROR report) and the package's
-``__init__`` (which re-exports them) may name ``build_report`` or
+Only ``report`` (which defines it), ``checks`` (which builds every check's
+report) and ``cli`` (which builds the runner's ERROR report) may name
 ``VerificationReport``. Pass allowances are fixed in ``checks`` as well:
 outside ``report`` and ``checks``, a ``tolerance=`` keyword argument must be
 a plain name imported from ``checks``, so no run setting can move one.
@@ -32,8 +31,8 @@ from curvlab.checks import CHECKS
 SRC = Path(curvlab.__file__).resolve().parent
 
 ID_OWNERS = frozenset({"checks"})
-REPORT_NAMES = frozenset({"build_report", "VerificationReport"})
-REPORT_USERS = frozenset({"report", "checks", "cli", "__init__"})
+REPORT_NAMES = frozenset({"VerificationReport"})
+REPORT_USERS = frozenset({"report", "checks", "cli"})
 ALLOWANCE_OWNERS = frozenset({"report", "checks"})
 THREAD_MODULES = frozenset({"concurrent", "threading", "multiprocessing"})
 ENV_OWNERS = frozenset({"__init__"})
@@ -169,8 +168,8 @@ def test_guard_flags_a_planted_id_and_report_import(tmp_path):
     no id are not."""
     (tmp_path / "lib.py").write_text(
         '"""Mentions demo-check inside a longer docstring."""\n'
-        "from .report import build_report\n"
-        "def f():\n    return build_report('demo-check', 0.0, 1.0, tolerance=1e-9)\n"
+        "from .report import VerificationReport\n"
+        "def f():\n    return VerificationReport('demo-check', 0.0, 1.0, tolerance=1e-9)\n"
         "def g(cid):\n"
         "    return cid.startswith('scan-') or cid.startswith('scan') or cid == 'log-'\n",
         encoding="utf-8",
@@ -182,7 +181,8 @@ def test_guard_flags_a_planted_id_and_report_import(tmp_path):
         encoding="utf-8",
     )
     assert violations(tmp_path, ids=("demo-check", "scan-demo")) == [
-        ("lib", 2, "build_report"), ("lib", 4, "build_report"), ("lib", 4, "demo-check"),
+        ("lib", 2, "VerificationReport"), ("lib", 4, "VerificationReport"),
+        ("lib", 4, "demo-check"),
         ("lib", 6, "scan-"),
     ]
 
@@ -199,18 +199,18 @@ def test_guard_flags_a_planted_allowance(tmp_path):
     ``checks`` itself are not."""
     (tmp_path / "runner.py").write_text(
         "from .checks import SLACK_FLOOR\n"
-        "from .report import build_report\n"
+        "from .report import VerificationReport\n"
         "FLOOR = 1e-9\n"
         "def f(cfg):\n"
-        "    build_report('x', 0.0, 1.0, tolerance=SLACK_FLOOR)\n"
-        "    build_report('x', 0.0, 1.0, tolerance=1e-9)\n"
-        "    build_report('x', 0.0, 1.0, tolerance=cfg.tolerances['default'])\n"
-        "    build_report('x', 0.0, 1.0, tolerance=FLOOR)\n",
+        "    VerificationReport('x', 0.0, 1.0, tolerance=SLACK_FLOOR)\n"
+        "    VerificationReport('x', 0.0, 1.0, tolerance=1e-9)\n"
+        "    VerificationReport('x', 0.0, 1.0, tolerance=cfg.tolerances['default'])\n"
+        "    VerificationReport('x', 0.0, 1.0, tolerance=FLOOR)\n",
         encoding="utf-8",
     )
     (tmp_path / "checks.py").write_text(
         "SLACK_FLOOR = 1e-9\n"
-        "def g(ctx):\n    return build_report('x', 0.0, 1.0, tolerance=ctx.tol('default'))\n",
+        "def g(ctx):\n    return VerificationReport('x', 0.0, 1.0, tolerance=ctx.tol('default'))\n",
         encoding="utf-8",
     )
     assert allowance_violations(tmp_path) == [
@@ -304,6 +304,15 @@ def test_guard_flags_a_planted_file_write(tmp_path):
         ("lib", 2, "open"), ("lib", 4, "open"), ("lib", 6, "write_text"),
         ("lib", 7, "write_bytes"),
     ]
+
+
+def test_only_cli_names_the_collector():
+    """``cli`` alone holds the collector off while it imports and freezes
+    the import heap; no other module names ``gc``."""
+    owners = {path.stem for path in SRC.glob("*.py")
+              if any(_spelled(node) == "gc"
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert owners == {"cli"}
 
 
 # parameters of each entry point, with the defaults a caller may leave out

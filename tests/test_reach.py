@@ -3,9 +3,10 @@ dynamic one over the statements that shipped runs execute.
 
 The static guard: every public module-level function and class of
 ``src/curvlab``, and every public method, must be reached from the
-package's roots: the names in ``curvlab.__all__`` and the module-level
-statements of each module (the check registry, the command-line entry
-point). A definition is reached when reached code names it, by a plain name
+package's roots: the module-level statements of each module (the check
+registry, the command-line entry point). The package exports nothing of
+its own, so a definition that only a caller outside ``src/`` could use is
+unreached. A definition is reached when reached code names it, by a plain name
 or as an attribute; only the bodies of reached definitions count, so code
 used only by unreached code is unreached too. Imports are not uses. Names
 are matched without type information, so this over-approximates what runs:
@@ -120,10 +121,9 @@ def _definitions(source_dir):
     return defs, _uses(roots)
 
 
-def unreached(source_dir=SRC, exported=tuple(curvlab.__all__)):
+def unreached(source_dir=SRC):
     """Sorted keys of the public definitions no root reaches."""
     defs, (names, attrs) = _definitions(source_dir)
-    names = names | set(exported)
     reached = set()
     while True:
         new = set()
@@ -170,7 +170,7 @@ def test_guard_names_a_definition_only_unreached_code_uses(tmp_path):
         "TABLE = {'used': used}\n",
         encoding="utf-8",
     )
-    assert unreached(tmp_path, exported=()) == ["mod.Box.spare", "mod.helper", "mod.orphan"]
+    assert unreached(tmp_path) == ["mod.Box.spare", "mod.helper", "mod.orphan"]
 
 
 def _statements(body, lines, nested):
