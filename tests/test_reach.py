@@ -4,11 +4,11 @@ dynamic one over the statements that shipped runs execute.
 The static guard: every public module-level function and class of
 ``src/curvlab``, and every public method, must be reached from the
 package's roots: the module-level statements of each module (the check
-registry, the command-line entry point). The package exports nothing of
-its own, so a definition that only a caller outside ``src/`` could use is
-unreached. A definition is reached when reached code names it, by a plain name
-or as an attribute; only the bodies of reached definitions count, so code
-used only by unreached code is unreached too. Imports are not uses. Names
+registry, the command-line entry point). The package re-exports nothing,
+so a definition that only a caller outside ``src/`` uses is unreached. A
+definition is reached when reached code names it, by a plain name or as
+an attribute; only the bodies of reached definitions count, so code used
+only by unreached code is unreached too. Imports are not uses. Names
 are matched without type information, so this over-approximates what runs:
 a method counts as reached when any reached code takes an attribute of that
 name, and every branch of a reached function counts, whether it runs or not.
