@@ -1,7 +1,7 @@
 """Batch harness running the verification checks from the command line.
 
-Each check produces one JSON report (and the decay scans additionally one
-CSV table) under the output directory, plus a PASS/FAIL line on stdout.
+Each check, even one that raises, writes one JSON report (a decay scan also
+a CSV table) under the output directory, and a PASS/FAIL line on stdout.
 The checks themselves live in ``curvlab.checks``, where a decay scan
 returns (report, columns); this module resolves the configuration, runs
 the registry and writes the outputs, the scan tables included. It is the
@@ -21,8 +21,8 @@ Exit status:
     1   at least one non-probe check failed, or a check (probe or not)
         raised or returned a report that is not JSON
     2   configuration error (nothing is written in this case)
-    3   an optimizer or refinement loop failed to converge; the offending
-        check is named on stderr
+    3   a solve failed to converge (``NonConvergence``); its check is
+        tagged NONCONVERGED; 3 wins over 1
 """
 
 import gc
@@ -215,12 +215,11 @@ def run(cfg, stdout=None, stderr=None):
     outdir.mkdir(parents=True, exist_ok=True)
     memo = {}
     status = 0
-    nonconverged = False
     for cid in suite_checks(cfg.suite):
         started = time.perf_counter()
         # looked up at call time, so a replaced ``fn`` is the one that runs
         spec = CHECKS[cid]
-        error = None
+        error, tag = None, "ERROR"
         try:
             out = spec.fn(CheckContext(cfg, cid, memo))
             rep, columns = out if isinstance(out, tuple) else (out, None)
@@ -230,14 +229,13 @@ def run(cfg, stdout=None, stderr=None):
                 rep.probe = spec.probe
                 rep.wall_time_s = time.perf_counter() - started
                 text = rep.to_json()
-        except NonConvergence as exc:
-            nonconverged = True
-            print(f"{cid}: NONCONVERGED ({exc})", file=stdout)
-            print(f"non-convergence in check {cid}: {exc}", file=stderr)
-            continue
+                tag = ("PASS" if rep.passed else "FAIL") + (" (probe)" if rep.probe else "")
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, NonConvergence):
+                tag = "NONCONVERGED"
         if error is not None:
+            print(f"check {cid} raised: {error}", file=stderr)
             rep = VerificationReport(cid, float("inf"), 0.0, tolerance=SLACK_FLOOR,
                                      grid={"error": error})
             columns = None
@@ -248,15 +246,11 @@ def run(cfg, stdout=None, stderr=None):
             emit_scan_csv(columns, path)
             if columns is None:
                 print(f"no scan data, wrote header only: {path}", file=stderr)
-        if error is None:
-            tag = ("PASS" if rep.passed else "FAIL") + (" (probe)" if rep.probe else "")
-        else:
-            tag = "ERROR"
-            print(f"check {cid} raised: {error}", file=stderr)
         print(f"{cid}: {tag} slack={rep.slack:.6g}", file=stdout)
         if not rep.passed and not rep.probe:
-            status = 1
-    return 3 if nonconverged else status
+            # a solve that stopped short outranks a failed check
+            status = max(status, 3 if tag == "NONCONVERGED" else 1)
+    return status
 
 
 def _list_checks(stdout):

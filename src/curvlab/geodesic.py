@@ -93,10 +93,6 @@ class MinimizeResult:
         self.level_stops = level_stops
 
 
-def _coordinate_factor(problem: GeodesicProblem):
-    return conformal_factor_field(problem.space, problem.u)
-
-
 def _energy(problem, W, points) -> float:
     """(M/2) sum of squared tilde segment lengths; inf outside the barrier."""
     if problem.space.hyperbolic and np.any(np.sum(points * points, axis=-1) >= 1.0):
@@ -280,7 +276,7 @@ def minimize_free_boundary(
     decrease) or ``"max-iter"`` (MAX_ITER_PER_LEVEL iterations); the result
     converged only when every level stopped on ``"gtol"``.
     """
-    W = _coordinate_factor(problem)
+    W = conformal_factor_field(problem.space, problem.u)
     levels = [min(COARSE_SEGMENTS, n_segments)]
     while levels[-1] < n_segments:
         levels.append(min(2 * levels[-1], n_segments))

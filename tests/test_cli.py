@@ -34,6 +34,7 @@ from curvlab.hypersurface import example_fixture
 from curvlab.report import VerificationReport
 from curvlab.spaceform import SpaceForm
 from curvlab.variation import CoshWeight
+from test_golden import DENSE_GRIDS
 
 
 def _args(**kw):
@@ -67,14 +68,10 @@ def test_config_file_round_trip(tmp_path):
 def test_bench_dense_grids_are_a_grids_file(tmp_path):
     """The grids that ``bench/run.py`` writes for its dense workload parse
     as a config file, so a grid key it sets cannot be deleted unnoticed."""
-    bench = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-    dense = next(ast.literal_eval(node.value)
-                 for node in ast.parse(bench.read_text(encoding="utf-8")).body
-                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "DENSE_GRIDS")
     path = tmp_path / "dense.ini"
-    path.write_text("[grids]\n" + "".join(f"{k} = {v}\n" for k, v in dense.items()),
+    path.write_text("[grids]\n" + "".join(f"{k} = {v}\n" for k, v in DENSE_GRIDS.items()),
                     encoding="utf-8")
-    assert parse_config(path).grids == dict(GRID_DEFAULTS, **dense)
+    assert parse_config(path).grids == dict(GRID_DEFAULTS, **DENSE_GRIDS)
 
 
 @pytest.mark.parametrize(
@@ -383,15 +380,24 @@ def _single_check_registry(monkeypatch, fn, cid="fake-check", probe=False):
 
 
 def test_nonconvergence_gives_status_3(tmp_path, monkeypatch):
+    res = SimpleNamespace(converged=False, level_sizes=[32, 64], level_iterations=[5, 200],
+                          level_stops=["gtol", "max-iter"], grad_norm=1e-3)
+
     def fn(ctx):
-        raise NonConvergence("fake-check", "gradient stalled at 1e-3")
+        checks._require_converged(ctx.cid, res)
 
     cid = _single_check_registry(monkeypatch, fn)
-    cfg = RunConfig(suite="lemmas", out=str(tmp_path / "out"))
+    out = tmp_path / "out"
+    cfg = RunConfig(suite="lemmas", out=str(out))
     stdout, stderr = io.StringIO(), io.StringIO()
     assert cli.run(cfg, stdout=stdout, stderr=stderr) == 3
-    assert cid in stderr.getvalue()
-    assert "NONCONVERGED" in stdout.getvalue()
+    error = ("NonConvergence: fake-check: level 1 (64 segments) stopped on max-iter "
+             "after 200 iterations; final gradient 1.00e-03")
+    assert stderr.getvalue() == f"check {cid} raised: {error}\n"
+    assert stdout.getvalue() == f"{cid}: NONCONVERGED slack=-inf\n"
+    # written like any check that raises
+    rep = json.loads((out / f"{cid}.json").read_text())
+    assert rep["passed"] is False and rep["grid"]["error"] == error
 
 
 def test_nonconvergence_dominates_failures(tmp_path, monkeypatch):
@@ -755,8 +761,13 @@ def test_unconverged_annulus_infimum_fails_scan_with_named_reason(tmp_path, monk
     out = tmp_path / "out"
     stdout = io.StringIO()
     assert cli.run(RunConfig(suite="scan", out=str(out)), stdout=stdout, stderr=io.StringIO()) == 3
-    assert "scan-log-graph: NONCONVERGED (log-graph: annulus infimum over (" in stdout.getvalue()
-    assert not (out / "scan-log-graph.json").exists()
+    assert "scan-log-graph: NONCONVERGED slack=" in stdout.getvalue()
+    # the report names the piece, the annulus and the bracket; the table keeps its header
+    rep = json.loads((out / "scan-log-graph.json").read_text())
+    assert rep["passed"] is False
+    assert re.match(r"NonConvergence: log-graph: annulus infimum over \(\S+, \S+\): "
+                    r"chart bracket \(0\.5, 0\.625\) hit the step cap", rep["grid"]["error"])
+    assert (out / "scan-log-graph.csv").read_text(encoding="utf-8") == cli.SCAN_CSV_HEADER
 
 
 def test_geodesic_suite_runs_without_scipy(tmp_path):
@@ -884,8 +895,8 @@ def test_emit_scan_csv_without_data_writes_header(tmp_path, monkeypatch):
     out = tmp_path / "out"
     stderr = io.StringIO()
     assert cli.run(RunConfig(suite="scan", out=str(out)), stdout=io.StringIO(), stderr=stderr) == 1
-    assert stderr.getvalue() == (f"no scan data, wrote header only: {out / 'fake-scan.csv'}\n"
-                                 "check fake-scan raised: ValueError: synthetic breakage\n")
+    assert stderr.getvalue() == ("check fake-scan raised: ValueError: synthetic breakage\n"
+                                 f"no scan data, wrote header only: {out / 'fake-scan.csv'}\n")
     assert (out / "fake-scan.csv").read_text(encoding="utf-8") == cli.SCAN_CSV_HEADER
 
 

@@ -14,7 +14,6 @@ from curvlab.geodesic import (
     GeodesicProblem,
     endpoint_orthogonality,
     minimize_free_boundary,
-    _coordinate_factor,
     _cyclic_reduction_solve,
     _damped_newton_step,
     _energy,
@@ -24,7 +23,13 @@ from curvlab.geodesic import (
     _retract,
 )
 from curvlab.hypersurface import ProjectionError, example_fixture
-from curvlab.spaceform import RadialField, SpaceForm, mobius_add, mobius_center
+from curvlab.spaceform import (
+    RadialField,
+    SpaceForm,
+    conformal_factor_field,
+    mobius_add,
+    mobius_center,
+)
 from references import fd_gradient, fd_hessian
 
 
@@ -42,7 +47,7 @@ def test_energy_gradient_matches_fd():
     pts = curve.points + rng.normal(scale=0.01, size=curve.points.shape)
     pts[0] = curve.points[0]
     pts[-1] = curve.points[-1]
-    W = _coordinate_factor(problem)
+    W = conformal_factor_field(problem.space, problem.u)
     got = _energy_gradient(pts, *_midpoint_factor(W, pts)[:2])
     flat = pts.reshape(-1)
 
@@ -198,7 +203,7 @@ def test_energy_hessian_blocks_match_fd(space, factor):
     problem = GeodesicProblem(space, factor(space), endpoints=ends)
     rng = np.random.default_rng(5)
     pts = problem.initial_curve(6).points + rng.normal(scale=0.02, size=(7, dim))
-    W = _coordinate_factor(problem)
+    W = conformal_factor_field(problem.space, problem.u)
     got = _dense(*_energy_hessian_blocks(pts, *_midpoint_factor(W, pts)))
     ref = fd_hessian(lambda z: _energy(problem, W, z.reshape(pts.shape)), pts.ravel())
     assert np.allclose(got, ref, rtol=1e-6, atol=1e-5 * np.max(np.abs(ref)))
@@ -209,7 +214,7 @@ def test_endpoint_blocks_match_fd_of_retracted_energy():
     are the Hessian of E(retract(x + B z)) and the gradient is its gradient."""
     problem = _lens_problem(a=1.0)
     pts = _retract(problem, problem.initial_curve(6).points.copy())
-    W = _coordinate_factor(problem)
+    W = conformal_factor_field(problem.space, problem.u)
     grad, diag, upper = _newton_system(problem, W, pts)
     n_vert, dim = pts.shape
     normals = [problem.piece_start.euclid_unit_normal(pts[0]),
@@ -248,7 +253,8 @@ def test_fixed_endpoint_blocks_are_decoupled():
     problem = GeodesicProblem(space, BallFactorField(kappa=1.0),
                               endpoints=np.array([[-0.3, 0.1], [0.4, 0.2]]))
     pts = problem.initial_curve(8).points
-    grad, diag, upper = _newton_system(problem, _coordinate_factor(problem), pts)
+    W = conformal_factor_field(problem.space, problem.u)
+    grad, diag, upper = _newton_system(problem, W, pts)
     for idx in (0, -1):
         assert np.array_equal(diag[idx], np.eye(2))
         assert np.array_equal(upper[idx], np.zeros((2, 2)))
@@ -258,7 +264,8 @@ def test_fixed_endpoint_blocks_are_decoupled():
 def test_free_boundary_newton_step_stays_on_surfaces(monkeypatch):
     problem = _lens_problem(a=1.0, t_start=np.pi + 0.4, t_end=-0.3)
     pts = _retract(problem, problem.initial_curve(16).points.copy())
-    grad, diag, upper = _newton_system(problem, _coordinate_factor(problem), pts)
+    W = conformal_factor_field(problem.space, problem.u)
+    grad, diag, upper = _newton_system(problem, W, pts)
     step, _ = _damped_newton_step(diag, upper, grad, 1e-3)
     for idx, piece in ((0, problem.piece_start), (-1, problem.piece_end)):
         nu = piece.euclid_unit_normal(pts[idx])
@@ -324,7 +331,7 @@ def test_solver_energy_is_built_from_the_curve_segment_lengths():
     segment formula serve both."""
     _, problem, res = checks._solve_lens(1.0)
     assert res.converged
-    W, pts = _coordinate_factor(problem), res.curve.points
+    W, pts = conformal_factor_field(problem.space, problem.u), res.curve.points
     lengths = res.curve.segment_lengths(problem.u)
     assert _energy(problem, W, pts) == 0.5 * lengths.size * float(np.sum(lengths * lengths))
     alone = [_energy(problem, W, pts[i:i + 2]) for i in range(len(lengths))]

@@ -2,7 +2,11 @@
 
 ``golden/reports.json`` records, for each run in ``RUNS``, its exit status,
 stdout and stderr, and the sha256 of each output file's raw bytes with only
-``wall_time_s`` masked. The test regenerates them in process and compares
+``wall_time_s`` masked. Each run enters through ``cli.main`` with the
+flags ``bench/run.py`` passes (``--suite``, ``--seed``, ``--workers 1``,
+``--out``, and ``--config`` for a grids file), so argument parsing and
+config loading run too; two more runs pin the other exits, ``--list-checks``
+and a config error. The test regenerates them in process and compares
 (from the traced pass of ``tests/test_reach.py``, which the session fixture
 ``shipped_runs`` makes once for both), so a change that moves a report's
 bits fails here until the file is rewritten with
@@ -16,6 +20,7 @@ exact) and says so when it fails.
 """
 
 import ast
+import contextlib
 import hashlib
 import io
 import json
@@ -26,26 +31,25 @@ from pathlib import Path
 import numpy as np
 
 from curvlab import cli
-from curvlab.cli import RunConfig
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
 BENCH = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
-# the grid sizes of ``DENSE_GRIDS`` in ``bench/run.py``, the benchmark's
-# grids-dense workload; ``test_dense_grids_match_the_bench`` keeps them equal
-DENSE_GRIDS = {
-    "samples": 400,
-    "scan_points": 40,
-    "r_points": 8000,
-    "t_points": 400,
-    "n_segments": 64,
-}
+# the grid sizes of the benchmark's grids-dense workload, read from
+# ``bench/run.py`` so that they have one copy
+DENSE_GRIDS = next(ast.literal_eval(node.value)
+                   for node in ast.parse(BENCH.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.Assign)
+                   and ast.unparse(node.targets[0]) == "DENSE_GRIDS")
 
+# label: (the [grids] of its config file, or None for no --config; its flags)
 RUNS = {
-    "all-seed1": dict(suite="all", seed=1),
-    "all-seed3001": dict(suite="all", seed=3001),
-    **{f"{suite}-dense": dict(suite=suite, grids=DENSE_GRIDS)
+    "all-seed1": (None, ["--suite", "all", "--seed", "1"]),
+    "all-seed3001": (None, ["--suite", "all", "--seed", "3001"]),
+    **{f"{suite}-dense": (DENSE_GRIDS, ["--suite", suite, "--seed", "1"])
        for suite in ("conformal", "lemmas", "scan", "estimates")},
+    "list-checks": (None, ["--list-checks"]),
+    "config-error": ({"unknown_grid": 7}, ["--suite", "all", "--seed", "1"]),
 }
 
 _WALL_TIME = re.compile(rb'"wall_time_s": [^,}]*')
@@ -89,11 +93,21 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(out, **run):
-    """Status, stdout, stderr and file digests of one in-process run."""
+def run_digests(out, grids, flags):
+    """Status, stdout, stderr and file digests of one in-process
+    ``cli.main`` run that writes to out; with grids, through a config file
+    beside out."""
+    argv = flags + ["--workers", "1", "--out", str(out)]
+    if grids is not None:
+        config = out.with_name(f"{out.name}.ini")
+        config.write_text("[grids]\n" + "".join(f"{k} = {v}\n" for k, v in grids.items()),
+                          encoding="utf-8")
+        argv = ["--config", str(config)] + argv
     stdout, stderr = io.StringIO(), io.StringIO()
-    status = cli.run(RunConfig(out=str(out), **run), stdout=stdout, stderr=stderr)
-    files = {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = cli.main(argv)
+    files = {path.name: path.read_bytes()
+             for path in (sorted(out.iterdir()) if out.is_dir() else ())}
     return {
         "status": status,
         "stdout": stdout.getvalue().splitlines(),
@@ -106,15 +120,8 @@ def run_digests(out, **run):
 
 def generate(workdir):
     """The golden record of every run in ``RUNS``, written under workdir."""
-    runs = {label: run_digests(Path(workdir) / label, **run) for label, run in RUNS.items()}
+    runs = {label: run_digests(Path(workdir) / label, *run) for label, run in RUNS.items()}
     return {"environment": environment(), "runs": runs}
-
-
-def test_dense_grids_match_the_bench():
-    dense = next(ast.literal_eval(node.value)
-                 for node in ast.parse(BENCH.read_text(encoding="utf-8")).body
-                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "DENSE_GRIDS")
-    assert DENSE_GRIDS == dense
 
 
 def test_reports_match_the_golden_digests(shipped_runs):

@@ -13,12 +13,13 @@ are matched without type information, so this over-approximates what runs:
 a method counts as reached when any reached code takes an attribute of that
 name, and every branch of a reached function counts, whether it runs or not.
 
-The dynamic guard is exact for function bodies. It line-traces ``cli.run``
-over the runs of ``tests/test_golden.py::RUNS`` and counts, for each
-function, the body statements that never execute. The statements come from
-``ast``. Docstrings and other bare constants (the protocol's ``...``),
-``raise`` and ``global`` statements are not counted, and a nested function
-counts as a function of its own, under its ``<locals>`` qualname. The counts
+The dynamic guard is exact for function bodies. It line-traces the runs
+of ``tests/test_golden.py::RUNS``, each a ``cli.main`` call, argument
+parsing and config loading included, and counts, for each function, the
+body statements that never execute. The statements come from ``ast``.
+Docstrings and other bare constants (the protocol's ``...``), ``raise``
+and ``global`` statements are not counted, and a nested function counts
+as a function of its own, under its ``<locals>`` qualname. The counts
 must equal ``UNEXECUTED``, which gives the reason for each entry. So a
 statement that no run executes fails the guard until a run executes it, it
 is deleted, or it joins ``UNEXECUTED`` with its reason (and a line in
@@ -41,14 +42,9 @@ PROTOCOL = frozenset({"value", "gradient", "hessian"})
 # Function-body statements that no run of ``RUNS`` executes, by function:
 # (count, reason). Other Tier-1 tests reach most of them.
 UNEXECUTED = {
-    "cli.main": (16, "argument parsing; the runs call cli.run, and Tier-1 runs main "
-                     "in subprocesses"),
-    "cli._list_checks": (4, "--list, from main"),
-    "cli.load_config": (3, "flags to a RunConfig, from main"),
-    "cli.parse_config": (11, "--config files, from main"),
-    "cli._integer": (2, "a value that is no number, or an integer string such as "
-                        "'2.0'; the runs pass ints"),
-    "cli.run": (13, "a check that raises, fails, does not converge, returns a report "
+    "cli._integer": (2, "a value that is no number, or a string such as '2.0' that "
+                        "int() refuses; the runs pass ints and strings such as '400'"),
+    "cli.run": (10, "a check that raises, fails, does not converge, returns a report "
                     "under another id, or scans without columns; no shipped check "
                     "does any of these"),
     "checks.CheckSpec.__init__": (3, "builds the registry when the module loads, before "
