@@ -21,6 +21,8 @@ The estimate's right-hand side uses the statement's constants
 the metadata records them as "statement".
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .hypersurface import Fixture, example_fixture, infima_over_annuli
@@ -141,15 +143,10 @@ def annulus_infima(fixture: Fixture, r_lo, r_hi) -> np.ndarray:
     return values.reshape(r_lo.shape + (len(fixture.pieces),))
 
 
-class DecayScan:
+class DecayScan(SimpleNamespace):
     """Curvature infima of a fixture over the annuli R/3 < |x| < R for a
     grid of radii R: ``inf1`` of the first boundary piece, ``inf2`` of the
     second (zeros for a fixture with a single piece)."""
-
-    def __init__(self, R: np.ndarray, inf1: np.ndarray, inf2: np.ndarray):
-        self.R = R
-        self.inf1 = inf1
-        self.inf2 = inf2
 
 
 def decay_scan(fixture: Fixture, R_grid) -> DecayScan:
@@ -167,7 +164,7 @@ def decay_scan(fixture: Fixture, R_grid) -> DecayScan:
         raise ValueError("R grid must be strictly increasing")
     vals = annulus_infima(fixture, R_grid / 3.0, R_grid)
     inf2 = vals[:, 1] if vals.shape[1] > 1 else np.zeros(R_grid.size)
-    return DecayScan(R_grid, vals[:, 0], inf2)
+    return DecayScan(R=R_grid, inf1=vals[:, 0], inf2=inf2)
 
 
 # ---------------------------------------------------------------------------

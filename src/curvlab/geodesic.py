@@ -32,7 +32,8 @@ problem forbids).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
@@ -78,19 +79,10 @@ class GeodesicProblem:
         return DiscreteCurve(self.space, pts)
 
 
-class MinimizeResult:
-    def __init__(self, curve: DiscreteCurve, tilde_length: float, g_length: float,
-                 iterations: int, converged: bool, grad_norm: float, level_sizes: List[int],
-                 level_iterations: List[int], level_stops: List[str]):
-        self.curve = curve
-        self.tilde_length = tilde_length
-        self.g_length = g_length
-        self.iterations = iterations
-        self.converged = converged
-        self.grad_norm = grad_norm
-        self.level_sizes = level_sizes
-        self.level_iterations = level_iterations
-        self.level_stops = level_stops
+class MinimizeResult(SimpleNamespace):
+    """The minimizer curve, its tilde_length and g_length, the total
+    iterations, converged, the last grad_norm, and per ladder level its
+    segment count in level_sizes, level_iterations and level_stops."""
 
 
 def _energy(problem, W, points) -> float:

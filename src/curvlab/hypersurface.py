@@ -15,6 +15,7 @@ implicit machinery and the fundamental-form oracle in ``fdcheck``.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -421,19 +422,11 @@ _CHUNK = 2048  # chart points per distance or mean-curvature evaluation
 _GROUP = 8  # annuli whose local tables (about 520 points each) are held at once
 
 
-class InfimumResult:
-    """See ``infima_over_annuli``; ``param`` is the chart parameter where
-    the infimum sits (a cut root or a table point), and ``missed`` is the
-    chart bracket of the first cut bisection that hit the step cap, None
-    when ``converged``."""
-
-    def __init__(self, value: float, param: float, n_grid: int, converged: bool,
-                 missed: Optional[tuple]):
-        self.value = value
-        self.param = param
-        self.n_grid = n_grid
-        self.converged = converged
-        self.missed = missed
+class InfimumResult(SimpleNamespace):
+    """One annulus of ``infima_over_annuli``: the infimum's value, param,
+    the chart parameter where it sits (a cut root or a table point), n_grid,
+    converged, and missed, the chart bracket of the first cut bisection that
+    hit the step cap, None when converged."""
 
 
 def _union(a, b):

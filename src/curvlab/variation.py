@@ -18,7 +18,8 @@ forms, their sharp grid bounds, and the cosh weight's calculus live here too.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from types import SimpleNamespace
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -127,13 +128,9 @@ class CoshWeight:
         return (1.0 - math.exp(-2.0 * L) + 2.0 * L * math.exp(-L)) / (den * den)
 
 
-class PhiCalculusReport:
-    def __init__(self, endpoint_error: float, derivative_identity_error: float,
-                 phi_sq_closed: float, phi_range: Tuple[float, float]):
-        self.endpoint_error = endpoint_error
-        self.derivative_identity_error = derivative_identity_error
-        self.phi_sq_closed = phi_sq_closed
-        self.phi_range = phi_range
+class PhiCalculusReport(SimpleNamespace):
+    """The measurements of ``phi_calculus``: endpoint_error,
+    derivative_identity_error, phi_sq_closed and phi_range."""
 
 
 def phi_calculus(L: float) -> PhiCalculusReport:
@@ -208,28 +205,14 @@ def _j2(n, S, P, D, rT2, rN2) -> np.ndarray:
     return n * (S * rT2 - P) - D * rN2
 
 
-class BoundCheck:
-    def __init__(self, name: str, min_slack: float, at_r: float, at_r_T: float, bound: float,
-                 value: float):
-        self.name = name
-        self.min_slack = min_slack
-        self.at_r = at_r
-        self.at_r_T = at_r_T
-        self.bound = bound
-        self.value = value
+class BoundCheck(SimpleNamespace):
+    """One bound's smallest slack: min_slack, and the radius at_r, bound and
+    value where it sits."""
 
 
-class BoundsScan:
-    """The grid's sizes; ``crucial_bounds_scan`` fills in ``checks`` and ``j2_max``."""
-
-    def __init__(self, model: str, n: int, R: float, n_r: int, n_t: int):
-        self.model = model
-        self.n = n
-        self.R = R
-        self.n_r = n_r
-        self.n_t = n_t
-        self.checks: Dict[str, BoundCheck] = {}
-        self.j2_max = 0.0
+class BoundsScan(SimpleNamespace):
+    """The grid's sizes n_r and n_t, the ``BoundCheck`` of each bound by name
+    in checks, and j2_max, the largest J2."""
 
 
 def crucial_bounds_scan(
@@ -263,8 +246,7 @@ def crucial_bounds_scan(
     bound or value is not finite raises ``ValueError``.
 
     ``n_t`` (the ``t_points`` grid size) is only recorded in the result,
-    where the reports and the bench tracer read it; ``BoundCheck.at_r_T``
-    is always -1.0.
+    where the reports and the bench tracer read it.
     """
     if model not in ("euclid", "hyperbolic"):
         raise ValueError("model must be 'euclid' or 'hyperbolic'")
@@ -292,19 +274,16 @@ def crucial_bounds_scan(
         raise ValueError(f"J-bounds column fails the sign test at r = {float(bad[0])!r}: "
                          "S and D must be nonnegative and every term finite")
 
-    scan = BoundsScan(model=model, n=n, R=R, n_r=n_r, n_t=n_t)
-    scan.j2_max = float(np.max(J2))
+    found = {}
     for name, (slack, bound, value) in checks.items():
         i = int(np.argmin(slack))
-        scan.checks[name] = BoundCheck(
-            name=name,
+        found[name] = BoundCheck(
             min_slack=float(slack[i]),
             at_r=float(r[i]),
-            at_r_T=-1.0,
             bound=float(np.broadcast_to(bound, slack.shape)[i]),
             value=float(value[i]),
         )
-    return scan
+    return BoundsScan(n_r=n_r, n_t=n_t, checks=found, j2_max=float(np.max(J2)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +291,12 @@ def crucial_bounds_scan(
 # ---------------------------------------------------------------------------
 
 
-class IndexFormReport:
-    """Named terms of the traced stability form; total is their plain sum.
+class IndexFormReport(SimpleNamespace):
+    """Named terms of the traced stability form: boundary_start,
+    boundary_end, ricci_integral, cross_term, j1_integral and j2_integral,
+    and total, their plain sum; then f_identity_lhs, f_identity_rhs,
+    g_length, tilde_length and max_residual, the curve's largest geodesic
+    residual.
 
     boundary_start and boundary_end are -u H at the endpoints, with each
     mean curvature taken against the normal that points from the piece into
@@ -327,23 +310,6 @@ class IndexFormReport:
 
     independently; they agree to quadrature accuracy on a true geodesic.
     """
-
-    def __init__(self, boundary_start: float, boundary_end: float, ricci_integral: float,
-                 cross_term: float, j1_integral: float, j2_integral: float, total: float,
-                 f_identity_lhs: float, f_identity_rhs: float, g_length: float,
-                 tilde_length: float, max_residual: float):
-        self.boundary_start = boundary_start
-        self.boundary_end = boundary_end
-        self.ricci_integral = ricci_integral
-        self.cross_term = cross_term
-        self.j1_integral = j1_integral
-        self.j2_integral = j2_integral
-        self.total = total
-        self.f_identity_lhs = f_identity_lhs
-        self.f_identity_rhs = f_identity_rhs
-        self.g_length = g_length
-        self.tilde_length = tilde_length
-        self.max_residual = max_residual
 
 
 def _signed_mean_curvature(piece: Hypersurface, x: np.ndarray, direction: np.ndarray) -> float:

@@ -101,12 +101,10 @@ def test_criterion_04_j_bounds_grid_certificate():
             hyp = crucial_bounds_scan(n, R, model="hyperbolic", n_r=n_r, n_t=n_t)
             for scan in (flat, hyp):
                 worst = min(worst, min(c.min_slack for c in scan.checks.values()))
-            # flat equality sits at r = R, |r_T| = 1, up to one grid cell
+            # flat equality sits at r = R, up to one grid cell
             c = flat.checks["j2_upper"]
             dr = R / (n_r - 1)
-            dt = 2.0 / (n_t - 1)
             location_ok &= abs(c.at_r - R) <= dr + 1e-12
-            location_ok &= 1.0 - abs(c.at_r_T) <= dt + 1e-12
     ok = worst >= -1e-12 and location_ok
     _line(4, ok, f"min slack {worst:.3e}, equality located {location_ok}")
     assert worst >= -1e-12

@@ -193,6 +193,7 @@ def test_sharpness_gap_rate():
 def test_decay_scan_slab_identically_zero():
     fx = example_fixture("euclid-slab", d=1.0)
     scan = decay_scan(fx, np.array([2.0, 4.0, 8.0, 16.0]))
+    assert list(vars(scan)) == ["R", "inf1", "inf2"]
     envelope = checks._inverse_R_envelope(fx, scan.R)
     assert np.all(envelope - (scan.inf1 + scan.inf2) >= -1e-12)
     assert np.max(np.abs(scan.inf1)) < 1e-12

@@ -288,6 +288,8 @@ def test_failed_trial_retraction_rejects_the_step(R, x0):
     problem = GeodesicProblem(fx.space, RadialField(fx.space, np.zeros(2), QuarticCutoff(R)),
                               piece_start=graph, piece_end=axis, endpoints=seeds)
     res = minimize_free_boundary(problem, n_segments=128)
+    assert list(vars(res)) == ["curve", "tilde_length", "g_length", "iterations", "converged",
+                               "grad_norm", "level_sizes", "level_iterations", "level_stops"]
     assert res.converged
     assert res.level_stops == ["gtol"] * len(res.level_sizes)
     for idx, piece in ((0, graph), (-1, axis)):

@@ -365,6 +365,7 @@ def test_annulus_infimum_constant_sphere():
     space = SpaceForm(3, 0.0)
     sph = geodesic_sphere(space, 2.0)
     [res] = infima_over_annuli(sph, 1.0, 3.0)
+    assert list(vars(res)) == ["value", "param", "n_grid", "converged", "missed"]
     assert np.isclose(res.value, 1.0, rtol=1e-10)
     assert res.converged
     assert infima_over_annuli(sph, 3.0, 4.0) == [None]

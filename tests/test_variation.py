@@ -60,6 +60,8 @@ def test_phi_endpoints_and_range():
 def test_phi_calculus_report():
     for L in (0.5, 2.0, 10.0):
         rep = phi_calculus(L)
+        assert list(vars(rep)) == ["endpoint_error", "derivative_identity_error",
+                                   "phi_sq_closed", "phi_range"]
         assert rep.endpoint_error < 1e-12
         assert rep.derivative_identity_error < 1e-7 * max(1.0, L)
         assert rep.phi_sq_closed <= 1.2
@@ -286,7 +288,6 @@ def test_crucial_bounds_scan_euclid():
     # the bound is attained at r = R, |r_T| = 1
     assert abs(check.min_slack) < 1e-12
     assert abs(check.at_r - 10.0) < 1e-12
-    assert abs(abs(check.at_r_T) - 1.0) < 1e-12
     assert abs(scan.j2_max - 0.32) < 1e-12
 
 
@@ -310,14 +311,14 @@ def test_hyperbolic_j2_bound_reduces_where_u_prime_vanishes():
 
 def test_scan_serialization_round_trip():
     scan = crucial_bounds_scan(n=1, R=4.0, model="hyperbolic", n_r=50, n_t=11)
+    assert list(vars(scan)) == ["n_r", "n_t", "checks", "j2_max"]
+    assert list(vars(scan.checks["j1_lower"])) == ["min_slack", "at_r", "bound", "value"]
     blob = json.dumps(_scan_record(scan), sort_keys=True)
     back = json.loads(blob)
-    assert back["model"] == "hyperbolic"
     assert set(back["checks"]) == {"j1_lower", "j2_upper"}
     assert isinstance(back["checks"]["j1_lower"]["min_slack"], float)
-    rebuilt = BoundsScan(*(back[k] for k in ("model", "n", "R", "n_r", "n_t")))
-    rebuilt.checks = {name: BoundCheck(**c) for name, c in back["checks"].items()}
-    rebuilt.j2_max = back["j2_max"]
+    rebuilt = BoundsScan(**{**back, "checks": {name: BoundCheck(**c)
+                                               for name, c in back["checks"].items()}})
     _assert_same_scan(rebuilt, scan)
 
 
@@ -327,23 +328,22 @@ def test_scan_rejects_unknown_model():
 
 
 def _bounds_scan_reference(n, R, model, n_r, n_t):
-    """The full n_r x n_t grid: every cell evaluated, one argmin per check."""
+    """The full n_r x n_t grid: every cell evaluated, one argmin per check,
+    each of which must sit in the r_T = -1 column."""
     space = SpaceForm(n + 1, 0.0 if model == "euclid" else 1.0)
     prof = QuarticCutoff(R)
     r = np.linspace(0.0, R, n_r)
     rt = np.linspace(-1.0, 1.0, n_t)
     terms = variation._radial_terms(space, prof, r[:, None], rt[None, :])
     J2 = variation._j2(*terms)
-    scan = BoundsScan(model=model, n=n, R=R, n_r=n_r, n_t=n_t)
-    scan.j2_max = float(J2.max())
+    checks = {}
 
     def record(name, slack, bound, value):
         i, j = np.unravel_index(np.argmin(slack), slack.shape)
-        scan.checks[name] = BoundCheck(
-            name=name,
+        assert rt[j] == -1.0, (name, float(rt[j]))
+        checks[name] = BoundCheck(
             min_slack=float(slack[i, j]),
             at_r=float(r[i]),
-            at_r_T=float(rt[j]),
             bound=float(np.broadcast_to(bound, slack.shape)[i, j]),
             value=float(value[i, j]),
         )
@@ -357,7 +357,7 @@ def _bounds_scan_reference(n, R, model, n_r, n_t):
         record("j1_lower", J1 - low, low, J1)
         bound2 = base - n * prof.d1(r[:, None])
         record("j2_upper", bound2 - J2, bound2, J2)
-    return scan
+    return BoundsScan(n_r=n_r, n_t=n_t, checks=checks, j2_max=float(J2.max()))
 
 
 def _scan_record(scan):
@@ -366,7 +366,9 @@ def _scan_record(scan):
 
 
 def _assert_same_scan(got, want):
-    assert repr(_scan_record(got)) == repr(_scan_record(want))
+    """Bit for bit: json writes each float by its repr."""
+    assert (json.dumps(_scan_record(got), sort_keys=True)
+            == json.dumps(_scan_record(want), sort_keys=True))
 
 
 @pytest.mark.parametrize("model", ["euclid", "hyperbolic"])
@@ -720,5 +722,9 @@ def test_index_form_report_serializes():
     fx = example_fixture("euclid-slab", d=1.0, dim=3)
     curve = _slab_axis_curve(fx.space, 0.5, 256)
     rep = index_form_trace(curve, ConstantField(1.0), fx.pieces[1], fx.pieces[0])
+    assert list(vars(rep)) == [
+        "boundary_start", "boundary_end", "ricci_integral", "cross_term", "j1_integral",
+        "j2_integral", "total", "f_identity_lhs", "f_identity_rhs", "g_length",
+        "tilde_length", "max_residual"]
     blob = json.dumps(vars(rep), sort_keys=True)
     assert "\"total\"" in blob
