@@ -146,3 +146,19 @@ def test_reports_match_the_golden_digests(shipped_runs):
                        if have["canonical"].get(name) != sha)
         assert have["canonical"].keys() == run["canonical"].keys() and not moved, (
             f"{label}: outputs moved {moved}; {note}")
+
+
+def test_update_names_what_moved():
+    """``golden/update.py`` lists, per run, each file whose digest moved,
+    came or went, then each of status, stdout and stderr that changed."""
+    from golden.update import moves
+
+    run = {"status": 0, "stdout": ["a: PASS"], "stderr": [], "sha256": {"a.json": "1", "b.csv": "2"}}
+    new = {"runs": {
+        "same": run,
+        "moved": {**run, "status": 1, "sha256": {"a.json": "1", "b.csv": "3", "c.json": "4"}},
+        "new": {**run, "stderr": ["oops"]},
+    }}
+    assert moves({"runs": {"same": run, "moved": run}}, new) == {
+        "same": [], "moved": ["b.csv", "c.json", "status"],
+        "new": ["a.json", "b.csv", "status", "stdout", "stderr"]}
