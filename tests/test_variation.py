@@ -128,9 +128,9 @@ def test_coth_minus_inv_range():
 
 
 def test_coth_minus_inv_series_matches_direct():
-    # straddle the series cutoff at 0.1; the direct form cancels ~2 digits
-    # there, so the branches agree to about 1e-14 absolute
-    for x in (0.0995, 0.1005, 0.05, 0.2):
+    # straddle the series cutoff at 0.5; the direct form cancels ~4 bits
+    # there, so the branches agree to about 1e-15 absolute
+    for x in (0.4995, 0.5005, 0.25, 1.0):
         direct = math.cosh(x) / math.sinh(x) - 1.0 / x
         assert abs(coth_minus_inv(x) - direct) < 1e-13
     # leading term x/3; the x^3/45 correction is ~2.2e-11 at x = 1e-3
@@ -139,25 +139,32 @@ def test_coth_minus_inv_series_matches_direct():
 
 
 def test_coth_minus_inv_series_matches_mpmath():
-    """Below the switch at 0.1, up to its last double, the series is within
-    1e-15 relative of 40-digit mpmath; four terms were 6.4e-13 off there."""
+    """Below the switch at 0.5, up to its last double, the series is within
+    1e-15 relative of 40-digit mpmath, and the direct form above it within
+    5e-15; with the switch at 0.1 the direct form was 6.1e-14 off on [0.1, 2]."""
     import mpmath
 
-    x = np.append(np.linspace(1e-6, 0.1, 3000, endpoint=False), np.nextafter(0.1, 0.0))
-    with mpmath.workdps(40):
-        ref = np.array([float(mpmath.coth(v) - 1 / mpmath.mpf(v)) for v in x])
-    assert np.max(np.abs(coth_minus_inv(x) - ref) / ref) <= 1e-15
+    def ref(x):
+        with mpmath.workdps(40):
+            return np.array([float(mpmath.coth(v) - 1 / mpmath.mpf(v)) for v in x])
+
+    below = np.append(np.linspace(1e-6, 0.5, 3000, endpoint=False), np.nextafter(0.5, 0.0))
+    above = np.linspace(0.5, 2.0, 1500)
+    for x, tol in ((below, 1e-15), (above, 5e-15)):
+        assert np.max(np.abs(coth_minus_inv(x) - ref(x)) / ref(x)) <= tol
 
 
 def _coth_minus_inv_reference(x):
     """The form without the overflow guard: finite up to x = 710.47."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 0.1
+    small = np.abs(x) < 0.5
     xs = np.where(small, 1.0, x)
     direct = np.cosh(xs) / np.sinh(xs) - 1.0 / xs
     x2 = x * x
-    series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 + x2 * (
-        -1.0 / 4725.0 + x2 * (2.0 / 93555.0 - x2 * (1382.0 / 638512875.0))))))
+    series = x * (1 / 3 + x2 * (-1 / 45 + x2 * (2 / 945 + x2 * (-1 / 4725 + x2 * (
+        2 / 93555 + x2 * (-1382 / 638512875 + x2 * (4 / 18243225 + x2 * (
+            -3617 / 162820783125 + x2 * (87734 / 38979295480125 + x2 * (
+                -349222 / 1531329465290625 + x2 * (310732 / 13447856940643125)))))))))))
     return np.where(small, series, direct)
 
 
