@@ -7,8 +7,8 @@ and Laplacians reduce to coordinate calculus plus the conformal Christoffel
 correction, and a metric u^-2 g is again conformally flat with coordinate
 factor u*w.
 
-Distance in the ball model is d = (2/kappa) artanh of the Mobius gauge
-|(-p) (+) q|; arbitrary radial centers are handled through the Mobius
+Distance in the ball model is d = (2/kappa) asinh(|p - q| / sqrt((1 - |p|^2)
+(1 - |q|^2))), finite out to the boundary; arbitrary radial centers are handled through the Mobius
 translation rather than re-deriving off-center formulas.
 """
 
@@ -75,11 +75,27 @@ class SpaceForm:
             self.check_point(p)
             self.check_point(q)
             diff2 = np.sum((p - q) ** 2, axis=-1)
-            denom = 1.0 - 2.0 * np.sum(p * q, axis=-1) + np.sum(p * p, axis=-1) * np.sum(q * q, axis=-1)
-            gauge = np.sqrt(np.maximum(diff2 / denom, 0.0))
-            # clamp strictly below 1 (guards roundoff; inputs are interior points)
-            return (2.0 / self.kappa) * np.arctanh(np.minimum(gauge, 1.0 - 1e-15))
+            scale = _one_minus_norm_sq(p) * _one_minus_norm_sq(q)
+            return (2.0 / self.kappa) * np.arcsinh(np.sqrt(diff2 / scale))
         return np.sqrt(np.sum((p - q) ** 2, axis=-1))
+
+
+def _one_minus_norm_sq(x):
+    """1 - |x|^2 over the last axis, within a few ulps of itself near the
+    boundary too: each x_i^2 is split exactly into a 52-bit square and a
+    small remainder (Veltkamp), and the subtractions carry their rounding
+    errors (two-sum), as in Ogita, Rump and Oishi's Dot2."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    lo = x - hi
+    total, err = 1.0, 0.0
+    for h, l in zip(np.moveaxis(hi, -1, 0), np.moveaxis(lo, -1, 0)):
+        sq = h * h
+        t = total - sq
+        z = t - total
+        err = err + (total - (t - z)) - (sq + z) - (2.0 * h * l + l * l)
+        total = t
+    return total + err
 
 
 # ---------------------------------------------------------------------------
