@@ -133,7 +133,7 @@ class CoshWeight:
         """Closed form of the integral of phi^2 over [0, L]."""
         L = self.L
         den = 1.0 + math.exp(-L)
-        return (1.0 - math.exp(-2.0 * L) + 2.0 * L * math.exp(-L)) / (den * den)
+        return (2.0 * L * math.exp(-L) - math.expm1(-2.0 * L)) / (den * den)
 
 
 class PhiCalculusReport(SimpleNamespace):
