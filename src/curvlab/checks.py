@@ -7,8 +7,8 @@ the run's checks share (``ctx.once``, for a solve or a trace that two checks
 read). It returns one report whose ``check`` is the id, or, for a decay
 scan, the pair (report, columns): the annulus infima judged against an
 envelope computed here, and the table ``cli`` writes (R, inf1, inf2, sum,
-envelope, slack). A report's inputs determine the seed and every grid size
-it reads, so its ``inputs_digest`` moves with them. Every fixture
+envelope, slack). A check reads the seed and grid sizes only through
+``ctx``, which records them as its report's ``inputs``. Every fixture
 and pass allowance is fixed here; no run configuration can change one.
 
 Most reports use a normalized convention: lhs is the worst observed error
@@ -39,7 +39,6 @@ from .hypersurface import example_fixture, geodesic_sphere
 from .report import NonConvergence, VerificationReport
 from .spaceform import RadialField, SpaceForm, gram_schmidt_frame
 from .variation import (
-    PHI_GRID_POINTS,
     CoshWeight,
     crucial_bounds_scan,
     index_form_trace,
@@ -58,7 +57,7 @@ SLACK_FLOOR = 1e-9
 FD_REL = 1e-4
 
 
-def _ratio_report(check, parts, *, inputs=None, grid=None):
+def _ratio_report(check, parts, *, grid=None):
     """Report over named (observed, allowed) error pairs.
 
     lhs is the worst observed/allowed ratio, rhs is 1; the check passes when
@@ -81,7 +80,7 @@ def _ratio_report(check, parts, *, inputs=None, grid=None):
         meta["non_finite_parts"] = non_finite
     if grid:
         meta.update(grid)
-    return VerificationReport(check, worst, 1.0, tolerance=SLACK_FLOOR, inputs=inputs, grid=meta)
+    return VerificationReport(check, worst, 1.0, tolerance=SLACK_FLOOR, grid=meta)
 
 
 def _flag(condition):
@@ -152,7 +151,7 @@ def _factor_draw(rng, samples, dim, scale=0.25):
 FD_BLOCK = 128  # samples that go through formula and oracle at once
 
 
-def _fd_law_check(ctx, draw, errors, spaces=_LAW_SPACES, **inputs):
+def _fd_law_check(ctx, draw, errors, spaces=_LAW_SPACES):
     """Worst relative error of a transformation law against its fdcheck
     oracle, per space over ``samples`` random draws. draw(rng, space,
     samples) returns the stacks, one generator call per quantity, and
@@ -171,7 +170,6 @@ def _fd_law_check(ctx, draw, errors, spaces=_LAW_SPACES, **inputs):
     return _ratio_report(
         ctx.cid,
         {"fd_relative_error": (float(np.max(list(per.values()))), FD_REL)},
-        inputs={"samples": samples, "seed": ctx.cfg.seed, **inputs},
         grid={"per_space": per},
     )
 
@@ -286,17 +284,19 @@ def _check_mean_curvature_law(ctx):
     """Random factor over flat and hyperbolic backgrounds: the pointwise
     mean-curvature law against a second-fundamental-form computation in
     the rescaled coordinate metric, on a fixed coordinate sphere."""
-    return _fd_law_check(ctx, _sphere_draw, _mean_curvature_error, _LAW_SPACES[:2],
-                         sphere_radius=_SPHERE_RADIUS)
+    return _fd_law_check(ctx, _sphere_draw, _mean_curvature_error, _LAW_SPACES[:2])
 
 
 def _check_poincare_recovery(ctx):
     """The ball factor over a flat background must reproduce the constant
     curvature model: Ricci -(dim-1) everywhere, and the geodesic spheres of
     the hyperbolic ambient have mean curvature n + 2n/(e^{2R}-1), both as
-    computed from the implicit surface and as the pieces' ``h_exact``."""
+    computed from the implicit surface and as the pieces' ``h_exact``. The
+    worst Ricci error is a roundoff quantum that many draws share, so the
+    grid also gives the mean over each dimension's draw."""
     rng = ctx.rng()
     worst_ric = 0.0
+    mean_ric = {}
     for dim in (2, 3, 4):
         space = SpaceForm(dim, 0.0)
         u = BallFactorField(kappa=1.0)
@@ -310,7 +310,9 @@ def _check_poincare_recovery(ctx):
         F = gram_schmidt_frame(space, x, seed=seed)
         # every frame vector, each at its own point
         ric = conformal.ricci_formula(space, u, np.repeat(x, dim, axis=0), F.reshape(-1, dim))
-        worst_ric = np.maximum(worst_ric, np.max(np.abs(ric + (dim - 1))))
+        err = np.abs(ric + (dim - 1))
+        worst_ric = np.maximum(worst_ric, np.max(err))
+        mean_ric[f"dim={dim}"] = float(np.mean(err))
     worst_sph = 0.0
     worst_h_exact = 0.0
     for dim in (2, 3):
@@ -330,7 +332,7 @@ def _check_poincare_recovery(ctx):
             "sphere_mean_curvature_error": (worst_sph, 1e-10),
             "sphere_h_exact_error": (worst_h_exact, 1e-10),
         },
-        inputs={"samples": ctx.grid("samples"), "seed": ctx.cfg.seed},
+        grid={"ricci_mean_error": mean_ric},
     )
 
 
@@ -357,11 +359,7 @@ def _check_diameter_geodesic(ctx):
         "diameter_residual": (worst, 1e-12),
         "offset_line_detected": _flag(min_off > 1e-3),
     }
-    return _ratio_report(
-        ctx.cid, parts,
-        inputs={"seed": ctx.cfg.seed},
-        grid={"smallest_offset_residual": min_off},
-    )
+    return _ratio_report(ctx.cid, parts, grid={"smallest_offset_residual": min_off})
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +399,7 @@ def _check_curve_shortness(ctx):
         "budget": budget,
         **_solver_grid(res),
     }
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": ctx.grid("n_segments")},
-                         grid=grid)
+    return _ratio_report(ctx.cid, parts, grid=grid)
 
 
 def _cutoff_derivative_error(R, n_r):
@@ -447,11 +444,7 @@ def _crucial_bounds(ctx, model):
         "negative_slack": (np.maximum(0.0, -worst), 1e-12),
         "cutoff_derivatives": (max(_cutoff_derivative_error(R, n_r) for R in radii), 1e-12),
     }
-    return _ratio_report(
-        ctx.cid, parts,
-        inputs={"n_r": n_r, "n_t": n_t, "model": model},
-        grid={"min_slack": worst, "per_case": per},
-    )
+    return _ratio_report(ctx.cid, parts, grid={"min_slack": worst, "per_case": per})
 
 
 # 2^{2k} B_{2k} / (2k)! for k = 1, ..., 14, as exact fractions: the
@@ -492,8 +485,7 @@ def _check_elementary_inequalities(ctx):
     allowed = 1e-11
     mins["coth_route"] = {"observed": observed, "allowed": allowed}
     worst = min(worst, allowed - observed)
-    return VerificationReport(ctx.cid, 0.0, worst, tolerance=1e-12,
-                              inputs={"n_grid": n_grid, "r_max": r_max}, grid=mins)
+    return VerificationReport(ctx.cid, 0.0, worst, tolerance=1e-12, grid=mins)
 
 
 def _gauss_legendre(n):
@@ -546,7 +538,7 @@ def _check_phi_calculus(ctx):
         "max_integral_over_L": float(closed.max()),
         "argmax_L": float(Ls[int(np.argmax(closed))]),
     }
-    return _ratio_report(ctx.cid, parts, inputs={"phi_points": PHI_GRID_POINTS}, grid=grid)
+    return _ratio_report(ctx.cid, parts, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +546,8 @@ def _check_phi_calculus(ctx):
 # ---------------------------------------------------------------------------
 
 
-LENS_SEGMENTS = 256  # segments of the lens solves, recorded by the checks that read them
-
-
 def _solve_lens(a):
-    """(fixture, problem, result) of the LENS_SEGMENTS-segment free-boundary
+    """(fixture, problem, result) of the 256-segment free-boundary
     solve between the ``poincare-circles`` pieces for parameter a;
     ``sharp-lens`` and ``lens-distance`` both read the a = 1 solve through
     ``ctx.once``."""
@@ -574,7 +563,7 @@ def _solve_lens(a):
         piece_start=fx.pieces[0], piece_end=fx.pieces[1],
         endpoints=seeds,
     )
-    res = minimize_free_boundary(problem, n_segments=LENS_SEGMENTS)
+    res = minimize_free_boundary(problem, n_segments=256)
     return fx, problem, res
 
 
@@ -611,8 +600,7 @@ def _check_sharp_lens(ctx):
         "tanh_identity_error": (worst["tanh_identity_error"], 1e-6),
         "bound_gap": (worst["bound_gap"], 1e-10),
     }
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": LENS_SEGMENTS},
-                         grid={"per_a": per})
+    return _ratio_report(ctx.cid, parts, grid={"per_a": per})
 
 
 def _fd_profile_derivatives(height, ts, steps):
@@ -645,7 +633,7 @@ def _check_log_graph_curvature(ctx):
         "fd_vs_displayed": (_rel_err(H_fd, H_disp), 1e-7),
     }
     grid = {"x_range": [float(xs[0]), float(xs[-1])], "n_points": int(xs.size)}
-    return _ratio_report(ctx.cid, parts, inputs={"samples": int(xs.size)}, grid=grid)
+    return _ratio_report(ctx.cid, parts, grid=grid)
 
 
 def _check_revolution_curvature(ctx):
@@ -680,7 +668,7 @@ def _check_revolution_curvature(ctx):
         "fd_vs_displayed": (_rel_err(H_fd, H_disp), 1e-7),
     }
     grid = {"t_range": [float(ts[0]), float(ts[-1])], "n_points": int(ts.size)}
-    return _ratio_report(ctx.cid, parts, inputs={"samples": int(ts.size)}, grid=grid)
+    return _ratio_report(ctx.cid, parts, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +686,7 @@ def _check_slab_perpendicular(ctx):
         piece_start=fx.pieces[1], piece_end=fx.pieces[0],
         endpoints=np.array([[-0.5, 0.3, 0.1], [0.5, -0.2, 0.25]]),
     )
-    n_segments = 128
-    res = minimize_free_boundary(problem, n_segments=n_segments, gtol=1e-10)
+    res = minimize_free_boundary(problem, n_segments=128, gtol=1e-10)
     _require_converged(ctx.cid, res)
     orth = endpoint_orthogonality(problem, res.curve)
     parts = {
@@ -708,7 +695,7 @@ def _check_slab_perpendicular(ctx):
     }
     grid = {"tilde_length": res.tilde_length, "orthogonality": list(map(float, orth)),
             **_solver_grid(res)}
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": n_segments}, grid=grid)
+    return _ratio_report(ctx.cid, parts, grid=grid)
 
 
 def _check_lens_distance(ctx):
@@ -733,8 +720,7 @@ def _check_lens_distance(ctx):
         "endpoints": [list(map(float, p)), list(map(float, q))],
         **_solver_grid(res),
     }
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": LENS_SEGMENTS, "a": 1.0},
-                         grid=grid)
+    return _ratio_report(ctx.cid, parts, grid=grid)
 
 
 def _check_planar_curvature_law(ctx):
@@ -744,8 +730,7 @@ def _check_planar_curvature_law(ctx):
     space = SpaceForm(2, 0.0)
     u = RadialField(space, np.zeros(2), QuarticCutoff(2.0))
     problem = GeodesicProblem(space, u, endpoints=np.array([[-0.5, 0.05], [0.5, 0.35]]))
-    n_segments = ctx.grid("n_segments")
-    res = minimize_free_boundary(problem, n_segments=n_segments, gtol=1e-8)
+    res = minimize_free_boundary(problem, n_segments=ctx.grid("n_segments"), gtol=1e-8)
     _require_converged(ctx.cid, res)
     curve = res.curve
     _, acc = curve.vertex_acceleration()
@@ -766,7 +751,7 @@ def _check_planar_curvature_law(ctx):
         "vertices_checked": int(np.sum(mask)),
         **_solver_grid(res),
     }
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": n_segments}, grid=grid)
+    return _ratio_report(ctx.cid, parts, grid=grid)
 
 
 def _fd_second_variation(curve, u, phi, directions):
@@ -791,17 +776,14 @@ def _axis_curve(space, half, n_segments):
     return DiscreteCurve(space, pts)
 
 
-SLAB_TRACE_SEGMENTS = 2048  # segments of the slab axis curve both index-form checks read
-
-
 def _slab_cosh_trace():
     """(fixture, factor, curve, weight, trace): the slab's axis curve on
-    SLAB_TRACE_SEGMENTS segments through a radial bump, and its second
+    2048 segments through a radial bump, and its second
     variation traced with the cosh weight; both index-form checks read it
     through ``ctx.once``."""
     fx = example_fixture("euclid-slab", d=1.2, dim=3)
     u = RadialField(fx.space, np.zeros(3), QuarticCutoff(2.0))
-    curve = _axis_curve(fx.space, 0.6, SLAB_TRACE_SEGMENTS)
+    curve = _axis_curve(fx.space, 0.6, 2048)
     phi = CoshWeight(curve.g_length())
     return fx, u, curve, phi, index_form_trace(curve, u, fx.pieces[1], fx.pieces[0], phi)
 
@@ -834,7 +816,7 @@ def _check_index_form_flat_slab(ctx):
             "tanh_identity": [tanh_lhs, tanh_rhs],
             "f_identity": [rep_w.f_identity_lhs, rep_w.f_identity_rhs],
             "max_residual": rep.max_residual}
-    return _ratio_report(ctx.cid, parts, inputs={"n_segments": SLAB_TRACE_SEGMENTS}, grid=grid)
+    return _ratio_report(ctx.cid, parts, grid=grid)
 
 
 def _check_index_form_nonnegative(ctx):
@@ -844,8 +826,7 @@ def _check_index_form_nonnegative(ctx):
     rep_s = ctx.once(_slab_cosh_trace)[-1]
 
     fx_l = example_fixture("poincare-circles", a=1.0)
-    axis_segments = 8192
-    curve_l = _axis_curve(fx_l.space, fx_l.endpoints[1, 0], axis_segments)
+    curve_l = _axis_curve(fx_l.space, fx_l.endpoints[1, 0], 8192)
     phi_l = CoshWeight(curve_l.g_length())
     rep_l = index_form_trace(curve_l, ConstantField(1.0), fx_l.pieces[0], fx_l.pieces[1], phi_l)
 
@@ -857,8 +838,7 @@ def _check_index_form_nonnegative(ctx):
     grid = {"slab_total": rep_s.total, "lens_total": rep_l.total,
             "lens_boundary_term": rep_l.boundary_start,
             "slab_max_residual": rep_s.max_residual, "lens_max_residual": rep_l.max_residual}
-    return _ratio_report(ctx.cid, parts,
-                         inputs={"n_segments": [SLAB_TRACE_SEGMENTS, axis_segments]}, grid=grid)
+    return _ratio_report(ctx.cid, parts, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -867,20 +847,13 @@ def _check_index_form_nonnegative(ctx):
 
 
 def _estimate_report(ctx, branch, c1, c2, R, L0, n, fixture_name=None, **grid_extra):
-    """Report on the sides branch(c1, c2, R, L0, n) of an estimate branch,
-    filed with its numbers (c1, c2, R and L0 as floats: json writes 1 and
-    1.0 differently), the branch's kappa (1 for the hyperbolic branch, 0 for
-    the flat one), the sharpest alpha (None; its value is in the grid),
-    j = 2 (c2 enters the error term) and the fixture the numbers come from,
-    if any; ``grid_extra`` follows the branch's own grid."""
+    """Report on the sides branch(c1, c2, R, L0, n) of an estimate branch;
+    its grid holds those numbers and the fixture they come from (None for
+    the probe's), then the branch's own grid and ``grid_extra``."""
     lhs, rhs, grid = branch(c1, c2, R, L0, n)
-    kappa = 1.0 if branch is main_estimate_hyperbolic else 0.0
-    inputs = {"c1": c1, "c2": c2, "R": R, "L0": L0, "n": n, "kappa": kappa,
-              "alpha": None, "j": 2}
-    if fixture_name is not None:
-        inputs["fixture"] = fixture_name
+    numbers = {"c1": c1, "c2": c2, "R": R, "L0": L0, "n": n, "fixture": fixture_name}
     return VerificationReport(ctx.cid, lhs, rhs, tolerance=SLACK_FLOOR,
-                              inputs=inputs, grid={**grid, **grid_extra})
+                              grid={**numbers, **grid, **grid_extra})
 
 
 def _check_curvature_sum_flat(ctx):
@@ -958,8 +931,7 @@ def _check_sharpness_rate(ctx):
         "halving_ratio_near_2": (worst_ratio, 0.3),
         "upper_bound_consistent": (worst_consistency, 1e-12),
     }
-    return _ratio_report(ctx.cid, parts, inputs={"R_grid": R_grid.tolist()},
-                         grid={"per_a": per})
+    return _ratio_report(ctx.cid, parts, grid={"per_a": per})
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +982,7 @@ def _scan_report(ctx, fx, scan, total, kind, envelope, parts=None, normalized=No
             "min_slack": float(np.min(slack))}
     if normalized is not None:
         grid["normalized"] = normalized.tolist()
-    rep = _ratio_report(ctx.cid, parts, inputs={"R_grid": scan.R.tolist()}, grid=grid)
+    rep = _ratio_report(ctx.cid, parts, grid=grid)
     return rep, (scan.R, scan.inf1, scan.inf2, total, envelope, slack)
 
 

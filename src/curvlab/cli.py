@@ -10,7 +10,7 @@ only module that reads or writes a file.
 A run is configured by its flags (``--suite``, ``--out``, ``--seed``), plus
 an optional INI file (``--config``) that holds only ``[grids]``, the five
 integer grid sizes; the module reads no environment variable. Each report
-records, in its ``inputs_digest``, the seed and grid sizes it reads.
+records, in its ``inputs``, the seed and grid sizes its check read.
 
 The checks run one after another on one thread, which lets them share
 results through a per-run memo (``CheckContext.once``). ``--workers`` is
@@ -154,7 +154,8 @@ def load_config(args):
 
 class CheckContext:
     """What one check may read: its id, a seeded rng, grid sizes, and the
-    results the checks of one run share.
+    results the checks of one run share. ``rng`` and ``grid`` record the
+    seed and each grid size they hand out in ``inputs``.
 
     ``run`` hands every context it builds one memo, so ``once`` computes a
     result two checks need a single time per run; a context built on its
@@ -165,6 +166,7 @@ class CheckContext:
     def __init__(self, cfg, cid, memo=None):
         self.cfg = cfg
         self.cid = cid
+        self.inputs = {}
         self._memo = {} if memo is None else memo
 
     def once(self, fn, *args):
@@ -176,11 +178,13 @@ class CheckContext:
 
     def rng(self):
         """Generator seeded from (run seed, check id); independent per check."""
+        self.inputs["seed"] = self.cfg.seed
         digest = hashlib.sha256(f"{self.cfg.seed}:{self.cid}".encode()).digest()
         return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
     def grid(self, name):
-        return self.cfg.grids[name]
+        self.inputs[name] = self.cfg.grids[name]
+        return self.inputs[name]
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +225,13 @@ def run(cfg, stdout=None, stderr=None):
         spec = CHECKS[cid]
         error, tag = None, "ERROR"
         try:
-            out = spec.fn(CheckContext(cfg, cid, memo))
+            ctx = CheckContext(cfg, cid, memo)
+            out = spec.fn(ctx)
             rep, columns = out if isinstance(out, tuple) else (out, None)
             if rep.check != cid:
                 error = f"report id {rep.check!r} does not match registry id"
             else:
+                rep.inputs = ctx.inputs
                 rep.probe = spec.probe
                 rep.wall_time_s = time.perf_counter() - started
                 text = rep.to_json()

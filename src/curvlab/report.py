@@ -3,13 +3,12 @@
 Every quantitative check in the package reduces to comparing a left-hand
 side against a right-hand side; the report stores both, the signed slack
 rhs - lhs, and a pass flag defined uniformly as slack >= -tolerance.
-The runner sets ``probe`` from the check registry: a probe (synthetic
-inputs constructed to violate an inequality on purpose) is written out
-but left out of the exit status. Inputs and grids hold plain JSON values;
+The runner sets ``inputs``, the seed and grid sizes read, and ``probe``:
+a probe (inputs made to violate an inequality on purpose) is written out
+but left out of the exit status. Inputs and grids hold JSON values;
 ``json`` raises TypeError on anything else, numpy scalars included.
 """
 
-import hashlib
 import json
 
 
@@ -21,12 +20,6 @@ class NonConvergence(RuntimeError):
         super().__init__(f"{where}: {detail}")
 
 
-def digest_inputs(inputs: dict) -> str:
-    """Short stable hash of a check's input dictionary."""
-    blob = json.dumps(inputs, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 class VerificationReport:
     """One check's outcome; its attributes are exactly the JSON fields.
 
@@ -34,7 +27,7 @@ class VerificationReport:
     """
 
     def __init__(self, check: str, lhs: float, rhs: float, *, tolerance: float,
-                 inputs: dict = None, grid: dict = None):
+                 grid: dict = None):
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
         self.check = check
@@ -44,7 +37,7 @@ class VerificationReport:
         self.tolerance = float(tolerance)
         self.passed = bool(self.slack >= -tolerance)
         self.probe = False
-        self.inputs_digest = digest_inputs(inputs or {})
+        self.inputs = {}
         self.grid = dict(grid or {})
         self.wall_time_s = 0.0
 

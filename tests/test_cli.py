@@ -322,11 +322,32 @@ def test_other_inputs_cover_every_run_input():
     assert set(_OTHER_INPUTS) == {"seed", *GRID_DEFAULTS}
 
 
+# run inputs that change no computation; t_points goes with the benchmark
+# change of ROADMAP direction 5
+_DEAD_INPUTS = {"t_points"}
+
+
+def _report(d, cid):
+    return json.loads((d / f"{cid}.json").read_text())
+
+
+def _outside_inputs(d, cid):
+    """A check's report without ``inputs`` and ``wall_time_s``, and its
+    CSV table, if any."""
+    rep = _report(d, cid)
+    del rep["inputs"], rep["wall_time_s"]
+    table = d / f"{cid}.csv"
+    return json.dumps(rep, sort_keys=True), table.read_bytes() if table.exists() else None
+
+
 @pytest.mark.parametrize("key, value", _OTHER_INPUTS.items())
 def test_a_run_input_moves_no_report_unrecorded(tmp_path, counted_full_run, key, value):
-    """A report whose bytes (``wall_time_s`` masked) change with the seed or
-    a grid size has a different ``inputs_digest``: the report records every
-    run input it reads. A CSV table counts with its check's report."""
+    """Both ways between a run input and the reports: a report whose bytes
+    (``wall_time_s`` masked, a CSV table counted with its check's report)
+    change with the seed or a grid size records the changed value in its
+    ``inputs``, and a report that records the key moves outside ``inputs``
+    too, so no recorded input is a dead knob. A key in ``_DEAD_INPUTS``
+    must move nothing outside ``inputs``, so the exemption cannot go stale."""
     full, _ = counted_full_run
     out = tmp_path / "out"
     cfg = RunConfig(seed=value, out=str(out)) if key == "seed" else \
@@ -336,9 +357,39 @@ def test_a_run_input_moves_no_report_unrecorded(tmp_path, counted_full_run, key,
     moved = {p.stem for p in full.iterdir()
              if _WALL_TIME.sub(b"", p.read_bytes()) != _WALL_TIME.sub(b"", (out / p.name).read_bytes())}
     assert moved, f"no report reads {key}"
-    digest = lambda d, cid: json.loads((d / f"{cid}.json").read_text())["inputs_digest"]
-    unrecorded = sorted(cid for cid in moved if digest(full, cid) == digest(out, cid))
-    assert not unrecorded, f"{key} = {value} moves {unrecorded} without their inputs_digest"
+    unrecorded = sorted(cid for cid in moved
+                        if _report(full, cid)["inputs"].get(key) == _report(out, cid)["inputs"].get(key))
+    assert not unrecorded, f"{key} = {value} moves {unrecorded} without their inputs"
+    recording = sorted(cid for cid in cli.CHECKS if key in _report(full, cid)["inputs"])
+    unmoved = [cid for cid in recording if _outside_inputs(full, cid) == _outside_inputs(out, cid)]
+    assert unmoved == (recording if key in _DEAD_INPUTS else []), (
+        f"{key} = {value} moves nothing outside the inputs of {unmoved}")
+
+
+# the run inputs each check reads; the other checks read none
+_READS = {
+    **dict.fromkeys(("connection-law-fd", "sectional-law-fd", "ricci-law-fd",
+                     "mean-curvature-law-fd", "poincare-recovery"), ["samples", "seed"]),
+    "diameter-geodesic": ["seed"],
+    **dict.fromkeys(("curve-shortness", "planar-curvature-law"), ["n_segments"]),
+    **dict.fromkeys(("crucial-bounds-flat", "crucial-bounds-hyperbolic"),
+                    ["r_points", "t_points"]),
+    **dict.fromkeys(("log-graph-curvature", "revolution-curvature"), ["samples"]),
+    **dict.fromkeys(("scan-log-graph", "scan-revolution", "scan-equidistant", "scan-slab"),
+                    ["scan_points"]),
+}
+
+
+def test_each_report_records_the_inputs_its_check_reads(counted_full_run):
+    """At the default config every report's ``inputs`` holds the seed and
+    grid sizes its check reads, at their run values."""
+    full, _ = counted_full_run
+    cfg = RunConfig()
+    assert set(_READS) <= set(cli.CHECKS)
+    for cid in cli.CHECKS:
+        inputs = _report(full, cid)["inputs"]
+        assert sorted(inputs) == _READS.get(cid, []), cid
+        assert inputs == {k: cfg.seed if k == "seed" else cfg.grids[k] for k in inputs}, cid
 
 
 def test_once_shares_a_result_within_a_run_only(tmp_path, monkeypatch):
@@ -421,6 +472,7 @@ def test_nonconvergence_dominates_failures(tmp_path, monkeypatch):
 
 def test_check_exception_gives_status_1_and_report(tmp_path, monkeypatch):
     def fn(ctx):
+        ctx.grid("samples")
         raise ValueError("synthetic breakage")
 
     cid = _single_check_registry(monkeypatch, fn)
@@ -432,6 +484,7 @@ def test_check_exception_gives_status_1_and_report(tmp_path, monkeypatch):
     rep = json.loads((out / f"{cid}.json").read_text())
     assert rep["passed"] is False
     assert "synthetic breakage" in rep["grid"]["error"]
+    assert rep["inputs"] == {}  # an error report records nothing, not even what was read
 
 
 def test_probe_that_raises_still_fails_the_run(tmp_path, monkeypatch):

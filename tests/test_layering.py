@@ -15,6 +15,9 @@ OpenBLAS to one thread before numpy loads, touches the process
 environment: a run is configured by its flags and config file alone.
 Only ``cli`` names ``open``, ``write_text`` or ``write_bytes``: it alone
 reads the config file and writes the outputs, the scan tables included.
+``checks`` never reads a context's ``cfg``: the seed and grid sizes reach a
+check only through ``ctx.rng`` and ``ctx.grid``, which record them as the
+report's ``inputs``.
 The library entry points take no parameter that every caller leaves at one
 value (a finite-difference step, a ladder start, an iteration cap, a grid
 size): each is a module constant, and their signatures are pinned here.
@@ -152,6 +155,15 @@ def file_access(source_dir=SRC):
                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                   if _spelled(node) in FILE_NAMES]
     return sorted(found)
+
+
+def config_reads(path=SRC / "checks.py"):
+    """Sorted (line, expression) of every ``cfg`` attribute, or ``'cfg'``
+    string such as a ``getattr`` takes, in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr == "cfg")
+                  or (isinstance(node, ast.Constant) and node.value == "cfg"))
 
 
 def test_check_ids_and_reports_live_in_checks():
@@ -304,6 +316,27 @@ def test_guard_flags_a_planted_file_write(tmp_path):
         ("lib", 2, "open"), ("lib", 4, "open"), ("lib", 6, "write_text"),
         ("lib", 7, "write_bytes"),
     ]
+
+
+def test_checks_read_run_inputs_only_through_the_recording_accessors():
+    bad = config_reads()
+    assert not bad, f"checks reads the run config past ctx.rng and ctx.grid: {bad}"
+
+
+def test_guard_flags_a_planted_config_read(tmp_path):
+    """``cfg`` read off any name and a ``getattr`` of it are flagged; a
+    docstring mention, a parameter named ``cfg`` and ``ctx.grid`` are not."""
+    (tmp_path / "checks.py").write_text(
+        '"""Mentions ctx.cfg.seed in a docstring."""\n'
+        "def check(ctx, cfg):\n"
+        "    seed = ctx.cfg.seed\n"
+        "    n = context.cfg.grids['samples']\n"
+        "    other = getattr(ctx, 'cfg')\n"
+        "    return cfg, ctx.grid('samples'), ctx.config, seed, n, other\n",
+        encoding="utf-8",
+    )
+    assert config_reads(tmp_path / "checks.py") == [
+        (3, "ctx.cfg"), (4, "context.cfg"), (5, "'cfg'")]
 
 
 def test_only_cli_names_the_collector():
