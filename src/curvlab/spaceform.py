@@ -8,8 +8,9 @@ correction, and a metric u^-2 g is again conformally flat with coordinate
 factor u*w.
 
 Distance in the ball model is d = (2/kappa) asinh(|p - q| / sqrt((1 - |p|^2)
-(1 - |q|^2))), finite out to the boundary; arbitrary radial centers are handled through the Mobius
-translation rather than re-deriving off-center formulas.
+(1 - |q|^2))), finite out to the boundary; arbitrary radial centers are
+handled through the Mobius translation rather than re-deriving off-center
+formulas.
 """
 
 from __future__ import annotations
